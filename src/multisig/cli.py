@@ -275,6 +275,8 @@ def cmd_verify(args) -> int:
     elif args.scheme == "cosi":
         ok = cosi_verify(par, key_aggregate(par, pks), m, sig)
     else:  # gamma
+        if not pks:
+            raise IoError(f"key file {args.keys} holds no keys")
         ok = gamma.verify(par, pks[0].y, m, sig)
     print(f"signature valid: {'true' if ok else 'false'}")
     return 0 if ok else 1

@@ -89,8 +89,16 @@ def capacity(branching: int, max_depth: int) -> int:
 
 
 def min_branching(n: int, max_depth: int = 3, floor: int = 2) -> int:
-    """Smallest branching factor >= floor that fits n nodes at this depth."""
+    """Smallest branching factor >= floor that fits n nodes at this depth.
+
+    Below depth 1 no fan-out adds room (the tree is the root alone, or
+    empty), so a node count that does not fit raises CapacityExceeded.
+    """
     b = max(1, floor)
+    if max_depth < 1 and capacity(b, max_depth) < n:
+        raise CapacityExceeded(
+            f"{n} nodes do not fit in a tree of depth {max_depth}"
+        )
     while capacity(b, max_depth) < n:
         b += 1
     return b

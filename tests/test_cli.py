@@ -1,8 +1,13 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import multisig
 from multisig.cli import main
 
 
@@ -117,6 +122,28 @@ def test_simulate_rejects_oversized_tree(capsys):
     assert "error:" in stderr
 
 
+@pytest.mark.parametrize("depth", ["0", "-1"])
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--signers", "7"),
+    ("bench", "--schemes", "agms", "--signers-list", "7", "--reps", "1"),
+    ("endorse", "--endorsers-list", "7", "--flow", "revised"),
+])
+def test_impossible_depth_exits_two_without_hanging(argv, depth):
+    # in a child process, so a regression to the old endless loop fails on
+    # the timeout instead of stalling the suite
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(multisig.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from multisig.cli import main; sys.exit(main())",
+         *argv, "--depth", depth],
+        capture_output=True, text=True, timeout=30, env=env,
+    )
+    assert proc.returncode == 2
+    assert "error:" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_simulate_gamma_needs_single_signer(capsys):
     code, _, stderr = run(capsys, "simulate", "--scheme", "gamma",
                           "--signers", "3")
@@ -157,6 +184,22 @@ def test_gamma_round_trip_shares_key_derivation(tmp_path, capsys):
                           "--message", "hi")
     assert code == 0
     assert "signature valid: true" in stdout
+
+
+def test_gamma_verify_with_no_keys_is_a_usage_error(tmp_path, capsys):
+    keys = tmp_path / "keys.json"
+    sig = tmp_path / "g.sig"
+    run(capsys, "keygen", "--count", "1", "--out", str(keys), "--seed", "3")
+    assert run(capsys, "simulate", "--scheme", "gamma", "--signers", "1",
+               "--seed", "3", "--message", "hi", "--out", str(sig))[0] == 0
+    doc = json.loads(keys.read_text())
+    doc["keys"] = []
+    keys.write_text(json.dumps(doc))
+    code, _, stderr = run(capsys, "verify", "--scheme", "gamma", "--keys",
+                          str(keys), "--signature", str(sig),
+                          "--message", "hi")
+    assert code == 2
+    assert "no keys" in stderr
 
 
 def test_verify_keys_flags_bad_proofs(tmp_path, capsys):

@@ -3,8 +3,12 @@ import random
 import pytest
 
 from multisig.errors import BadLength, InvOfZero, IoError, NonCanonical, NotInGroup
+from multisig import group as group_mod
 from multisig.group import (
     OpCounter,
+    _exp_ladder,
+    _wnaf5,
+    curve_group,
     derive_rng,
     group_from_descriptor,
     toy_group,
@@ -209,3 +213,89 @@ def test_curve_codec(curve):
     # x = 5 is not on secp256k1
     with pytest.raises(NotInGroup):
         curve.decode_element(b"\x02" + (5).to_bytes(32, "big"))
+
+
+# ── curve fast paths against the reference ladder ───────────────────────────
+
+def _edge_scalars(q):
+    return [
+        0, 1, 2, 15, 16, q - 1, q - 2,
+        int("F" * 64, 16),            # every nibble 0xF (full comb width)
+        int("F" * 62, 16),            # every nibble 0xF, below q
+        int("0F" * 32, 16),           # alternating zero nibbles
+        int("F0" * 32, 16),
+    ]
+
+
+def test_curve_exp_matches_reference_ladder(curve):
+    rng = random.Random(2210)
+    var_base = _exp_ladder(curve.g1, rng.randrange(1, curve.q))
+    scalars = _edge_scalars(curve.q) + [rng.randrange(curve.q)
+                                        for _ in range(200)]
+    for base in (curve.g1, var_base):
+        for e in scalars:
+            assert curve._exp(base, e) == _exp_ladder(base, e), (base, e)
+    assert curve.exp(curve.g1, curve.q) is None
+    assert curve.exp(var_base, curve.q) is None
+
+
+def test_curve_exp_identity_base_and_fresh_g1_tuple(curve):
+    for e in (0, 1, 12345, curve.q - 1):
+        assert curve.exp(None, e) is None
+    fresh = (int(hex(curve.g1[0]), 16), int(hex(curve.g1[1]), 16))
+    assert fresh == curve.g1 and fresh is not curve.g1
+    rng = random.Random(5)
+    for e in (1, 2, curve.q - 1, rng.randrange(curve.q)):
+        assert curve.exp(fresh, e) == _exp_ladder(curve.g1, e)
+    # a negated base: (x, P-y) is the inverse of (x, y)
+    x = curve.exp(curve.g1, 99)
+    neg = (x[0], group_mod._P - x[1])
+    assert curve.exp(neg, 5) == curve.exp(curve.g1, curve.q - 5 * 99)
+
+
+def test_curve_exp_is_a_homomorphism(curve):
+    rng = random.Random(11)
+    bases = [curve.g1, curve.exp(curve.g1, rng.randrange(1, curve.q))]
+    for base in bases:
+        for _ in range(20):
+            a, b = rng.randrange(curve.q), rng.randrange(curve.q)
+            assert curve.mul(curve.exp(base, a), curve.exp(base, b)) == \
+                curve.exp(base, a + b)
+
+
+def test_wnaf5_digits_reconstruct_the_scalar():
+    rng = random.Random(3)
+    for e in [1, 15, 16, 31, 32, 2**256 - 1] + [rng.getrandbits(256) | 1
+                                                 for _ in range(50)]:
+        digits = _wnaf5(e)
+        assert sum(d << i for i, d in enumerate(digits)) == e
+        nonzero = [i for i, d in enumerate(digits) if d]
+        assert all(digits[i] % 2 == 1 and -15 <= digits[i] <= 15
+                   for i in nonzero)
+        assert all(j - i >= 5 for i, j in zip(nonzero, nonzero[1:]))
+
+
+def test_curve_fast_exp_counts_once(curve):
+    ops = OpCounter("fast")
+    x = curve.exp(curve.g1, 7, ops=ops)
+    curve.exp(x, 9, ops=ops)
+    assert ops.snapshot() == (2, 0)
+
+
+def test_g1_table_built_once_and_shared(monkeypatch):
+    builds = []
+    real_build = group_mod._build_g1_comb
+
+    def counting_build():
+        builds.append(1)
+        return real_build()
+
+    monkeypatch.setattr(group_mod, "_g1_comb_table", None)
+    monkeypatch.setattr(group_mod, "_build_g1_comb", counting_build)
+    a, b = curve_group(), group_from_descriptor({"backend": "secp256k1"})
+    assert a.exp(a.g1, 3) == b.exp(b.g1, 3) == _exp_ladder(a.g1, 3)
+    a.exp(a.g1, 5)
+    assert builds == [1]
+    table = group_mod._g1_comb()
+    assert len(table) == 64 and all(len(row) == 15 for row in table)
+    assert table[1][0] == _exp_ladder(a.g1, 16)

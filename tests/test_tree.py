@@ -44,6 +44,14 @@ def test_min_branching():
     assert min_branching(3, floor=1) == 1  # chain
 
 
+def test_min_branching_rejects_impossible_depth():
+    # below depth 1 no fan-out adds room; this used to loop forever
+    assert build_tree(1, min_branching(1, 0), 0).levels == ((0,),)
+    for n, depth in ((2, 0), (7, 0), (1, -1), (7, -1), (7, -3)):
+        with pytest.raises(CapacityExceeded):
+            min_branching(n, depth)
+
+
 def test_irregular_last_level():
     t = build_tree(6, 2, 3)
     assert t.children[2] == (5,)

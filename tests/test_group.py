@@ -224,6 +224,7 @@ def _edge_scalars(q):
         int("F" * 62, 16),            # every nibble 0xF, below q
         int("0F" * 32, 16),           # alternating zero nibbles
         int("F0" * 32, 16),
+        q,                            # the comb's last addition is P + (-P)
     ]
 
 

@@ -35,24 +35,23 @@ from dataclasses import dataclass
 
 from .errors import BackendRefused, KSumNotFound
 from .group import Group, ToyGroup, derive_rng
-from .hashing import H0, H1, H2, H3, hash_to_scalar
+from .hashing import H1, H2, H3, hash_to_scalar
 from .schemes import (
     AggregateKey,
     KeyProof,
     PublicKey,
     Signature,
-    _baseline_response,
-    _challenge,
-    _commit,
-    _gamma_response,
-    _make_sessions,
-    _announce,
-    _respond,
+    announce,
     bare_keygen,
+    challenge,
+    challenge_hash,
+    commit,
     cosi_verify,
     derive_keys,
     key_aggregate,
     key_verify,
+    open_sessions,
+    respond,
     verify,
 )
 from .tree import build_tree, min_branching
@@ -131,7 +130,7 @@ def rogue_key_attack(par: Group, honest_keys, message: bytes, *, seed=0,
     while c == 0:
         v = par.random_scalar(rng)
         V = par.exp(par.g1, v)
-        c = hash_to_scalar(par, H0, [par.encode_element(V), message])
+        c = challenge_hash(par, "cosi", V, X, message)
     sig = Signature(c, par.s_add(v, par.s_mul(c, sk_a)))
     baseline_accepts = cosi_verify(par, X, message, sig)
 
@@ -287,28 +286,23 @@ class KSumAttackReport:
         }
 
 
-def _grind_session_list(par, rng, V_sess, extra, s_l, baseline: bool, message):
+def _grind_session_list(par, rng, V_sess, target, x_forge, s_l, message):
     """Challenge candidates the leader can induce for one open session by
-    varying its own commitment share r: announced aggregate = g1^r * V_sess."""
-    vals, rand = [], []
+    varying its own commitment share r, each with the aggregate it would
+    announce: g1^r * V_sess."""
+    vals, announced = [], []
     while len(vals) < s_l:
         r = par.random_scalar(rng)
         v_ann = par.mul(par.exp(par.g1, r), V_sess)
-        if baseline:
-            c = hash_to_scalar(par, H0, [par.encode_element(v_ann), message])
-        else:
-            c = hash_to_scalar(
-                par, H0, [par.encode_element(par.g1),
-                          par.encode_element(v_ann), extra]
-            )
+        c = challenge_hash(par, target, v_ann, x_forge, message)
         if c == 0:
             continue
         vals.append(c)
-        rand.append(r)
-    return vals, rand
+        announced.append(v_ann)
+    return vals, announced
 
 
-def _grind_target_list(par, V_bar, extra, s_l, baseline: bool, forged_prefix):
+def _grind_target_list(par, V_bar, target, x_forge, s_l, forged_prefix):
     """Forged-message candidates: target challenges c* = H0(...) negated so
     the solver's zero-sum means sum(c_j) == c* mod q."""
     vals, msgs = [], []
@@ -316,13 +310,7 @@ def _grind_target_list(par, V_bar, extra, s_l, baseline: bool, forged_prefix):
     while len(vals) < s_l:
         m_star = forged_prefix + b"#" + str(u).encode()
         u += 1
-        if baseline:
-            c = hash_to_scalar(par, H0, [par.encode_element(V_bar), m_star])
-        else:
-            c = hash_to_scalar(
-                par, H0, [par.encode_element(par.g1),
-                          par.encode_element(V_bar), extra]
-            )
+        c = challenge_hash(par, target, V_bar, x_forge, m_star)
         if c == 0:
             continue
         vals.append((par.q - c) % par.q)
@@ -363,7 +351,6 @@ def ksum_forgery_attack(par: Group, *, target: str = "cosi", k: int = 4,
     x_h = key_aggregate(par, hkeys).X
     adv = bare_keygen(par, derive_rng(seed, "adv"))
     x_forge = par.mul(x_h, adv.y)
-    x_forge_b = par.encode_element(x_forge)
 
     attempts = 0
     successes = 0
@@ -376,13 +363,10 @@ def ksum_forgery_attack(par: Group, *, target: str = "cosi", k: int = 4,
         session_states = []
         v_sess = []
         for j in range(ell):
-            sessions = _make_sessions(
-                par, target, htree, hkeys, f"{seed}|t{t}|s{j}", 0
-            )
-            _announce(htree, sessions, message, None)
-            v_agg, _, _ = _commit(
-                par, htree, sessions, aggregate_keys=not baseline, schedule=None
-            )
+            sessions = open_sessions(par, target, htree, hkeys,
+                                     f"{seed}|t{t}|s{j}")
+            announce(htree, sessions, message)
+            v_agg, _, _ = commit(par, htree, sessions)
             session_states.append(sessions)
             v_sess.append(v_agg)
         v_bar = v_sess[0]
@@ -390,15 +374,15 @@ def ksum_forgery_attack(par: Group, *, target: str = "cosi", k: int = 4,
             v_bar = par.mul(v_bar, v)
 
         grind_rng = derive_rng(seed, "grind", t)
-        lists, rand_meta = [], []
+        lists, announced = [], []
         for j in range(ell):
-            vals, rand = _grind_session_list(
-                par, grind_rng, v_sess[j], x_forge_b, s_l, baseline, message
+            vals, anns = _grind_session_list(
+                par, grind_rng, v_sess[j], target, x_forge, s_l, message
             )
             lists.append(tuple(vals))
-            rand_meta.append(rand)
+            announced.append(anns)
         targets, msgs = _grind_target_list(
-            par, v_bar, x_forge_b, s_l, baseline, forged_prefix
+            par, v_bar, target, x_forge, s_l, forged_prefix
         )
         lists.append(tuple(targets))
 
@@ -410,23 +394,9 @@ def ksum_forgery_attack(par: Group, *, target: str = "cosi", k: int = 4,
         # close each session with the solver's challenge; collect responses
         s_total = 0
         for j in range(ell):
-            c_j = lists[j][idx[j]]
-            if baseline:
-                v_ann = par.mul(
-                    par.exp(par.g1, rand_meta[j][idx[j]]), v_sess[j]
-                )
-                payload = par.encode_scalar(c_j) + par.encode_element(v_ann)
-                _challenge(par, htree, session_states[j], payload,
-                           precompute_vc=False, check_baseline=True,
-                           schedule=None)
-                s_j, _ = _respond(par, htree, session_states[j],
-                                  lambda s: _baseline_response(par, s), None)
-            else:
-                _challenge(par, htree, session_states[j],
-                           par.encode_scalar(c_j), precompute_vc=True,
-                           check_baseline=False, schedule=None)
-                s_j, _ = _respond(par, htree, session_states[j],
-                                  lambda s: _gamma_response(par, s), None)
+            challenge(par, htree, session_states[j], lists[j][idx[j]],
+                      announced[j][idx[j]])
+            s_j, _ = respond(par, htree, session_states[j])
             s_total = par.s_add(s_total, s_j)
 
         u_k = idx[-1]

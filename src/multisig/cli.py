@@ -54,7 +54,7 @@ from .schemes import (
     verify,
     write_signature,
 )
-from .tree import SimSchedule, build_tree, min_branching, transcript_to_jsonl
+from .tree import build_tree, min_branching, transcript_to_jsonl
 
 DEFAULT_SEED = 1729
 _USAGE_ERRORS = (BackendRefused, BadLength, CapacityExceeded, IoError,
@@ -106,14 +106,27 @@ def _write_json(path, doc) -> None:
     Path(path).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
-def _write_csv(path, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerows(rows)
+def _emit(out, data, note: str = "") -> None:
+    """Write a JSON document (a dict) or CSV rows (a list) to ``out`` and
+    say so, or print it when no ``--out`` was given."""
+    if out and isinstance(data, dict):
+        _write_json(out, data)
+    elif out:
+        with open(out, "w", newline="") as fh:
+            csv.writer(fh).writerows(data)
+    elif isinstance(data, dict):
+        print(json.dumps(data, sort_keys=True, indent=2))
+    else:
+        csv.writer(sys.stdout).writerows(data)
+    if out:
+        print(f"wrote {out}{note}")
 
 
 # ── keygen ───────────────────────────────────────────────────────────────────
 
 def cmd_keygen(args) -> int:
+    if args.count < 1:
+        raise ValueError("--count must be at least 1")
     par = _resolve_group(args)
     seed, _ = _resolve_seed(args)
     keys = derive_keys(par, args.count, seed)
@@ -140,48 +153,35 @@ def cmd_verify_keys(args) -> int:
 
 # ── simulate ─────────────────────────────────────────────────────────────────
 
-def _simulate_tree_scheme(par, args, seed):
+def _simulate_tree_scheme(par, args, tree, seed):
     """Returns (signature, verified, messages, exp counts, timings, attempts)."""
-    branching = args.branching or min_branching(args.signers, args.depth)
-    tree = build_tree(args.signers, branching, args.depth)
     keys = derive_keys(par, args.signers, seed)
     m = args.message.encode()
-    schedule = SimSchedule(parallel=True) if args.parallel else None
     exps = {}
     timings = {}
 
     def snap():
         return par.ops_total.exponentiations
 
+    e0 = snap()
     if args.scheme == "agms":
-        e0 = snap()
-        off = agms_offline(par, tree, keys, seed=seed, schedule=schedule)
+        off = agms_offline(par, tree, keys, seed=seed)
         exps["sign_offline"] = snap() - e0
         timings["offline_ns"] = off.wall_ns
         e0 = snap()
-        run = agms_online(par, off, m, schedule=schedule)
-        exps["sign_online"] = snap() - e0
-        timings["online_ns"] = run.online_ns
+        run = agms_online(par, off, m)
         messages = off.messages + run.messages
-    elif args.scheme == "gms":
-        e0 = snap()
-        run = gms_sign(par, tree, keys, m, seed=seed, schedule=schedule)
-        exps["sign_online"] = snap() - e0
-        timings["online_ns"] = run.online_ns
+    else:
+        sign = cosi_sign if args.scheme == "cosi" else gms_sign
+        run = sign(par, tree, keys, m, seed=seed)
         messages = run.messages
-    else:  # cosi
-        e0 = snap()
-        run = cosi_sign(par, tree, keys, m, seed=seed, schedule=schedule)
-        exps["sign_online"] = snap() - e0
-        timings["online_ns"] = run.online_ns
-        messages = run.messages
+    exps["sign_online"] = snap() - e0
+    timings["online_ns"] = run.online_ns
 
+    check = cosi_verify if args.scheme == "cosi" else verify
     e0 = snap()
     t0 = time.perf_counter_ns()
-    if args.scheme == "cosi":
-        ok = cosi_verify(par, run.agg_key, m, run.signature)
-    else:
-        ok = verify(par, run.agg_key, m, run.signature)
+    ok = check(par, run.agg_key, m, run.signature)
     timings["verify_ns"] = time.perf_counter_ns() - t0
     exps["verify"] = snap() - e0
     return run.signature, ok, messages, exps, timings, run.attempts
@@ -216,11 +216,15 @@ def cmd_simulate(args) -> int:
         return 2
     par = _resolve_group(args)
     seed, reproducible = _resolve_seed(args)
+    branching = args.branching
+    if branching is None:
+        branching = min_branching(args.signers, args.depth)
+    tree = build_tree(args.signers, branching, args.depth)
     if args.scheme == "gamma":
         sig, ok, messages, exps, timings, attempts = _simulate_gamma(par, args, seed)
     else:
         sig, ok, messages, exps, timings, attempts = _simulate_tree_scheme(
-            par, args, seed)
+            par, args, tree, seed)
 
     sig_hex = sig.to_bytes(par).hex()
     print(f"scheme={args.scheme} backend={par.group_id} signers={args.signers}")
@@ -243,7 +247,7 @@ def cmd_simulate(args) -> int:
             "scheme": args.scheme,
             "backend": par.group_id,
             "signers": args.signers,
-            "branching": args.branching or min_branching(args.signers, args.depth),
+            "branching": branching,
             "depth": args.depth,
             "seed": seed,
             "attempts": attempts,
@@ -299,15 +303,13 @@ def _bench_once(par, scheme, tree, keys, m, seed):
     if scheme == "agms":
         off = timed("sign_offline", lambda: agms_offline(par, tree, keys, seed=seed))
         run = timed("sign_online", lambda: agms_online(par, off, m))
-        timed("verify", lambda: verify(par, run.agg_key, m, run.signature))
-    elif scheme == "gms":
-        run = timed("sign_online", lambda: gms_sign(par, tree, keys, m, seed=seed))
-        timed("verify", lambda: verify(par, run.agg_key, m, run.signature))
-    elif scheme == "cosi":
-        run = timed("sign_online", lambda: cosi_sign(par, tree, keys, m, seed=seed))
-        timed("verify", lambda: cosi_verify(par, run.agg_key, m, run.signature))
+    elif scheme in ("gms", "cosi"):
+        sign = cosi_sign if scheme == "cosi" else gms_sign
+        run = timed("sign_online", lambda: sign(par, tree, keys, m, seed=seed))
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
+    check = cosi_verify if scheme == "cosi" else verify
+    timed("verify", lambda: check(par, run.agg_key, m, run.signature))
     return out
 
 
@@ -327,7 +329,9 @@ def cmd_bench(args) -> int:
     rows = []
     for scheme in schemes_list:
         for n in n_list:
-            branching = args.branching or min_branching(n, args.depth)
+            branching = args.branching
+            if branching is None:
+                branching = min_branching(n, args.depth)
             tree = build_tree(n, branching, args.depth)
             keys = derive_keys(par, n, f"{seed}|{n}")
             samples: dict[str, list] = {}
@@ -354,20 +358,10 @@ def cmd_bench(args) -> int:
 
     header = ["scheme", "N", "phase", "mean_ns", "std_ns", "exp_count"]
     if args.format == "json":
-        doc = {"schema": "multisig/bench/v1", "rows": rows}
-        if args.out:
-            _write_json(args.out, doc)
-            print(f"wrote {args.out} ({len(rows)} rows)")
-        else:
-            print(json.dumps(doc, sort_keys=True, indent=2))
+        data = {"schema": "multisig/bench/v1", "rows": rows}
     else:
-        table = [header] + [[r[h] for h in header] for r in rows]
-        if args.out:
-            _write_csv(args.out, table)
-            print(f"wrote {args.out} ({len(rows)} rows)")
-        else:
-            w = csv.writer(sys.stdout)
-            w.writerows(table)
+        data = [header] + [[r[h] for h in header] for r in rows]
+    _emit(args.out, data, f" ({len(rows)} rows)")
     return 0
 
 
@@ -399,11 +393,7 @@ def cmd_attack(args) -> int:
         verdict = (f"target={args.target} attempts={report.attempts} "
                    f"successes={report.successes}")
     doc["expectation_met"] = expectation_met
-    if args.out:
-        _write_json(args.out, doc)
-        print(f"wrote {args.out}")
-    else:
-        print(json.dumps(doc, sort_keys=True, indent=2))
+    _emit(args.out, doc)
     print(f"{verdict} expectation={'met' if expectation_met else 'VIOLATED'}")
     return 0 if expectation_met else 1
 
@@ -431,19 +421,10 @@ def cmd_endorse(args) -> int:
               f"accepted={'true' if rec.accepted else 'false'}")
 
     if args.format == "json":
-        doc = comparison.to_json_dict(include_timing=not reproducible)
-        if args.out:
-            _write_json(args.out, doc)
-            print(f"wrote {args.out}")
-        else:
-            print(json.dumps(doc, sort_keys=True, indent=2))
+        _emit(args.out, comparison.to_json_dict(include_timing=not reproducible))
     else:
         rows = comparison.csv_rows(include_timing=not reproducible)
-        if args.out:
-            _write_csv(args.out, rows)
-            print(f"wrote {args.out} ({len(rows) - 1} rows)")
-        else:
-            csv.writer(sys.stdout).writerows(rows)
+        _emit(args.out, rows, f" ({len(rows) - 1} rows)")
     return 0 if all(r.accepted for r in records) else 1
 
 
@@ -484,9 +465,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metrics", default=None, help="write metrics JSON here")
     p.add_argument("--transcript", default=None,
                    help="write message transcript JSONL here")
-    p.add_argument("--parallel", action="store_true",
-                   help="run independent subtrees on threads; every output "
-                        "value stays identical, timings aside")
     _add_backend(p)
     _add_seed(p)
     p.set_defaults(func=cmd_simulate)

@@ -31,12 +31,11 @@ from . import gamma
 from .errors import InvalidClient, PolicyUnsatisfied
 from .group import Group, derive_rng
 from .schemes import (
-    _announce,
-    _gamma_response,
-    _respond,
     agms_offline,
+    announce,
     derive_keys,
     key_verify,
+    respond,
     verify,
 )
 from .tree import build_tree, min_branching
@@ -75,9 +74,6 @@ class TransactionRecord:
     accepted: bool
     signature_hex: str = ""
     steps: list = field(default_factory=list)
-
-    def total_verify_calls(self) -> int:
-        return sum(s.verify_calls for s in self.steps)
 
     def step7_verify_calls(self) -> int:
         return sum(s.verify_calls for s in self.steps if s.step == 7)
@@ -153,7 +149,8 @@ def run_revised_flow(par: Group, n_endorsers: int, proposal: bytes, *, seed=0,
                      failing_endorsers=()) -> TransactionRecord:
     """Aggregated endorsement: offline sync, zero-exponentiation endorsing,
     one constant-size signature through ordering and validation."""
-    branching = branching or min_branching(n_endorsers, depth)
+    if branching is None:
+        branching = min_branching(n_endorsers, depth)
     tree = build_tree(n_endorsers, branching, depth)
     endorser_keys = derive_keys(par, n_endorsers, f"{seed}|endorser")
     client_key = derive_keys(par, 1, f"{seed}|client")[0]
@@ -176,7 +173,7 @@ def run_revised_flow(par: Group, n_endorsers: int, proposal: bytes, *, seed=0,
 
     # Step 2 — proposal: client -> leader -> every endorser.
     msgs, wall, exps = _measure(
-        par, lambda: _announce(tree, offline.sessions, proposal, None)
+        par, lambda: announce(tree, offline.sessions, proposal)
     )
     rec.steps.append(StepMetrics(2, "proposal", wall, exps, 0,
                                  len(proposal) + _payload_bytes(msgs)))
@@ -193,8 +190,7 @@ def run_revised_flow(par: Group, n_endorsers: int, proposal: bytes, *, seed=0,
             if not registry.is_registered(client_key):
                 raise InvalidClient("unknown client")
             chaincode_stub(proposal)
-        return _respond(par, tree, offline.sessions,
-                        lambda s: _gamma_response(par, s), None)
+        return respond(par, tree, offline.sessions)
 
     (s_value, msgs), wall, exps = _measure(par, endorse)
     rec.steps.append(StepMetrics(3, "endorse", wall, exps, 0,
@@ -240,6 +236,8 @@ def run_default_flow(par: Group, n_endorsers: int, proposal: bytes, *, seed=0,
                      tamper_block: bool = False,
                      failing_endorsers=()) -> TransactionRecord:
     """Per-endorser signatures: no synchronization step, linear growth."""
+    if n_endorsers < 1:
+        raise ValueError("an AND policy needs at least one endorser")
     endorser_keys = [
         gamma.keygen(par, derive_rng(seed, "default-endorser", i))
         for i in range(n_endorsers)

@@ -19,16 +19,13 @@ are plain ints in ``[0, q)`` everywhere.
 
 Every exponentiation and element multiplication bumps ``Group.ops_total``
 and, when given, a per-call ``ops=`` counter, so protocol code can meter
-cost per signing session while tests meter whole phases.  Counters are
-lock-protected, so totals stay exact under opt-in threaded phase
-execution too.
+cost per signing session while tests meter whole phases.
 """
 
 from __future__ import annotations
 
 import random
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import BadLength, InvOfZero, IoError, NonCanonical, NotInGroup
 
@@ -54,25 +51,19 @@ class OpCounter:
     label: str = ""
     exponentiations: int = 0
     multiplications: int = 0
-    _lock: threading.Lock = field(default_factory=threading.Lock,
-                                  repr=False, compare=False)
 
     def add_exp(self, n: int = 1) -> None:
-        with self._lock:
-            self.exponentiations += n
+        self.exponentiations += n
 
     def add_mul(self, n: int = 1) -> None:
-        with self._lock:
-            self.multiplications += n
+        self.multiplications += n
 
     def reset(self) -> None:
-        with self._lock:
-            self.exponentiations = 0
-            self.multiplications = 0
+        self.exponentiations = 0
+        self.multiplications = 0
 
     def snapshot(self) -> tuple[int, int]:
-        with self._lock:
-            return (self.exponentiations, self.multiplications)
+        return (self.exponentiations, self.multiplications)
 
 
 # ── deterministic randomness ────────────────────────────────────────────────
@@ -393,7 +384,6 @@ def _exp_ladder(base, e: int):
 # d = 1..15, so a scalar's j-th nibble selects one entry of row j; 64 rows
 # cover every scalar below 2^256.
 _g1_comb_table: list | None = None
-_g1_comb_lock = threading.Lock()
 
 
 def _build_g1_comb() -> list:
@@ -413,9 +403,7 @@ def _g1_comb() -> list:
     """The g1 table, built on first use and shared by every group object."""
     global _g1_comb_table
     if _g1_comb_table is None:
-        with _g1_comb_lock:
-            if _g1_comb_table is None:
-                _g1_comb_table = _build_g1_comb()
+        _g1_comb_table = _build_g1_comb()
     return _g1_comb_table
 
 

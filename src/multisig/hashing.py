@@ -23,7 +23,6 @@ hashes.
 from __future__ import annotations
 
 import hashlib
-import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import IntEnum
@@ -94,25 +93,18 @@ class HashCall:
     items: tuple[bytes, ...]
 
 
-_trace_lock = threading.Lock()
 _trace_sinks: list[list[HashCall]] = []
 
 
 @contextmanager
 def record_hash_inputs() -> Iterator[list[HashCall]]:
-    """Capture (tag, item bytes) for every hash call while the context is open.
-
-    Captures calls from all threads, so it also sees hashes made by
-    worker threads during parallel phase execution.
-    """
+    """Capture (tag, item bytes) for every hash call while the context is open."""
     calls: list[HashCall] = []
-    with _trace_lock:
-        _trace_sinks.append(calls)
+    _trace_sinks.append(calls)
     try:
         yield calls
     finally:
-        with _trace_lock:
-            _trace_sinks.remove(calls)
+        _trace_sinks.remove(calls)
 
 
 # ── hashing ──────────────────────────────────────────────────────────────────
@@ -123,8 +115,7 @@ def hash_to_scalar(par, tag: HashDomain, items: Iterable) -> int:
     payload = serialize_items(par, tag, items)
     if _trace_sinks:
         call = HashCall(tag, tuple(_item_bytes(par, i) for i in items))
-        with _trace_lock:
-            for sink in _trace_sinks:
-                sink.append(call)
+        for sink in _trace_sinks:
+            sink.append(call)
     digest = hashlib.sha512(payload).digest()
     return int.from_bytes(digest, "big") % par.q

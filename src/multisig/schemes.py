@@ -18,8 +18,15 @@ offline; announcing the message and aggregating responses run online with
 zero group operations per node.  Given the same per-node nonces both
 schemes emit byte-identical signatures, which the tests pin.
 
-Phases run over ``tree.run_phase`` so every byte on every edge lands in a
-transcript.  Per-node costs accrue on each session's OpCounter.
+All three run the same four tree rounds through one public step API —
+``open_sessions``, ``announce``, ``commit``, ``challenge`` and ``respond``
+— and one restart loop (fresh nonces while the challenge hashes to 0);
+``challenge_hash`` is the one definition of c that signers, verifiers and
+the attack demos share.  A session's scheme decides what each step does:
+whether commit also aggregates keys (AGMS), whether challenge is checked
+against H0(V~, m) (baseline), and the response shape.  Steps run over
+``tree.run_phase`` so every byte on every edge lands in a transcript.
+Per-node costs accrue on each session's OpCounter.
 """
 
 from __future__ import annotations
@@ -50,6 +57,12 @@ __all__ = [
     "SigningSession",
     "SignRun",
     "OfflineRun",
+    "open_sessions",
+    "announce",
+    "commit",
+    "challenge_hash",
+    "challenge",
+    "respond",
     "keygen",
     "bare_keygen",
     "key_verify",
@@ -170,29 +183,28 @@ def derive_keys(par: Group, n: int, seed) -> list[KeyPair]:
     return [keygen(par, derive_rng(seed, "key", i)) for i in range(n)]
 
 
-# ── signing sessions ─────────────────────────────────────────────────────────
+# ── signing sessions and phase steps ────────────────────────────────────────
 
 @dataclass
 class SigningSession:
     """Per-node state for one signature; nonces are strictly one-time."""
 
-    scheme: str
+    scheme: str                 # "gms", "agms" or "cosi"
     node: int
     key: KeyPair
     v: int
     ops: OpCounter
-    V: object = None
     V_agg: object = None        # commitment aggregated over this node's subtree
-    X_agg: object = None        # key aggregate over the subtree (AGMS offline)
+    X_agg: object = None        # key aggregate over the subtree (AGMS)
     c: int | None = None
-    vc: int | None = None       # precomputed v*c (AGMS offline)
-    challenge_V: object = None  # announced aggregate checked by baseline nodes
+    vc: int | None = None       # v*c, fixed on receiving c (GMS/AGMS)
     m: bytes | None = None
     responded: bool = False
 
 
-def _make_sessions(par: Group, scheme: str, tree: Tree, keys, seed,
-                   attempt: int) -> list[SigningSession]:
+def open_sessions(par: Group, scheme: str, tree: Tree, keys, seed,
+                  attempt: int = 0) -> list[SigningSession]:
+    """One session per node; node i draws its nonce from (seed, attempt, i)."""
     if len(keys) != tree.n:
         raise MixedSessions(f"{len(keys)} keys for a {tree.n}-node tree")
     return [
@@ -207,9 +219,9 @@ def _make_sessions(par: Group, scheme: str, tree: Tree, keys, seed,
     ]
 
 
-# ── phases ───────────────────────────────────────────────────────────────────
-
-def _announce(tree: Tree, sessions, m: bytes, schedule) -> list:
+def announce(tree: Tree, sessions, m: bytes,
+             schedule: SimSchedule | None = None) -> list:
+    """Top-down: every node learns the message."""
     def handler(node, payload):
         sessions[node].m = payload
         return payload
@@ -218,20 +230,20 @@ def _announce(tree: Tree, sessions, m: bytes, schedule) -> list:
                      schedule=schedule).messages
 
 
-def _commit(par: Group, tree: Tree, sessions, *, aggregate_keys: bool,
-            schedule):
+def commit(par: Group, tree: Tree, sessions,
+           schedule: SimSchedule | None = None):
     """Bottom-up commitment aggregation; one exponentiation per node.
 
-    With ``aggregate_keys`` each payload carries (V_agg, X_agg) so the key
-    aggregate is computed by the same tree pass that aggregates
-    commitments — no separate key-collection round.
+    AGMS payloads carry (V_agg, X_agg), so the key aggregate is computed by
+    the same tree pass that aggregates commitments — no separate
+    key-collection round.  Returns (V~, X~ or None, messages).
     """
     el = par.element_len
+    aggregate_keys = sessions[0].scheme == "agms"
 
     def handler(node, child_payloads):
         sess = sessions[node]
-        sess.V = par.exp(par.g1, sess.v, ops=sess.ops)
-        V_agg = sess.V
+        V_agg = par.exp(par.g1, sess.v, ops=sess.ops)
         X_agg = sess.key.public.y
         for _child, payload in child_payloads:
             V_agg = par.mul(V_agg, par.decode_element(payload[:el]), ops=sess.ops)
@@ -244,69 +256,78 @@ def _commit(par: Group, tree: Tree, sessions, *, aggregate_keys: bool,
             out += par.encode_element(X_agg)
         return out
 
-    res = run_phase(tree, Phase.COMMIT, handler, schedule=schedule)
-    root = sessions[0]
-    return root.V_agg, (root.X_agg if aggregate_keys else None), res.messages
+    messages = run_phase(tree, Phase.COMMIT, handler, schedule=schedule).messages
+    return sessions[0].V_agg, sessions[0].X_agg, messages
 
 
-def _challenge(par: Group, tree: Tree, sessions, payload: bytes, *,
-               precompute_vc: bool, check_baseline: bool, schedule) -> list:
+def challenge_hash(par: Group, scheme: str, V_agg, X, m: bytes | None) -> int:
+    """c = H0(V~, m) for the baseline, H0(g1, V~, X~) for GMS/AGMS."""
+    Vb = par.encode_element(V_agg)
+    if scheme == "cosi":
+        return hash_to_scalar(par, H0, [Vb, m])
+    return hash_to_scalar(par, H0, [par.encode_element(par.g1), Vb,
+                                    par.encode_element(X)])
+
+
+def challenge(par: Group, tree: Tree, sessions, c: int, V_ann,
+              schedule: SimSchedule | None = None) -> list:
     """Top-down challenge distribution.
 
-    Baseline nodes receive (c, V_announced) and refuse to continue unless
-    c == H0(V_announced, m): the challenge must be a genuine hash of what
-    the leader claims was aggregated.  GMS/AGMS nodes receive c alone —
-    their response shape is what the scheme's security leans on, not a
-    per-node recomputation.
+    Baseline nodes receive (c, V_ann) and refuse to continue unless
+    c == H0(V_ann, m): the challenge must be a genuine hash of the
+    aggregate the leader announces.  GMS/AGMS nodes receive c alone and fix
+    v*c on arrival — their response shape is what the scheme's security
+    leans on, not a per-node recomputation.
     """
     sl = par.scalar_len
+    baseline = sessions[0].scheme == "cosi"
+    payload = par.encode_scalar(c)
+    if baseline:
+        payload += par.encode_element(V_ann)
 
     def handler(node, data):
         sess = sessions[node]
         c = par.decode_scalar(data[:sl])
-        if check_baseline:
-            V_ann = par.decode_element(data[sl:])
-            expected = hash_to_scalar(par, H0, [par.encode_element(V_ann), sess.m])
-            if c != expected:
+        if baseline:
+            V = par.decode_element(data[sl:])
+            if c != challenge_hash(par, "cosi", V, None, sess.m):
                 raise ValueError("challenge does not match announced aggregate")
-            sess.challenge_V = V_ann
-        sess.c = c
-        if precompute_vc:
+        else:
             sess.vc = par.s_mul(sess.v, c)
+        sess.c = c
         return data
 
     return run_phase(tree, Phase.CHALLENGE, handler, root_input=payload,
                      schedule=schedule).messages
 
 
-def _respond(par: Group, tree: Tree, sessions, response_fn, schedule):
-    """Bottom-up response aggregation: s~ = own response + children's."""
+def respond(par: Group, tree: Tree, sessions,
+            schedule: SimSchedule | None = None):
+    """Bottom-up response aggregation: S~ = own response + children's.
+
+    GMS/AGMS nodes respond v*c - e*sk with e = H3(m); baseline nodes
+    respond v + c*sk.  Returns (S~, messages).
+    """
+    baseline = sessions[0].scheme == "cosi"
+
     def handler(node, child_payloads):
         sess = sessions[node]
         if sess.responded:
             raise NonceReuse(f"node {node} already released its response")
         sess.responded = True
-        s = response_fn(sess)
+        if sess.m is None or sess.c is None:
+            raise MixedSessions(f"node {node} missing announce/challenge state")
+        if baseline:
+            s = par.s_add(sess.v, par.s_mul(sess.c, sess.key.sk))
+        else:
+            e = hash_to_scalar(par, H3, [sess.m])
+            s = par.s_sub(sess.vc, par.s_mul(e, sess.key.sk))
         for _child, payload in child_payloads:
             s = par.s_add(s, par.decode_scalar(payload))
         return par.encode_scalar(s)
 
     res = run_phase(tree, Phase.RESPOND, handler, schedule=schedule)
     return par.decode_scalar(res.root_output), res.messages
-
-
-def _gamma_response(par: Group, sess: SigningSession) -> int:
-    if sess.m is None or sess.c is None:
-        raise MixedSessions(f"node {sess.node} missing announce/challenge state")
-    e = hash_to_scalar(par, H3, [sess.m])
-    vc = sess.vc if sess.vc is not None else par.s_mul(sess.v, sess.c)
-    return par.s_sub(vc, par.s_mul(e, sess.key.sk))
-
-
-def _baseline_response(par: Group, sess: SigningSession) -> int:
-    if sess.m is None or sess.c is None:
-        raise MixedSessions(f"node {sess.node} missing announce/challenge state")
-    return par.s_add(sess.v, par.s_mul(sess.c, sess.key.sk))
 
 
 # ── runs ─────────────────────────────────────────────────────────────────────
@@ -319,13 +340,12 @@ class SignRun:
     sessions: list
     attempts: int
     messages: list = field(default_factory=list)
-    offline_ns: int = 0
     online_ns: int = 0
 
 
 @dataclass
 class OfflineRun:
-    """AGMS precomputation output: everything but the message."""
+    """Everything before the responses: the AGMS precomputation output."""
 
     tree: Tree
     sessions: list
@@ -337,41 +357,52 @@ class OfflineRun:
     wall_ns: int = 0
 
 
+def _restart_loop(par: Group, scheme: str, tree: Tree, keys, m: bytes | None,
+                  seed, schedule) -> OfflineRun:
+    """The rounds every scheme runs before responding.
+
+    Opens sessions, announces m once (AGMS offline has no m yet), then
+    commits and hashes the challenge, restarting with fresh nonces while
+    c == 0, and finally distributes c.
+    """
+    t0 = time.perf_counter_ns()
+    agg = None if scheme == "agms" else key_aggregate(par, keys)
+    messages: list = []
+    for attempt in range(_MAX_RESTARTS):
+        sessions = open_sessions(par, scheme, tree, keys, seed, attempt)
+        if m is not None and attempt == 0:
+            messages += announce(tree, sessions, m, schedule)
+        elif m is not None:
+            for sess in sessions:  # m is fixed across restarts; announce once
+                sess.m = m
+        V_agg, X_agg, msgs = commit(par, tree, sessions, schedule)
+        messages += msgs
+        if scheme == "agms":
+            agg = AggregateKey(X_agg, tree.n)
+        c = challenge_hash(par, scheme, V_agg, agg.X, m)
+        if c == 0:
+            continue
+        messages += challenge(par, tree, sessions, c, V_agg, schedule)
+        return OfflineRun(tree, sessions, agg, V_agg, c, attempt + 1, messages,
+                          wall_ns=time.perf_counter_ns() - t0)
+    raise InternalError("challenge stuck at zero across restarts")
+
+
+def _sign(par: Group, scheme: str, tree: Tree, keys, m: bytes, seed,
+          schedule) -> SignRun:
+    """The restart loop with the message first, then the responses."""
+    t0 = time.perf_counter_ns()
+    run = _restart_loop(par, scheme, tree, keys, m, seed, schedule)
+    S, msgs = respond(par, tree, run.sessions, schedule)
+    return SignRun(scheme, Signature(run.c, S), run.agg_key, run.sessions,
+                   run.attempts, run.messages + msgs,
+                   online_ns=time.perf_counter_ns() - t0)
+
+
 def gms_sign(par: Group, tree: Tree, keys, m: bytes, *, seed,
              schedule: SimSchedule | None = None) -> SignRun:
     """Four rounds, message first; the whole run is online."""
-    t0 = time.perf_counter_ns()
-    messages: list = []
-    agg = key_aggregate(par, keys)
-    Xb = par.encode_element(agg.X)
-    g1b = par.encode_element(par.g1)
-    sessions: list = []
-    announced = False
-    for attempt in range(_MAX_RESTARTS):
-        sessions = _make_sessions(par, "gms", tree, keys, seed, attempt)
-        if not announced:
-            # m is fixed across restarts; announce once.
-            messages += _announce(tree, sessions, m, schedule)
-            announced = True
-        else:
-            for sess in sessions:
-                sess.m = m
-        V_agg, _, msgs = _commit(par, tree, sessions, aggregate_keys=False,
-                                 schedule=schedule)
-        messages += msgs
-        c = hash_to_scalar(par, H0, [g1b, par.encode_element(V_agg), Xb])
-        if c == 0:
-            continue
-        messages += _challenge(par, tree, sessions, par.encode_scalar(c),
-                               precompute_vc=False, check_baseline=False,
-                               schedule=schedule)
-        S, msgs = _respond(par, tree, sessions,
-                           lambda s: _gamma_response(par, s), schedule)
-        messages += msgs
-        return SignRun("gms", Signature(c, S), agg, sessions, attempt + 1,
-                       messages, offline_ns=0,
-                       online_ns=time.perf_counter_ns() - t0)
-    raise InternalError("challenge stuck at zero across restarts")
+    return _sign(par, "gms", tree, keys, m, seed, schedule)
 
 
 def agms_offline(par: Group, tree: Tree, keys, *, seed,
@@ -380,25 +411,7 @@ def agms_offline(par: Group, tree: Tree, keys, *, seed,
 
     One exponentiation per signer; each node ends up holding c and v*c.
     """
-    t0 = time.perf_counter_ns()
-    g1b = par.encode_element(par.g1)
-    messages: list = []
-    for attempt in range(_MAX_RESTARTS):
-        sessions = _make_sessions(par, "agms", tree, keys, seed, attempt)
-        V_agg, X_agg, msgs = _commit(par, tree, sessions, aggregate_keys=True,
-                                     schedule=schedule)
-        messages += msgs
-        c = hash_to_scalar(par, H0,
-                           [g1b, par.encode_element(V_agg), par.encode_element(X_agg)])
-        if c == 0:
-            continue
-        messages += _challenge(par, tree, sessions, par.encode_scalar(c),
-                               precompute_vc=True, check_baseline=False,
-                               schedule=schedule)
-        return OfflineRun(tree, sessions, AggregateKey(X_agg, tree.n), V_agg, c,
-                          attempt + 1, messages,
-                          wall_ns=time.perf_counter_ns() - t0)
-    raise InternalError("challenge stuck at zero across restarts")
+    return _restart_loop(par, "agms", tree, keys, None, seed, schedule)
 
 
 def agms_online(par: Group, offline: OfflineRun, m: bytes, *,
@@ -411,48 +424,17 @@ def agms_online(par: Group, offline: OfflineRun, m: bytes, *,
         if sess.responded:
             raise NonceReuse(f"node {sess.node} already signed with this nonce")
     t0 = time.perf_counter_ns()
-    tree_ = offline.tree
-    messages = _announce(tree_, sessions, m, schedule)
-    S, msgs = _respond(par, tree_, sessions,
-                       lambda s: _gamma_response(par, s), schedule)
-    messages += msgs
+    messages = announce(offline.tree, sessions, m, schedule)
+    S, msgs = respond(par, offline.tree, sessions, schedule)
     return SignRun("agms", Signature(offline.c, S), offline.agg_key, sessions,
-                   offline.attempts, messages, offline_ns=offline.wall_ns,
+                   offline.attempts, messages + msgs,
                    online_ns=time.perf_counter_ns() - t0)
 
 
 def cosi_sign(par: Group, tree: Tree, keys, m: bytes, *, seed,
               schedule: SimSchedule | None = None) -> SignRun:
     """Baseline: c = H0(V~, m), additive responses, naive key aggregation."""
-    t0 = time.perf_counter_ns()
-    messages: list = []
-    agg = key_aggregate(par, keys)
-    announced = False
-    for attempt in range(_MAX_RESTARTS):
-        sessions = _make_sessions(par, "cosi", tree, keys, seed, attempt)
-        if not announced:
-            messages += _announce(tree, sessions, m, schedule)
-            announced = True
-        else:
-            for sess in sessions:
-                sess.m = m
-        V_agg, _, msgs = _commit(par, tree, sessions, aggregate_keys=False,
-                                 schedule=schedule)
-        messages += msgs
-        c = hash_to_scalar(par, H0, [par.encode_element(V_agg), m])
-        if c == 0:
-            continue
-        payload = par.encode_scalar(c) + par.encode_element(V_agg)
-        messages += _challenge(par, tree, sessions, payload,
-                               precompute_vc=False, check_baseline=True,
-                               schedule=schedule)
-        S, msgs = _respond(par, tree, sessions,
-                           lambda s: _baseline_response(par, s), schedule)
-        messages += msgs
-        return SignRun("cosi", Signature(c, S), agg, sessions, attempt + 1,
-                       messages, offline_ns=0,
-                       online_ns=time.perf_counter_ns() - t0)
-    raise InternalError("challenge stuck at zero across restarts")
+    return _sign(par, "cosi", tree, keys, m, seed, schedule)
 
 
 # ── verification ─────────────────────────────────────────────────────────────
@@ -474,10 +456,7 @@ def verify(par: Group, X, m: bytes, sig: Signature,
     e = hash_to_scalar(par, H3, [m])
     base = par.mul(par.exp(par.g1, sig.s, ops=ops), par.exp(X, e, ops=ops), ops=ops)
     V = par.exp(base, par.s_inv(sig.c), ops=ops)
-    g1b = par.encode_element(par.g1)
-    return hash_to_scalar(
-        par, H0, [g1b, par.encode_element(V), par.encode_element(X)]
-    ) == sig.c
+    return challenge_hash(par, "agms", V, X, m) == sig.c
 
 
 def cosi_verify(par: Group, X, m: bytes, sig: Signature,
@@ -488,7 +467,7 @@ def cosi_verify(par: Group, X, m: bytes, sig: Signature,
         return False
     V = par.mul(par.exp(par.g1, sig.s, ops=ops),
                 par.exp(X, par.q - sig.c, ops=ops), ops=ops)
-    return hash_to_scalar(par, H0, [par.encode_element(V), m]) == sig.c
+    return challenge_hash(par, "cosi", V, X, m) == sig.c
 
 
 # ── key and signature files ──────────────────────────────────────────────────

@@ -9,16 +9,15 @@ N nodes moves exactly 4*(N-1) messages.
 
 ``run_phase`` drives one phase given a per-node handler and records the
 full transcript.  Handlers are ordinary functions; any exception they
-raise is wrapped in HandlerFailure tagged with the node id.  A
-``SimSchedule`` can permute the processing order within each depth level
-(seeded, reproducible) and optionally execute a level's handlers in a
-thread pool — useful for shaking out accidental order dependence.
+raise is wrapped in HandlerFailure tagged with the node id.  Handlers
+run one at a time, level by level; a ``SimSchedule`` can permute the
+processing order within each depth level (seeded, reproducible), which
+shakes out accidental order dependence.
 """
 
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -72,13 +71,6 @@ class Tree:
     parent: tuple          # parent[i] is None for the root
     children: tuple        # children[i] is a tuple of node ids
     levels: tuple          # node ids grouped by depth, root level first
-
-    def depth_of(self, node: int) -> int:
-        d = 0
-        while self.parent[node] is not None:
-            node = self.parent[node]
-            d += 1
-        return d
 
 
 def capacity(branching: int, max_depth: int) -> int:
@@ -149,15 +141,11 @@ class SimSchedule:
 
     With ``shuffle`` the node order inside each level is permuted by a
     seeded RNG, so two runs with the same seed still produce identical
-    transcripts.  ``parallel`` executes each level's handlers in worker
-    threads (message order stays the scheduled order, so transcripts
-    remain deterministic).
+    transcripts.
     """
 
     seed: int | str = 0
     shuffle: bool = False
-    parallel: bool = False
-    max_workers: int = 16
 
     def level_order(self, phase: Phase, depth: int, nodes: tuple) -> list:
         order = list(nodes)
@@ -182,27 +170,6 @@ def _call(handler, node: int, arg):
         raise HandlerFailure(node, exc) from exc
 
 
-def _run_level(schedule: SimSchedule, jobs: list):
-    """jobs: list of (node, thunk).  Returns {node: result}; deterministic."""
-    if schedule.parallel and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=min(schedule.max_workers, len(jobs))) as pool:
-            futures = [(node, pool.submit(thunk)) for node, thunk in jobs]
-        results = {}
-        failure: HandlerFailure | None = None
-        for node, fut in futures:
-            exc = fut.exception()
-            if exc is not None:
-                hf = exc if isinstance(exc, HandlerFailure) else HandlerFailure(node, exc)
-                if failure is None or hf.node < failure.node:
-                    failure = hf
-            else:
-                results[node] = fut.result()
-        if failure is not None:
-            raise failure
-        return results
-    return {node: thunk() for node, thunk in jobs}
-
-
 def run_phase(tree: Tree, phase: Phase, handler, *, root_input: bytes | None = None,
               schedule: SimSchedule | None = None) -> PhaseResult:
     """Execute one phase over the tree.
@@ -214,48 +181,26 @@ def run_phase(tree: Tree, phase: Phase, handler, *, root_input: bytes | None = N
     """
     schedule = schedule or SimSchedule()
     result = PhaseResult()
-    inbox: dict = {}
-
-    if phase.direction is Direction.DOWN:
-        inbox[0] = root_input
-        for depth, level in enumerate(tree.levels):
-            order = schedule.level_order(phase, depth, level)
-            jobs = [
-                (node, (lambda n=node: _call(handler, n, inbox[n])))
-                for node in order
-            ]
-            outs = _run_level(schedule, jobs)
-            for node in order:
-                out = outs[node]
-                result.outputs[node] = out
+    down = phase.direction is Direction.DOWN
+    depths = range(len(tree.levels))
+    inbox: dict = {0: root_input}
+    for depth in depths if down else reversed(depths):
+        for node in schedule.level_order(phase, depth, tree.levels[depth]):
+            if down:
+                out = _call(handler, node, inbox[node])
                 for child in tree.children[node]:
                     inbox[child] = out
                     result.messages.append(Message(phase.label, node, child, out))
-    else:
-        for depth in range(len(tree.levels) - 1, -1, -1):
-            level = tree.levels[depth]
-            order = schedule.level_order(phase, depth, level)
-            jobs = [
-                (
-                    node,
-                    (
-                        lambda n=node: _call(
-                            handler, n, [(ch, inbox[ch]) for ch in tree.children[n]]
-                        )
-                    ),
-                )
-                for node in order
-            ]
-            outs = _run_level(schedule, jobs)
-            for node in order:
-                out = outs[node]
-                result.outputs[node] = out
+            else:
+                out = _call(handler, node,
+                            [(ch, inbox[ch]) for ch in tree.children[node]])
                 inbox[node] = out
                 p = tree.parent[node]
                 if p is None:
                     result.root_output = out
                 else:
                     result.messages.append(Message(phase.label, node, p, out))
+            result.outputs[node] = out
     return result
 
 

@@ -30,6 +30,16 @@ def test_keygen_writes_public_and_secret_files(tmp_path, capsys):
     assert json.loads(secret.read_text())["schema"] == "multisig/secrets/v1"
 
 
+@pytest.mark.parametrize("count", ["-1", "0"])
+def test_keygen_rejects_counts_below_one(tmp_path, capsys, count):
+    out = tmp_path / "keys.json"
+    code, _, stderr = run(capsys, "keygen", "--count", count,
+                          "--out", str(out), "--seed", "9")
+    assert code == 2
+    assert "--count" in stderr
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_explicit_seed_makes_outputs_bit_identical(tmp_path, capsys):
     files = []
     for tag in ("a", "b"):
@@ -75,20 +85,6 @@ def test_simulate_reports_zero_exp_online(capsys):
     assert code == 0
     assert "exp[sign_online]=0" in stdout
     assert "verified=true" in stdout
-
-
-def test_simulate_parallel_flag_changes_nothing(tmp_path, capsys):
-    outs = []
-    for extra in ((), ("--parallel",)):
-        sig = tmp_path / f"{len(extra)}.sig"
-        metrics = tmp_path / f"{len(extra)}.metrics.json"
-        code, stdout, _ = run(capsys, "simulate", "--scheme", "agms",
-                              "--signers", "7", "--seed", "5",
-                              "--out", str(sig), "--metrics", str(metrics),
-                              *extra)
-        assert code == 0
-        outs.append((stdout, sig.read_bytes(), metrics.read_bytes()))
-    assert outs[0] == outs[1]
 
 
 def test_simulate_agms_timing_split(tmp_path, capsys):
@@ -142,6 +138,19 @@ def test_impossible_depth_exits_two_without_hanging(argv, depth):
     assert proc.returncode == 2
     assert "error:" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--signers", "3"),
+    ("bench", "--schemes", "agms", "--signers-list", "3", "--reps", "1"),
+])
+def test_zero_branching_is_a_usage_error(capsys, argv):
+    # 0 used to be read as "not given" and replaced by the default fan-out
+    code, stdout, stderr = run(capsys, *argv, "--branching", "0",
+                               "--seed", "1")
+    assert code == 2
+    assert "branching" in stderr
+    assert stdout == ""
 
 
 def test_simulate_gamma_needs_single_signer(capsys):
@@ -335,6 +344,15 @@ def test_endorse_json_format(tmp_path, capsys):
     assert doc["schema"] == "multisig/endorsement/v1"
     assert [r["flow"] for r in doc["records"]] == ["revised", "default"]
     assert all(r["accepted"] for r in doc["records"])
+
+
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_endorse_rejects_endorser_counts_below_one(capsys, n):
+    code, stdout, stderr = run(capsys, "endorse", "--flow", "default",
+                               "--endorsers-list", n, "--seed", "1")
+    assert code == 2
+    assert "endorser" in stderr
+    assert "accepted=" not in stdout
 
 
 def test_backend_env_variable(tmp_path, capsys, monkeypatch):

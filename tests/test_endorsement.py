@@ -70,6 +70,17 @@ def test_validation_work_stays_flat_only_when_aggregated(toy16):
         assert run_default_flow(toy16, n, PROPOSAL).step7_verify_calls() == n
 
 
+def test_flows_reject_impossible_endorser_sets(toy16):
+    for n in (0, -3):
+        with pytest.raises(ValueError):
+            run_default_flow(toy16, n, PROPOSAL)
+        with pytest.raises(ValueError):
+            run_revised_flow(toy16, n, PROPOSAL)
+    # 0 is a fan-out, not "use the default"
+    with pytest.raises(ValueError):
+        run_revised_flow(toy16, 3, PROPOSAL, branching=0)
+
+
 def test_tampered_blocks_are_rejected(toy16):
     assert not run_revised_flow(toy16, 4, PROPOSAL, seed=2,
                                 tamper_block=True).accepted

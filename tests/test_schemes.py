@@ -19,7 +19,10 @@ from multisig.schemes import (
     Signature,
     agms_offline,
     agms_online,
+    announce,
     bare_keygen,
+    challenge,
+    commit,
     cosi_sign,
     cosi_verify,
     derive_keys,
@@ -29,6 +32,7 @@ from multisig.schemes import (
     keygen,
     load_public_keys,
     load_secret_keys,
+    open_sessions,
     read_signature,
     save_public_keys,
     save_secret_keys,
@@ -148,6 +152,13 @@ def test_agms_challenge_restart_stays_aligned(toy):
         g = gms_sign(toy, tree, keys, M, seed=seed)
         assert off.attempts == expected_attempts
         assert g.attempts == expected_attempts
+        # announce once, one commit round per attempt, then challenge and
+        # respond; each phase crosses the tree's two edges
+        commits = ["commit"] * 2 * expected_attempts
+        assert [msg.phase for msg in g.messages] == (
+            ["announce"] * 2 + commits + ["challenge"] * 2 + ["respond"] * 2)
+        assert [msg.phase for msg in off.messages] == (
+            commits + ["challenge"] * 2)
         run = agms_online(toy, off, M)
         assert run.signature == g.signature
         assert verify(toy, run.agg_key, M, run.signature)
@@ -236,9 +247,7 @@ def test_schedules_do_not_change_signatures(toy):
     base = gms_sign(toy, tree, keys, M, seed=6).signature
     shuffled = gms_sign(toy, tree, keys, M, seed=6,
                         schedule=SimSchedule(seed=1, shuffle=True)).signature
-    threaded = gms_sign(toy, tree, keys, M, seed=6,
-                        schedule=SimSchedule(parallel=True)).signature
-    assert base == shuffled == threaded
+    assert base == shuffled
 
 
 def test_tamper_rejection(toy16):
@@ -356,18 +365,13 @@ def test_keys_must_match_tree(toy):
 
 def test_baseline_nodes_check_the_challenge(toy16):
     # a leader that lies about the aggregate gets refused by honest nodes
-    from multisig.schemes import _announce, _challenge, _commit, _make_sessions
-
     tree = build_tree(3, 2, 3)
     keys = [bare_keygen(toy16, derive_rng(17, "key", i)) for i in range(3)]
-    sessions = _make_sessions(toy16, "cosi", tree, keys, 17, 0)
-    _announce(tree, sessions, M, None)
-    V_agg, _, _ = _commit(toy16, tree, sessions, aggregate_keys=False,
-                          schedule=None)
-    bogus = toy16.encode_scalar(5) + toy16.encode_element(V_agg)
+    sessions = open_sessions(toy16, "cosi", tree, keys, 17, 0)
+    announce(tree, sessions, M)
+    V_agg, _, _ = commit(toy16, tree, sessions)
     with pytest.raises(HandlerFailure):
-        _challenge(toy16, tree, sessions, bogus, precompute_vc=False,
-                   check_baseline=True, schedule=None)
+        challenge(toy16, tree, sessions, 5, V_agg)
 
 
 # ── files ────────────────────────────────────────────────────────────────────

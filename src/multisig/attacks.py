@@ -177,7 +177,9 @@ def default_list_size(q: int) -> int:
 
 def random_instance(q: int, k: int, size: int | None = None, *,
                     seed=0) -> KSumInstance:
-    size = size or default_list_size(q)
+    size = default_list_size(q) if size is None else size
+    if size < 1:
+        raise ValueError(f"list size must be at least 1, got {size}")
     rng = derive_rng(seed, "ksum-instance")
     return KSumInstance(
         q, tuple(tuple(rng.randrange(q) for _ in range(size)) for _ in range(k))
@@ -338,7 +340,9 @@ def ksum_forgery_attack(par: Group, *, target: str = "cosi", k: int = 4,
     if k < 2 or k & (k - 1):
         raise ValueError("k must be a power of two >= 2")
     baseline = target == "cosi"
-    s_l = list_size or default_list_size(par.q)
+    s_l = default_list_size(par.q) if list_size is None else list_size
+    if s_l < 1:
+        raise ValueError(f"list size must be at least 1, got {s_l}")
     ell = k - 1
     htree = build_tree(n_honest, min_branching(n_honest), 3)
     if baseline:

@@ -368,6 +368,12 @@ def cmd_bench(args) -> int:
 # ── attack ───────────────────────────────────────────────────────────────────
 
 def cmd_attack(args) -> int:
+    # a demo that makes no attempt has nothing to meet its expectation with
+    for flag, value in (("--n-honest", args.n_honest),
+                        ("--retries", args.retries),
+                        ("--retries-pop", args.retries_pop)):
+        if value < 1:
+            raise ValueError(f"{flag} must be at least 1")
     par = _resolve_group(args)
     seed, _ = _resolve_seed(args)
     if args.kind == "rogue":

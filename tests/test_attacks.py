@@ -132,6 +132,15 @@ def test_ksum_validates_target(toy16):
         ksum_forgery_attack(toy16, target="gamma")
 
 
+@pytest.mark.parametrize("size", [0, -1])
+def test_list_sizes_below_one_are_rejected(toy16, size):
+    # 0 used to be read as "not given" and replaced by the default size
+    with pytest.raises(ValueError):
+        random_instance(65521, 4, size, seed=0)
+    with pytest.raises(ValueError):
+        ksum_forgery_attack(toy16, target="cosi", list_size=size)
+
+
 def test_honest_keys_unaffected_by_attack_runs(toy16):
     kp = keygen(toy16, derive_rng(0, "key", 0))
     rogue_key_attack(toy16, [kp.public], b"m", seed=1, proof_attempts=5)

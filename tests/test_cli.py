@@ -318,6 +318,23 @@ def test_attack_ksum_negative_control(tmp_path, capsys):
     assert doc["expectation_met"] is True
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (("ksum", "--target", "agms", "--retries", "0"), "--retries"),
+    (("ksum", "--target", "cosi", "--retries", "-1"), "--retries"),
+    (("rogue", "--retries-pop", "0"), "--retries-pop"),
+    (("rogue", "--n-honest", "0"), "--n-honest"),
+    (("ksum", "--target", "agms", "--n-honest", "0"), "--n-honest"),
+    (("ksum", "--target", "cosi", "--list-size", "0"), "list size"),
+])
+def test_attack_rejects_empty_runs(capsys, argv, flag):
+    # these used to report expectation=met (or exit 1) without attacking
+    code, stdout, stderr = run(capsys, "attack", *argv, "--seed", "1")
+    assert code == 2
+    assert flag in stderr
+    assert "Traceback" not in stderr
+    assert stdout == ""
+
+
 def test_endorse_csv_schema(tmp_path, capsys):
     out = tmp_path / "endorse.csv"
     code, stdout, _ = run(capsys, "endorse", "--endorsers-list", "2,4",

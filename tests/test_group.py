@@ -6,6 +6,8 @@ from multisig.errors import BadLength, InvOfZero, IoError, NonCanonical, NotInGr
 from multisig import group as group_mod
 from multisig.group import (
     OpCounter,
+    _comb8_digits,
+    _decompress,
     _exp_ladder,
     _wnaf5,
     curve_group,
@@ -298,5 +300,70 @@ def test_g1_table_built_once_and_shared(monkeypatch):
     a.exp(a.g1, 5)
     assert builds == [1]
     table = group_mod._g1_comb()
-    assert len(table) == 64 and all(len(row) == 15 for row in table)
-    assert table[1][0] == _exp_ladder(a.g1, 16)
+    assert len(table) == 33 and all(len(row) == 128 for row in table)
+    assert table[1][0] == _exp_ladder(a.g1, 256)
+
+
+def _comb8_edge_scalars(q):
+    return [
+        0x80, 0x81, 0xFF, 0x100, 0x17F,
+        int("80" * 32, 16),           # every digit 128, the largest entry
+        int("81" * 32, 16),           # every digit -127, carry into each row
+        int("FF" * 32, 16),           # -1 and a carry chain through every row
+        int("FF" * 31 + "80", 16),
+        int("7F" * 32, 16),
+        int("00FF" * 16, 16),
+        q - 1, q - 2, q,
+    ]
+
+
+def test_g1_comb_signed_digit_edges_match_reference_ladder(curve):
+    for e in _comb8_edge_scalars(curve.q):
+        assert curve._exp(curve.g1, e) == _exp_ladder(curve.g1, e), hex(e)
+
+
+def test_comb8_digits_reconstruct_the_scalar(curve):
+    rng = random.Random(8)
+    for e in _comb8_edge_scalars(curve.q) + [0, 1] + [
+            rng.getrandbits(256) for _ in range(50)]:
+        digits = _comb8_digits(e)
+        assert len(digits) == 33
+        assert sum(d << (8 * j) for j, d in enumerate(digits)) == e
+        assert all(-127 <= d <= 128 for d in digits)
+
+
+# ── decode memo ──────────────────────────────────────────────────────────────
+
+def test_decode_memo_hit_equals_uncached_decode(curve):
+    rng = random.Random(4096)
+    encoded = [curve.encode_element(curve.exp(curve.g1, rng.randrange(1, curve.q)))
+               for _ in range(200)]
+    for data in encoded:
+        curve.decode_element(data)
+    hits = _decompress.cache_info().hits
+    for data in encoded:
+        assert curve.decode_element(bytearray(data)) == \
+            _decompress.__wrapped__(data)
+    assert _decompress.cache_info().hits - hits == 200
+
+
+def test_decode_memo_never_caches_rejected_encodings(curve):
+    _decompress.cache_clear()
+    for data, err in ((b"\x02" + b"\x00" * 30, BadLength),
+                      (b"\x05" + b"\x11" * 32, NonCanonical),
+                      (b"\x02" + (5).to_bytes(32, "big"), NotInGroup)):
+        for _ in range(2):
+            with pytest.raises(err):
+                curve.decode_element(data)
+    info = _decompress.cache_info()
+    assert info.currsize == 0 and info.hits == 0 and info.misses == 4
+
+
+def test_decode_memo_is_bounded(curve):
+    maxsize = _decompress.cache_info().maxsize
+    pt = curve.g1
+    for _ in range(1100):
+        data = curve.encode_element(pt)
+        assert curve.decode_element(data) == pt
+        pt = curve._mul(pt, curve.g1)
+    assert _decompress.cache_info().currsize <= maxsize

@@ -368,7 +368,8 @@ def cmd_bench(args) -> int:
 # ── attack ───────────────────────────────────────────────────────────────────
 
 def cmd_attack(args) -> int:
-    # a demo that makes no attempt has nothing to meet its expectation with
+    # with no attempt or no honest signer a demo shows nothing, so it must
+    # not report its expectation as met
     for flag, value in (("--n-honest", args.n_honest),
                         ("--retries", args.retries),
                         ("--retries-pop", args.retries_pop)):

@@ -308,7 +308,7 @@ def _comb8_edge_scalars(q):
     return [
         0x80, 0x81, 0xFF, 0x100, 0x17F,
         int("80" * 32, 16),           # every digit 128, the largest entry
-        int("81" * 32, 16),           # every digit -127, carry into each row
+        int("81" * 32, 16),           # negative digits, a carry into each row
         int("FF" * 32, 16),           # -1 and a carry chain through every row
         int("FF" * 31 + "80", 16),
         int("7F" * 32, 16),

@@ -21,7 +21,6 @@ import json
 import os
 import statistics
 import sys
-import time
 from pathlib import Path
 
 from . import gamma
@@ -102,6 +101,16 @@ def _secret_path(out: str) -> str:
     return str(p) + ".secret"
 
 
+def _comma_list(text: str, convert, flag: str) -> list:
+    """The non-blank items of a comma-separated option, each converted; a
+    list with no items is a usage error, since the command would do
+    nothing."""
+    items = [convert(s) for s in text.split(",") if s.strip()]
+    if not items:
+        raise ValueError(f"{flag} lists nothing")
+    return items
+
+
 def _write_json(path, doc) -> None:
     Path(path).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
@@ -153,78 +162,56 @@ def cmd_verify_keys(args) -> int:
 
 # ── simulate ─────────────────────────────────────────────────────────────────
 
-def _simulate_tree_scheme(par, args, tree, seed):
-    """Returns (signature, verified, messages, exp counts, timings, attempts)."""
-    keys = derive_keys(par, args.signers, seed)
-    m = args.message.encode()
-    exps = {}
-    timings = {}
+def _sign_and_verify(par, scheme, tree, keys, m, seed):
+    """Sign m under ``scheme``, then verify the signature, one span per phase.
 
-    def snap():
-        return par.ops_total.exponentiations
-
-    e0 = snap()
-    if args.scheme == "agms":
-        off = agms_offline(par, tree, keys, seed=seed)
-        exps["sign_offline"] = snap() - e0
-        timings["offline_ns"] = off.wall_ns
-        e0 = snap()
-        run = agms_online(par, off, m)
+    Returns (signature, verified, messages, attempts, {phase: Span}); the
+    phases are sign_offline (AGMS and gamma only), sign_online and verify.
+    Gamma signs with the first key alone.
+    """
+    spans = {}
+    if scheme == "gamma":
+        key = gamma.GammaKeyPair(keys[0].sk, keys[0].y)
+        with par.span() as spans["sign_offline"]:
+            nonce = gamma.precompute(par, key, derive_rng(seed, "v", 0, 0))
+        with par.span() as spans["sign_online"]:
+            sig = gamma.sign_online(par, key, nonce, m)
+        with par.span() as spans["verify"]:
+            ok = gamma.verify(par, key.y, m, sig)
+        return sig, ok, [], 1, spans
+    if scheme == "agms":
+        with par.span() as spans["sign_offline"]:
+            off = agms_offline(par, tree, keys, seed=seed)
+        with par.span() as spans["sign_online"]:
+            run = agms_online(par, off, m)
         messages = off.messages + run.messages
     else:
-        sign = cosi_sign if args.scheme == "cosi" else gms_sign
-        run = sign(par, tree, keys, m, seed=seed)
+        sign = cosi_sign if scheme == "cosi" else gms_sign
+        with par.span() as spans["sign_online"]:
+            run = sign(par, tree, keys, m, seed=seed)
         messages = run.messages
-    exps["sign_online"] = snap() - e0
-    timings["online_ns"] = run.online_ns
-
-    check = cosi_verify if args.scheme == "cosi" else verify
-    e0 = snap()
-    t0 = time.perf_counter_ns()
-    ok = check(par, run.agg_key, m, run.signature)
-    timings["verify_ns"] = time.perf_counter_ns() - t0
-    exps["verify"] = snap() - e0
-    return run.signature, ok, messages, exps, timings, run.attempts
-
-
-def _simulate_gamma(par, args, seed):
-    m = args.message.encode()
-    key = gamma.keygen(par, derive_rng(seed, "key", 0))
-    exps = {}
-    timings = {}
-    e0 = par.ops_total.exponentiations
-    nonce = gamma.precompute(par, key, derive_rng(seed, "v", 0, 0))
-    exps["sign_offline"] = par.ops_total.exponentiations - e0
-    timings["offline_ns"] = nonce.wall_ns
-    e0 = par.ops_total.exponentiations
-    t0 = time.perf_counter_ns()
-    sig = gamma.sign_online(par, key, nonce, m)
-    timings["online_ns"] = time.perf_counter_ns() - t0
-    exps["sign_online"] = par.ops_total.exponentiations - e0
-    e0 = par.ops_total.exponentiations
-    t0 = time.perf_counter_ns()
-    ok = gamma.verify(par, key.y, m, sig)
-    timings["verify_ns"] = time.perf_counter_ns() - t0
-    exps["verify"] = par.ops_total.exponentiations - e0
-    return sig, ok, [], exps, timings, 1
+    check = cosi_verify if scheme == "cosi" else verify
+    with par.span() as spans["verify"]:
+        ok = check(par, run.agg_key, m, run.signature)
+    return run.signature, ok, messages, run.attempts, spans
 
 
 def cmd_simulate(args) -> int:
     if args.scheme == "gamma" and args.signers != 1:
-        print("error: --scheme gamma is single-signer (use --signers 1)",
-              file=sys.stderr)
-        return 2
+        raise ValueError("--scheme gamma is single-signer (use --signers 1)")
     par = _resolve_group(args)
     seed, reproducible = _resolve_seed(args)
     branching = args.branching
     if branching is None:
         branching = min_branching(args.signers, args.depth)
     tree = build_tree(args.signers, branching, args.depth)
-    if args.scheme == "gamma":
-        sig, ok, messages, exps, timings, attempts = _simulate_gamma(par, args, seed)
-    else:
-        sig, ok, messages, exps, timings, attempts = _simulate_tree_scheme(
-            par, args, tree, seed)
+    keys = derive_keys(par, args.signers, seed)
+    m = args.message.encode()
+    sig, ok, messages, attempts, spans = _sign_and_verify(
+        par, args.scheme, tree, keys, m, seed)
+    exps = {phase: sp.exponentiations for phase, sp in spans.items()}
+    timings = {f"{phase.removeprefix('sign_')}_ns": sp.wall_ns
+               for phase, sp in spans.items()}
 
     sig_hex = sig.to_bytes(par).hex()
     print(f"scheme={args.scheme} backend={par.group_id} signers={args.signers}")
@@ -251,7 +238,7 @@ def cmd_simulate(args) -> int:
             "depth": args.depth,
             "seed": seed,
             "attempts": attempts,
-            "message_hex": args.message.encode().hex(),
+            "message_hex": m.hex(),
             "message_count": len(messages),
             "signature_hex": sig_hex,
             "exp_count": exps,
@@ -288,43 +275,20 @@ def cmd_verify(args) -> int:
 
 # ── bench ────────────────────────────────────────────────────────────────────
 
-def _bench_once(par, scheme, tree, keys, m, seed):
-    """One rep: {phase: (wall_ns, exp_delta)}."""
-    out = {}
-
-    def timed(phase, fn):
-        e0 = par.ops_total.exponentiations
-        t0 = time.perf_counter_ns()
-        result = fn()
-        out[phase] = (time.perf_counter_ns() - t0,
-                      par.ops_total.exponentiations - e0)
-        return result
-
-    if scheme == "agms":
-        off = timed("sign_offline", lambda: agms_offline(par, tree, keys, seed=seed))
-        run = timed("sign_online", lambda: agms_online(par, off, m))
-    elif scheme in ("gms", "cosi"):
-        sign = cosi_sign if scheme == "cosi" else gms_sign
-        run = timed("sign_online", lambda: sign(par, tree, keys, m, seed=seed))
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}")
-    check = cosi_verify if scheme == "cosi" else verify
-    timed("verify", lambda: check(par, run.agg_key, m, run.signature))
-    return out
-
-
 def _fmt_mean(x: float):
     return int(x) if float(x).is_integer() else round(x, 3)
 
 
 def cmd_bench(args) -> int:
     if args.reps < 1:
-        print("error: --reps must be at least 1", file=sys.stderr)
-        return 2
+        raise ValueError("--reps must be at least 1")
+    schemes_list = _comma_list(args.schemes, str.strip, "--schemes")
+    for scheme in schemes_list:
+        if scheme not in ("gms", "agms", "cosi"):
+            raise ValueError(f"unknown scheme {scheme!r}")
+    n_list = _comma_list(args.signers_list, int, "--signers-list")
     par = _resolve_group(args)
     seed, reproducible = _resolve_seed(args)
-    schemes_list = [s.strip() for s in args.schemes.split(",") if s.strip()]
-    n_list = [int(s) for s in args.signers_list.split(",") if s.strip()]
     m = args.message.encode()
     rows = []
     for scheme in schemes_list:
@@ -336,13 +300,13 @@ def cmd_bench(args) -> int:
             keys = derive_keys(par, n, f"{seed}|{n}")
             samples: dict[str, list] = {}
             for rep in range(args.reps):
-                once = _bench_once(par, scheme, tree, keys, m,
-                                   f"{seed}|rep{rep}")
-                for phase, (wall, exp) in once.items():
-                    samples.setdefault(phase, []).append((wall, exp))
-            for phase, vals in samples.items():
-                walls = [w for w, _ in vals]
-                exps = [e for _, e in vals]
+                *_, spans = _sign_and_verify(par, scheme, tree, keys, m,
+                                             f"{seed}|rep{rep}")
+                for phase, sp in spans.items():
+                    samples.setdefault(phase, []).append(sp)
+            for phase, sps in samples.items():
+                walls = [sp.wall_ns for sp in sps]
+                exps = [sp.exponentiations for sp in sps]
                 rows.append({
                     "scheme": scheme,
                     "N": n,
@@ -410,7 +374,7 @@ def cmd_attack(args) -> int:
 def cmd_endorse(args) -> int:
     par = _resolve_group(args)
     seed, reproducible = _resolve_seed(args)
-    n_list = [int(s) for s in args.endorsers_list.split(",") if s.strip()]
+    n_list = _comma_list(args.endorsers_list, int, "--endorsers-list")
     proposal = args.message.encode()
     records = []
     for n in n_list:

@@ -16,15 +16,14 @@ default   Every endorser signs individually (single-signer scheme standing
 
 Keys enter a registry before any flow runs: the revised registry admits a
 key only when its possession proof verifies; the default registry mirrors
-a classic CA and stores what it is given.  Step metrics (wall time,
-exponentiations, verification calls, bytes moved) come from backend
-counters, so they measure the same code the protocols actually run.
+a classic CA and stores what it is given.  Each timed step runs inside
+one ``Group.span()``, so its wall time and exponentiation count come from
+the backend's counters and measure the code the protocols actually run.
 """
 
 from __future__ import annotations
 
 import hashlib
-import time
 from dataclasses import dataclass, field
 
 from . import gamma
@@ -131,14 +130,6 @@ def chaincode_stub(proposal: bytes) -> bytes:
     return hashlib.sha256(b"rwset|" + proposal).digest()
 
 
-def _measure(par: Group, fn):
-    """Run fn and return (result, wall_ns, exponentiation delta)."""
-    e0 = par.ops_total.exponentiations
-    t0 = time.perf_counter_ns()
-    result = fn()
-    return result, time.perf_counter_ns() - t0, par.ops_total.exponentiations - e0
-
-
 def _payload_bytes(messages) -> int:
     return sum(len(m.payload) for m in messages)
 
@@ -165,21 +156,19 @@ def run_revised_flow(par: Group, n_endorsers: int, proposal: bytes, *, seed=0,
                             signature_bytes=2 * par.scalar_len, accepted=False)
 
     # Step 1 — synchronization: commitment + key aggregation, challenge out.
-    offline, wall, exps = _measure(
-        par, lambda: agms_offline(par, tree, endorser_keys, seed=seed)
-    )
-    rec.steps.append(StepMetrics(1, "synchronize", wall, exps, 0,
-                                 _payload_bytes(offline.messages)))
+    with par.span() as sp:
+        offline = agms_offline(par, tree, endorser_keys, seed=seed)
+    rec.steps.append(StepMetrics(1, "synchronize", sp.wall_ns, sp.exponentiations,
+                                 0, _payload_bytes(offline.messages)))
 
     # Step 2 — proposal: client -> leader -> every endorser.
-    msgs, wall, exps = _measure(
-        par, lambda: announce(tree, offline.sessions, proposal)
-    )
-    rec.steps.append(StepMetrics(2, "proposal", wall, exps, 0,
-                                 len(proposal) + _payload_bytes(msgs)))
+    with par.span() as sp:
+        msgs = announce(tree, offline.sessions, proposal)
+    rec.steps.append(StepMetrics(2, "proposal", sp.wall_ns, sp.exponentiations,
+                                 0, len(proposal) + _payload_bytes(msgs)))
 
     # Step 3 — endorse: check the client, run chaincode, release responses.
-    def endorse():
+    with par.span() as sp:
         failing = set(failing_endorsers)
         for sess in offline.sessions:
             if sess.node in failing:
@@ -190,11 +179,9 @@ def run_revised_flow(par: Group, n_endorsers: int, proposal: bytes, *, seed=0,
             if not registry.is_registered(client_key):
                 raise InvalidClient("unknown client")
             chaincode_stub(proposal)
-        return respond(par, tree, offline.sessions)
-
-    (s_value, msgs), wall, exps = _measure(par, endorse)
-    rec.steps.append(StepMetrics(3, "endorse", wall, exps, 0,
-                                 _payload_bytes(msgs)))
+        s_value, msgs = respond(par, tree, offline.sessions)
+    rec.steps.append(StepMetrics(3, "endorse", sp.wall_ns, sp.exponentiations,
+                                 0, _payload_bytes(msgs)))
     signature = gamma.Signature(offline.c, s_value)
     sig_bytes = signature.to_bytes(par)
     rec.signature_hex = sig_bytes.hex()
@@ -203,17 +190,19 @@ def run_revised_flow(par: Group, n_endorsers: int, proposal: bytes, *, seed=0,
     rec.steps.append(StepMetrics(4, "collect", 0, 0, 0, len(sig_bytes)))
 
     # Step 5 — client verifies once, then submits the transaction.
-    ok, wall, exps = _measure(
-        par, lambda: verify(par, offline.agg_key, proposal, signature)
-    )
+    with par.span() as sp:
+        ok = verify(par, offline.agg_key, proposal, signature)
     if not ok:
         raise PolicyUnsatisfied("joint endorsement failed client-side check")
     tx = proposal + sig_bytes
-    rec.steps.append(StepMetrics(5, "submit", wall, exps, 1, len(tx)))
+    rec.steps.append(StepMetrics(5, "submit", sp.wall_ns, sp.exponentiations,
+                                 1, len(tx)))
 
     # Step 6 — ordering: the transaction is placed into a block.
-    block, wall, exps = _measure(par, lambda: b"block|" + tx)
-    rec.steps.append(StepMetrics(6, "order", wall, exps, 0, len(block)))
+    with par.span() as sp:
+        block = b"block|" + tx
+    rec.steps.append(StepMetrics(6, "order", sp.wall_ns, sp.exponentiations,
+                                 0, len(block)))
 
     if tamper_block:
         # flip the first payload byte after the block header
@@ -222,12 +211,11 @@ def run_revised_flow(par: Group, n_endorsers: int, proposal: bytes, *, seed=0,
     # Step 7 — validation: one verification regardless of endorser count.
     body = block[len(b"block|"):]
     m7, sig7 = body[: -len(sig_bytes)], body[-len(sig_bytes):]
-    ok, wall, exps = _measure(
-        par,
-        lambda: verify(par, offline.agg_key, m7,
-                       gamma.Signature.from_bytes(par, sig7)),
-    )
-    rec.steps.append(StepMetrics(7, "validate", wall, exps, 1, len(block)))
+    with par.span() as sp:
+        ok = verify(par, offline.agg_key, m7,
+                    gamma.Signature.from_bytes(par, sig7))
+    rec.steps.append(StepMetrics(7, "validate", sp.wall_ns, sp.exponentiations,
+                                 1, len(block)))
     rec.accepted = ok
     return rec
 
@@ -258,7 +246,7 @@ def run_default_flow(par: Group, n_endorsers: int, proposal: bytes, *, seed=0,
                                  n_endorsers * len(proposal)))
 
     # Step 3 — each endorser checks the client, runs chaincode, signs.
-    def endorse():
+    with par.span() as sp:
         failing = set(failing_endorsers)
         sigs = []
         for i, key in enumerate(endorser_keys):
@@ -271,19 +259,16 @@ def run_default_flow(par: Group, n_endorsers: int, proposal: bytes, *, seed=0,
             chaincode_stub(proposal)
             nonce = gamma.precompute(par, key, derive_rng(seed, "nonce", i))
             sigs.append(gamma.sign_online(par, key, nonce, proposal))
-        return sigs
-
-    sigs, wall, exps = _measure(par, endorse)
-    rec.steps.append(StepMetrics(3, "endorse", wall, exps, 0, 0))
+    rec.steps.append(StepMetrics(3, "endorse", sp.wall_ns, sp.exponentiations,
+                                 0, 0))
 
     # Step 4 — endorsers return signatures; client checks each one.
-    def collect():
+    with par.span() as sp:
         for sig, key in zip(sigs, endorser_keys):
             if not gamma.verify(par, key.y, proposal, sig):
                 raise PolicyUnsatisfied("endorsement failed client-side check")
-    _, wall, exps = _measure(par, collect)
-    rec.steps.append(StepMetrics(4, "collect", wall, exps, n_endorsers,
-                                 n_endorsers * sig_len))
+    rec.steps.append(StepMetrics(4, "collect", sp.wall_ns, sp.exponentiations,
+                                 n_endorsers, n_endorsers * sig_len))
 
     # Step 5 — submit proposal plus the whole endorsement set.
     sig_blob = b"".join(sig.to_bytes(par) for sig in sigs)
@@ -302,18 +287,15 @@ def run_default_flow(par: Group, n_endorsers: int, proposal: bytes, *, seed=0,
     body = block[len(b"block|"):]
     m7, blob7 = body[: -len(sig_blob)], body[-len(sig_blob):]
 
-    def validate():
-        all_ok = True
+    with par.span() as sp:
+        ok = True
         for i, key in enumerate(endorser_keys):
             chunk = blob7[i * sig_len: (i + 1) * sig_len]
-            all_ok &= gamma.verify(par, key.y, m7,
-                                   gamma.Signature.from_bytes(par, chunk))
-        return all_ok
-
-    ok, wall, exps = _measure(par, validate)
-    rec.steps.append(StepMetrics(7, "validate", wall, exps, n_endorsers,
-                                 len(block)))
-    rec.accepted = bool(ok)
+            ok &= gamma.verify(par, key.y, m7,
+                               gamma.Signature.from_bytes(par, chunk))
+    rec.steps.append(StepMetrics(7, "validate", sp.wall_ns, sp.exponentiations,
+                                 n_endorsers, len(block)))
+    rec.accepted = ok
     return rec
 
 

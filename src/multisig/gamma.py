@@ -17,11 +17,10 @@ consumes the nonce and a second use raises NonceReuse.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 from .errors import BadLength, InternalError, NonceReuse
-from .group import Group, OpCounter
+from .group import Group
 from .hashing import H0, H1, hash_to_scalar
 
 __all__ = ["GammaKeyPair", "GammaNonce", "Signature", "keygen", "precompute",
@@ -63,30 +62,26 @@ class GammaNonce:
     c: int
     vc: int
     used: bool = False
-    wall_ns: int = 0
 
 
-def keygen(par: Group, rng, ops: OpCounter | None = None) -> GammaKeyPair:
+def keygen(par: Group, rng) -> GammaKeyPair:
     sk = par.random_scalar(rng)
-    return GammaKeyPair(sk, par.exp(par.g1, sk, ops=ops))
+    return GammaKeyPair(sk, par.exp(par.g1, sk))
 
 
-def precompute(par: Group, key: GammaKeyPair, rng,
-               ops: OpCounter | None = None) -> GammaNonce:
+def precompute(par: Group, key: GammaKeyPair, rng) -> GammaNonce:
     """Offline half of signing: one exponentiation, message not needed.
 
     Resamples v when the challenge comes out zero (only plausible on toy
     groups) so the verifier's 1/c always exists.
     """
-    t0 = time.perf_counter_ns()
     pk = par.encode_element(key.y)
     for _ in range(_MAX_RESAMPLE):
         v = par.random_scalar(rng)
-        V = par.exp(par.g1, v, ops=ops)
+        V = par.exp(par.g1, v)
         c = hash_to_scalar(par, H0, [par.encode_element(V), pk])
         if c != 0:
-            return GammaNonce(v, V, c, par.s_mul(v, c),
-                              wall_ns=time.perf_counter_ns() - t0)
+            return GammaNonce(v, V, c, par.s_mul(v, c))
     raise InternalError("challenge stuck at zero; RNG or backend is broken")
 
 
@@ -101,12 +96,11 @@ def sign_online(par: Group, key: GammaKeyPair, nonce: GammaNonce,
     return Signature(nonce.c, s)
 
 
-def verify(par: Group, y, m: bytes, sig: Signature,
-           ops: OpCounter | None = None) -> bool:
+def verify(par: Group, y, m: bytes, sig: Signature) -> bool:
     """Three exponentiations and one multiplication; constant in everything."""
     if not (0 < sig.c < par.q) or not (0 <= sig.s < par.q):
         return False
     e = hash_to_scalar(par, H1, [m])
-    base = par.mul(par.exp(par.g1, sig.s, ops=ops), par.exp(y, e, ops=ops), ops=ops)
-    V = par.exp(base, par.s_inv(sig.c), ops=ops)
+    base = par.mul(par.exp(par.g1, sig.s), par.exp(y, e))
+    V = par.exp(base, par.s_inv(sig.c))
     return hash_to_scalar(par, H0, [par.encode_element(V), par.encode_element(y)]) == sig.c

@@ -23,19 +23,24 @@ are plain ints in ``[0, q)`` everywhere.
 
 Every exponentiation and element multiplication bumps ``Group.ops_total``
 and, when given, a per-call ``ops=`` counter, so protocol code can meter
-cost per signing session while tests meter whole phases.
+cost per signing session.  ``Group.span()`` is the one way to meter a
+block of code: wall time, exponentiations and multiplications, as deltas
+of the shared totals, so spans nest.
 """
 
 from __future__ import annotations
 
 import functools
 import random
+import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from .errors import BadLength, InvOfZero, IoError, NonCanonical, NotInGroup
 
 __all__ = [
     "OpCounter",
+    "Span",
     "Group",
     "ToyGroup",
     "Secp256k1Group",
@@ -69,6 +74,15 @@ class OpCounter:
 
     def snapshot(self) -> tuple[int, int]:
         return (self.exponentiations, self.multiplications)
+
+
+@dataclass
+class Span:
+    """What one ``with par.span()`` block cost; filled in when it exits."""
+
+    wall_ns: int = 0
+    exponentiations: int = 0
+    multiplications: int = 0
 
 
 # ── deterministic randomness ────────────────────────────────────────────────
@@ -111,6 +125,22 @@ class Group:
         if ops is not None:
             ops.add_mul()
         return self._mul(a, b)
+
+    @contextmanager
+    def span(self):
+        """Meter the enclosed block: wall time plus the exponentiations and
+        multiplications it ran, read as deltas of ``ops_total``, so a span
+        nested inside another is counted in both."""
+        sp = Span()
+        total = self.ops_total
+        e0, m0 = total.exponentiations, total.multiplications
+        t0 = time.perf_counter_ns()
+        try:
+            yield sp
+        finally:
+            sp.wall_ns = time.perf_counter_ns() - t0
+            sp.exponentiations = total.exponentiations - e0
+            sp.multiplications = total.multiplications - m0
 
     def is_element(self, x) -> bool:
         raise NotImplementedError
@@ -175,8 +205,11 @@ class Group:
 
 # ── toy backend: subgroup of Z_p^* ──────────────────────────────────────────
 
+_TOY_P_LIMIT = 2**40   # trial division of a 40-bit p takes about 0.1 s
+
+
 def _is_prime(n: int) -> bool:
-    # trial division; only used on toy-scale moduli (< 2^25 or so)
+    # trial division; only used on toy-scale moduli (below _TOY_P_LIMIT)
     if n < 2:
         return False
     if n % 2 == 0:
@@ -198,6 +231,11 @@ class ToyGroup(Group):
 
     def __init__(self, p: int, q: int, g: int):
         super().__init__()
+        # bound the sizes before trial division, which a crafted key file
+        # could otherwise keep busy for hours; comparisons (not int()) keep
+        # a non-int value a TypeError
+        if p >= _TOY_P_LIMIT or q >= p:
+            raise ValueError("a toy group needs q < p < 2^40")
         if not (_is_prime(p) and _is_prime(q)):
             raise ValueError("p and q must both be prime")
         if (p - 1) % q != 0:
@@ -251,10 +289,10 @@ def toy_group_for_order(q: int) -> ToyGroup:
     Finds the smallest even c with p = c*q + 1 prime, then a generator of
     the order-q subgroup as h^((p-1)/q).
     """
-    if not _is_prime(q):
-        raise ValueError(f"q={q} is not prime")
     if q.bit_length() > 25:
         raise ValueError("toy groups are for toy-sized q (<= ~2^25)")
+    if not _is_prime(q):
+        raise ValueError(f"q={q} is not prime")
     c = 2
     while not _is_prime(c * q + 1):
         c += 2

@@ -32,7 +32,6 @@ Per-node costs accrue on each session's OpCounter.
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -121,15 +120,15 @@ class AggregateKey:
     count: int
 
 
-def keygen(par: Group, rng, ops: OpCounter | None = None) -> KeyPair:
+def keygen(par: Group, rng) -> KeyPair:
     """Key pair plus possession proof; resamples r if a lands on 0."""
     sk = par.random_scalar(rng)
-    y = par.exp(par.g1, sk, ops=ops)
+    y = par.exp(par.g1, sk)
     g1b = par.encode_element(par.g1)
     b = hash_to_scalar(par, H2, [par.encode_element(y)])
     for _ in range(_MAX_RESTARTS):
         r = par.random_scalar(rng)
-        a = hash_to_scalar(par, H1, [g1b, par.encode_element(par.exp(par.g1, r, ops=ops))])
+        a = hash_to_scalar(par, H1, [g1b, par.encode_element(par.exp(par.g1, r))])
         if a == 0:
             continue
         d = par.s_sub(par.s_mul(r, a), par.s_mul(b, sk))
@@ -137,13 +136,13 @@ def keygen(par: Group, rng, ops: OpCounter | None = None) -> KeyPair:
     raise InternalError("proof challenge stuck at zero")
 
 
-def bare_keygen(par: Group, rng, ops: OpCounter | None = None) -> KeyPair:
+def bare_keygen(par: Group, rng) -> KeyPair:
     """Key pair without possession proof — what the baseline scheme uses."""
     sk = par.random_scalar(rng)
-    return KeyPair(sk, PublicKey(par.exp(par.g1, sk, ops=ops)))
+    return KeyPair(sk, PublicKey(par.exp(par.g1, sk)))
 
 
-def key_verify(par: Group, pk: PublicKey, ops: OpCounter | None = None) -> bool:
+def key_verify(par: Group, pk: PublicKey) -> bool:
     """Check the possession proof: three exponentiations, one multiplication."""
     if pk.proof is None:
         return False
@@ -153,8 +152,8 @@ def key_verify(par: Group, pk: PublicKey, ops: OpCounter | None = None) -> bool:
     if not par.is_element(pk.y) or pk.y == par.identity:
         return False
     b = hash_to_scalar(par, H2, [par.encode_element(pk.y)])
-    base = par.mul(par.exp(par.g1, d, ops=ops), par.exp(pk.y, b, ops=ops), ops=ops)
-    V = par.exp(base, par.s_inv(a), ops=ops)
+    base = par.mul(par.exp(par.g1, d), par.exp(pk.y, b))
+    V = par.exp(base, par.s_inv(a))
     g1b = par.encode_element(par.g1)
     return hash_to_scalar(par, H1, [g1b, par.encode_element(V)]) == a
 
@@ -167,14 +166,14 @@ def _pub_y(k):
     return k  # raw group element
 
 
-def key_aggregate(par: Group, keys, ops: OpCounter | None = None) -> AggregateKey:
+def key_aggregate(par: Group, keys) -> AggregateKey:
     """X~ = product of all public keys.  Order-independent."""
     ys = [_pub_y(k) for k in keys]
     if not ys:
         raise EmptySet("cannot aggregate zero keys")
     X = ys[0]
     for y in ys[1:]:
-        X = par.mul(X, y, ops=ops)
+        X = par.mul(X, y)
     return AggregateKey(X, len(ys))
 
 
@@ -340,7 +339,6 @@ class SignRun:
     sessions: list
     attempts: int
     messages: list = field(default_factory=list)
-    online_ns: int = 0
 
 
 @dataclass
@@ -354,7 +352,6 @@ class OfflineRun:
     c: int
     attempts: int
     messages: list = field(default_factory=list)
-    wall_ns: int = 0
 
 
 def _restart_loop(par: Group, scheme: str, tree: Tree, keys, m: bytes | None,
@@ -365,7 +362,6 @@ def _restart_loop(par: Group, scheme: str, tree: Tree, keys, m: bytes | None,
     commits and hashes the challenge, restarting with fresh nonces while
     c == 0, and finally distributes c.
     """
-    t0 = time.perf_counter_ns()
     agg = None if scheme == "agms" else key_aggregate(par, keys)
     messages: list = []
     for attempt in range(_MAX_RESTARTS):
@@ -383,20 +379,17 @@ def _restart_loop(par: Group, scheme: str, tree: Tree, keys, m: bytes | None,
         if c == 0:
             continue
         messages += challenge(par, tree, sessions, c, V_agg, schedule)
-        return OfflineRun(tree, sessions, agg, V_agg, c, attempt + 1, messages,
-                          wall_ns=time.perf_counter_ns() - t0)
+        return OfflineRun(tree, sessions, agg, V_agg, c, attempt + 1, messages)
     raise InternalError("challenge stuck at zero across restarts")
 
 
 def _sign(par: Group, scheme: str, tree: Tree, keys, m: bytes, seed,
           schedule) -> SignRun:
     """The restart loop with the message first, then the responses."""
-    t0 = time.perf_counter_ns()
     run = _restart_loop(par, scheme, tree, keys, m, seed, schedule)
     S, msgs = respond(par, tree, run.sessions, schedule)
     return SignRun(scheme, Signature(run.c, S), run.agg_key, run.sessions,
-                   run.attempts, run.messages + msgs,
-                   online_ns=time.perf_counter_ns() - t0)
+                   run.attempts, run.messages + msgs)
 
 
 def gms_sign(par: Group, tree: Tree, keys, m: bytes, *, seed,
@@ -423,12 +416,10 @@ def agms_online(par: Group, offline: OfflineRun, m: bytes, *,
             raise MixedSessions(f"node {sess.node} lacks offline state")
         if sess.responded:
             raise NonceReuse(f"node {sess.node} already signed with this nonce")
-    t0 = time.perf_counter_ns()
     messages = announce(offline.tree, sessions, m, schedule)
     S, msgs = respond(par, offline.tree, sessions, schedule)
     return SignRun("agms", Signature(offline.c, S), offline.agg_key, sessions,
-                   offline.attempts, messages + msgs,
-                   online_ns=time.perf_counter_ns() - t0)
+                   offline.attempts, messages + msgs)
 
 
 def cosi_sign(par: Group, tree: Tree, keys, m: bytes, *, seed,
@@ -443,8 +434,7 @@ def _agg_x(X):
     return X.X if isinstance(X, AggregateKey) else X
 
 
-def verify(par: Group, X, m: bytes, sig: Signature,
-           ops: OpCounter | None = None) -> bool:
+def verify(par: Group, X, m: bytes, sig: Signature) -> bool:
     """GMS/AGMS verifier: V~ = (g1^S * X~^e)^(1/c), accept iff it re-hashes to c.
 
     Three exponentiations and one multiplication, independent of signer
@@ -454,19 +444,17 @@ def verify(par: Group, X, m: bytes, sig: Signature,
     if not (0 < sig.c < par.q) or not (0 <= sig.s < par.q):
         return False
     e = hash_to_scalar(par, H3, [m])
-    base = par.mul(par.exp(par.g1, sig.s, ops=ops), par.exp(X, e, ops=ops), ops=ops)
-    V = par.exp(base, par.s_inv(sig.c), ops=ops)
+    base = par.mul(par.exp(par.g1, sig.s), par.exp(X, e))
+    V = par.exp(base, par.s_inv(sig.c))
     return challenge_hash(par, "agms", V, X, m) == sig.c
 
 
-def cosi_verify(par: Group, X, m: bytes, sig: Signature,
-                ops: OpCounter | None = None) -> bool:
+def cosi_verify(par: Group, X, m: bytes, sig: Signature) -> bool:
     """Baseline verifier: V~ = g1^S * X~^(-c), accept iff H0(V~, m) == c."""
     X = _agg_x(X)
     if not (0 < sig.c < par.q) or not (0 <= sig.s < par.q):
         return False
-    V = par.mul(par.exp(par.g1, sig.s, ops=ops),
-                par.exp(X, par.q - sig.c, ops=ops), ops=ops)
+    V = par.mul(par.exp(par.g1, sig.s), par.exp(X, par.q - sig.c))
     return challenge_hash(par, "cosi", V, X, m) == sig.c
 
 

@@ -12,7 +12,7 @@ from multisig import gamma
 from multisig.attacks import ksum_forgery_attack, rogue_key_attack
 from multisig.cli import main
 from multisig.endorsement import compare_flows
-from multisig.group import OpCounter, derive_rng
+from multisig.group import derive_rng
 from multisig.schemes import (
     KeyProof,
     PublicKey,
@@ -100,12 +100,12 @@ def test_c03_operation_counts(toy, curve, acceptance):
         before = par.ops_total.snapshot()
         run = agms_online(par, off, b"m")
         checks.append(par.ops_total.snapshot() == before)
-        ops = OpCounter()
-        checks.append(verify(par, run.agg_key, b"m", run.signature, ops=ops))
-        checks.append(ops.exponentiations <= 3)
-        ops = OpCounter()
-        checks.append(key_verify(par, keys[0].public, ops=ops))
-        checks.append(ops.exponentiations <= 3)
+        with par.span() as sp:
+            checks.append(verify(par, run.agg_key, b"m", run.signature))
+        checks.append(sp.exponentiations <= 3)
+        with par.span() as sp:
+            checks.append(key_verify(par, keys[0].public))
+        checks.append(sp.exponentiations <= 3)
     good = all(checks)
     line = _record(acceptance, 3, good,
                    "operation counts: offline = 1 exp/signer, online = 0 "
@@ -118,12 +118,14 @@ def test_c04_online_fraction_at_scale(curve, acceptance):
     n = 1024
     keys = derive_keys(curve, n, 4)
     tree = _tree(n)
-    off = agms_offline(curve, tree, keys, seed=4)
+    with curve.span() as offline:
+        off = agms_offline(curve, tree, keys, seed=4)
     before = curve.ops_total.snapshot()
-    run = agms_online(curve, off, b"large-scale payload")
+    with curve.span() as online:
+        run = agms_online(curve, off, b"large-scale payload")
     zero_online = curve.ops_total.snapshot() == before
     valid = verify(curve, run.agg_key, b"large-scale payload", run.signature)
-    frac = run.online_ns / (off.wall_ns + run.online_ns)
+    frac = online.wall_ns / (offline.wall_ns + online.wall_ns)
     good = zero_online and valid and frac <= 0.10
     line = _record(acceptance, 4, good,
                    f"N={n} on secp256k1: online phase = {frac:.2%} of "

@@ -17,6 +17,19 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_child(*argv):
+    """The CLI in a child process, so a regression to a hang fails on the
+    timeout instead of stalling the suite."""
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(multisig.__file__).resolve().parents[1]))
+    return subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from multisig.cli import main; sys.exit(main())",
+         *argv],
+        capture_output=True, text=True, timeout=30, env=env,
+    )
+
+
 def test_keygen_writes_public_and_secret_files(tmp_path, capsys):
     out = tmp_path / "keys.json"
     code, stdout, _ = run(capsys, "keygen", "--count", "4", "--out", str(out),
@@ -125,18 +138,36 @@ def test_simulate_rejects_oversized_tree(capsys):
     ("endorse", "--endorsers-list", "7", "--flow", "revised"),
 ])
 def test_impossible_depth_exits_two_without_hanging(argv, depth):
-    # in a child process, so a regression to the old endless loop fails on
-    # the timeout instead of stalling the suite
-    env = dict(os.environ,
-               PYTHONPATH=str(Path(multisig.__file__).resolve().parents[1]))
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys; from multisig.cli import main; sys.exit(main())",
-         *argv, "--depth", depth],
-        capture_output=True, text=True, timeout=30, env=env,
-    )
+    proc = run_child(*argv, "--depth", depth)
     assert proc.returncode == 2
     assert "error:" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+_M61 = 2**61 - 1  # prime; trial division of it runs for minutes
+
+
+@pytest.mark.parametrize("command", ["verify-keys", "verify"])
+@pytest.mark.parametrize("p,q", [(_M61, 11), (23, _M61)])
+def test_crafted_toy_group_exits_two_without_hanging(tmp_path, command, p, q):
+    keys = tmp_path / "keys.json"
+    keys.write_text(json.dumps({
+        "schema": "multisig/keys/v1",
+        "group": {"backend": "toy", "p": p, "q": q, "g": 2},
+        "keys": [{"y": "0002"}],
+    }))
+    argv = [command, "--keys", str(keys)]
+    if command == "verify":
+        argv += ["--signature", str(tmp_path / "sig.bin"), "--message", "m"]
+    proc = run_child(*argv)
+    assert proc.returncode == 2
+    assert "error:" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_huge_toy_order_exits_two_without_hanging():
+    proc = run_child("simulate", "--toy-q", str(_M61), "--seed", "1")
+    assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
 
 
@@ -255,6 +286,22 @@ def test_bench_csv_schema(tmp_path, capsys):
     assert all(r[3] == "" and r[4] == "" for r in rows[1:])  # seeded run
     # one row per scheme/N/phase: agms has three phases, the others two
     assert len(rows) == 1 + (3 + 2 + 2) * 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("endorse", "--endorsers-list", ","),
+    ("bench", "--signers-list", ","),
+    ("bench", "--schemes", ","),
+    ("bench", "--schemes", "gamma"),
+    ("bench", "--schemes", "agms,nope"),
+])
+def test_commands_that_would_do_nothing_exit_two(capsys, argv):
+    # an empty list used to print a bare CSV header and exit 0; an unknown
+    # scheme is refused before any other scheme runs
+    code, stdout, stderr = run(capsys, *argv, "--seed", "1")
+    assert code == 2
+    assert stderr.startswith("error:")
+    assert stdout == ""
 
 
 def test_bench_rejects_zero_reps(capsys):

@@ -4,7 +4,7 @@ import pytest
 
 from multisig import gamma
 from multisig.errors import BadLength, NonceReuse
-from multisig.group import OpCounter, derive_rng
+from multisig.group import derive_rng
 from multisig.hashing import H1, hash_to_scalar
 
 
@@ -27,9 +27,9 @@ def test_golden_vector_seed42(toy, golden):
 
 def test_precompute_is_one_exp_online_is_zero(toy):
     key = gamma.keygen(toy, derive_rng(1, "key", 0))
-    ops = OpCounter()
-    nonce = gamma.precompute(toy, key, derive_rng(1, "v", 0, 0), ops=ops)
-    assert ops.exponentiations == 1
+    with toy.span() as sp:
+        nonce = gamma.precompute(toy, key, derive_rng(1, "v", 0, 0))
+    assert sp.exponentiations == 1
     before = toy.ops_total.snapshot()
     gamma.sign_online(toy, key, nonce, b"anything")
     assert toy.ops_total.snapshot() == before  # no group work at all
@@ -47,10 +47,10 @@ def test_verify_has_three_exponentiations(curve):
     key = gamma.keygen(curve, derive_rng(3, "key", 0))
     nonce = gamma.precompute(curve, key, derive_rng(3, "v", 0, 0))
     sig = gamma.sign_online(curve, key, nonce, b"m")
-    ops = OpCounter()
-    assert gamma.verify(curve, key.y, b"m", sig, ops=ops)
-    assert ops.exponentiations == 3
-    assert ops.multiplications == 1
+    with curve.span() as sp:
+        assert gamma.verify(curve, key.y, b"m", sig)
+    assert sp.exponentiations == 3
+    assert sp.multiplications == 1
 
 
 def test_rejects_wrong_message_key_and_tampering(curve):

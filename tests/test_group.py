@@ -6,6 +6,7 @@ from multisig.errors import BadLength, InvOfZero, IoError, NonCanonical, NotInGr
 from multisig import group as group_mod
 from multisig.group import (
     OpCounter,
+    ToyGroup,
     _comb8_digits,
     _decompress,
     _exp_ladder,
@@ -143,6 +144,22 @@ def test_op_counters(toy):
     assert ops.snapshot() == (0, 0)
 
 
+def test_span_meters_a_block(toy):
+    with toy.span() as outer:
+        toy.exp(toy.g1, 5)
+        with toy.span() as inner:
+            toy.mul(2, 4)
+            toy.exp(toy.g1, 7)
+    assert (inner.exponentiations, inner.multiplications) == (1, 1)
+    assert (outer.exponentiations, outer.multiplications) == (2, 1)
+    assert outer.wall_ns >= inner.wall_ns > 0
+    with pytest.raises(InvOfZero):
+        with toy.span() as failed:
+            toy.exp(toy.g1, 3)
+            toy.s_inv(0)
+    assert (failed.exponentiations, failed.multiplications) == (1, 0)
+
+
 def test_toy_group_for_order():
     g = toy_group_for_order(65521)
     assert (g.p - 1) % g.q == 0
@@ -153,6 +170,16 @@ def test_toy_group_for_order():
         toy_group_for_order(65520)                    # not prime
     with pytest.raises(ValueError):
         toy_group(p=24, q=11, g=2)
+
+
+def test_toy_group_bounds_sizes_before_primality():
+    # checked before trial division, which a crafted 61-bit p keeps busy
+    # for minutes; these sizes stay fast even if the bound regresses
+    for p, q in ((2**40 + 1, 11), (23, 23)):
+        with pytest.raises(ValueError, match=r"q < p < 2\^40"):
+            ToyGroup(p, q, 2)
+    with pytest.raises(IoError):
+        group_from_descriptor({"backend": "toy", "p": 23, "q": "11", "g": 2})
 
 
 def test_descriptor_round_trip(toy, curve):

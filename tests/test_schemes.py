@@ -11,7 +11,7 @@ from multisig.errors import (
     NonceReuse,
     NotInGroup,
 )
-from multisig.group import OpCounter, derive_rng
+from multisig.group import derive_rng
 from multisig.hashing import record_hash_inputs
 from multisig.schemes import (
     KeyProof,
@@ -73,9 +73,9 @@ def test_key_verify_rejects_forgeries(toy16):
 
 def test_key_verify_costs_three_exps(toy):
     kp = keygen(toy, derive_rng(1, "key", 0))
-    ops = OpCounter()
-    assert key_verify(toy, kp.public, ops=ops)
-    assert ops.exponentiations == 3
+    with toy.span() as sp:
+        assert key_verify(toy, kp.public)
+    assert sp.exponentiations == 3
 
 
 def test_key_aggregate_toy_example(toy):
@@ -205,13 +205,13 @@ def test_verify_costs_three_exps(toy):
     tree = build_tree(3, 2, 3)
     keys = derive_keys(toy, 3, 9)
     run = gms_sign(toy, tree, keys, M, seed=9)
-    ops = OpCounter()
-    assert verify(toy, run.agg_key, M, run.signature, ops=ops)
-    assert ops.exponentiations == 3
-    ops = OpCounter()
+    with toy.span() as sp:
+        assert verify(toy, run.agg_key, M, run.signature)
+    assert sp.exponentiations == 3
     c = cosi_sign(toy, tree, keys, M, seed=9)
-    assert cosi_verify(toy, c.agg_key, M, c.signature, ops=ops)
-    assert ops.exponentiations == 2
+    with toy.span() as sp:
+        assert cosi_verify(toy, c.agg_key, M, c.signature)
+    assert sp.exponentiations == 2
 
 
 def test_message_counts(toy):
@@ -319,9 +319,9 @@ def test_verifier_cost_independent_of_signer_count(toy):
         tree = build_tree(n, min_branching(n), 3)
         keys = derive_keys(toy, n, 24)
         run = gms_sign(toy, tree, keys, M, seed=24)
-        ops = OpCounter()
-        assert verify(toy, run.agg_key, M, run.signature, ops=ops)
-        counts[n] = (ops.exponentiations, ops.multiplications)
+        with toy.span() as sp:
+            assert verify(toy, run.agg_key, M, run.signature)
+        counts[n] = (sp.exponentiations, sp.multiplications)
     assert counts[1] == counts[16384] == (3, 1)
 
 
@@ -410,6 +410,12 @@ def test_key_file_rejects_garbage(tmp_path, toy):
     with pytest.raises(NotInGroup):
         load_public_keys(bad)
     with pytest.raises(IoError):
+        load_secret_keys(bad)
+    # a crafted toy group fails before any primality test
+    bad.write_text(json.dumps({
+        "schema": "multisig/secrets/v1",
+        "group": {"backend": "toy", "p": 23, "q": 29, "g": 2}, "sks": []}))
+    with pytest.raises(IoError, match="q < p"):
         load_secret_keys(bad)
 
 

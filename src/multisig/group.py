@@ -9,13 +9,15 @@ Two interchangeable backends sit behind one ``Group`` interface:
   Base ``g1`` uses a fixed-base comb over signed 8-bit digits: a table of
   33×128 affine multiples (4,224 points, ≈0.6 MiB, built once per process
   in ≈70 ms), so at most 33 mixed additions and no doublings; any other
-  base uses width-5 wNAF.  Decoding a compressed element costs a modular
-  square root (≈0.17–0.24 ms); successful decodes are memoised in a
-  bounded LRU (1,024 entries), so the subtree key aggregates that repeat
-  on every signature decode once.  Slow by libsecp standards (≈0.26–0.39
-  ms per ``g1`` exponentiation, ≈1.8–2.7 ms for another base) but honest:
-  every benchmark number is produced by the same code path the
-  protocols use.
+  base uses the GLV endomorphism, which splits the scalar into two
+  ≈128-bit halves run through one interleaved width-5 wNAF loop, so
+  ≈128 doublings instead of 256.  Decoding a compressed element costs a
+  modular square root (≈0.17–0.24 ms); successful decodes are memoised
+  in a bounded LRU (1,024 entries), so the subtree key aggregates that
+  repeat on every signature decode once.  Slow by libsecp standards
+  (≈0.26–0.39 ms per ``g1`` exponentiation, ≈1.25–1.80 ms for another
+  base, 0.65–0.67× the time of plain width-5 wNAF) but honest: every
+  benchmark number is produced by the same code path the protocols use.
 
 Group elements are opaque to callers: ints for the toy backend, affine
 ``(x, y)`` tuples (or ``None`` for the identity) on the curve.  Scalars
@@ -35,6 +37,7 @@ import random
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import zip_longest
 
 from .errors import BadLength, InvOfZero, IoError, NonCanonical, NotInGroup
 
@@ -479,7 +482,7 @@ def _exp_g1(e: int):
 
 
 def _wnaf5(e: int) -> list:
-    """Width-5 NAF digits of e > 0, least significant first; every nonzero
+    """Width-5 NAF digits of e >= 0, least significant first; every nonzero
     digit is odd and in [-15, 15]."""
     digits = []
     while e:
@@ -495,23 +498,64 @@ def _wnaf5(e: int) -> list:
     return digits
 
 
-def _exp_wnaf(base, e: int):
-    """base^e for any non-identity base: 8 odd multiples, then doublings
-    with one mixed addition per nonzero wNAF digit."""
+# GLV (Gallant, Lambert and Vanstone, CRYPTO 2001): secp256k1 has the
+# endomorphism φ(x, y) = (β·x, y) = λ·(x, y), with β a cube root of unity
+# mod p and λ one mod n.  (a1, b1) and (a2, b2) are a reduced basis of the
+# lattice of (a, b) with a + b·λ ≡ 0 (mod n); its determinant is n.
+_BETA = 0x7AE96A2B657C07106E64479EAC3434E99CF0497512F58995C1396C28719501EE
+_LAMBDA = 0x5363AD4CC05C30E0A5261C028812645A122E22EA20816678DF02967C1B23BD72
+_A1 = 0x3086D221A7D46BCDE86C90E49284EB15
+_B1 = -0xE4437ED6010E88286F547FA90ABFE4C3
+_A2 = 0x114CA50F7A8E2F3F657C1108D9D44CFD8
+_B2 = _A1
+
+
+def _glv_split(e: int) -> tuple[int, int]:
+    """(k1, k2) with k1 + k2·λ ≡ e (mod n) and |k1|, |k2| < 2^128.
+
+    Rounds (e, 0) to the nearest lattice point in the basis above (exact
+    integer rounding, floor((2x + n) / 2n) = round(x / n)); the remainder
+    is at most half a basis vector in each coordinate.
+    """
+    c1 = (2 * _B2 * e + _N) // (2 * _N)
+    c2 = (-2 * _B1 * e + _N) // (2 * _N)
+    return e - c1 * _A1 - c2 * _A2, -c1 * _B1 - c2 * _B2
+
+
+def _wnaf5_table(odd, negate: bool) -> list:
+    """Lookup by signed wNAF digit: ``table[d]`` is d·P, or −d·P when
+    ``negate``, for odd d in [-15, 15] (a negative d indexes from the
+    end), given the affine odd multiples ``odd`` = P, 3P, ..., 15P."""
+    table = [None] * 32
+    for i, (x, y) in enumerate(odd):
+        d = -(2 * i + 1) if negate else 2 * i + 1
+        table[d] = (x, y)
+        table[-d] = (x, _P - y)
+    return table
+
+
+def _exp_glv(base, e: int):
+    """base^e for any non-identity base: split e into two ≈128-bit halves
+    k1 + k2·λ, then ≈128 doublings with one mixed addition per nonzero
+    wNAF digit of either half, against tables of the odd multiples of
+    base and of φ(base)."""
+    k1, k2 = _glv_split(e)
     jb = (base[0], base[1], 1)
     twice = _jac_double(jb)
     odd = [jb]
     for _ in range(7):
         odd.append(_jac_add(odd[-1], twice))
     odd = _batch_to_affine(odd)
+    t1 = _wnaf5_table(odd, k1 < 0)
+    t2 = _wnaf5_table([((_BETA * x) % _P, y) for x, y in odd], k2 < 0)
+    digits = zip_longest(_wnaf5(abs(k1)), _wnaf5(abs(k2)), fillvalue=0)
     acc = _JAC_ID
-    for d in reversed(_wnaf5(e)):
+    for d1, d2 in reversed(list(digits)):
         acc = _jac_double(acc)
-        if d > 0:
-            acc = _jac_madd(acc, odd[d >> 1])
-        elif d < 0:
-            x, y = odd[-d >> 1]
-            acc = _jac_madd(acc, (x, _P - y))
+        if d1:
+            acc = _jac_madd(acc, t1[d1])
+        if d2:
+            acc = _jac_madd(acc, t2[d2])
     return _jac_to_affine(acc)
 
 
@@ -558,7 +602,7 @@ class Secp256k1Group(Group):
             return None
         if base == self.g1:
             return _exp_g1(e)
-        return _exp_wnaf(base, e)
+        return _exp_glv(base, e)
 
     def _mul(self, a, b):
         if a is None:

@@ -498,7 +498,8 @@ def _load_doc(path, schema: str) -> dict:
 
 
 def load_public_keys(path) -> tuple[Group, list[PublicKey]]:
-    """Rebuilds the group from the file header and validates every element."""
+    """Rebuilds the group from the file header and validates every element;
+    a file with no keys is an ``IoError``, since nothing can use it."""
     doc = _load_doc(path, _KEYS_SCHEMA)
     try:
         par = group_from_descriptor(doc["group"])
@@ -514,6 +515,8 @@ def load_public_keys(path) -> tuple[Group, list[PublicKey]]:
             out.append(PublicKey(y, proof))
     except (KeyError, TypeError, ValueError) as exc:
         raise IoError(f"malformed key file {path}: {exc}") from exc
+    if not out:
+        raise IoError(f"key file {path} holds no keys")
     return par, out
 
 

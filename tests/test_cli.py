@@ -242,6 +242,32 @@ def test_gamma_verify_with_no_keys_is_a_usage_error(tmp_path, capsys):
     assert "no keys" in stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify-keys",),
+    ("verify", "--scheme", "gms"),
+    ("verify", "--scheme", "agms"),
+    ("verify", "--scheme", "cosi"),
+    ("verify", "--scheme", "gamma"),
+])
+def test_empty_key_file_is_a_usage_error(tmp_path, capsys, argv):
+    # verify-keys used to print "0/0 keys verified" and exit 0, and the
+    # multi-signer schemes exited 1 as if a signature had failed
+    keys = tmp_path / "keys.json"
+    sig = tmp_path / "s.sig"
+    run(capsys, "keygen", "--count", "1", "--out", str(keys), "--seed", "3")
+    assert run(capsys, "simulate", "--scheme", "gamma", "--signers", "1",
+               "--seed", "3", "--message", "hi", "--out", str(sig))[0] == 0
+    doc = json.loads(keys.read_text())
+    doc["keys"] = []
+    keys.write_text(json.dumps(doc))
+    extra = () if argv[0] == "verify-keys" else (
+        "--signature", str(sig), "--message", "hi")
+    proc = run_child(*argv, "--keys", str(keys), *extra)
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert "holds no keys" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_verify_keys_flags_bad_proofs(tmp_path, capsys):
     keys = tmp_path / "keys.json"
     run(capsys, "keygen", "--count", "2", "--out", str(keys), "--seed", "1")

@@ -9,7 +9,10 @@ from multisig.group import (
     ToyGroup,
     _comb8_digits,
     _decompress,
+    _exp_g1,
+    _exp_glv,
     _exp_ladder,
+    _glv_split,
     _wnaf5,
     curve_group,
     derive_rng,
@@ -357,6 +360,50 @@ def test_comb8_digits_reconstruct_the_scalar(curve):
         assert len(digits) == 33
         assert sum(d << (8 * j) for j, d in enumerate(digits)) == e
         assert all(-127 <= d <= 128 for d in digits)
+
+
+# ── GLV endomorphism ─────────────────────────────────────────────────────────
+
+def _glv_basis():
+    return [(group_mod._A1, group_mod._B1), (group_mod._A2, group_mod._B2)]
+
+
+def _glv_edge_scalars():
+    n, lam = group_mod._N, group_mod._LAMBDA
+    return [0, 1, lam, n - lam, lam * lam % n, n - 1, n, 2**128,
+            2**256 - 1] + [c for v in _glv_basis() for c in v]
+
+
+def test_glv_constants():
+    p, n = group_mod._P, group_mod._N
+    beta, lam = group_mod._BETA, group_mod._LAMBDA
+    assert pow(beta, 3, p) == 1 and beta != 1
+    assert pow(lam, 3, n) == 1 and lam != 1
+    gx, gy = group_mod._GX, group_mod._GY
+    assert _exp_ladder((gx, gy), lam) == (beta * gx % p, gy)
+    for a, b in _glv_basis():
+        assert (a + b * lam) % n == 0
+
+
+def test_glv_split_is_short_and_congruent():
+    n, lam = group_mod._N, group_mod._LAMBDA
+    rng = random.Random(129)
+    for e in _glv_edge_scalars() + [rng.randrange(n) for _ in range(500)]:
+        k1, k2 = _glv_split(e)
+        assert (k1 + k2 * lam - e) % n == 0, hex(e)
+        assert abs(k1) < 2**129 and abs(k2) < 2**129, hex(e)
+
+
+def test_glv_exp_matches_comb_and_reference_ladder(curve):
+    n = curve.q
+    rng = random.Random(4242)
+    x = _exp_ladder(curve.g1, rng.randrange(1, n))
+    for e in _glv_edge_scalars():
+        ref = _exp_ladder(curve.g1, e % n)
+        assert _exp_glv(curve.g1, e) == _exp_g1(e % n) == ref, hex(e)
+    for base in (x, (x[0], group_mod._P - x[1])):
+        for e in _glv_edge_scalars():
+            assert _exp_glv(base, e) == _exp_ladder(base, e % n), hex(e)
 
 
 # ── decode memo ──────────────────────────────────────────────────────────────

@@ -411,6 +411,11 @@ def test_key_file_rejects_garbage(tmp_path, toy):
         load_public_keys(bad)
     with pytest.raises(IoError):
         load_secret_keys(bad)
+    # a key file with no keys is unusable by every command
+    doc["keys"] = []
+    bad.write_text(json.dumps(doc))
+    with pytest.raises(IoError, match="no keys"):
+        load_public_keys(bad)
     # a crafted toy group fails before any primality test
     bad.write_text(json.dumps({
         "schema": "multisig/secrets/v1",

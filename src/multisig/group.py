@@ -15,8 +15,8 @@ Two interchangeable backends sit behind one ``Group`` interface:
   modular square root (≈0.17–0.24 ms); successful decodes are memoised
   in a bounded LRU (1,024 entries), so the subtree key aggregates that
   repeat on every signature decode once.  Slow by libsecp standards
-  (≈0.26–0.39 ms per ``g1`` exponentiation, ≈1.25–1.80 ms for another
-  base, 0.65–0.67× the time of plain width-5 wNAF) but honest: every
+  (≈0.26–0.39 ms per ``g1`` exponentiation, ≈0.88–1.75 ms for another
+  base, 0.64–0.67× the time of plain width-5 wNAF) but honest: every
   benchmark number is produced by the same code path the protocols use.
 
 Group elements are opaque to callers: ints for the toy backend, affine

@@ -2,12 +2,14 @@
 
 Subcommands: keygen, verify-keys, simulate, verify, bench, attack, endorse.
 
-Every command takes ``--seed``.  Each has a built-in default seed, so runs
-are always protocol-deterministic; passing ``--seed`` explicitly
-additionally switches the command into reproducible-output mode, where
-wall-clock fields are left blank in whatever files and stdout it produces,
-making two runs with the same arguments byte-identical.  Without an
-explicit ``--seed``, timing fields are filled in.
+Every command takes ``--seed``.  Each has a built-in default seed, so keys
+and every other seeded value are deterministic; the one exception is
+``simulate`` without ``--seed``, which signs with nonces from a fresh
+random seed, because two signatures on one nonce seed share their nonces.
+Passing ``--seed`` explicitly switches a command into reproducible-output
+mode, where wall-clock fields are left blank in whatever files and stdout
+it produces, making two runs with the same arguments byte-identical.
+Without an explicit ``--seed``, timing fields are filled in.
 
 Exit codes: 0 on success, 1 when a verification or an attack expectation
 fails, 2 on usage or input errors.
@@ -19,6 +21,7 @@ import argparse
 import csv
 import json
 import os
+import secrets
 import statistics
 import sys
 from pathlib import Path
@@ -162,8 +165,9 @@ def cmd_verify_keys(args) -> int:
 
 # ── simulate ─────────────────────────────────────────────────────────────────
 
-def _sign_and_verify(par, scheme, tree, keys, m, seed):
-    """Sign m under ``scheme``, then verify the signature, one span per phase.
+def _sign_and_verify(par, scheme, tree, keys, m, nonce_seed):
+    """Sign m under ``scheme`` with nonces from ``nonce_seed``, then verify
+    the signature, one span per phase.
 
     Returns (signature, verified, messages, attempts, {phase: Span}); the
     phases are sign_offline (AGMS and gamma only), sign_online and verify.
@@ -173,7 +177,8 @@ def _sign_and_verify(par, scheme, tree, keys, m, seed):
     if scheme == "gamma":
         key = gamma.GammaKeyPair(keys[0].sk, keys[0].y)
         with par.span() as spans["sign_offline"]:
-            nonce = gamma.precompute(par, key, derive_rng(seed, "v", 0, 0))
+            nonce = gamma.precompute(par, key,
+                                     derive_rng(nonce_seed, "v", 0, 0))
         with par.span() as spans["sign_online"]:
             sig = gamma.sign_online(par, key, nonce, m)
         with par.span() as spans["verify"]:
@@ -181,14 +186,14 @@ def _sign_and_verify(par, scheme, tree, keys, m, seed):
         return sig, ok, [], 1, spans
     if scheme == "agms":
         with par.span() as spans["sign_offline"]:
-            off = agms_offline(par, tree, keys, seed=seed)
+            off = agms_offline(par, tree, keys, seed=nonce_seed)
         with par.span() as spans["sign_online"]:
             run = agms_online(par, off, m)
         messages = off.messages + run.messages
     else:
         sign = cosi_sign if scheme == "cosi" else gms_sign
         with par.span() as spans["sign_online"]:
-            run = sign(par, tree, keys, m, seed=seed)
+            run = sign(par, tree, keys, m, seed=nonce_seed)
         messages = run.messages
     check = cosi_verify if scheme == "cosi" else verify
     with par.span() as spans["verify"]:
@@ -206,9 +211,12 @@ def cmd_simulate(args) -> int:
         branching = min_branching(args.signers, args.depth)
     tree = build_tree(args.signers, branching, args.depth)
     keys = derive_keys(par, args.signers, seed)
+    # keys stay on the seed so that keygen and verify pair up; nonces come
+    # from a fresh seed unless --seed asks for a reproducible run
+    nonce_seed = seed if reproducible else secrets.token_hex(16)
     m = args.message.encode()
     sig, ok, messages, attempts, spans = _sign_and_verify(
-        par, args.scheme, tree, keys, m, seed)
+        par, args.scheme, tree, keys, m, nonce_seed)
     exps = {phase: sp.exponentiations for phase, sp in spans.items()}
     timings = {f"{phase.removeprefix('sign_')}_ns": sp.wall_ns
                for phase, sp in spans.items()}

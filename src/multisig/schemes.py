@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from hashlib import sha512
 from pathlib import Path
 
 from .errors import (
@@ -82,6 +83,9 @@ __all__ = [
 ]
 
 _MAX_RESTARTS = 64
+# Session-nonce prefix; its first byte is none of the hash_to_scalar domain
+# bytes 0-3, so a nonce input never parses as a protocol hash input.
+_NONCE_TAG = b"multisig/nonce"
 
 
 # ── keys ─────────────────────────────────────────────────────────────────────
@@ -203,19 +207,33 @@ class SigningSession:
 
 def open_sessions(par: Group, scheme: str, tree: Tree, keys, seed,
                   attempt: int = 0) -> list[SigningSession]:
-    """One session per node; node i draws its nonce from (seed, attempt, i)."""
+    """One session per node, each with a fresh nonce bound to its secret key.
+
+    Node i's nonce is v = 1 + (SHA-512(tag ‖ len-prefixed str(seed) ‖
+    attempt ‖ i ‖ sk_i) mod (q-1)), in the spirit of RFC 6979: knowing the
+    seed reveals nothing about v without sk_i, so a signature cannot be
+    unwound into the aggregate secret key.  512 hash bits reduced mod q-1
+    leave a bias below 2^-256 on the curve.  The same (sk, seed, attempt,
+    node) always gives the same v, so one seed must never sign two
+    messages; callers that publish signatures pass a fresh random seed.
+    """
     if len(keys) != tree.n:
         raise MixedSessions(f"{len(keys)} keys for a {tree.n}-node tree")
-    return [
-        SigningSession(
+    seed_b = str(seed).encode()
+    prefix = (_NONCE_TAG + len(seed_b).to_bytes(4, "big") + seed_b
+              + attempt.to_bytes(4, "big"))
+    sessions = []
+    for i, key in enumerate(keys):
+        digest = sha512(prefix + i.to_bytes(4, "big")
+                        + par.encode_scalar(key.sk)).digest()
+        sessions.append(SigningSession(
             scheme=scheme,
             node=i,
-            key=keys[i],
-            v=par.random_scalar(derive_rng(seed, "v", attempt, i)),
+            key=key,
+            v=1 + int.from_bytes(digest, "big") % (par.q - 1),
             ops=OpCounter(f"node{i}"),
-        )
-        for i in range(tree.n)
-    ]
+        ))
+    return sessions
 
 
 def announce(tree: Tree, sessions, m: bytes,

@@ -32,6 +32,16 @@ def independent_hash(q, scalar_len, tag, chunks):
     return int.from_bytes(hashlib.sha512(payload).digest(), "big") % q
 
 
+def independent_nonce(q, scalar_len, seed, attempt, node, sk):
+    """Session nonce written from scratch: 1 + sha512(b"multisig/nonce" ‖
+    4-byte-length-prefixed str(seed) ‖ attempt ‖ node ‖ sk) mod (q - 1)."""
+    seed_b = str(seed).encode()
+    payload = (b"multisig/nonce" + len(seed_b).to_bytes(4, "big") + seed_b
+               + attempt.to_bytes(4, "big") + node.to_bytes(4, "big")
+               + sk.to_bytes(scalar_len, "big"))
+    return 1 + int.from_bytes(hashlib.sha512(payload).digest(), "big") % (q - 1)
+
+
 def main():
     doc = {}
 
@@ -120,6 +130,14 @@ def main():
         [par.encode_element(par.g1), par.encode_element(V),
          par.encode_element(agg.X)])
     assert verify(par, agg, b"msg", run.signature)
+    # independent: every node's nonce from the last attempt, and
+    # S = c*sum(v) - e*sum(sk)
+    vs = [independent_nonce(par.q, par.scalar_len, 3, run.attempts - 1, i,
+                            k.sk)
+          for i, k in enumerate(keys)]
+    assert [sess.v for sess in run.sessions] == vs
+    assert run.signature.s == (run.signature.c * sum(vs)
+                               - e * sum(k.sk for k in keys)) % par.q
     doc["gms_toy_n3_seed3"] = {
         "seed": 3, "message": "msg", "n": 3,
         "X": agg.X, "c": run.signature.c, "S": run.signature.s,

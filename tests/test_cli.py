@@ -92,6 +92,35 @@ def test_default_seed_keeps_timings(tmp_path, capsys):
     assert "_ns=" not in stdout
 
 
+@pytest.mark.parametrize("scheme, signers", [("agms", "7"), ("gamma", "1")])
+def test_unseeded_simulate_draws_fresh_nonces(capsys, scheme, signers):
+    # a nonce seed shared by two messages would publish the same c and give
+    # away the aggregate secret key; without --seed each run draws its own
+    cs = []
+    for message in ("A", "B"):
+        code, stdout, _ = run(capsys, "simulate", "--scheme", scheme,
+                              "--signers", signers, "--toy-q", "1048573",
+                              "--message", message)
+        assert code == 0
+        sig = bytes.fromhex(stdout.split("signature=")[1].split()[0])
+        cs.append(sig[:len(sig) // 2])
+    assert cs[0] != cs[1]
+
+
+def test_unseeded_keygen_and_simulate_share_keys(tmp_path, capsys):
+    # only the nonces are fresh: keys stay on the default seed
+    keys = tmp_path / "keys.json"
+    sig = tmp_path / "out.sig"
+    assert run(capsys, "keygen", "--count", "7", "--out", str(keys))[0] == 0
+    assert run(capsys, "simulate", "--scheme", "agms", "--signers", "7",
+               "--message", "hi", "--out", str(sig))[0] == 0
+    code, stdout, _ = run(capsys, "verify", "--scheme", "agms", "--keys",
+                          str(keys), "--signature", str(sig),
+                          "--message", "hi")
+    assert code == 0
+    assert "signature valid: true" in stdout
+
+
 def test_simulate_reports_zero_exp_online(capsys):
     code, stdout, _ = run(capsys, "simulate", "--scheme", "agms",
                           "--signers", "7", "--seed", "2")

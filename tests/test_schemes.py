@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -11,8 +12,8 @@ from multisig.errors import (
     NonceReuse,
     NotInGroup,
 )
-from multisig.group import derive_rng
-from multisig.hashing import record_hash_inputs
+from multisig.group import derive_rng, toy_group_for_order
+from multisig.hashing import H3, hash_to_scalar, record_hash_inputs
 from multisig.schemes import (
     KeyProof,
     PublicKey,
@@ -144,10 +145,10 @@ def test_gms_agms_identical_signatures(toy):
 
 def test_agms_challenge_restart_stays_aligned(toy):
     # key set "k2" hashes to a zero challenge for these nonce seeds, which
-    # forces one (seed 1) and two (seed 15) fresh commitment rounds
+    # forces one (seed 6) and two (seed 5) fresh commitment rounds
     tree = build_tree(3, 2, 3)
     keys = derive_keys(toy, 3, "k2")
-    for seed, expected_attempts in ((1, 2), (15, 3)):
+    for seed, expected_attempts in ((6, 2), (5, 3)):
         off = agms_offline(toy, tree, keys, seed=seed)
         g = gms_sign(toy, tree, keys, M, seed=seed)
         assert off.attempts == expected_attempts
@@ -372,6 +373,87 @@ def test_baseline_nodes_check_the_challenge(toy16):
     V_agg, _, _ = commit(toy16, tree, sessions)
     with pytest.raises(HandlerFailure):
         challenge(toy16, tree, sessions, 5, V_agg)
+
+
+# ── session nonces ───────────────────────────────────────────────────────────
+
+def raw_nonce(par, seed, attempt, node, sk=None):
+    """A session nonce re-derived with raw hashlib: 1 + SHA-512(tag ‖
+    length-prefixed str(seed) ‖ attempt ‖ node ‖ sk) mod (q-1).  Without
+    ``sk`` it is what a holder of the seed alone could compute."""
+    seed_b = str(seed).encode()
+    data = (b"multisig/nonce" + len(seed_b).to_bytes(4, "big") + seed_b
+            + attempt.to_bytes(4, "big") + node.to_bytes(4, "big"))
+    if sk is not None:
+        data += sk.to_bytes(par.scalar_len, "big")
+    return 1 + int.from_bytes(hashlib.sha512(data).digest(), "big") % (par.q - 1)
+
+
+def nonces(par, tree, keys, seed, attempt=0):
+    return [s.v for s in open_sessions(par, "agms", tree, keys, seed, attempt)]
+
+
+def test_session_nonces_cover_exactly_one_to_q_minus_one(toy):
+    tree = build_tree(63, 2, 6)
+    keys = derive_keys(toy, 63, 40)
+    seen = set()
+    for seed in range(8):
+        seen.update(nonces(toy, tree, keys, seed))
+    assert seen == set(range(1, toy.q))
+
+
+def test_session_nonces_match_raw_hashlib(toy16, curve):
+    tree = build_tree(7, 2, 3)
+    for par in (toy16, curve):
+        keys = derive_keys(par, 7, 41)
+        for seed, attempt in ((41, 0), ("41|x", 3)):
+            assert nonces(par, tree, keys, seed, attempt) == [
+                raw_nonce(par, seed, attempt, i, k.sk)
+                for i, k in enumerate(keys)]
+
+
+def test_session_nonces_deterministic_and_distinct(curve):
+    tree = build_tree(7, 2, 3)
+    keys = derive_keys(curve, 7, 42)
+    vs = nonces(curve, tree, keys, 42)
+    assert vs == nonces(curve, tree, keys, 42)
+    assert len(set(vs)) == 7                      # across nodes
+    again = nonces(curve, tree, keys, 42, attempt=1)
+    assert all(a != b for a, b in zip(vs, again))  # across attempts
+    other = nonces(curve, tree, keys, 43)
+    assert all(a != b for a, b in zip(vs, other))  # across seeds
+    # only node 0's secret key changes, so only node 0's nonce changes
+    swapped = [derive_keys(curve, 1, 44)[0], *keys[1:]]
+    moved = nonces(curve, tree, swapped, 42)
+    assert moved[0] != vs[0] and moved[1:] == vs[1:]
+
+
+@pytest.mark.parametrize("backend", ["toy", "curve"])
+def test_known_nonce_seed_does_not_reveal_the_aggregate_key(backend, curve):
+    # keys come from a secret seed, nonces from a published one; a nonce
+    # that depended on the seed alone would give sum(sk) = (c*sum(v) - S)/e
+    par = curve if backend == "curve" else toy_group_for_order(1048573)
+    tree = build_tree(7, 2, 3)
+    keys = derive_keys(par, 7, "secret seed")
+    run = gms_sign(par, tree, keys, M, seed=5)
+    c, S = run.signature.c, run.signature.s
+    e = hash_to_scalar(par, H3, [M])
+    sum_sk = sum(k.sk for k in keys) % par.q
+
+    def unwind(vs):
+        return par.s_mul(par.s_sub(par.s_mul(c, sum(vs) % par.q), S),
+                         par.s_inv(e))
+
+    # the algebra is right: the signers' own nonces unwind the signature
+    assert unwind([sess.v for sess in run.sessions]) == sum_sk
+    attempt = run.attempts - 1
+    seed_only = {
+        "mersenne twister": [par.random_scalar(derive_rng(5, "v", attempt, i))
+                             for i in range(7)],
+        "hash without sk": [raw_nonce(par, 5, attempt, i) for i in range(7)],
+    }
+    for name, vs in seed_only.items():
+        assert unwind(vs) != sum_sk, name
 
 
 # ── files ────────────────────────────────────────────────────────────────────

@@ -64,6 +64,6 @@ from .schemes import (
     keygen,
     verify,
 )
-from .tree import SimSchedule, Tree, build_tree, capacity, min_branching
+from .tree import Tree, build_tree, capacity, min_branching
 
 __version__ = "0.1.0"

@@ -3,9 +3,10 @@
 Subcommands: keygen, verify-keys, simulate, verify, bench, attack, endorse.
 
 Every command takes ``--seed``.  Each has a built-in default seed, so keys
-and every other seeded value are deterministic; the one exception is
-``simulate`` without ``--seed``, which signs with nonces from a fresh
-random seed, because two signatures on one nonce seed share their nonces.
+and every other seeded value are deterministic; the exceptions are
+``simulate`` and ``endorse`` without ``--seed``, which sign with nonces
+from a fresh random seed, because two signatures on one nonce seed share
+their nonces.
 Passing ``--seed`` explicitly switches a command into reproducible-output
 mode, where wall-clock fields are left blank in whatever files and stdout
 it produces, making two runs with the same arguments byte-identical.
@@ -380,6 +381,8 @@ def cmd_attack(args) -> int:
 def cmd_endorse(args) -> int:
     par = _resolve_group(args)
     seed, reproducible = _resolve_seed(args)
+    if not reproducible:  # one fixed seed would sign every message on one nonce
+        seed = secrets.token_hex(16)
     n_list = _comma_list(args.endorsers_list, int, "--endorsers-list")
     proposal = args.message.encode()
     records = []

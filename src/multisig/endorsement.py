@@ -156,8 +156,11 @@ def run_revised_flow(par: Group, n_endorsers: int, proposal: bytes, *, seed=0,
                             signature_bytes=2 * par.scalar_len, accepted=False)
 
     # Step 1 — synchronization: commitment + key aggregation, challenge out.
+    # The nonce seed names n: endorser i keeps its key at every n, and the
+    # same nonce under a different c would give the key away.
     with par.span() as sp:
-        offline = agms_offline(par, tree, endorser_keys, seed=seed)
+        offline = agms_offline(par, tree, endorser_keys,
+                               seed=f"{seed}|n{n_endorsers}")
     rec.steps.append(StepMetrics(1, "synchronize", sp.wall_ns, sp.exponentiations,
                                  0, _payload_bytes(offline.messages)))
 

@@ -24,7 +24,7 @@ from .group import Group
 from .hashing import H0, H1, hash_to_scalar
 
 __all__ = ["GammaKeyPair", "GammaNonce", "Signature", "keygen", "precompute",
-           "sign_online", "verify"]
+           "sign_online", "recover_commitment", "verify"]
 
 _MAX_RESAMPLE = 64
 
@@ -96,11 +96,20 @@ def sign_online(par: Group, key: GammaKeyPair, nonce: GammaNonce,
     return Signature(nonce.c, s)
 
 
+def recover_commitment(par: Group, a: int, Y, b: int, c: int):
+    """(g1^a * Y^b)^(1/c): the commitment the signature and possession-proof
+    checks recompute.
+
+    Signature checks pass (s, e, c), the proof check (d, b, a).  Three
+    exponentiations and one multiplication; c must be nonzero.
+    """
+    return par.exp(par.mul(par.exp(par.g1, a), par.exp(Y, b)), par.s_inv(c))
+
+
 def verify(par: Group, y, m: bytes, sig: Signature) -> bool:
     """Three exponentiations and one multiplication; constant in everything."""
     if not (0 < sig.c < par.q) or not (0 <= sig.s < par.q):
         return False
     e = hash_to_scalar(par, H1, [m])
-    base = par.mul(par.exp(par.g1, sig.s), par.exp(y, e))
-    V = par.exp(base, par.s_inv(sig.c))
+    V = recover_commitment(par, sig.s, y, e, sig.c)
     return hash_to_scalar(par, H0, [par.encode_element(V), par.encode_element(y)]) == sig.c

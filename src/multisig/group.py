@@ -23,11 +23,11 @@ Group elements are opaque to callers: ints for the toy backend, affine
 ``(x, y)`` tuples (or ``None`` for the identity) on the curve.  Scalars
 are plain ints in ``[0, q)`` everywhere.
 
-Every exponentiation and element multiplication bumps ``Group.ops_total``
-and, when given, a per-call ``ops=`` counter, so protocol code can meter
-cost per signing session.  ``Group.span()`` is the one way to meter a
-block of code: wall time, exponentiations and multiplications, as deltas
-of the shared totals, so spans nest.
+Every exponentiation and element multiplication bumps ``Group.ops_total``.
+``Group.span()`` is the one way to meter a block of code: wall time,
+exponentiations and multiplications, as deltas of the shared totals, so
+spans nest.  ``exp``/``mul`` still accept an extra ``ops=`` counter for
+callers outside the package; no protocol code passes one.
 """
 
 from __future__ import annotations
@@ -61,19 +61,8 @@ __all__ = [
 class OpCounter:
     """Counts group operations (not scalar arithmetic) within one scope."""
 
-    label: str = ""
     exponentiations: int = 0
     multiplications: int = 0
-
-    def add_exp(self, n: int = 1) -> None:
-        self.exponentiations += n
-
-    def add_mul(self, n: int = 1) -> None:
-        self.multiplications += n
-
-    def reset(self) -> None:
-        self.exponentiations = 0
-        self.multiplications = 0
 
     def snapshot(self) -> tuple[int, int]:
         return (self.exponentiations, self.multiplications)
@@ -113,20 +102,20 @@ class Group:
     scalar_len: int
 
     def __init__(self) -> None:
-        self.ops_total = OpCounter("total")
+        self.ops_total = OpCounter()
 
     # group operations -------------------------------------------------
 
     def exp(self, base, e: int, ops: OpCounter | None = None):
-        self.ops_total.add_exp()
+        self.ops_total.exponentiations += 1
         if ops is not None:
-            ops.add_exp()
+            ops.exponentiations += 1
         return self._exp(base, e % self.q)
 
     def mul(self, a, b, ops: OpCounter | None = None):
-        self.ops_total.add_mul()
+        self.ops_total.multiplications += 1
         if ops is not None:
-            ops.add_mul()
+            ops.multiplications += 1
         return self._mul(a, b)
 
     @contextmanager

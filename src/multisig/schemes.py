@@ -25,8 +25,9 @@ All three run the same four tree rounds through one public step API —
 the attack demos share.  A session's scheme decides what each step does:
 whether commit also aggregates keys (AGMS), whether challenge is checked
 against H0(V~, m) (baseline), and the response shape.  Steps run over
-``tree.run_phase`` so every byte on every edge lands in a transcript.
-Per-node costs accrue on each session's OpCounter.
+``tree.run_phase`` so every byte on every edge lands in a transcript, and
+carry only protocol state: a step is metered from outside, with
+``Group.span()``.
 """
 
 from __future__ import annotations
@@ -43,10 +44,10 @@ from .errors import (
     MixedSessions,
     NonceReuse,
 )
-from .gamma import Signature
-from .group import Group, OpCounter, derive_rng, group_from_descriptor
+from .gamma import Signature, recover_commitment
+from .group import Group, derive_rng, group_from_descriptor
 from .hashing import H0, H1, H2, H3, hash_to_scalar
-from .tree import Phase, SimSchedule, Tree, run_phase
+from .tree import Phase, Tree, run_phase
 
 __all__ = [
     "KeyProof",
@@ -156,8 +157,7 @@ def key_verify(par: Group, pk: PublicKey) -> bool:
     if not par.is_element(pk.y) or pk.y == par.identity:
         return False
     b = hash_to_scalar(par, H2, [par.encode_element(pk.y)])
-    base = par.mul(par.exp(par.g1, d), par.exp(pk.y, b))
-    V = par.exp(base, par.s_inv(a))
+    V = recover_commitment(par, d, pk.y, b, a)
     g1b = par.encode_element(par.g1)
     return hash_to_scalar(par, H1, [g1b, par.encode_element(V)]) == a
 
@@ -196,7 +196,6 @@ class SigningSession:
     node: int
     key: KeyPair
     v: int
-    ops: OpCounter
     V_agg: object = None        # commitment aggregated over this node's subtree
     X_agg: object = None        # key aggregate over the subtree (AGMS)
     c: int | None = None
@@ -231,24 +230,20 @@ def open_sessions(par: Group, scheme: str, tree: Tree, keys, seed,
             node=i,
             key=key,
             v=1 + int.from_bytes(digest, "big") % (par.q - 1),
-            ops=OpCounter(f"node{i}"),
         ))
     return sessions
 
 
-def announce(tree: Tree, sessions, m: bytes,
-             schedule: SimSchedule | None = None) -> list:
+def announce(tree: Tree, sessions, m: bytes) -> list:
     """Top-down: every node learns the message."""
     def handler(node, payload):
         sessions[node].m = payload
         return payload
 
-    return run_phase(tree, Phase.ANNOUNCE, handler, root_input=m,
-                     schedule=schedule).messages
+    return run_phase(tree, Phase.ANNOUNCE, handler, root_input=m).messages
 
 
-def commit(par: Group, tree: Tree, sessions,
-           schedule: SimSchedule | None = None):
+def commit(par: Group, tree: Tree, sessions):
     """Bottom-up commitment aggregation; one exponentiation per node.
 
     AGMS payloads carry (V_agg, X_agg), so the key aggregate is computed by
@@ -260,12 +255,12 @@ def commit(par: Group, tree: Tree, sessions,
 
     def handler(node, child_payloads):
         sess = sessions[node]
-        V_agg = par.exp(par.g1, sess.v, ops=sess.ops)
+        V_agg = par.exp(par.g1, sess.v)
         X_agg = sess.key.public.y
         for _child, payload in child_payloads:
-            V_agg = par.mul(V_agg, par.decode_element(payload[:el]), ops=sess.ops)
+            V_agg = par.mul(V_agg, par.decode_element(payload[:el]))
             if aggregate_keys:
-                X_agg = par.mul(X_agg, par.decode_element(payload[el:]), ops=sess.ops)
+                X_agg = par.mul(X_agg, par.decode_element(payload[el:]))
         sess.V_agg = V_agg
         out = par.encode_element(V_agg)
         if aggregate_keys:
@@ -273,7 +268,7 @@ def commit(par: Group, tree: Tree, sessions,
             out += par.encode_element(X_agg)
         return out
 
-    messages = run_phase(tree, Phase.COMMIT, handler, schedule=schedule).messages
+    messages = run_phase(tree, Phase.COMMIT, handler).messages
     return sessions[0].V_agg, sessions[0].X_agg, messages
 
 
@@ -286,8 +281,7 @@ def challenge_hash(par: Group, scheme: str, V_agg, X, m: bytes | None) -> int:
                                     par.encode_element(X)])
 
 
-def challenge(par: Group, tree: Tree, sessions, c: int, V_ann,
-              schedule: SimSchedule | None = None) -> list:
+def challenge(par: Group, tree: Tree, sessions, c: int, V_ann) -> list:
     """Top-down challenge distribution.
 
     Baseline nodes receive (c, V_ann) and refuse to continue unless
@@ -314,12 +308,10 @@ def challenge(par: Group, tree: Tree, sessions, c: int, V_ann,
         sess.c = c
         return data
 
-    return run_phase(tree, Phase.CHALLENGE, handler, root_input=payload,
-                     schedule=schedule).messages
+    return run_phase(tree, Phase.CHALLENGE, handler, root_input=payload).messages
 
 
-def respond(par: Group, tree: Tree, sessions,
-            schedule: SimSchedule | None = None):
+def respond(par: Group, tree: Tree, sessions):
     """Bottom-up response aggregation: S~ = own response + children's.
 
     GMS/AGMS nodes respond v*c - e*sk with e = H3(m); baseline nodes
@@ -343,7 +335,7 @@ def respond(par: Group, tree: Tree, sessions,
             s = par.s_add(s, par.decode_scalar(payload))
         return par.encode_scalar(s)
 
-    res = run_phase(tree, Phase.RESPOND, handler, schedule=schedule)
+    res = run_phase(tree, Phase.RESPOND, handler)
     return par.decode_scalar(res.root_output), res.messages
 
 
@@ -373,7 +365,7 @@ class OfflineRun:
 
 
 def _restart_loop(par: Group, scheme: str, tree: Tree, keys, m: bytes | None,
-                  seed, schedule) -> OfflineRun:
+                  seed) -> OfflineRun:
     """The rounds every scheme runs before responding.
 
     Opens sessions, announces m once (AGMS offline has no m yet), then
@@ -385,48 +377,44 @@ def _restart_loop(par: Group, scheme: str, tree: Tree, keys, m: bytes | None,
     for attempt in range(_MAX_RESTARTS):
         sessions = open_sessions(par, scheme, tree, keys, seed, attempt)
         if m is not None and attempt == 0:
-            messages += announce(tree, sessions, m, schedule)
+            messages += announce(tree, sessions, m)
         elif m is not None:
             for sess in sessions:  # m is fixed across restarts; announce once
                 sess.m = m
-        V_agg, X_agg, msgs = commit(par, tree, sessions, schedule)
+        V_agg, X_agg, msgs = commit(par, tree, sessions)
         messages += msgs
         if scheme == "agms":
             agg = AggregateKey(X_agg, tree.n)
         c = challenge_hash(par, scheme, V_agg, agg.X, m)
         if c == 0:
             continue
-        messages += challenge(par, tree, sessions, c, V_agg, schedule)
+        messages += challenge(par, tree, sessions, c, V_agg)
         return OfflineRun(tree, sessions, agg, V_agg, c, attempt + 1, messages)
     raise InternalError("challenge stuck at zero across restarts")
 
 
-def _sign(par: Group, scheme: str, tree: Tree, keys, m: bytes, seed,
-          schedule) -> SignRun:
+def _sign(par: Group, scheme: str, tree: Tree, keys, m: bytes, seed) -> SignRun:
     """The restart loop with the message first, then the responses."""
-    run = _restart_loop(par, scheme, tree, keys, m, seed, schedule)
-    S, msgs = respond(par, tree, run.sessions, schedule)
+    run = _restart_loop(par, scheme, tree, keys, m, seed)
+    S, msgs = respond(par, tree, run.sessions)
     return SignRun(scheme, Signature(run.c, S), run.agg_key, run.sessions,
                    run.attempts, run.messages + msgs)
 
 
-def gms_sign(par: Group, tree: Tree, keys, m: bytes, *, seed,
-             schedule: SimSchedule | None = None) -> SignRun:
+def gms_sign(par: Group, tree: Tree, keys, m: bytes, *, seed) -> SignRun:
     """Four rounds, message first; the whole run is online."""
-    return _sign(par, "gms", tree, keys, m, seed, schedule)
+    return _sign(par, "gms", tree, keys, m, seed)
 
 
-def agms_offline(par: Group, tree: Tree, keys, *, seed,
-                 schedule: SimSchedule | None = None) -> OfflineRun:
+def agms_offline(par: Group, tree: Tree, keys, *, seed) -> OfflineRun:
     """Commitment + key aggregation and challenge distribution, no message.
 
     One exponentiation per signer; each node ends up holding c and v*c.
     """
-    return _restart_loop(par, "agms", tree, keys, None, seed, schedule)
+    return _restart_loop(par, "agms", tree, keys, None, seed)
 
 
-def agms_online(par: Group, offline: OfflineRun, m: bytes, *,
-                schedule: SimSchedule | None = None) -> SignRun:
+def agms_online(par: Group, offline: OfflineRun, m: bytes) -> SignRun:
     """Announce m and aggregate responses: zero group operations anywhere."""
     sessions = offline.sessions
     for sess in sessions:
@@ -434,16 +422,15 @@ def agms_online(par: Group, offline: OfflineRun, m: bytes, *,
             raise MixedSessions(f"node {sess.node} lacks offline state")
         if sess.responded:
             raise NonceReuse(f"node {sess.node} already signed with this nonce")
-    messages = announce(offline.tree, sessions, m, schedule)
-    S, msgs = respond(par, offline.tree, sessions, schedule)
+    messages = announce(offline.tree, sessions, m)
+    S, msgs = respond(par, offline.tree, sessions)
     return SignRun("agms", Signature(offline.c, S), offline.agg_key, sessions,
                    offline.attempts, messages + msgs)
 
 
-def cosi_sign(par: Group, tree: Tree, keys, m: bytes, *, seed,
-              schedule: SimSchedule | None = None) -> SignRun:
+def cosi_sign(par: Group, tree: Tree, keys, m: bytes, *, seed) -> SignRun:
     """Baseline: c = H0(V~, m), additive responses, naive key aggregation."""
-    return _sign(par, "cosi", tree, keys, m, seed, schedule)
+    return _sign(par, "cosi", tree, keys, m, seed)
 
 
 # ── verification ─────────────────────────────────────────────────────────────
@@ -462,8 +449,7 @@ def verify(par: Group, X, m: bytes, sig: Signature) -> bool:
     if not (0 < sig.c < par.q) or not (0 <= sig.s < par.q):
         return False
     e = hash_to_scalar(par, H3, [m])
-    base = par.mul(par.exp(par.g1, sig.s), par.exp(X, e))
-    V = par.exp(base, par.s_inv(sig.c))
+    V = recover_commitment(par, sig.s, X, e, sig.c)
     return challenge_hash(par, "agms", V, X, m) == sig.c
 
 

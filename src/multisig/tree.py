@@ -10,9 +10,9 @@ N nodes moves exactly 4*(N-1) messages.
 ``run_phase`` drives one phase given a per-node handler and records the
 full transcript.  Handlers are ordinary functions; any exception they
 raise is wrapped in HandlerFailure tagged with the node id.  Handlers
-run one at a time, level by level; a ``SimSchedule`` can permute the
-processing order within each depth level (seeded, reproducible), which
-shakes out accidental order dependence.
+run one at a time, level by level, in the order ``Tree.levels`` lists
+them; a caller that wants another processing order passes a tree whose
+levels are permuted.
 """
 
 from __future__ import annotations
@@ -22,14 +22,12 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import CapacityExceeded, HandlerFailure
-from .group import derive_rng
 
 __all__ = [
     "Direction",
     "Phase",
     "Message",
     "Tree",
-    "SimSchedule",
     "PhaseResult",
     "capacity",
     "min_branching",
@@ -133,27 +131,6 @@ def build_tree(n: int, branching: int, max_depth: int = 3) -> Tree:
     )
 
 
-# ── scheduling ───────────────────────────────────────────────────────────────
-
-@dataclass(frozen=True)
-class SimSchedule:
-    """Processing-order policy for a run.
-
-    With ``shuffle`` the node order inside each level is permuted by a
-    seeded RNG, so two runs with the same seed still produce identical
-    transcripts.
-    """
-
-    seed: int | str = 0
-    shuffle: bool = False
-
-    def level_order(self, phase: Phase, depth: int, nodes: tuple) -> list:
-        order = list(nodes)
-        if self.shuffle:
-            derive_rng(self.seed, "sched", phase.label, depth).shuffle(order)
-        return order
-
-
 @dataclass
 class PhaseResult:
     outputs: dict = field(default_factory=dict)  # node id -> handler output
@@ -170,8 +147,8 @@ def _call(handler, node: int, arg):
         raise HandlerFailure(node, exc) from exc
 
 
-def run_phase(tree: Tree, phase: Phase, handler, *, root_input: bytes | None = None,
-              schedule: SimSchedule | None = None) -> PhaseResult:
+def run_phase(tree: Tree, phase: Phase, handler, *,
+              root_input: bytes | None = None) -> PhaseResult:
     """Execute one phase over the tree.
 
     DOWN phases: handler(node, payload_from_parent) -> payload for children;
@@ -179,13 +156,11 @@ def run_phase(tree: Tree, phase: Phase, handler, *, root_input: bytes | None = N
     [(child, payload), ...]) -> payload for parent; the root's output lands
     in ``PhaseResult.root_output``.
     """
-    schedule = schedule or SimSchedule()
     result = PhaseResult()
     down = phase.direction is Direction.DOWN
-    depths = range(len(tree.levels))
     inbox: dict = {0: root_input}
-    for depth in depths if down else reversed(depths):
-        for node in schedule.level_order(phase, depth, tree.levels[depth]):
+    for level in tree.levels if down else reversed(tree.levels):
+        for node in level:
             if down:
                 out = _call(handler, node, inbox[node])
                 for child in tree.children[node]:

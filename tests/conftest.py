@@ -1,8 +1,11 @@
 import json
+import random
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from multisig import schemes
 from multisig.group import curve_group, toy_group, toy_group_for_order
 
 DATA = Path(__file__).parent / "data"
@@ -23,6 +26,51 @@ def toy16():
 @pytest.fixture(scope="session")
 def curve():
     return curve_group()
+
+
+class NodeSpans(dict):
+    """(phase label, node) -> Span of that node's handler in that phase."""
+
+    def exponentiations(self, node: int) -> int:
+        return sum(sp.exponentiations for (_, n), sp in self.items() if n == node)
+
+
+@pytest.fixture
+def node_spans(monkeypatch):
+    """Meter each node from outside: ``node_spans(par)`` runs every protocol
+    step's handlers inside ``par.span()`` and returns the NodeSpans they
+    fill.  A restart overwrites a node's earlier span for the same phase,
+    so the spans describe the sessions that survived."""
+    real = schemes.run_phase
+
+    def install(par) -> NodeSpans:
+        spans = NodeSpans()
+
+        def metered(tree, phase, handler, **kwargs):
+            def timed(node, arg):
+                with par.span() as sp:
+                    out = handler(node, arg)
+                spans[(phase.label, node)] = sp
+                return out
+
+            return real(tree, phase, timed, **kwargs)
+
+        monkeypatch.setattr(schemes, "run_phase", metered)
+        return spans
+
+    return install
+
+
+@pytest.fixture(scope="session")
+def shuffled_levels():
+    """``shuffled_levels(tree, seed)``: the same tree with the nodes of each
+    level in a seeded random processing order."""
+    def shuffle(tree, seed):
+        rng = random.Random(seed)
+        return replace(tree, levels=tuple(tuple(rng.sample(lv, len(lv)))
+                                          for lv in tree.levels))
+
+    return shuffle
 
 
 @pytest.fixture(scope="session")

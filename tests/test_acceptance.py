@@ -91,12 +91,14 @@ def test_c02_split_phases_change_nothing(toy, acceptance):
     assert good, line
 
 
-def test_c03_operation_counts(toy, curve, acceptance):
+def test_c03_operation_counts(toy, curve, acceptance, node_spans):
     checks = []
     for par, n in ((toy, 15), (curve, 5)):
         keys = derive_keys(par, n, 2)
+        spans = node_spans(par)
         off = agms_offline(par, _tree(n), keys, seed=2)
-        checks.append(all(s.ops.exponentiations == 1 for s in off.sessions))
+        checks.append(all(spans.exponentiations(s.node) == 1
+                          for s in off.sessions))
         before = par.ops_total.snapshot()
         run = agms_online(par, off, b"m")
         checks.append(par.ops_total.snapshot() == before)

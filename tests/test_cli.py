@@ -107,6 +107,22 @@ def test_unseeded_simulate_draws_fresh_nonces(capsys, scheme, signers):
     assert cs[0] != cs[1]
 
 
+def test_unseeded_endorse_draws_fresh_nonces(tmp_path, capsys):
+    # two messages endorsed on one c would give away the endorsers' summed key
+    cs = []
+    for message in ("A", "B"):
+        out = tmp_path / f"{message}.json"
+        code, _, _ = run(capsys, "endorse", "--endorsers-list", "2",
+                         "--flow", "revised", "--format", "json",
+                         "--toy-q", "65521", "--message", message,
+                         "--out", str(out))
+        assert code == 0
+        sig = bytes.fromhex(json.loads(out.read_text())
+                            ["records"][0]["signature_hex"])
+        cs.append(sig[:len(sig) // 2])
+    assert cs[0] != cs[1]
+
+
 def test_unseeded_keygen_and_simulate_share_keys(tmp_path, capsys):
     # only the nonces are fresh: keys stay on the default seed
     keys = tmp_path / "keys.json"

@@ -1,5 +1,6 @@
 import pytest
 
+from multisig import schemes
 from multisig.endorsement import (
     CSV_HEADER,
     KeyRegistry,
@@ -133,9 +134,28 @@ def test_revised_flow_is_plain_aggregation_underneath(toy16):
     assert rec.accepted
     tree = build_tree(n, min_branching(n, 3), 3)
     keys = derive_keys(toy16, n, f"{seed}|endorser")
-    run = agms_online(toy16, agms_offline(toy16, tree, keys, seed=seed),
+    run = agms_online(toy16, agms_offline(toy16, tree, keys, seed=f"{seed}|n{n}"),
                       PROPOSAL)
     assert rec.signature_hex == run.signature.to_bytes(toy16).hex()
+
+
+def test_revised_flow_never_reuses_a_nonce_across_endorser_counts(toy16,
+                                                                   monkeypatch):
+    # endorser i keeps its key at every n while c changes with n, so one
+    # (sk, v) pair opened twice would give that endorser's key away
+    opened = []
+    real = schemes.open_sessions
+
+    def spy(*args, **kwargs):
+        sessions = real(*args, **kwargs)
+        opened.extend((s.key.sk, s.v) for s in sessions)
+        return sessions
+
+    monkeypatch.setattr(schemes, "open_sessions", spy)
+    for n in (2, 4):
+        assert run_revised_flow(toy16, n, PROPOSAL, seed=1729).accepted
+    assert opened[0][0] == opened[2][0]             # same key at both n
+    assert len(set(opened)) == len(opened)
 
 
 def test_both_flows_accept_a_single_endorser(toy16):

@@ -134,7 +134,7 @@ def test_derive_rng_streams_are_stable_and_independent():
 
 
 def test_op_counters(toy):
-    ops = OpCounter("test")
+    ops = OpCounter()
     before = toy.ops_total.snapshot()
     toy.exp(toy.g1, 5, ops=ops)
     toy.mul(2, 4, ops=ops)
@@ -143,8 +143,6 @@ def test_op_counters(toy):
     after = toy.ops_total.snapshot()
     assert after[0] - before[0] == 2
     assert after[1] - before[1] == 1
-    ops.reset()
-    assert ops.snapshot() == (0, 0)
 
 
 def test_span_meters_a_block(toy):
@@ -309,7 +307,7 @@ def test_wnaf5_digits_reconstruct_the_scalar():
 
 
 def test_curve_fast_exp_counts_once(curve):
-    ops = OpCounter("fast")
+    ops = OpCounter()
     x = curve.exp(curve.g1, 7, ops=ops)
     curve.exp(x, 9, ops=ops)
     assert ops.snapshot() == (2, 0)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -40,7 +41,7 @@ from multisig.schemes import (
     verify,
     write_signature,
 )
-from multisig.tree import SimSchedule, build_tree
+from multisig.tree import build_tree
 
 M = b"msg"
 
@@ -180,26 +181,28 @@ def test_all_schemes_verify_on_curve(curve):
     assert not cosi_verify(curve, g.agg_key, M, g.signature)
 
 
-def test_agms_online_zero_group_operations(toy):
+def test_agms_online_zero_group_operations(toy, node_spans):
     tree = build_tree(15, 2, 3)
     keys = derive_keys(toy, 15, 33)
+    spans = node_spans(toy)
     off = agms_offline(toy, tree, keys, seed=33)
     for sess in off.sessions:
-        assert sess.ops.exponentiations == 1   # exactly the commitment
+        assert spans.exponentiations(sess.node) == 1   # exactly the commitment
         assert sess.vc is not None
     before = toy.ops_total.snapshot()
     run = agms_online(toy, off, M)
     assert toy.ops_total.snapshot() == before  # nothing, anywhere
-    assert all(s.ops.exponentiations == 1 for s in run.sessions)
+    assert all(spans.exponentiations(s.node) == 1 for s in run.sessions)
     assert verify(toy, run.agg_key, M, run.signature)
 
 
-def test_gms_online_is_one_exp_per_signer(toy):
+def test_gms_online_is_one_exp_per_signer(toy, node_spans):
     tree = build_tree(7, 2, 3)
     keys = derive_keys(toy, 7, 3)
+    spans = node_spans(toy)
     run = gms_sign(toy, tree, keys, M, seed=5)
     assert run.attempts == 1
-    assert all(s.ops.exponentiations == 1 for s in run.sessions)
+    assert all(spans.exponentiations(s.node) == 1 for s in run.sessions)
 
 
 def test_verify_costs_three_exps(toy):
@@ -242,13 +245,22 @@ def test_message_absent_from_offline_hashes(toy):
     assert verify(toy, run.agg_key, m, run.signature)
 
 
-def test_schedules_do_not_change_signatures(toy):
+def test_schedules_do_not_change_signatures(toy, shuffled_levels):
     tree = build_tree(15, 2, 3)
     keys = derive_keys(toy, 15, 6)
-    base = gms_sign(toy, tree, keys, M, seed=6).signature
-    shuffled = gms_sign(toy, tree, keys, M, seed=6,
-                        schedule=SimSchedule(seed=1, shuffle=True)).signature
-    assert base == shuffled
+
+    def signatures(t):
+        off = agms_offline(toy, t, keys, seed=6)
+        return [gms_sign(toy, t, keys, M, seed=6).signature,
+                agms_online(toy, off, M).signature,
+                cosi_sign(toy, t, keys, M, seed=6).signature]
+
+    base = signatures(tree)
+    reversed_levels = replace(tree, levels=tuple(lv[::-1] for lv in tree.levels))
+    orders = [reversed_levels] + [shuffled_levels(tree, s) for s in range(3)]
+    for permuted in orders:
+        assert permuted.levels != tree.levels
+        assert signatures(permuted) == base
 
 
 def test_tamper_rejection(toy16):

@@ -5,7 +5,6 @@ import pytest
 from multisig.errors import CapacityExceeded, HandlerFailure
 from multisig.tree import (
     Phase,
-    SimSchedule,
     build_tree,
     capacity,
     min_branching,
@@ -135,16 +134,16 @@ def test_handler_failure_carries_node():
     assert exc.value.node == 4
 
 
-def test_shuffled_schedule_same_result_permuted_order():
+def test_shuffled_schedule_same_result_permuted_order(shuffled_levels):
     t = build_tree(7, 2, 3)
+    permuted = shuffled_levels(t, 5)
+    assert permuted.levels != t.levels
     plain = run_phase(t, Phase.COMMIT, _sum_up)
-    shuffled = run_phase(t, Phase.COMMIT, _sum_up,
-                         schedule=SimSchedule(seed=5, shuffle=True))
-    again = run_phase(t, Phase.COMMIT, _sum_up,
-                      schedule=SimSchedule(seed=5, shuffle=True))
+    shuffled = run_phase(permuted, Phase.COMMIT, _sum_up)
+    again = run_phase(permuted, Phase.COMMIT, _sum_up)
     assert shuffled.root_output == plain.root_output
     assert shuffled.outputs == plain.outputs
-    assert shuffled.messages == again.messages      # seeded => reproducible
+    assert shuffled.messages == again.messages      # same order => same transcript
     assert {(m.src, m.dst) for m in shuffled.messages} == {
         (m.src, m.dst) for m in plain.messages}
 

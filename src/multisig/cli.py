@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import os
 import secrets
@@ -55,6 +56,7 @@ from .schemes import (
     save_public_keys,
     save_secret_keys,
     verify,
+    write_file,
     write_signature,
 )
 from .tree import build_tree, min_branching, transcript_to_jsonl
@@ -115,24 +117,24 @@ def _comma_list(text: str, convert, flag: str) -> list:
     return items
 
 
-def _write_json(path, doc) -> None:
-    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+def _json_text(doc) -> str:
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 def _emit(out, data, note: str = "") -> None:
     """Write a JSON document (a dict) or CSV rows (a list) to ``out`` and
     say so, or print it when no ``--out`` was given."""
-    if out and isinstance(data, dict):
-        _write_json(out, data)
-    elif out:
-        with open(out, "w", newline="") as fh:
-            csv.writer(fh).writerows(data)
-    elif isinstance(data, dict):
-        print(json.dumps(data, sort_keys=True, indent=2))
+    if isinstance(data, dict):
+        text = _json_text(data)
     else:
-        csv.writer(sys.stdout).writerows(data)
+        buf = io.StringIO(newline="")
+        csv.writer(buf).writerows(data)
+        text = buf.getvalue()
     if out:
+        write_file(out, text)
         print(f"wrote {out}{note}")
+    else:
+        sys.stdout.write(text)
 
 
 # ── keygen ───────────────────────────────────────────────────────────────────
@@ -236,7 +238,7 @@ def cmd_simulate(args) -> int:
     if args.out:
         write_signature(args.out, par, sig)
     if args.transcript is not None:
-        Path(args.transcript).write_text(transcript_to_jsonl(messages))
+        write_file(args.transcript, transcript_to_jsonl(messages))
     if args.metrics:
         doc = {
             "schema": "multisig/metrics/v1",
@@ -255,7 +257,7 @@ def cmd_simulate(args) -> int:
         }
         if not reproducible:
             doc["timings"] = timings
-        _write_json(args.metrics, doc)
+        write_file(args.metrics, _json_text(doc))
     return 0 if ok else 1
 
 

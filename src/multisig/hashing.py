@@ -79,7 +79,7 @@ def _item_bytes(par, item) -> bytes:
 def serialize_items(par, tag: HashDomain, items: Iterable) -> bytes:
     out = [bytes([tag])]
     for item in items:
-        data = _item_bytes(par, item)
+        data = item if type(item) is bytes else _item_bytes(par, item)
         out.append(len(data).to_bytes(4, "big"))
         out.append(data)
     return b"".join(out)
@@ -111,11 +111,10 @@ def record_hash_inputs() -> Iterator[list[HashCall]]:
 
 def hash_to_scalar(par, tag: HashDomain, items: Iterable) -> int:
     """SHA-512(tag ‖ length-prefixed items) reduced into [0, q)."""
-    items = tuple(items)
-    payload = serialize_items(par, tag, items)
     if _trace_sinks:
+        items = tuple(items)
         call = HashCall(tag, tuple(_item_bytes(par, i) for i in items))
         for sink in _trace_sinks:
             sink.append(call)
-    digest = hashlib.sha512(payload).digest()
+    digest = hashlib.sha512(serialize_items(par, tag, items)).digest()
     return int.from_bytes(digest, "big") % par.q

@@ -81,6 +81,7 @@ __all__ = [
     "load_secret_keys",
     "write_signature",
     "read_signature",
+    "write_file",
 ]
 
 _MAX_RESTARTS = 64
@@ -188,7 +189,7 @@ def derive_keys(par: Group, n: int, seed) -> list[KeyPair]:
 
 # ── signing sessions and phase steps ────────────────────────────────────────
 
-@dataclass
+@dataclass(slots=True)
 class SigningSession:
     """Per-node state for one signature; nonces are strictly one-time."""
 
@@ -468,6 +469,17 @@ _KEYS_SCHEMA = "multisig/keys/v1"
 _SECRETS_SCHEMA = "multisig/secrets/v1"
 
 
+def write_file(path, data: bytes | str) -> None:
+    """Write ``data`` (text as UTF-8) to ``path``; an unwritable path is an
+    ``IoError``, like an unreadable one."""
+    if isinstance(data, str):
+        data = data.encode()
+    try:
+        Path(path).write_bytes(data)
+    except OSError as exc:
+        raise IoError(f"cannot write {path}: {exc}") from exc
+
+
 def save_public_keys(path, par: Group, keys) -> None:
     entries = []
     for k in keys:
@@ -478,7 +490,7 @@ def save_public_keys(path, par: Group, keys) -> None:
             entry["d"] = par.encode_scalar(pk.proof.d).hex()
         entries.append(entry)
     doc = {"schema": _KEYS_SCHEMA, "group": par.descriptor(), "keys": entries}
-    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    write_file(path, json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
 def save_secret_keys(path, par: Group, keys) -> None:
@@ -488,13 +500,13 @@ def save_secret_keys(path, par: Group, keys) -> None:
         "group": par.descriptor(),
         "sks": [par.encode_scalar(sk).hex() for sk in sks],
     }
-    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    write_file(path, json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
 def _load_doc(path, schema: str) -> dict:
     try:
         doc = json.loads(Path(path).read_text())
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # too deeply nested
         raise IoError(f"cannot read {path}: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("schema") != schema:
         raise IoError(f"{path} is not a {schema} file")
@@ -535,7 +547,7 @@ def load_secret_keys(path) -> tuple[Group, list[int]]:
 
 
 def write_signature(path, par: Group, sig: Signature) -> None:
-    Path(path).write_bytes(sig.to_bytes(par))
+    write_file(path, sig.to_bytes(par))
 
 
 def read_signature(path, par: Group) -> Signature:

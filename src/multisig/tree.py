@@ -8,7 +8,8 @@ parent).  One message crosses each edge per phase, so a 4-phase run over
 N nodes moves exactly 4*(N-1) messages.
 
 ``run_phase`` drives one phase given a per-node handler and records the
-full transcript.  Handlers are ordinary functions; any exception they
+full transcript as ``Message`` tuples (an immutable ``NamedTuple``: phase,
+src, dst, payload).  Handlers are ordinary functions; any exception they
 raise is wrapped in HandlerFailure tagged with the node id.  Handlers
 run one at a time, level by level, in the order ``Tree.levels`` lists
 them; a caller that wants another processing order passes a tree whose
@@ -20,6 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import CapacityExceeded, HandlerFailure
 
@@ -53,8 +55,7 @@ class Phase(Enum):
         self.direction = direction
 
 
-@dataclass(frozen=True)
-class Message:
+class Message(NamedTuple):
     phase: str
     src: int
     dst: int
@@ -138,15 +139,6 @@ class PhaseResult:
     root_output: bytes | None = None
 
 
-def _call(handler, node: int, arg):
-    try:
-        return handler(node, arg)
-    except HandlerFailure:
-        raise
-    except Exception as exc:  # noqa: BLE001 - deliberate wrap with node id
-        raise HandlerFailure(node, exc) from exc
-
-
 def run_phase(tree: Tree, phase: Phase, handler, *,
               root_input: bytes | None = None) -> PhaseResult:
     """Execute one phase over the tree.
@@ -157,25 +149,31 @@ def run_phase(tree: Tree, phase: Phase, handler, *,
     in ``PhaseResult.root_output``.
     """
     result = PhaseResult()
+    label, children, parent = phase.label, tree.children, tree.parent
+    messages, outputs = result.messages, result.outputs
     down = phase.direction is Direction.DOWN
     inbox: dict = {0: root_input}
     for level in tree.levels if down else reversed(tree.levels):
         for node in level:
+            arg = inbox[node] if down else [(ch, inbox[ch]) for ch in children[node]]
+            try:
+                out = handler(node, arg)
+            except HandlerFailure:
+                raise
+            except Exception as exc:  # noqa: BLE001 - deliberate wrap with node id
+                raise HandlerFailure(node, exc) from exc
             if down:
-                out = _call(handler, node, inbox[node])
-                for child in tree.children[node]:
+                for child in children[node]:
                     inbox[child] = out
-                    result.messages.append(Message(phase.label, node, child, out))
+                    messages.append(Message(label, node, child, out))
             else:
-                out = _call(handler, node,
-                            [(ch, inbox[ch]) for ch in tree.children[node]])
                 inbox[node] = out
-                p = tree.parent[node]
+                p = parent[node]
                 if p is None:
                     result.root_output = out
                 else:
-                    result.messages.append(Message(phase.label, node, p, out))
-            result.outputs[node] = out
+                    messages.append(Message(label, node, p, out))
+            outputs[node] = out
     return result
 
 

@@ -334,6 +334,27 @@ def test_missing_file_is_a_usage_error(tmp_path, capsys):
     assert "error:" in stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ("keygen", "--out"),
+    ("simulate", "--out"),
+    ("simulate", "--metrics"),
+    ("simulate", "--transcript"),
+    ("bench", "--schemes", "agms", "--signers-list", "3", "--reps", "1",
+     "--out"),
+    ("endorse", "--endorsers-list", "2", "--out"),
+    ("attack", "rogue", "--out"),
+])
+def test_unwritable_output_is_a_usage_error(tmp_path, argv):
+    # an output path in a missing directory used to end in a traceback and
+    # exit 1, the code for a failed verification
+    target = tmp_path / "missing" / "out"
+    proc = run_child(*argv, str(target), "--seed", "1")
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert f"cannot write {target}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not target.parent.exists()
+
+
 def test_bench_csv_schema(tmp_path, capsys):
     out = tmp_path / "bench.csv"
     code, _, _ = run(capsys, "bench", "--schemes", "gms,agms,cosi",

@@ -8,6 +8,7 @@ from multisig.hashing import (
     H1,
     H2,
     H3,
+    HashCall,
     HashDomain,
     hash_to_scalar,
     is_target_one_way,
@@ -92,3 +93,47 @@ def test_record_hash_inputs(toy):
     # sink detaches on exit
     hash_to_scalar(toy, H0, [b"after"])
     assert len(calls) == 2
+
+
+def _reference_payload(par, tag, items) -> bytes:
+    # the serialization rebuilt from the module docstring, not from the code
+    out = bytes([tag])
+    for item in items:
+        data = item if isinstance(item, bytes) else par.encode_scalar(item)
+        out += len(data).to_bytes(4, "big") + data
+    return out
+
+
+def _random_items(par, rng) -> list:
+    return [rng.randbytes(rng.randrange(0, 70)) if rng.random() < 0.6
+            else rng.randrange(par.q) for _ in range(rng.randrange(0, 5))]
+
+
+@pytest.mark.parametrize("backend", ["toy", "curve"])
+def test_matches_reference_over_random_items(backend, request):
+    par = request.getfixturevalue(backend)
+    rng = random.Random(2024)
+    for tag in HashDomain:
+        for _ in range(50):
+            items = _random_items(par, rng)
+            payload = _reference_payload(par, tag, items)
+            want = int.from_bytes(hashlib.sha512(payload).digest(), "big") % par.q
+            assert serialize_items(par, tag, items) == payload
+            assert hash_to_scalar(par, tag, items) == want
+            assert hash_to_scalar(par, tag, iter(items)) == want
+
+
+@pytest.mark.parametrize("backend", ["toy", "curve"])
+def test_recorded_calls_match_reference(backend, request):
+    par = request.getfixturevalue(backend)
+    rng = random.Random(2025)
+    cases = [(tag, _random_items(par, rng)) for tag in HashDomain
+             for _ in range(25)]
+    plain = [hash_to_scalar(par, tag, items) for tag, items in cases]
+    with record_hash_inputs() as calls:
+        traced = [hash_to_scalar(par, tag, iter(items)) for tag, items in cases]
+    assert traced == plain
+    assert calls == [
+        HashCall(tag, tuple(i if isinstance(i, bytes) else par.encode_scalar(i)
+                            for i in items))
+        for tag, items in cases]

@@ -1,9 +1,13 @@
+import hashlib
 import json
 
 import pytest
 
+from multisig import schemes
 from multisig.errors import CapacityExceeded, HandlerFailure
+from multisig.group import toy_group_for_order
 from multisig.tree import (
+    Message,
     Phase,
     build_tree,
     capacity,
@@ -132,6 +136,46 @@ def test_handler_failure_carries_node():
     with pytest.raises(HandlerFailure) as exc:
         run_phase(t, Phase.ANNOUNCE, bad, root_input=b"x")
     assert exc.value.node == 4
+
+
+def test_handler_failure_carries_node_in_up_phase():
+    t = build_tree(7, 2, 3)
+
+    def bad(node, child_payloads):
+        if node == 2:
+            raise ValueError("boom")
+        return b"u"
+
+    with pytest.raises(HandlerFailure) as exc:
+        run_phase(t, Phase.RESPOND, bad)
+    assert exc.value.node == 2
+    assert isinstance(exc.value.cause, ValueError)
+
+
+def test_message_is_immutable():
+    m = Message("commit", 1, 0, b"p")
+    assert (m.phase, m.src, m.dst, m.payload) == ("commit", 1, 0, b"p")
+    for field in ("phase", "src", "dst", "payload"):
+        with pytest.raises(AttributeError):
+            setattr(m, field, None)
+    with pytest.raises(AttributeError):
+        m.extra = 1
+
+
+def test_agms_transcript_at_scale_is_pinned():
+    # one seeded AGMS run at N = 511, b = 8: every message, in order and
+    # byte for byte, as the engine produced it before it was slimmed down
+    par = toy_group_for_order(1048573)
+    tree = build_tree(511, 8, 3)
+    keys = schemes.derive_keys(par, 511, 9)
+    off = schemes.agms_offline(par, tree, keys, seed=9)
+    run = schemes.agms_online(par, off, b"pin the engine at scale")
+    messages = off.messages + run.messages
+    assert len(messages) == 4 * 510
+    assert (run.signature.c, run.signature.s) == (324062, 679561)
+    digest = hashlib.sha256(transcript_to_jsonl(messages).encode()).hexdigest()
+    assert digest == ("d019237fd84e62173f249238e6d870341a2e5c44"
+                      "0a3491590fa0f353dd48e7da")
 
 
 def test_shuffled_schedule_same_result_permuted_order(shuffled_levels):

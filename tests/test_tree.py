@@ -164,7 +164,7 @@ def test_message_is_immutable():
 
 def test_agms_transcript_at_scale_is_pinned():
     # one seeded AGMS run at N = 511, b = 8: every message, in order and
-    # byte for byte, as the engine produced it before it was slimmed down
+    # byte for byte, so a faster engine cannot change what goes on the wire
     par = toy_group_for_order(1048573)
     tree = build_tree(511, 8, 3)
     keys = schemes.derive_keys(par, 511, 9)

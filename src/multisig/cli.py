@@ -30,7 +30,7 @@ from pathlib import Path
 
 from . import gamma
 from .attacks import ksum_forgery_attack, rogue_key_attack
-from .endorsement import FlowComparison, run_default_flow, run_revised_flow
+from .endorsement import csv_rows, run_flows
 from .errors import (
     BackendRefused,
     BadLength,
@@ -121,9 +121,10 @@ def _json_text(doc) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def _emit(out, data, note: str = "") -> None:
-    """Write a JSON document (a dict) or CSV rows (a list) to ``out`` and
-    say so, or print it when no ``--out`` was given."""
+def _emit(out, data, note: str = "", report=()) -> None:
+    """Write a JSON document (a dict) or CSV rows (a list) to ``out``, then
+    print the ``report`` lines and say so; with no ``--out``, print the
+    report lines and then the data."""
     if isinstance(data, dict):
         text = _json_text(data)
     else:
@@ -132,9 +133,27 @@ def _emit(out, data, note: str = "") -> None:
         text = buf.getvalue()
     if out:
         write_file(out, text)
+    for line in report:
+        print(line)
+    if out:
         print(f"wrote {out}{note}")
     else:
         sys.stdout.write(text)
+
+
+def _write_all(writes) -> None:
+    """Call ``write(path)`` for every ``(path, write)`` pair.  When one path
+    is unwritable, remove the files written before it and re-raise, so a
+    command that fails on its outputs leaves none of them behind."""
+    done = []
+    try:
+        for path, write in writes:
+            write(path)
+            done.append(path)
+    except IoError:
+        for path in done:
+            Path(path).unlink(missing_ok=True)
+        raise
 
 
 # ── keygen ───────────────────────────────────────────────────────────────────
@@ -145,9 +164,9 @@ def cmd_keygen(args) -> int:
     par = _resolve_group(args)
     seed, _ = _resolve_seed(args)
     keys = derive_keys(par, args.count, seed)
-    save_public_keys(args.out, par, keys)
     secret = _secret_path(args.out)
-    save_secret_keys(secret, par, keys)
+    _write_all([(args.out, lambda p: save_public_keys(p, par, keys)),
+                (secret, lambda p: save_secret_keys(p, par, keys))])
     print(f"wrote {args.out} ({args.count} public keys, backend {par.group_id})")
     print(f"wrote {secret}")
     return 0
@@ -225,20 +244,12 @@ def cmd_simulate(args) -> int:
                for phase, sp in spans.items()}
 
     sig_hex = sig.to_bytes(par).hex()
-    print(f"scheme={args.scheme} backend={par.group_id} signers={args.signers}")
-    print(f"attempts={attempts} messages={len(messages)}")
-    print(f"signature={sig_hex}")
-    for phase, n in exps.items():
-        print(f"exp[{phase}]={n}")
-    if not reproducible:
-        for name, ns in timings.items():
-            print(f"{name}={ns}")
-    print(f"verified={'true' if ok else 'false'}")
-
+    writes = []
     if args.out:
-        write_signature(args.out, par, sig)
+        writes.append((args.out, lambda p: write_signature(p, par, sig)))
     if args.transcript is not None:
-        write_file(args.transcript, transcript_to_jsonl(messages))
+        writes.append((args.transcript,
+                       lambda p: write_file(p, transcript_to_jsonl(messages))))
     if args.metrics:
         doc = {
             "schema": "multisig/metrics/v1",
@@ -257,7 +268,18 @@ def cmd_simulate(args) -> int:
         }
         if not reproducible:
             doc["timings"] = timings
-        write_file(args.metrics, _json_text(doc))
+        writes.append((args.metrics, lambda p: write_file(p, _json_text(doc))))
+    _write_all(writes)
+
+    print(f"scheme={args.scheme} backend={par.group_id} signers={args.signers}")
+    print(f"attempts={attempts} messages={len(messages)}")
+    print(f"signature={sig_hex}")
+    for phase, n in exps.items():
+        print(f"exp[{phase}]={n}")
+    if not reproducible:
+        for name, ns in timings.items():
+            print(f"{name}={ns}")
+    print(f"verified={'true' if ok else 'false'}")
     return 0 if ok else 1
 
 
@@ -364,7 +386,8 @@ def cmd_attack(args) -> int:
         report = ksum_forgery_attack(par, target=args.target, k=args.k,
                                      n_honest=args.n_honest,
                                      list_size=args.list_size,
-                                     retries=args.retries, seed=seed)
+                                     retries=args.retries, seed=seed,
+                                     message=args.message.encode())
         doc = report.to_json_dict(par)
         if args.target == "cosi":
             expectation_met = report.successes >= 1
@@ -386,27 +409,21 @@ def cmd_endorse(args) -> int:
     if not reproducible:  # one fixed seed would sign every message on one nonce
         seed = secrets.token_hex(16)
     n_list = _comma_list(args.endorsers_list, int, "--endorsers-list")
-    proposal = args.message.encode()
-    records = []
-    for n in n_list:
-        if args.flow in ("both", "revised"):
-            records.append(run_revised_flow(par, n, proposal, seed=seed,
-                                            depth=args.depth))
-        if args.flow in ("both", "default"):
-            records.append(run_default_flow(par, n, proposal, seed=seed))
-    comparison = FlowComparison(records)
-
-    for rec in records:
-        print(f"{rec.flow} n={rec.n_endorsers}: "
+    flows = ("revised", "default") if args.flow == "both" else (args.flow,)
+    records = run_flows(par, n_list, args.message.encode(), seed=seed,
+                        depth=args.depth, flows=flows)
+    report = [f"{rec.flow} n={rec.n_endorsers}: "
               f"step7_verify_calls={rec.step7_verify_calls()} "
               f"signature_bytes={rec.signature_bytes} "
-              f"accepted={'true' if rec.accepted else 'false'}")
-
+              f"accepted={'true' if rec.accepted else 'false'}"
+              for rec in records]
     if args.format == "json":
-        _emit(args.out, comparison.to_json_dict(include_timing=not reproducible))
+        _emit(args.out, {"schema": "multisig/endorsement/v1",
+                         "records": [r.to_json_dict(not reproducible)
+                                     for r in records]}, report=report)
     else:
-        rows = comparison.csv_rows(include_timing=not reproducible)
-        _emit(args.out, rows, f" ({len(rows) - 1} rows)")
+        rows = csv_rows(records, include_timing=not reproducible)
+        _emit(args.out, rows, f" ({len(rows) - 1} rows)", report)
     return 0 if all(r.accepted for r in records) else 1
 
 

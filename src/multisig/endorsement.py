@@ -14,11 +14,11 @@ default   Every endorser signs individually (single-signer scheme standing
           in for certificate-based signatures); endorsement material and
           validation work both grow linearly in the endorser count.
 
-Keys enter a registry before any flow runs: the revised registry admits a
-key only when its possession proof verifies; the default registry mirrors
-a classic CA and stores what it is given.  Each timed step runs inside
-one ``Group.span()``, so its wall time and exponentiation count come from
-the backend's counters and measure the code the protocols actually run.
+The revised flow first checks the possession proof of every endorser key
+and of the client key.  Both flows share step 3's chaincode loop and
+steps 6–7 (ordering, validation).  Each timed step runs inside one
+``Group.span()``, so its wall time and exponentiation count come from the
+backend's counters and measure the code the protocols actually run.
 """
 
 from __future__ import annotations
@@ -42,12 +42,11 @@ from .tree import build_tree, min_branching
 __all__ = [
     "StepMetrics",
     "TransactionRecord",
-    "KeyRegistry",
     "chaincode_stub",
     "run_revised_flow",
     "run_default_flow",
-    "FlowComparison",
-    "compare_flows",
+    "run_flows",
+    "csv_rows",
     "CSV_HEADER",
 ]
 
@@ -98,33 +97,6 @@ class TransactionRecord:
         }
 
 
-class KeyRegistry:
-    """Membership authority for public keys.
-
-    ``require_proof=True`` is the revised discipline: a key is admitted
-    only if its possession proof checks out.  ``require_proof=False``
-    mirrors a legacy registry that records whatever it is handed.
-    """
-
-    def __init__(self, par: Group, require_proof: bool = True):
-        self.par = par
-        self.require_proof = require_proof
-        self._members: set[bytes] = set()
-
-    def register(self, pk) -> bool:
-        y = pk.y if hasattr(pk, "y") else pk
-        if self.require_proof:
-            public = pk.public if hasattr(pk, "public") else pk
-            if not key_verify(self.par, public):
-                return False
-        self._members.add(self.par.encode_element(y))
-        return True
-
-    def is_registered(self, pk) -> bool:
-        y = pk.y if hasattr(pk, "y") else pk
-        return self.par.encode_element(y) in self._members
-
-
 def chaincode_stub(proposal: bytes) -> bytes:
     """Stand-in for chaincode execution: a deterministic read/write set."""
     return hashlib.sha256(b"rwset|" + proposal).digest()
@@ -134,26 +106,53 @@ def _payload_bytes(messages) -> int:
     return sum(len(m.payload) for m in messages)
 
 
+def _execute(n_endorsers: int, proposal: bytes, failing_endorsers) -> None:
+    """Step 3 before anyone signs: an endorser in ``failing_endorsers``
+    refuses, which fails the AND policy; every other runs the chaincode."""
+    failing = set(failing_endorsers)
+    for i in range(n_endorsers):
+        if i in failing:
+            raise PolicyUnsatisfied(
+                f"endorser {i} refused; AND policy needs all {n_endorsers}")
+        chaincode_stub(proposal)
+
+
+def _order_and_validate(par: Group, rec: TransactionRecord, proposal: bytes,
+                        endorsement: bytes, tamper_block: bool, validate,
+                        verify_calls: int) -> TransactionRecord:
+    """Steps 6–7: order ``proposal ‖ endorsement`` into a block, optionally
+    flip its first payload byte, split it again and record whether
+    ``validate(message, endorsement)`` accepts it."""
+    with par.span() as sp:
+        block = b"block|" + proposal + endorsement
+    rec.steps.append(StepMetrics(6, "order", sp.wall_ns, sp.exponentiations,
+                                 0, len(block)))
+    if tamper_block:
+        block = block[:6] + bytes([block[6] ^ 0x01]) + block[7:]
+    cut = len(block) - len(endorsement)
+    with par.span() as sp:
+        ok = validate(block[len(b"block|"):cut], block[cut:])
+    rec.steps.append(StepMetrics(7, "validate", sp.wall_ns, sp.exponentiations,
+                                 verify_calls, len(block)))
+    rec.accepted = ok
+    return rec
+
+
 def run_revised_flow(par: Group, n_endorsers: int, proposal: bytes, *, seed=0,
-                     branching: int | None = None, depth: int = 3,
-                     tamper_block: bool = False,
+                     depth: int = 3, tamper_block: bool = False,
                      failing_endorsers=()) -> TransactionRecord:
     """Aggregated endorsement: offline sync, zero-exponentiation endorsing,
     one constant-size signature through ordering and validation."""
-    if branching is None:
-        branching = min_branching(n_endorsers, depth)
-    tree = build_tree(n_endorsers, branching, depth)
+    tree = build_tree(n_endorsers, min_branching(n_endorsers, depth), depth)
     endorser_keys = derive_keys(par, n_endorsers, f"{seed}|endorser")
     client_key = derive_keys(par, 1, f"{seed}|client")[0]
-    registry = KeyRegistry(par, require_proof=True)
-    for k in endorser_keys:
-        if not registry.register(k):
-            raise PolicyUnsatisfied("endorser key failed possession check")
-    if not registry.register(client_key):
+    if not all(key_verify(par, k.public) for k in endorser_keys):
+        raise PolicyUnsatisfied("endorser key failed possession check")
+    if not key_verify(par, client_key.public):
         raise InvalidClient("client key failed possession check")
 
-    rec = TransactionRecord("revised", n_endorsers,
-                            signature_bytes=2 * par.scalar_len, accepted=False)
+    rec = TransactionRecord("revised", n_endorsers, 2 * par.scalar_len,
+                            accepted=False)
 
     # Step 1 — synchronization: commitment + key aggregation, challenge out.
     # The nonce seed names n: endorser i keeps its key at every n, and the
@@ -170,18 +169,9 @@ def run_revised_flow(par: Group, n_endorsers: int, proposal: bytes, *, seed=0,
     rec.steps.append(StepMetrics(2, "proposal", sp.wall_ns, sp.exponentiations,
                                  0, len(proposal) + _payload_bytes(msgs)))
 
-    # Step 3 — endorse: check the client, run chaincode, release responses.
+    # Step 3 — endorse: run chaincode, release responses.
     with par.span() as sp:
-        failing = set(failing_endorsers)
-        for sess in offline.sessions:
-            if sess.node in failing:
-                raise PolicyUnsatisfied(
-                    f"endorser {sess.node} refused; AND policy needs all "
-                    f"{n_endorsers}"
-                )
-            if not registry.is_registered(client_key):
-                raise InvalidClient("unknown client")
-            chaincode_stub(proposal)
+        _execute(n_endorsers, proposal, failing_endorsers)
         s_value, msgs = respond(par, tree, offline.sessions)
     rec.steps.append(StepMetrics(3, "endorse", sp.wall_ns, sp.exponentiations,
                                  0, _payload_bytes(msgs)))
@@ -197,30 +187,15 @@ def run_revised_flow(par: Group, n_endorsers: int, proposal: bytes, *, seed=0,
         ok = verify(par, offline.agg_key, proposal, signature)
     if not ok:
         raise PolicyUnsatisfied("joint endorsement failed client-side check")
-    tx = proposal + sig_bytes
     rec.steps.append(StepMetrics(5, "submit", sp.wall_ns, sp.exponentiations,
-                                 1, len(tx)))
+                                 1, len(proposal) + len(sig_bytes)))
 
-    # Step 6 — ordering: the transaction is placed into a block.
-    with par.span() as sp:
-        block = b"block|" + tx
-    rec.steps.append(StepMetrics(6, "order", sp.wall_ns, sp.exponentiations,
-                                 0, len(block)))
+    # Steps 6–7 — validation: one verification regardless of endorser count.
+    def validate(m, sig):
+        return verify(par, offline.agg_key, m, gamma.Signature.from_bytes(par, sig))
 
-    if tamper_block:
-        # flip the first payload byte after the block header
-        block = block[:6] + bytes([block[6] ^ 0x01]) + block[7:]
-
-    # Step 7 — validation: one verification regardless of endorser count.
-    body = block[len(b"block|"):]
-    m7, sig7 = body[: -len(sig_bytes)], body[-len(sig_bytes):]
-    with par.span() as sp:
-        ok = verify(par, offline.agg_key, m7,
-                    gamma.Signature.from_bytes(par, sig7))
-    rec.steps.append(StepMetrics(7, "validate", sp.wall_ns, sp.exponentiations,
-                                 1, len(block)))
-    rec.accepted = ok
-    return rec
+    return _order_and_validate(par, rec, proposal, sig_bytes, tamper_block,
+                               validate, 1)
 
 
 def run_default_flow(par: Group, n_endorsers: int, proposal: bytes, *, seed=0,
@@ -233,35 +208,22 @@ def run_default_flow(par: Group, n_endorsers: int, proposal: bytes, *, seed=0,
         gamma.keygen(par, derive_rng(seed, "default-endorser", i))
         for i in range(n_endorsers)
     ]
-    client_key = gamma.keygen(par, derive_rng(seed, "default-client"))
-    registry = KeyRegistry(par, require_proof=False)
-    for k in endorser_keys:
-        registry.register(k)
-    registry.register(client_key)
-
     sig_len = 2 * par.scalar_len
-    rec = TransactionRecord("default", n_endorsers,
-                            signature_bytes=n_endorsers * sig_len,
+    rec = TransactionRecord("default", n_endorsers, n_endorsers * sig_len,
                             accepted=False)
 
     # Step 2 — proposal goes to every endorser individually.
     rec.steps.append(StepMetrics(2, "proposal", 0, 0, 0,
                                  n_endorsers * len(proposal)))
 
-    # Step 3 — each endorser checks the client, runs chaincode, signs.
+    # Step 3 — each endorser runs chaincode and signs.
     with par.span() as sp:
-        failing = set(failing_endorsers)
-        sigs = []
-        for i, key in enumerate(endorser_keys):
-            if i in failing:
-                raise PolicyUnsatisfied(
-                    f"endorser {i} refused; AND policy needs all {n_endorsers}"
-                )
-            if not registry.is_registered(client_key):
-                raise InvalidClient("unknown client")
-            chaincode_stub(proposal)
-            nonce = gamma.precompute(par, key, derive_rng(seed, "nonce", i))
-            sigs.append(gamma.sign_online(par, key, nonce, proposal))
+        _execute(n_endorsers, proposal, failing_endorsers)
+        sigs = [
+            gamma.sign_online(par, key, gamma.precompute(
+                par, key, derive_rng(seed, "nonce", i)), proposal)
+            for i, key in enumerate(endorser_keys)
+        ]
     rec.steps.append(StepMetrics(3, "endorse", sp.wall_ns, sp.exponentiations,
                                  0, 0))
 
@@ -276,63 +238,36 @@ def run_default_flow(par: Group, n_endorsers: int, proposal: bytes, *, seed=0,
     # Step 5 — submit proposal plus the whole endorsement set.
     sig_blob = b"".join(sig.to_bytes(par) for sig in sigs)
     rec.signature_hex = sig_blob.hex()
-    tx = proposal + sig_blob
-    rec.steps.append(StepMetrics(5, "submit", 0, 0, 0, len(tx)))
+    rec.steps.append(StepMetrics(5, "submit", 0, 0, 0,
+                                 len(proposal) + len(sig_blob)))
 
-    # Step 6 — ordering.
-    block = b"block|" + tx
-    rec.steps.append(StepMetrics(6, "order", 0, 0, 0, len(block)))
+    # Steps 6–7 — validation re-verifies every endorser's signature, even
+    # after one has failed.
+    def validate(m, blob):
+        return all([
+            gamma.verify(par, key.y, m, gamma.Signature.from_bytes(
+                par, blob[i * sig_len:(i + 1) * sig_len]))
+            for i, key in enumerate(endorser_keys)
+        ])
 
-    if tamper_block:
-        block = block[:6] + bytes([block[6] ^ 0x01]) + block[7:]
-
-    # Step 7 — validation re-verifies every endorser's signature.
-    body = block[len(b"block|"):]
-    m7, blob7 = body[: -len(sig_blob)], body[-len(sig_blob):]
-
-    with par.span() as sp:
-        ok = True
-        for i, key in enumerate(endorser_keys):
-            chunk = blob7[i * sig_len: (i + 1) * sig_len]
-            ok &= gamma.verify(par, key.y, m7,
-                               gamma.Signature.from_bytes(par, chunk))
-    rec.steps.append(StepMetrics(7, "validate", sp.wall_ns, sp.exponentiations,
-                                 n_endorsers, len(block)))
-    rec.accepted = ok
-    return rec
+    return _order_and_validate(par, rec, proposal, sig_blob, tamper_block,
+                               validate, n_endorsers)
 
 
-@dataclass
-class FlowComparison:
-    records: list
-
-    def csv_rows(self, include_timing: bool = True) -> list:
-        rows = [list(CSV_HEADER)]
-        for rec in self.records:
-            for s in rec.steps:
-                rows.append([
-                    rec.flow,
-                    rec.n_endorsers,
-                    s.step,
-                    s.wall_ns if include_timing else "",
-                    s.exp_count,
-                    s.verify_calls,
-                    s.bytes_moved,
-                ])
-        return rows
-
-    def to_json_dict(self, include_timing: bool = True) -> dict:
-        return {
-            "schema": "multisig/endorsement/v1",
-            "records": [r.to_json_dict(include_timing) for r in self.records],
-        }
+def run_flows(par: Group, n_list, proposal: bytes, *, seed=0, depth: int = 3,
+              flows=("revised", "default")) -> list:
+    """One record per flow in ``flows`` (in that order) at every endorser
+    count in ``n_list``."""
+    return [run_revised_flow(par, n, proposal, seed=seed, depth=depth)
+            if flow == "revised" else run_default_flow(par, n, proposal, seed=seed)
+            for n in n_list for flow in flows]
 
 
-def compare_flows(par: Group, n_list, proposal: bytes, *, seed=0,
-                  depth: int = 3) -> FlowComparison:
-    """Both flows at every endorser count: 2*len(n_list) records."""
-    records = []
-    for n in n_list:
-        records.append(run_revised_flow(par, n, proposal, seed=seed, depth=depth))
-        records.append(run_default_flow(par, n, proposal, seed=seed))
-    return FlowComparison(records)
+def csv_rows(records, include_timing: bool = True) -> list:
+    """``CSV_HEADER`` plus one row per step of every record."""
+    return [list(CSV_HEADER)] + [
+        [rec.flow, rec.n_endorsers, s.step,
+         s.wall_ns if include_timing else "", s.exp_count, s.verify_calls,
+         s.bytes_moved]
+        for rec in records for s in rec.steps
+    ]

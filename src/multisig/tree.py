@@ -134,7 +134,6 @@ def build_tree(n: int, branching: int, max_depth: int = 3) -> Tree:
 
 @dataclass
 class PhaseResult:
-    outputs: dict = field(default_factory=dict)  # node id -> handler output
     messages: list = field(default_factory=list)
     root_output: bytes | None = None
 
@@ -150,7 +149,7 @@ def run_phase(tree: Tree, phase: Phase, handler, *,
     """
     result = PhaseResult()
     label, children, parent = phase.label, tree.children, tree.parent
-    messages, outputs = result.messages, result.outputs
+    messages = result.messages
     down = phase.direction is Direction.DOWN
     inbox: dict = {0: root_input}
     for level in tree.levels if down else reversed(tree.levels):
@@ -173,7 +172,6 @@ def run_phase(tree: Tree, phase: Phase, handler, *,
                     result.root_output = out
                 else:
                     messages.append(Message(label, node, p, out))
-            outputs[node] = out
     return result
 
 

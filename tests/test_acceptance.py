@@ -11,7 +11,7 @@ import time
 from multisig import gamma
 from multisig.attacks import ksum_forgery_attack, rogue_key_attack
 from multisig.cli import main
-from multisig.endorsement import compare_flows
+from multisig.endorsement import run_flows
 from multisig.group import derive_rng
 from multisig.schemes import (
     KeyProof,
@@ -168,10 +168,10 @@ def test_c06_concurrent_session_forgery(toy16, acceptance):
 
 def test_c07_endorsement_scaling(toy16, acceptance):
     n_list = [2, 4, 8, 16, 32]
-    cmp = compare_flows(toy16, n_list, b"proposal", seed=3)
+    records = run_flows(toy16, n_list, b"proposal", seed=3)
     single = 2 * toy16.scalar_len
     checks = []
-    for rec in cmp.records:
+    for rec in records:
         checks.append(rec.accepted)
         if rec.flow == "revised":
             checks.append(rec.step7_verify_calls() == 1)

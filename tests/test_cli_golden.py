@@ -38,6 +38,11 @@ CASES = {
                   "3,7", "--reps", "2", *_TOY, "--out", "bench.csv"),
     "endorse_csv": ("endorse", "--endorsers-list", "2,4", "--toy-q", "65521",
                     "--seed", "5", "--out", "endorse.csv"),
+    "endorse_json": ("endorse", "--endorsers-list", "2,4", "--toy-q", "65521",
+                     "--seed", "5", "--format", "json", "--out", "endorse.json"),
+    **{f"endorse_flow_{flow}": ("endorse", "--flow", flow, "--endorsers-list",
+                                "1,3", "--toy-q", "65521", "--seed", "5")
+       for flow in ("revised", "default")},
 }
 
 

@@ -3,10 +3,10 @@ import pytest
 from multisig import schemes
 from multisig.endorsement import (
     CSV_HEADER,
-    KeyRegistry,
     chaincode_stub,
-    compare_flows,
+    csv_rows,
     run_default_flow,
+    run_flows,
     run_revised_flow,
 )
 from multisig.errors import InvalidClient, PolicyUnsatisfied
@@ -16,24 +16,30 @@ from multisig.schemes import (
     agms_online,
     bare_keygen,
     derive_keys,
-    keygen,
 )
 from multisig.tree import build_tree, min_branching
 
 PROPOSAL = b"invoke:transfer(a,b,10)"
 
 
-def test_registry_demands_possession_proofs(toy16):
-    strict = KeyRegistry(toy16, require_proof=True)
-    lax = KeyRegistry(toy16, require_proof=False)
-    proper = keygen(toy16, derive_rng(0, "key", 0))
-    bare = bare_keygen(toy16, derive_rng(0, "key", 1))
-    assert strict.register(proper)
-    assert not strict.register(bare)
-    assert lax.register(bare)
-    assert strict.is_registered(proper)
-    assert not strict.is_registered(bare)
-    assert lax.is_registered(bare.y)
+def _swap_in_bare_key(monkeypatch, role):
+    # the flow derives the keys of ``role`` ("endorser" or "client") with
+    # the last one stripped of its possession proof
+    import multisig.endorsement as endorsement
+
+    def fake_derive(par, n, seed):
+        keys = derive_keys(par, n, seed)
+        if str(seed).endswith(f"|{role}"):
+            keys[-1] = bare_keygen(par, derive_rng(99, "x"))
+        return keys
+
+    monkeypatch.setattr(endorsement, "derive_keys", fake_derive)
+
+
+def test_revised_flow_refuses_endorser_key_without_proof(toy16, monkeypatch):
+    _swap_in_bare_key(monkeypatch, "endorser")
+    with pytest.raises(PolicyUnsatisfied, match="possession"):
+        run_revised_flow(toy16, 3, PROPOSAL)
 
 
 def test_chaincode_stub_is_deterministic():
@@ -77,9 +83,6 @@ def test_flows_reject_impossible_endorser_sets(toy16):
             run_default_flow(toy16, n, PROPOSAL)
         with pytest.raises(ValueError):
             run_revised_flow(toy16, n, PROPOSAL)
-    # 0 is a fan-out, not "use the default"
-    with pytest.raises(ValueError):
-        run_revised_flow(toy16, 3, PROPOSAL, branching=0)
 
 
 def test_tampered_blocks_are_rejected(toy16):
@@ -97,34 +100,25 @@ def test_and_policy_needs_every_endorser(toy16):
 
 
 def test_unregistered_client_is_refused(toy16, monkeypatch):
-    import multisig.endorsement as endorsement
-
-    real = derive_keys
-
-    def fake_derive(par, n, seed):
-        keys = real(par, n, seed)
-        if str(seed).endswith("|client"):
-            return [bare_keygen(par, derive_rng(99, "x"))]
-        return keys
-
-    monkeypatch.setattr(endorsement, "derive_keys", fake_derive)
+    _swap_in_bare_key(monkeypatch, "client")
     with pytest.raises(InvalidClient):
         run_revised_flow(toy16, 2, PROPOSAL)
 
 
-def test_compare_flows_tabulates_both(toy16):
-    cmp = compare_flows(toy16, [2, 4], PROPOSAL, seed=3)
-    assert len(cmp.records) == 4
-    assert [r.flow for r in cmp.records] == ["revised", "default"] * 2
-    rows = cmp.csv_rows()
+def test_run_flows_tabulates_both(toy16):
+    records = run_flows(toy16, [2, 4], PROPOSAL, seed=3)
+    assert [r.flow for r in records] == ["revised", "default"] * 2
+    assert [r.n_endorsers for r in records] == [2, 2, 4, 4]
+    rows = csv_rows(records)
     assert rows[0] == CSV_HEADER
     assert len(rows) == 1 + 2 * 7 + 2 * 6
-    blanked = cmp.csv_rows(include_timing=False)
+    blanked = csv_rows(records, include_timing=False)
     assert all(r[3] == "" for r in blanked[1:])
-    doc = cmp.to_json_dict(include_timing=False)
-    assert doc["schema"] == "multisig/endorsement/v1"
-    assert all(s["wall_ns"] is None
-               for r in doc["records"] for s in r["steps"])
+    assert all(s["wall_ns"] is None for r in records
+               for s in r.to_json_dict(include_timing=False)["steps"])
+    only = run_flows(toy16, [2, 4], PROPOSAL, seed=3, flows=("default",))
+    assert [(r.flow, r.signature_hex) for r in only] == [
+        (r.flow, r.signature_hex) for r in records[1::2]]
 
 
 def test_revised_flow_is_plain_aggregation_underneath(toy16):
@@ -164,14 +158,14 @@ def test_both_flows_accept_a_single_endorser(toy16):
 
 
 def test_submit_to_validate_work_is_flat_for_revised(toy16):
-    cmp = compare_flows(toy16, [2, 4, 8, 16], PROPOSAL, seed=7)
+    records = run_flows(toy16, [2, 4, 8, 16], PROPOSAL, seed=7)
 
     def late_steps(rec):
         return [(s.exp_count, s.verify_calls) for s in rec.steps if s.step >= 5]
 
-    revised = [late_steps(r) for r in cmp.records if r.flow == "revised"]
+    revised = [late_steps(r) for r in records if r.flow == "revised"]
     assert all(steps == revised[0] for steps in revised)
-    for rec in cmp.records:
+    for rec in records:
         if rec.flow == "default":
             assert rec.step7_verify_calls() == rec.n_endorsers
 

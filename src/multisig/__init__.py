@@ -4,7 +4,7 @@ The package provides:
 
 * ``group`` — interchangeable prime-order group backends (toy subgroup of
   Z_p^*, pure-python secp256k1) with exponentiation counting;
-* ``hashing`` — four domain-separated hashes to scalars plus a trace hook;
+* ``hashing`` — four domain-separated hashes to scalars;
 * ``gamma`` — the single-signer scheme whose challenge precomputes;
 * ``tree`` — signer-tree topology and phase-by-phase message simulation;
 * ``schemes`` — GMS / AGMS multi-signatures with possession proofs, a
@@ -45,7 +45,7 @@ from .group import (
     toy_group,
     toy_group_for_order,
 )
-from .hashing import H0, H1, H2, H3, hash_to_scalar, record_hash_inputs
+from .hashing import H0, H1, H2, H3, hash_to_scalar
 from .schemes import (
     AggregateKey,
     KeyPair,

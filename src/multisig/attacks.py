@@ -304,13 +304,17 @@ def _grind_session_list(par, rng, V_sess, target, x_forge, s_l, message):
     return vals, announced
 
 
-def _grind_target_list(par, V_bar, target, x_forge, s_l, forged_prefix):
+# the forged messages are this prefix, "#" and a counter
+_FORGED_PREFIX = b"pay the attacker everything"
+
+
+def _grind_target_list(par, V_bar, target, x_forge, s_l):
     """Forged-message candidates: target challenges c* = H0(...) negated so
     the solver's zero-sum means sum(c_j) == c* mod q."""
     vals, msgs = [], []
     u = 0
     while len(vals) < s_l:
-        m_star = forged_prefix + b"#" + str(u).encode()
+        m_star = _FORGED_PREFIX + b"#" + str(u).encode()
         u += 1
         c = challenge_hash(par, target, V_bar, x_forge, m_star)
         if c == 0:
@@ -323,8 +327,7 @@ def _grind_target_list(par, V_bar, target, x_forge, s_l, forged_prefix):
 def ksum_forgery_attack(par: Group, *, target: str = "cosi", k: int = 4,
                         n_honest: int = 3, list_size: int | None = None,
                         retries: int = 8, seed=0,
-                        message: bytes = b"pay the usual 1",
-                        forged_prefix: bytes = b"pay the attacker everything",
+                        message: bytes = b"pay the usual 1"
                         ) -> KSumAttackReport:
     """Run the concurrent-session forgery end to end against honest signers.
 
@@ -385,9 +388,7 @@ def ksum_forgery_attack(par: Group, *, target: str = "cosi", k: int = 4,
             )
             lists.append(tuple(vals))
             announced.append(anns)
-        targets, msgs = _grind_target_list(
-            par, v_bar, target, x_forge, s_l, forged_prefix
-        )
+        targets, msgs = _grind_target_list(par, v_bar, target, x_forge, s_l)
         lists.append(tuple(targets))
 
         try:

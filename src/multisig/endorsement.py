@@ -19,6 +19,8 @@ and of the client key.  Both flows share step 3's chaincode loop and
 steps 6–7 (ordering, validation).  Each timed step runs inside one
 ``Group.span()``, so its wall time and exponentiation count come from the
 backend's counters and measure the code the protocols actually run.
+Keys and nonces derive from a ``seed`` every caller must name: two
+proposals signed on one seed share nonces and give the keys away.
 """
 
 from __future__ import annotations
@@ -138,7 +140,7 @@ def _order_and_validate(par: Group, rec: TransactionRecord, proposal: bytes,
     return rec
 
 
-def run_revised_flow(par: Group, n_endorsers: int, proposal: bytes, *, seed=0,
+def run_revised_flow(par: Group, n_endorsers: int, proposal: bytes, *, seed,
                      depth: int = 3, tamper_block: bool = False,
                      failing_endorsers=()) -> TransactionRecord:
     """Aggregated endorsement: offline sync, zero-exponentiation endorsing,
@@ -198,7 +200,7 @@ def run_revised_flow(par: Group, n_endorsers: int, proposal: bytes, *, seed=0,
                                validate, 1)
 
 
-def run_default_flow(par: Group, n_endorsers: int, proposal: bytes, *, seed=0,
+def run_default_flow(par: Group, n_endorsers: int, proposal: bytes, *, seed,
                      tamper_block: bool = False,
                      failing_endorsers=()) -> TransactionRecord:
     """Per-endorser signatures: no synchronization step, linear growth."""
@@ -254,7 +256,7 @@ def run_default_flow(par: Group, n_endorsers: int, proposal: bytes, *, seed=0,
                                validate, n_endorsers)
 
 
-def run_flows(par: Group, n_list, proposal: bytes, *, seed=0, depth: int = 3,
+def run_flows(par: Group, n_list, proposal: bytes, *, seed, depth: int = 3,
               flows=("revised", "default")) -> list:
     """One record per flow in ``flows`` (in that order) at every endorser
     count in ``n_list``."""

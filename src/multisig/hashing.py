@@ -14,19 +14,13 @@ serialization injective over tuples of byte strings: (b"ab", b"c") and
 tags.  Items are either raw ``bytes`` or ``int`` scalars (fixed-width
 encoded); group elements must be pre-encoded by the caller, since toy
 group elements are also ints and silent coercion would be ambiguous.
-
-``record_hash_inputs()`` captures every hash call made while active —
-tests use it to prove the message stays out of precomputation-phase
-hashes.
 """
 
 from __future__ import annotations
 
 import hashlib
-from contextlib import contextmanager
-from dataclasses import dataclass
 from enum import IntEnum
-from typing import Iterable, Iterator
+from typing import Iterable
 
 __all__ = [
     "HashDomain",
@@ -34,11 +28,8 @@ __all__ = [
     "H1",
     "H2",
     "H3",
-    "is_target_one_way",
     "serialize_items",
     "hash_to_scalar",
-    "HashCall",
-    "record_hash_inputs",
 ]
 
 
@@ -53,14 +44,6 @@ H0 = HashDomain.CHALLENGE
 H1 = HashDomain.KEY_PROOF
 H2 = HashDomain.KEY_BLIND
 H3 = HashDomain.MESSAGE
-
-# Domains whose security analysis needs only target one-wayness; the other
-# two are the slots a reduction would program as random oracles.
-_TARGET_ONE_WAY = frozenset({HashDomain.KEY_BLIND, HashDomain.MESSAGE})
-
-
-def is_target_one_way(tag: HashDomain) -> bool:
-    return tag in _TARGET_ONE_WAY
 
 
 # ── serialization ────────────────────────────────────────────────────────────
@@ -85,36 +68,9 @@ def serialize_items(par, tag: HashDomain, items: Iterable) -> bytes:
     return b"".join(out)
 
 
-# ── tracing ──────────────────────────────────────────────────────────────────
-
-@dataclass(frozen=True)
-class HashCall:
-    tag: HashDomain
-    items: tuple[bytes, ...]
-
-
-_trace_sinks: list[list[HashCall]] = []
-
-
-@contextmanager
-def record_hash_inputs() -> Iterator[list[HashCall]]:
-    """Capture (tag, item bytes) for every hash call while the context is open."""
-    calls: list[HashCall] = []
-    _trace_sinks.append(calls)
-    try:
-        yield calls
-    finally:
-        _trace_sinks.remove(calls)
-
-
 # ── hashing ──────────────────────────────────────────────────────────────────
 
 def hash_to_scalar(par, tag: HashDomain, items: Iterable) -> int:
     """SHA-512(tag ‖ length-prefixed items) reduced into [0, q)."""
-    if _trace_sinks:
-        items = tuple(items)
-        call = HashCall(tag, tuple(_item_bytes(par, i) for i in items))
-        for sink in _trace_sinks:
-            sink.append(call)
     digest = hashlib.sha512(serialize_items(par, tag, items)).digest()
     return int.from_bytes(digest, "big") % par.q

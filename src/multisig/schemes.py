@@ -344,7 +344,6 @@ def respond(par: Group, tree: Tree, sessions):
 
 @dataclass
 class SignRun:
-    scheme: str
     signature: Signature
     agg_key: AggregateKey
     sessions: list
@@ -359,7 +358,6 @@ class OfflineRun:
     tree: Tree
     sessions: list
     agg_key: AggregateKey
-    V_agg: object
     c: int
     attempts: int
     messages: list = field(default_factory=list)
@@ -390,7 +388,7 @@ def _restart_loop(par: Group, scheme: str, tree: Tree, keys, m: bytes | None,
         if c == 0:
             continue
         messages += challenge(par, tree, sessions, c, V_agg)
-        return OfflineRun(tree, sessions, agg, V_agg, c, attempt + 1, messages)
+        return OfflineRun(tree, sessions, agg, c, attempt + 1, messages)
     raise InternalError("challenge stuck at zero across restarts")
 
 
@@ -398,7 +396,7 @@ def _sign(par: Group, scheme: str, tree: Tree, keys, m: bytes, seed) -> SignRun:
     """The restart loop with the message first, then the responses."""
     run = _restart_loop(par, scheme, tree, keys, m, seed)
     S, msgs = respond(par, tree, run.sessions)
-    return SignRun(scheme, Signature(run.c, S), run.agg_key, run.sessions,
+    return SignRun(Signature(run.c, S), run.agg_key, run.sessions,
                    run.attempts, run.messages + msgs)
 
 
@@ -425,7 +423,7 @@ def agms_online(par: Group, offline: OfflineRun, m: bytes) -> SignRun:
             raise NonceReuse(f"node {sess.node} already signed with this nonce")
     messages = announce(offline.tree, sessions, m)
     S, msgs = respond(par, offline.tree, sessions)
-    return SignRun("agms", Signature(offline.c, S), offline.agg_key, sessions,
+    return SignRun(Signature(offline.c, S), offline.agg_key, sessions,
                    offline.attempts, messages + msgs)
 
 

@@ -65,8 +65,6 @@ class Message(NamedTuple):
 @dataclass(frozen=True)
 class Tree:
     n: int
-    branching: int
-    max_depth: int
     parent: tuple          # parent[i] is None for the root
     children: tuple        # children[i] is a tuple of node ids
     levels: tuple          # node ids grouped by depth, root level first
@@ -79,13 +77,13 @@ def capacity(branching: int, max_depth: int) -> int:
     return (branching ** (max_depth + 1) - 1) // (branching - 1)
 
 
-def min_branching(n: int, max_depth: int = 3, floor: int = 2) -> int:
-    """Smallest branching factor >= floor that fits n nodes at this depth.
+def min_branching(n: int, max_depth: int = 3) -> int:
+    """Smallest branching factor >= 2 that fits n nodes at this depth.
 
     Below depth 1 no fan-out adds room (the tree is the root alone, or
     empty), so a node count that does not fit raises CapacityExceeded.
     """
-    b = max(1, floor)
+    b = 2
     if max_depth < 1 and capacity(b, max_depth) < n:
         raise CapacityExceeded(
             f"{n} nodes do not fit in a tree of depth {max_depth}"
@@ -124,8 +122,6 @@ def build_tree(n: int, branching: int, max_depth: int = 3) -> Tree:
         levels.append(level)
     return Tree(
         n=n,
-        branching=branching,
-        max_depth=max_depth,
         parent=tuple(parent),
         children=tuple(tuple(c) for c in children),
         levels=tuple(tuple(lv) for lv in levels),

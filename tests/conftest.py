@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from multisig import schemes
+from multisig import gamma, schemes
 from multisig.group import curve_group, toy_group, toy_group_for_order
 
 DATA = Path(__file__).parent / "data"
@@ -59,6 +59,22 @@ def node_spans(monkeypatch):
         return spans
 
     return install
+
+
+@pytest.fixture
+def hash_calls(monkeypatch):
+    """Every ``(tag, items)`` the protocol hashes while the test runs,
+    seen through the ``hash_to_scalar`` names that ``schemes`` and
+    ``gamma`` bind, the same seam ``perfbench/layers.py`` wraps."""
+    calls = []
+    for module in (schemes, gamma):
+        def recorded(par, tag, items, real=module.hash_to_scalar):
+            items = tuple(items)
+            calls.append((tag, items))
+            return real(par, tag, items)
+
+        monkeypatch.setattr(module, "hash_to_scalar", recorded)
+    return calls
 
 
 @pytest.fixture(scope="session")

@@ -39,7 +39,16 @@ def _swap_in_bare_key(monkeypatch, role):
 def test_revised_flow_refuses_endorser_key_without_proof(toy16, monkeypatch):
     _swap_in_bare_key(monkeypatch, "endorser")
     with pytest.raises(PolicyUnsatisfied, match="possession"):
-        run_revised_flow(toy16, 3, PROPOSAL)
+        run_revised_flow(toy16, 3, PROPOSAL, seed=0)
+
+
+def test_flows_need_an_explicit_seed(toy16):
+    # a default seed would sign every proposal on the same nonces
+    for flow in (run_revised_flow, run_default_flow):
+        with pytest.raises(TypeError, match="seed"):
+            flow(toy16, 2, PROPOSAL)
+    with pytest.raises(TypeError, match="seed"):
+        run_flows(toy16, [2], PROPOSAL)
 
 
 def test_chaincode_stub_is_deterministic():
@@ -73,16 +82,18 @@ def test_default_flow_shape(toy16):
 
 def test_validation_work_stays_flat_only_when_aggregated(toy16):
     for n in (2, 4, 16):
-        assert run_revised_flow(toy16, n, PROPOSAL).step7_verify_calls() == 1
-        assert run_default_flow(toy16, n, PROPOSAL).step7_verify_calls() == n
+        revised = run_revised_flow(toy16, n, PROPOSAL, seed=0)
+        default = run_default_flow(toy16, n, PROPOSAL, seed=0)
+        assert revised.step7_verify_calls() == 1
+        assert default.step7_verify_calls() == n
 
 
 def test_flows_reject_impossible_endorser_sets(toy16):
     for n in (0, -3):
         with pytest.raises(ValueError):
-            run_default_flow(toy16, n, PROPOSAL)
+            run_default_flow(toy16, n, PROPOSAL, seed=0)
         with pytest.raises(ValueError):
-            run_revised_flow(toy16, n, PROPOSAL)
+            run_revised_flow(toy16, n, PROPOSAL, seed=0)
 
 
 def test_tampered_blocks_are_rejected(toy16):
@@ -94,15 +105,17 @@ def test_tampered_blocks_are_rejected(toy16):
 
 def test_and_policy_needs_every_endorser(toy16):
     with pytest.raises(PolicyUnsatisfied):
-        run_revised_flow(toy16, 4, PROPOSAL, failing_endorsers=[2])
+        run_revised_flow(toy16, 4, PROPOSAL, seed=0,
+                         failing_endorsers=[2])
     with pytest.raises(PolicyUnsatisfied):
-        run_default_flow(toy16, 4, PROPOSAL, failing_endorsers=[2])
+        run_default_flow(toy16, 4, PROPOSAL, seed=0,
+                         failing_endorsers=[2])
 
 
 def test_unregistered_client_is_refused(toy16, monkeypatch):
     _swap_in_bare_key(monkeypatch, "client")
     with pytest.raises(InvalidClient):
-        run_revised_flow(toy16, 2, PROPOSAL)
+        run_revised_flow(toy16, 2, PROPOSAL, seed=0)
 
 
 def test_run_flows_tabulates_both(toy16):
@@ -171,7 +184,10 @@ def test_submit_to_validate_work_is_flat_for_revised(toy16):
 
 
 def test_signature_bytes_scale_as_reported(toy16):
-    single = run_default_flow(toy16, 1, PROPOSAL).signature_bytes
+    def size(flow, n):
+        return flow(toy16, n, PROPOSAL, seed=0).signature_bytes
+
+    single = size(run_default_flow, 1)
     for n in (2, 4, 8):
-        assert run_default_flow(toy16, n, PROPOSAL).signature_bytes == n * single
-        assert run_revised_flow(toy16, n, PROPOSAL).signature_bytes == single
+        assert size(run_default_flow, n) == n * single
+        assert size(run_revised_flow, n) == single

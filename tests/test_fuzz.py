@@ -1,16 +1,20 @@
-"""Seeded fuzz loop over the CLI's file inputs and output paths.
+"""Seeded fuzz loop over the CLI's file inputs, numeric arguments and
+output paths.
 
 Valid key, secret and signature files are written once per backend, then
 mutated: truncation, bit flips, JSON type swaps, hex edits, deep nesting,
-a wrong schema or a wrong group.  Each mutant goes through ``cli.main`` in
-process, which must return 0, 1 or 2 and let no exception escape.  The
-secret-file loader, which no command reads, is driven directly and may
-only raise the library's own errors.  Every case is a pure function of
-its seed, so a failure names a case that replays on its own.
+a wrong schema or a wrong group.  Numeric options take zero, negative,
+prime, composite and oversized values.  Each mutant goes through
+``cli.main`` in process, which must return 0, 1 or 2 within a wall-clock
+bound and let no exception escape.  The secret-file loader, which no
+command reads, is driven directly and may only raise the library's own
+errors.  Every case is a pure function of its seed, so a failure names a
+case that replays on its own.
 """
 
 import json
 import random
+import signal
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 
@@ -32,14 +36,35 @@ _VALUES = (None, True, False, 0, -1, 1.5, 2**70, float("nan"), "", "zz",
            "00", "ff" * 40, [], {}, [1, 2], {"y": "00"})
 
 
+_BOUND_S = 5.0
+
+
+class _Overrun(BaseException):
+    """Raised by SIGALRM in a case that outlives its bound; a
+    BaseException, so no handler in the code under test swallows it."""
+
+
+def _overrun(signum, frame):
+    raise _Overrun
+
+
 def _call(argv) -> int:
     """``main(argv)`` with its output swallowed; SystemExit counts as a
-    return, any other exception escapes to the caller."""
-    with redirect_stdout(StringIO()), redirect_stderr(StringIO()):
-        try:
-            return main(list(argv))
-        except SystemExit as exc:
-            return exc.code
+    return, any other exception escapes to the caller.  A case that runs
+    longer than ``_BOUND_S`` seconds fails the test and names its argv."""
+    previous = signal.signal(signal.SIGALRM, _overrun)
+    signal.setitimer(signal.ITIMER_REAL, _BOUND_S)
+    try:
+        with redirect_stdout(StringIO()), redirect_stderr(StringIO()):
+            try:
+                return main(list(argv))
+            except SystemExit as exc:
+                return exc.code
+    except _Overrun:
+        pytest.fail(f"{list(argv)} ran past {_BOUND_S} s")
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture(scope="module", params=[("--toy-q", "65521"),
@@ -164,6 +189,59 @@ def test_mutated_files_exit_cleanly(valid_files, target, tmp_path, request):
                 pass
             except Exception as exc:  # noqa: BLE001
                 failures.append((case, "load_secret_keys", repr(exc)[:120]))
+    assert failures == [], "\n".join(map(str, failures))
+
+
+# zero, negative, one, small primes and composites; every numeric option
+# takes these
+_SMALL = (0, -1, 1, 2, 3, 5, 7, 13, 4, 6, 9, 15)
+# primes above the toy group's 2^25 bound on q, for the options whose cost
+# does not grow with the value
+_ABOVE_TOY = (33554467, 2**31 - 1, 2**61 - 1)
+
+# option -> (values, commands it is mutated in); every other argument
+# keeps the run small
+_NUMERIC = {
+    "--signers": (_SMALL, [("simulate",), ("simulate", "--scheme", "gamma")]),
+    "--count": (_SMALL, [("keygen", "--out", "@dir@/k.json")]),
+    "--depth": (_SMALL, [("simulate", "--signers", "5"),
+                         ("bench", "--signers-list", "5", "--reps", "1"),
+                         ("endorse", "--endorsers-list", "3")]),
+    "--branching": (_SMALL + _ABOVE_TOY,
+                    [("simulate", "--signers", "5"),
+                     ("bench", "--signers-list", "5", "--reps", "1")]),
+    "--reps": (_SMALL, [("bench", "--signers-list", "3", "--schemes", "agms")]),
+    "--k": (_SMALL + _ABOVE_TOY, [("attack", "ksum", "--retries", "2")]),
+    "--list-size": (_SMALL, [("attack", "ksum", "--retries", "2")]),
+    "--n-honest": (_SMALL, [("attack", "ksum", "--retries", "2"),
+                            ("attack", "rogue", "--retries-pop", "4")]),
+    "--retries": (_SMALL, [("attack", "ksum")]),
+    "--retries-pop": (_SMALL, [("attack", "rogue")]),
+    "--endorsers-list": (_SMALL, [("endorse", "--flow", "revised"),
+                                  ("endorse", "--flow", "default")]),
+    "--toy-q": (_SMALL + _ABOVE_TOY,
+                [("simulate",), ("keygen", "--out", "@dir@/k.json"),
+                 ("attack", "rogue", "--retries-pop", "4"),
+                 ("endorse", "--endorsers-list", "2")]),
+}
+
+
+@pytest.mark.parametrize("flag", sorted(_NUMERIC))
+def test_numeric_arguments_exit_cleanly(flag, tmp_path):
+    values, commands = _NUMERIC[flag]
+    failures = []
+    for value in values:
+        rng = random.Random(f"{flag}/{value}")
+        command = [a.replace("@dir@", str(tmp_path))
+                   for a in rng.choice(commands)]
+        argv = [*command, flag, str(value), "--seed", str(rng.randrange(100))]
+        try:
+            code = _call(argv)
+        except Exception as exc:  # noqa: BLE001 - the failure under test
+            failures.append((argv, repr(exc)[:120]))
+            continue
+        if code not in (0, 1, 2):
+            failures.append((argv, f"exit {code!r}"))
     assert failures == [], "\n".join(map(str, failures))
 
 

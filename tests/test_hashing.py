@@ -6,13 +6,9 @@ import pytest
 from multisig.hashing import (
     H0,
     H1,
-    H2,
     H3,
-    HashCall,
     HashDomain,
     hash_to_scalar,
-    is_target_one_way,
-    record_hash_inputs,
     serialize_items,
 )
 
@@ -75,26 +71,6 @@ def test_output_range(toy, curve):
             assert 0 <= hash_to_scalar(par, H1, [data]) < par.q
 
 
-def test_one_wayness_roles():
-    assert is_target_one_way(H2)
-    assert is_target_one_way(H3)
-    assert not is_target_one_way(H0)
-    assert not is_target_one_way(H1)
-
-
-def test_record_hash_inputs(toy):
-    with record_hash_inputs() as calls:
-        hash_to_scalar(toy, H0, [b"seen", 3])
-        hash_to_scalar(toy, H3, [b"message bytes"])
-    assert len(calls) == 2
-    assert calls[0].tag == H0
-    assert calls[0].items == (b"seen", toy.encode_scalar(3))
-    assert calls[1].items == (b"message bytes",)
-    # sink detaches on exit
-    hash_to_scalar(toy, H0, [b"after"])
-    assert len(calls) == 2
-
-
 def _reference_payload(par, tag, items) -> bytes:
     # the serialization rebuilt from the module docstring, not from the code
     out = bytes([tag])
@@ -121,19 +97,3 @@ def test_matches_reference_over_random_items(backend, request):
             assert serialize_items(par, tag, items) == payload
             assert hash_to_scalar(par, tag, items) == want
             assert hash_to_scalar(par, tag, iter(items)) == want
-
-
-@pytest.mark.parametrize("backend", ["toy", "curve"])
-def test_recorded_calls_match_reference(backend, request):
-    par = request.getfixturevalue(backend)
-    rng = random.Random(2025)
-    cases = [(tag, _random_items(par, rng)) for tag in HashDomain
-             for _ in range(25)]
-    plain = [hash_to_scalar(par, tag, items) for tag, items in cases]
-    with record_hash_inputs() as calls:
-        traced = [hash_to_scalar(par, tag, iter(items)) for tag, items in cases]
-    assert traced == plain
-    assert calls == [
-        HashCall(tag, tuple(i if isinstance(i, bytes) else par.encode_scalar(i)
-                            for i in items))
-        for tag, items in cases]

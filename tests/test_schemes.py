@@ -14,7 +14,7 @@ from multisig.errors import (
     NotInGroup,
 )
 from multisig.group import derive_rng, toy_group_for_order
-from multisig.hashing import H3, hash_to_scalar, record_hash_inputs
+from multisig.hashing import H3, hash_to_scalar, serialize_items
 from multisig.schemes import (
     KeyProof,
     PublicKey,
@@ -232,17 +232,26 @@ def test_message_counts(toy):
         assert len(on.messages) == 2 * (n - 1)
 
 
-def test_message_absent_from_offline_hashes(toy):
+def test_message_absent_from_offline_hashes(toy, hash_calls):
     tree = build_tree(7, 2, 3)
     keys = derive_keys(toy, 7, 10)
     m = b"super secret future payload"
-    with record_hash_inputs() as calls:
-        off = agms_offline(toy, tree, keys, seed=10)
-    assert calls, "offline phase must hash something"
-    for call in calls:
-        assert all(m not in item for item in call.items)
+    off = agms_offline(toy, tree, keys, seed=10)
+    assert hash_calls, "offline phase must hash something"
+    for tag, items in hash_calls:
+        assert m not in serialize_items(toy, tag, items)
     run = agms_online(toy, off, m)
     assert verify(toy, run.agg_key, m, run.signature)
+
+
+def test_online_hashes_only_the_message(toy, hash_calls):
+    # one e = H3(m) per signer, and nothing else
+    tree = build_tree(7, 2, 3)
+    off = agms_offline(toy, tree, derive_keys(toy, 7, 11), seed=11)
+    hash_calls.clear()
+    m = b"online payload"
+    agms_online(toy, off, m)
+    assert hash_calls == [(H3, (m,))] * 7
 
 
 def test_schedules_do_not_change_signatures(toy, shuffled_levels):
@@ -363,8 +372,7 @@ def test_sessions_must_come_from_offline_run(toy):
     gms_run = gms_sign(toy, tree, keys, M, seed=15)
     off = agms_offline(toy, tree, keys, seed=15)
     fake = type(off)(tree=off.tree, sessions=gms_run.sessions,
-                     agg_key=off.agg_key, V_agg=off.V_agg, c=off.c,
-                     attempts=1)
+                     agg_key=off.agg_key, c=off.c, attempts=1)
     with pytest.raises((MixedSessions, NonceReuse)):
         agms_online(toy, fake, M)
 

@@ -43,7 +43,6 @@ def test_min_branching():
     assert min_branching(63) == 4
     assert min_branching(511) == 8
     assert min_branching(1024) == 10
-    assert min_branching(3, floor=1) == 1  # chain
 
 
 def test_min_branching_rejects_impossible_depth():

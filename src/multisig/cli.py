@@ -199,8 +199,7 @@ def _sign_and_verify(par, scheme, tree, keys, m, nonce_seed):
     if scheme == "gamma":
         key = gamma.GammaKeyPair(keys[0].sk, keys[0].y)
         with par.span() as spans["sign_offline"]:
-            nonce = gamma.precompute(par, key,
-                                     derive_rng(nonce_seed, "v", 0, 0))
+            nonce = gamma.precompute(par, key, nonce_seed)
         with par.span() as spans["sign_online"]:
             sig = gamma.sign_online(par, key, nonce, m)
         with par.span() as spans["verify"]:

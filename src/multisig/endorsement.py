@@ -222,9 +222,9 @@ def run_default_flow(par: Group, n_endorsers: int, proposal: bytes, *, seed,
     with par.span() as sp:
         _execute(n_endorsers, proposal, failing_endorsers)
         sigs = [
-            gamma.sign_online(par, key, gamma.precompute(
-                par, key, derive_rng(seed, "nonce", i)), proposal)
-            for i, key in enumerate(endorser_keys)
+            gamma.sign_online(par, key, gamma.precompute(par, key, seed),
+                              proposal)
+            for key in endorser_keys
         ]
     rec.steps.append(StepMetrics(3, "endorse", sp.wall_ns, sp.exponentiations,
                                  0, 0))

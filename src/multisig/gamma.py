@@ -21,12 +21,13 @@ from dataclasses import dataclass
 
 from .errors import BadLength, InternalError, NonceReuse
 from .group import Group
-from .hashing import H0, H1, hash_to_scalar
+from .hashing import H0, H1, derive_nonces, hash_to_scalar
 
 __all__ = ["GammaKeyPair", "GammaNonce", "Signature", "keygen", "precompute",
            "sign_online", "recover_commitment", "verify"]
 
 _MAX_RESAMPLE = 64
+_NONCE_TAG = b"multisig/gamma-nonce"  # tree sessions use b"multisig/nonce"
 
 
 @dataclass(frozen=True)
@@ -69,20 +70,22 @@ def keygen(par: Group, rng) -> GammaKeyPair:
     return GammaKeyPair(sk, par.exp(par.g1, sk))
 
 
-def precompute(par: Group, key: GammaKeyPair, rng) -> GammaNonce:
+def precompute(par: Group, key: GammaKeyPair, seed: int | str) -> GammaNonce:
     """Offline half of signing: one exponentiation, message not needed.
 
-    Resamples v when the challenge comes out zero (only plausible on toy
-    groups) so the verifier's 1/c always exists.
+    v is ``derive_nonces`` over (seed, attempt, 0, sk): the key signs alone
+    at index 0, and ``attempt`` counts the resamples of v while the
+    challenge comes out zero (only plausible on toy groups), so the
+    verifier's 1/c always exists.  One seed signs one message per key.
     """
     pk = par.encode_element(key.y)
-    for _ in range(_MAX_RESAMPLE):
-        v = par.random_scalar(rng)
+    for attempt in range(_MAX_RESAMPLE):
+        [v] = derive_nonces(par, _NONCE_TAG, seed, attempt, [key.sk])
         V = par.exp(par.g1, v)
         c = hash_to_scalar(par, H0, [par.encode_element(V), pk])
         if c != 0:
             return GammaNonce(v, V, c, par.s_mul(v, c))
-    raise InternalError("challenge stuck at zero; RNG or backend is broken")
+    raise InternalError("challenge stuck at zero; backend is broken")
 
 
 def sign_online(par: Group, key: GammaKeyPair, nonce: GammaNonce,

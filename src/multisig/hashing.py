@@ -8,6 +8,8 @@ length-prefixed input items, reduced mod the group order.  Four domains:
 * ``H2`` — key blinding in possession proofs (target one-wayness suffices)
 * ``H3`` — message digestion (target one-wayness suffices)
 
+``derive_nonces`` hashes signing nonces under tags outside these domains.
+
 The tag byte plus a 4-byte big-endian length prefix per item make the
 serialization injective over tuples of byte strings: (b"ab", b"c") and
 (b"a", b"bc") hash differently, as do same-bytes inputs under different
@@ -30,6 +32,7 @@ __all__ = [
     "H3",
     "serialize_items",
     "hash_to_scalar",
+    "derive_nonces",
 ]
 
 
@@ -74,3 +77,25 @@ def hash_to_scalar(par, tag: HashDomain, items: Iterable) -> int:
     """SHA-512(tag ‖ length-prefixed items) reduced into [0, q)."""
     digest = hashlib.sha512(serialize_items(par, tag, items)).digest()
     return int.from_bytes(digest, "big") % par.q
+
+
+def derive_nonces(par, tag: bytes, seed: int | str, attempt: int,
+                  sks) -> list[int]:
+    """Nonce i is 1 + (SHA-512(tag ‖ len-prefixed str(seed) ‖ attempt ‖ i ‖
+    sk_i) mod (q-1)), in the spirit of RFC 6979: without sk_i the seed
+    reveals nothing about it, so a signature cannot be unwound into the key.
+    512 hash bits mod q-1 leave a bias below 2^-256 on the curve.  Equal
+    inputs give equal nonces, so one seed signs one message.  ``tag`` must
+    not start with a domain byte 0-3; ``seed`` must be an int or str, since
+    another object's ``str`` need not be reproducible.
+    """
+    if not isinstance(seed, (int, str)):
+        raise TypeError(f"nonce seed must be an int or str, "
+                        f"got {type(seed).__name__}")
+    seed_b = str(seed).encode()
+    prefix = (tag + len(seed_b).to_bytes(4, "big") + seed_b
+              + attempt.to_bytes(4, "big"))
+    sha512, encode, q1 = hashlib.sha512, par.encode_scalar, par.q - 1
+    return [1 + int.from_bytes(sha512(prefix + i.to_bytes(4, "big")
+                                      + encode(sk)).digest(), "big") % q1
+            for i, sk in enumerate(sks)]

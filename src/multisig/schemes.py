@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from hashlib import sha512
 from pathlib import Path
 
 from .errors import (
@@ -46,7 +45,7 @@ from .errors import (
 )
 from .gamma import Signature, recover_commitment
 from .group import Group, derive_rng, group_from_descriptor
-from .hashing import H0, H1, H2, H3, hash_to_scalar
+from .hashing import H0, H1, H2, H3, derive_nonces, hash_to_scalar
 from .tree import Phase, Tree, run_phase
 
 __all__ = [
@@ -85,9 +84,7 @@ __all__ = [
 ]
 
 _MAX_RESTARTS = 64
-# Session-nonce prefix; its first byte is none of the hash_to_scalar domain
-# bytes 0-3, so a nonce input never parses as a protocol hash input.
-_NONCE_TAG = b"multisig/nonce"
+_NONCE_TAG = b"multisig/nonce"  # gamma tokens use their own tag
 
 
 # ── keys ─────────────────────────────────────────────────────────────────────
@@ -163,17 +160,9 @@ def key_verify(par: Group, pk: PublicKey) -> bool:
     return hash_to_scalar(par, H1, [g1b, par.encode_element(V)]) == a
 
 
-def _pub_y(k):
-    if isinstance(k, KeyPair):
-        return k.public.y
-    if isinstance(k, PublicKey):
-        return k.y
-    return k  # raw group element
-
-
 def key_aggregate(par: Group, keys) -> AggregateKey:
     """X~ = product of all public keys.  Order-independent."""
-    ys = [_pub_y(k) for k in keys]
+    ys = [k.y for k in keys]
     if not ys:
         raise EmptySet("cannot aggregate zero keys")
     X = ys[0]
@@ -209,30 +198,16 @@ def open_sessions(par: Group, scheme: str, tree: Tree, keys, seed,
                   attempt: int = 0) -> list[SigningSession]:
     """One session per node, each with a fresh nonce bound to its secret key.
 
-    Node i's nonce is v = 1 + (SHA-512(tag ‖ len-prefixed str(seed) ‖
-    attempt ‖ i ‖ sk_i) mod (q-1)), in the spirit of RFC 6979: knowing the
-    seed reveals nothing about v without sk_i, so a signature cannot be
-    unwound into the aggregate secret key.  512 hash bits reduced mod q-1
-    leave a bias below 2^-256 on the curve.  The same (sk, seed, attempt,
-    node) always gives the same v, so one seed must never sign two
-    messages; callers that publish signatures pass a fresh random seed.
+    Node i's nonce is ``derive_nonces`` over (seed, attempt, i, sk_i), so the
+    seed alone cannot unwind a signature into the aggregate secret key.  One
+    seed must never sign two messages; callers that publish signatures pass
+    a fresh random seed.
     """
     if len(keys) != tree.n:
         raise MixedSessions(f"{len(keys)} keys for a {tree.n}-node tree")
-    seed_b = str(seed).encode()
-    prefix = (_NONCE_TAG + len(seed_b).to_bytes(4, "big") + seed_b
-              + attempt.to_bytes(4, "big"))
-    sessions = []
-    for i, key in enumerate(keys):
-        digest = sha512(prefix + i.to_bytes(4, "big")
-                        + par.encode_scalar(key.sk)).digest()
-        sessions.append(SigningSession(
-            scheme=scheme,
-            node=i,
-            key=key,
-            v=1 + int.from_bytes(digest, "big") % (par.q - 1),
-        ))
-    return sessions
+    vs = derive_nonces(par, _NONCE_TAG, seed, attempt, [k.sk for k in keys])
+    return [SigningSession(scheme=scheme, node=i, key=key, v=v)
+            for i, (key, v) in enumerate(zip(keys, vs))]
 
 
 def announce(tree: Tree, sessions, m: bytes) -> list:
@@ -480,8 +455,7 @@ def write_file(path, data: bytes | str) -> None:
 
 def save_public_keys(path, par: Group, keys) -> None:
     entries = []
-    for k in keys:
-        pk = k.public if isinstance(k, KeyPair) else k
+    for pk in [k.public for k in keys]:
         entry = {"y": par.encode_element(pk.y).hex()}
         if pk.proof is not None:
             entry["a"] = par.encode_scalar(pk.proof.a).hex()
@@ -492,11 +466,10 @@ def save_public_keys(path, par: Group, keys) -> None:
 
 
 def save_secret_keys(path, par: Group, keys) -> None:
-    sks = [k.sk if isinstance(k, KeyPair) else k for k in keys]
     doc = {
         "schema": _SECRETS_SCHEMA,
         "group": par.descriptor(),
-        "sks": [par.encode_scalar(sk).hex() for sk in sks],
+        "sks": [par.encode_scalar(k.sk).hex() for k in keys],
     }
     write_file(path, json.dumps(doc, sort_keys=True, indent=2) + "\n")
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from dataclasses import replace
@@ -75,6 +76,24 @@ def hash_calls(monkeypatch):
 
         monkeypatch.setattr(module, "hash_to_scalar", recorded)
     return calls
+
+
+@pytest.fixture(scope="session")
+def raw_nonce():
+    """``raw_nonce(par, tag, seed, attempt, node, sk=None)``: a nonce
+    re-derived with raw hashlib, 1 + SHA-512(tag ‖ length-prefixed str(seed)
+    ‖ attempt ‖ node ‖ sk) mod (q-1).  Without ``sk`` it is what a holder of
+    the seed alone could compute."""
+    def derive(par, tag, seed, attempt, node, sk=None):
+        seed_b = str(seed).encode()
+        data = (tag + len(seed_b).to_bytes(4, "big") + seed_b
+                + attempt.to_bytes(4, "big") + node.to_bytes(4, "big"))
+        if sk is not None:
+            data += sk.to_bytes(par.scalar_len, "big")
+        digest = hashlib.sha512(data).digest()
+        return 1 + int.from_bytes(digest, "big") % (par.q - 1)
+
+    return derive
 
 
 @pytest.fixture(scope="session")

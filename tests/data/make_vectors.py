@@ -32,11 +32,12 @@ def independent_hash(q, scalar_len, tag, chunks):
     return int.from_bytes(hashlib.sha512(payload).digest(), "big") % q
 
 
-def independent_nonce(q, scalar_len, seed, attempt, node, sk):
-    """Session nonce written from scratch: 1 + sha512(b"multisig/nonce" ‖
-    4-byte-length-prefixed str(seed) ‖ attempt ‖ node ‖ sk) mod (q - 1)."""
+def independent_nonce(q, scalar_len, tag, seed, attempt, node, sk):
+    """Nonce written from scratch: 1 + sha512(tag ‖ 4-byte-length-prefixed
+    str(seed) ‖ attempt ‖ node ‖ sk) mod (q - 1).  Tree sessions use the tag
+    b"multisig/nonce", gamma tokens b"multisig/gamma-nonce" at node 0."""
     seed_b = str(seed).encode()
-    payload = (b"multisig/nonce" + len(seed_b).to_bytes(4, "big") + seed_b
+    payload = (tag + len(seed_b).to_bytes(4, "big") + seed_b
                + attempt.to_bytes(4, "big") + node.to_bytes(4, "big")
                + sk.to_bytes(scalar_len, "big"))
     return 1 + int.from_bytes(hashlib.sha512(payload).digest(), "big") % (q - 1)
@@ -81,15 +82,23 @@ def main():
 
     # ── single-signer golden run, toy seed 42 ───────────────────────────
     key = gamma_keygen(par, derive_rng(42, "key", 0))
-    nonce = precompute(par, key, derive_rng(42, "v", 0, 0))
-    # independent check of the precomputed challenge and response algebra
-    assert nonce.V == pow(par.g1, nonce.v, par.p)
-    assert nonce.c == independent_hash(
-        par.q, par.scalar_len, 0,
-        [par.encode_element(nonce.V), par.encode_element(key.y)])
+    nonce = precompute(par, key, 42)
+    # independent check of the nonce, the precomputed challenge and the
+    # response algebra: v is the first attempt whose challenge is nonzero
+    for attempt in range(64):
+        v = independent_nonce(par.q, par.scalar_len, b"multisig/gamma-nonce",
+                              42, attempt, 0, key.sk)
+        c = independent_hash(
+            par.q, par.scalar_len, 0,
+            [par.encode_element(pow(par.g1, v, par.p)),
+             par.encode_element(key.y)])
+        if c != 0:
+            break
+    assert (nonce.v, nonce.c) == (v, c)
+    assert nonce.V == pow(par.g1, v, par.p)
     sig = sign_online(par, key, nonce, b"msg")
     e = independent_hash(par.q, par.scalar_len, 1, [b"msg"])
-    assert sig.s == (nonce.v * nonce.c - e * key.sk) % par.q
+    assert (sig.c, sig.s) == (c, (v * c - e * key.sk) % par.q)
     assert gamma_verify(par, key.y, b"msg", sig)
     doc["gamma_toy_seed42"] = {
         "seed": 42, "message": "msg",
@@ -132,8 +141,8 @@ def main():
     assert verify(par, agg, b"msg", run.signature)
     # independent: every node's nonce from the last attempt, and
     # S = c*sum(v) - e*sum(sk)
-    vs = [independent_nonce(par.q, par.scalar_len, 3, run.attempts - 1, i,
-                            k.sk)
+    vs = [independent_nonce(par.q, par.scalar_len, b"multisig/nonce", 3,
+                            run.attempts - 1, i, k.sk)
           for i, k in enumerate(keys)]
     assert [sess.v for sess in run.sessions] == vs
     assert run.signature.s == (run.signature.c * sum(vs)

@@ -11,12 +11,18 @@ from multisig.attacks import (
 )
 from multisig.errors import BackendRefused, KSumNotFound
 from multisig.group import derive_rng
-from multisig.schemes import cosi_verify, derive_keys, key_verify, keygen
+from multisig.schemes import (
+    PublicKey,
+    cosi_verify,
+    derive_keys,
+    key_verify,
+    keygen,
+)
 
 
 def test_attacks_refuse_the_curve(curve):
     with pytest.raises(BackendRefused):
-        rogue_key_attack(curve, [curve.g1], b"m")
+        rogue_key_attack(curve, [PublicKey(curve.g1)], b"m")
     with pytest.raises(BackendRefused):
         ksum_forgery_attack(curve)
 
@@ -26,7 +32,8 @@ def test_attacks_refuse_the_curve(curve):
 def test_rogue_key_worked_example(toy):
     # one honest key y = 8; adversary knows sk_A = 2 and publishes
     # y_A = g^2 * 8^(q-1) = 12 so the aggregate collapses to g^2 = 4
-    report = rogue_key_attack(toy, [8], b"transfer", adversary_sk=2)
+    report = rogue_key_attack(toy, [PublicKey(8)], b"transfer",
+                              adversary_sk=2)
     assert report.rogue_y == 12
     assert report.aggregate.X == 4
     assert report.baseline_accepts
@@ -46,7 +53,7 @@ def test_rogue_key_cannot_fake_possession(toy16):
 
 
 def test_rogue_report_serializes(toy):
-    report = rogue_key_attack(toy, [8], b"m", adversary_sk=2,
+    report = rogue_key_attack(toy, [PublicKey(8)], b"m", adversary_sk=2,
                               proof_attempts=3)
     doc = report.to_json_dict(toy)
     assert doc["attack"] == "rogue-key"

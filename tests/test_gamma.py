@@ -4,14 +4,18 @@ import pytest
 
 from multisig import gamma
 from multisig.errors import BadLength, NonceReuse
-from multisig.group import derive_rng
-from multisig.hashing import H1, hash_to_scalar
+from multisig.group import derive_rng, toy_group_for_order
+from multisig.hashing import H0, H1, hash_to_scalar
+from multisig.schemes import derive_keys, open_sessions
+from multisig.tree import build_tree
+
+GAMMA_TAG = b"multisig/gamma-nonce"
 
 
 def _golden_run(toy, golden):
     vec = golden["gamma_toy_seed42"]
     key = gamma.keygen(toy, derive_rng(vec["seed"], "key", 0))
-    nonce = gamma.precompute(toy, key, derive_rng(vec["seed"], "v", 0, 0))
+    nonce = gamma.precompute(toy, key, vec["seed"])
     return vec, key, nonce
 
 
@@ -28,7 +32,7 @@ def test_golden_vector_seed42(toy, golden):
 def test_precompute_is_one_exp_online_is_zero(toy):
     key = gamma.keygen(toy, derive_rng(1, "key", 0))
     with toy.span() as sp:
-        nonce = gamma.precompute(toy, key, derive_rng(1, "v", 0, 0))
+        nonce = gamma.precompute(toy, key, 1)
     assert sp.exponentiations == 1
     before = toy.ops_total.snapshot()
     gamma.sign_online(toy, key, nonce, b"anything")
@@ -37,7 +41,7 @@ def test_precompute_is_one_exp_online_is_zero(toy):
 
 def test_nonce_single_use(toy):
     key = gamma.keygen(toy, derive_rng(2, "key", 0))
-    nonce = gamma.precompute(toy, key, derive_rng(2, "v", 0, 0))
+    nonce = gamma.precompute(toy, key, 2)
     gamma.sign_online(toy, key, nonce, b"first")
     with pytest.raises(NonceReuse):
         gamma.sign_online(toy, key, nonce, b"second")
@@ -45,7 +49,7 @@ def test_nonce_single_use(toy):
 
 def test_verify_has_three_exponentiations(curve):
     key = gamma.keygen(curve, derive_rng(3, "key", 0))
-    nonce = gamma.precompute(curve, key, derive_rng(3, "v", 0, 0))
+    nonce = gamma.precompute(curve, key, 3)
     sig = gamma.sign_online(curve, key, nonce, b"m")
     with curve.span() as sp:
         assert gamma.verify(curve, key.y, b"m", sig)
@@ -56,7 +60,7 @@ def test_verify_has_three_exponentiations(curve):
 def test_rejects_wrong_message_key_and_tampering(curve):
     key = gamma.keygen(curve, derive_rng(4, "key", 0))
     other = gamma.keygen(curve, derive_rng(4, "key", 1))
-    nonce = gamma.precompute(curve, key, derive_rng(4, "v", 0, 0))
+    nonce = gamma.precompute(curve, key, 4)
     sig = gamma.sign_online(curve, key, nonce, b"paid 5")
     assert gamma.verify(curve, key.y, b"paid 5", sig)
     assert not gamma.verify(curve, key.y, b"paid 6", sig)
@@ -72,7 +76,7 @@ def test_many_keys_round_trip(toy):
     # q=11 is tiny; make sure verification holds across the whole key space
     for i in range(40):
         key = gamma.keygen(toy, derive_rng(5, "key", i))
-        nonce = gamma.precompute(toy, key, derive_rng(5, "v", 0, i))
+        nonce = gamma.precompute(toy, key, f"5|{i}")
         m = b"m%d" % i
         assert gamma.verify(toy, key.y, m, gamma.sign_online(toy, key, nonce, m))
 
@@ -82,7 +86,7 @@ def test_completeness_over_random_messages(toy):
     key = gamma.keygen(toy, derive_rng(6, "key", 0))
     for i in range(500):
         m = rng.randbytes(rng.randrange(0, 48))
-        nonce = gamma.precompute(toy, key, derive_rng(6, "v", 0, i))
+        nonce = gamma.precompute(toy, key, f"6|{i}")
         assert gamma.verify(toy, key.y, m, gamma.sign_online(toy, key, nonce, m))
 
 
@@ -93,7 +97,7 @@ def test_bit_flips_and_shifted_s_never_verify(toy16):
     accepted = 0
     for i in range(500):
         m = rng.randbytes(rng.randrange(1, 48))
-        nonce = gamma.precompute(toy16, key, derive_rng(7, "v", 0, i))
+        nonce = gamma.precompute(toy16, key, f"7|{i}")
         sig = gamma.sign_online(toy16, key, nonce, m)
         flipped = bytearray(m)
         bit = rng.randrange(8 * len(m))
@@ -110,13 +114,87 @@ def test_verification_matches_exhaustive_commitment_search(toy):
     assert len(set(everyone)) == toy.q
     for i in range(20):
         key = gamma.keygen(toy, derive_rng(8, "key", i))
-        nonce = gamma.precompute(toy, key, derive_rng(8, "v", 0, i))
+        nonce = gamma.precompute(toy, key, f"8|{i}")
         m = b"oracle %d" % i
         sig = gamma.sign_online(toy, key, nonce, m)
         e = hash_to_scalar(toy, H1, [m])
         lhs = toy.mul(toy.exp(toy.g1, sig.s), toy.exp(key.y, e))
         assert [V for V in everyone if toy.exp(V, sig.c) == lhs] == [nonce.V]
         assert gamma.verify(toy, key.y, m, sig)
+
+
+# ── nonces ───────────────────────────────────────────────────────────────────
+
+def test_nonce_matches_raw_hashlib(toy16, curve, raw_nonce):
+    # the key signs alone, at index 0, on the gamma tag
+    for par in (toy16, curve):
+        key = gamma.keygen(par, derive_rng(9, "key", 0))
+        for seed in (9, "9|x"):
+            assert gamma.precompute(par, key, seed).v == raw_nonce(
+                par, GAMMA_TAG, seed, 0, 0, key.sk)
+
+
+def test_nonces_stay_off_the_metered_hash_seam(toy, raw_nonce, hash_calls):
+    # perfbench counts hash calls at this seam: it sees no nonce hash, and
+    # gamma hashes one H0(V, pk) per attempt
+    keys = derive_keys(toy, 7, 10)
+    hash_calls.clear()  # keygen's possession proofs
+    open_sessions(toy, "agms", build_tree(7, 2, 3), keys, 10)
+    assert hash_calls == []
+    key = gamma.GammaKeyPair(keys[0].sk, keys[0].y)
+    pk = toy.encode_element(key.y)
+    attempts = []
+    for seed in range(40):
+        hash_calls.clear()
+        nonce = gamma.precompute(toy, key, seed)
+        Vs = [toy.exp(toy.g1, raw_nonce(toy, GAMMA_TAG, seed, a, 0, key.sk))
+              for a in range(len(hash_calls))]
+        assert hash_calls == [(H0, (toy.encode_element(V), pk)) for V in Vs]
+        assert Vs[-1] == nonce.V
+        assert [hash_to_scalar(toy, H0, items) == 0
+                for _, items in hash_calls] == [True] * (len(Vs) - 1) + [False]
+        attempts.append(len(Vs))
+    assert max(attempts) > 1  # q = 11: some challenge hashes to zero
+
+
+def test_gamma_and_tree_nonces_are_tag_separated(curve):
+    # one key on one seed never gets the same nonce from both schemes
+    kp = derive_keys(curve, 1, 11)[0]
+    key = gamma.GammaKeyPair(kp.sk, kp.y)
+    tree = build_tree(1, 2, 1)
+    for seed in (11, "11|x"):
+        [session] = open_sessions(curve, "agms", tree, [kp], seed)
+        assert gamma.precompute(curve, key, seed).v != session.v
+
+
+def test_precompute_rejects_an_rng_seed(toy):
+    # str() of an RNG embeds its address: a nonce that no run reproduces
+    key = gamma.keygen(toy, derive_rng(12, "key", 0))
+    with pytest.raises(TypeError, match="int or str"):
+        gamma.precompute(toy, key, random.Random(1))
+
+
+@pytest.mark.parametrize("backend", ["toy", "curve"])
+def test_known_nonce_seed_does_not_reveal_the_key(backend, curve, raw_nonce):
+    # the key comes from a secret seed, the nonce from a published one; a
+    # nonce that depended on the seed alone would give sk = (v*c - s)/e
+    par = curve if backend == "curve" else toy_group_for_order(1048573)
+    key = gamma.keygen(par, derive_rng("secret seed", "key", 0))
+    nonce = gamma.precompute(par, key, 5)
+    sig = gamma.sign_online(par, key, nonce, b"msg")
+    e = hash_to_scalar(par, H1, [b"msg"])
+
+    def unwind(v):
+        return par.s_mul(par.s_sub(par.s_mul(v, sig.c), sig.s), par.s_inv(e))
+
+    # the algebra is right: the token's own nonce unwinds the signature
+    assert unwind(nonce.v) == key.sk
+    seed_only = {
+        "mersenne twister": par.random_scalar(derive_rng(5, "nonce", 0)),
+        "hash without sk": raw_nonce(par, GAMMA_TAG, 5, 0, 0),
+    }
+    for name, v in seed_only.items():
+        assert unwind(v) != key.sk, name
 
 
 def test_signature_bytes(toy):

@@ -1,5 +1,5 @@
-import hashlib
 import json
+import random
 from dataclasses import replace
 
 import pytest
@@ -82,7 +82,7 @@ def test_key_verify_costs_three_exps(toy):
 
 def test_key_aggregate_toy_example(toy):
     # y1 = 4 = g^2, y2 = 8 = g^3: product is 32 mod 23 = 9 = g^5
-    agg = key_aggregate(toy, [4, 8])
+    agg = key_aggregate(toy, [PublicKey(4), PublicKey(8)])
     assert agg.X == 9
     assert agg.count == 2
     # same answer regardless of wrapper type and order
@@ -92,7 +92,7 @@ def test_key_aggregate_toy_example(toy):
     assert a.X == b.X
     # a single key aggregates to itself; duplicates are allowed
     assert key_aggregate(toy, [k1]).X == k1.y
-    assert key_aggregate(toy, [4, 4]).X == 16
+    assert key_aggregate(toy, [PublicKey(4), PublicKey(4)]).X == 16
     with pytest.raises(EmptySet):
         key_aggregate(toy, [])
 
@@ -397,16 +397,7 @@ def test_baseline_nodes_check_the_challenge(toy16):
 
 # ── session nonces ───────────────────────────────────────────────────────────
 
-def raw_nonce(par, seed, attempt, node, sk=None):
-    """A session nonce re-derived with raw hashlib: 1 + SHA-512(tag ‖
-    length-prefixed str(seed) ‖ attempt ‖ node ‖ sk) mod (q-1).  Without
-    ``sk`` it is what a holder of the seed alone could compute."""
-    seed_b = str(seed).encode()
-    data = (b"multisig/nonce" + len(seed_b).to_bytes(4, "big") + seed_b
-            + attempt.to_bytes(4, "big") + node.to_bytes(4, "big"))
-    if sk is not None:
-        data += sk.to_bytes(par.scalar_len, "big")
-    return 1 + int.from_bytes(hashlib.sha512(data).digest(), "big") % (par.q - 1)
+TREE_TAG = b"multisig/nonce"
 
 
 def nonces(par, tree, keys, seed, attempt=0):
@@ -422,14 +413,22 @@ def test_session_nonces_cover_exactly_one_to_q_minus_one(toy):
     assert seen == set(range(1, toy.q))
 
 
-def test_session_nonces_match_raw_hashlib(toy16, curve):
+def test_session_nonces_match_raw_hashlib(toy16, curve, raw_nonce):
     tree = build_tree(7, 2, 3)
     for par in (toy16, curve):
         keys = derive_keys(par, 7, 41)
         for seed, attempt in ((41, 0), ("41|x", 3)):
             assert nonces(par, tree, keys, seed, attempt) == [
-                raw_nonce(par, seed, attempt, i, k.sk)
+                raw_nonce(par, TREE_TAG, seed, attempt, i, k.sk)
                 for i, k in enumerate(keys)]
+
+
+def test_open_sessions_rejects_an_rng_seed(toy):
+    # str() of an RNG embeds its address: nonces that no run reproduces
+    tree = build_tree(3, 2, 3)
+    with pytest.raises(TypeError, match="int or str"):
+        open_sessions(toy, "agms", tree, derive_keys(toy, 3, 45),
+                      seed=random.Random(1))
 
 
 def test_session_nonces_deterministic_and_distinct(curve):
@@ -449,7 +448,8 @@ def test_session_nonces_deterministic_and_distinct(curve):
 
 
 @pytest.mark.parametrize("backend", ["toy", "curve"])
-def test_known_nonce_seed_does_not_reveal_the_aggregate_key(backend, curve):
+def test_known_nonce_seed_does_not_reveal_the_aggregate_key(backend, curve,
+                                                           raw_nonce):
     # keys come from a secret seed, nonces from a published one; a nonce
     # that depended on the seed alone would give sum(sk) = (c*sum(v) - S)/e
     par = curve if backend == "curve" else toy_group_for_order(1048573)
@@ -470,7 +470,8 @@ def test_known_nonce_seed_does_not_reveal_the_aggregate_key(backend, curve):
     seed_only = {
         "mersenne twister": [par.random_scalar(derive_rng(5, "v", attempt, i))
                              for i in range(7)],
-        "hash without sk": [raw_nonce(par, 5, attempt, i) for i in range(7)],
+        "hash without sk": [raw_nonce(par, TREE_TAG, 5, attempt, i)
+                            for i in range(7)],
     }
     for name, vs in seed_only.items():
         assert unwind(vs) != sum_sk, name

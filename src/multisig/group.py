@@ -7,16 +7,18 @@ Two interchangeable backends sit behind one ``Group`` interface:
   exhaustive oracle tests need.
 * ``Secp256k1Group`` — the standard 256-bit curve group, pure python.
   Base ``g1`` uses a fixed-base comb over signed 8-bit digits: a table of
-  33×128 affine multiples (4,224 points, ≈0.6 MiB, built once per process
-  in ≈70 ms), so at most 33 mixed additions and no doublings; any other
-  base uses the GLV endomorphism, which splits the scalar into two
-  ≈128-bit halves run through one interleaved width-5 wNAF loop, so
-  ≈128 doublings instead of 256.  Decoding a compressed element costs a
-  modular square root (≈0.17–0.24 ms); successful decodes are memoised
-  in a bounded LRU (1,024 entries), so the subtree key aggregates that
-  repeat on every signature decode once.  Slow by libsecp standards
-  (≈0.26–0.39 ms per ``g1`` exponentiation, ≈0.88–1.75 ms for another
-  base, 0.64–0.67× the time of plain width-5 wNAF) but honest: every
+  33×128 affine multiples (4,224 points, ≈0.7 MiB, built once per process
+  in ≈70 ms), so at most 33 mixed additions and no doublings.  A base
+  that repeats, such as the aggregate key every signature of one signer
+  set is checked against, gets the same table on its 16th use; at most
+  two are kept, oldest evicted.  Any other base uses the GLV
+  endomorphism, which splits the scalar into two ≈128-bit halves run
+  through one interleaved width-5 wNAF loop, so ≈128 doublings instead
+  of 256.  Decoding a compressed element costs a modular square root
+  (≈0.17–0.24 ms); successful decodes are memoised in a bounded LRU
+  (1,024 entries), so the subtree key aggregates that repeat on every
+  signature decode once.  Slow by libsecp standards (≈0.26–0.39 ms per
+  comb exponentiation, ≈0.88–1.75 ms through GLV) but honest: every
   benchmark number is produced by the same code path the protocols use.
 
 Group elements are opaque to callers: ints for the toy backend, affine
@@ -415,17 +417,24 @@ def _exp_ladder(base, e: int):
     return _jac_to_affine(acc)
 
 
-# Fixed-base comb for g1 over signed 8-bit digits: row j holds the affine
-# points d·256^j·G for d = 1..128, and a negative digit uses the negated
-# entry (x, P-y).  Recoding 32 bytes can carry once past the top byte, so
-# 33 rows cover every scalar below 2^256.
+# Fixed-base comb (Lim and Lee, CRYPTO 1994) over signed 8-bit digits: row
+# j holds the affine points d·256^j·B for d = 1..128, and a negative digit
+# uses the negated entry (x, P-y).  Recoding 32 bytes can carry once past
+# the top byte, so 33 rows cover every scalar below 2^256.  A table costs
+# ≈50–60 ms and pays back after ≈45–90 exponentiations, so a base other
+# than g1 gets one on its _COMB_AFTER_USES-th use: endorsement keys are
+# fresh per transaction, reach 2–3 uses and stay on GLV.  Tables (≈0.7 MiB
+# each) and use counts are bounded like the decode memo.
 _COMB_ROWS = 33
+_COMB_AFTER_USES, _COMB_TABLES, _COMB_USES_MAX = 16, 2, 1024
+_G1 = (_GX, _GY)
 _g1_comb_table: list | None = None
+_comb_tables: dict = {}
+_comb_uses: dict = {}
 
 
-def _build_g1_comb() -> list:
+def _build_comb(base) -> list:
     rows = []
-    base = (_GX, _GY)
     for _ in range(_COMB_ROWS):
         mults = [(base[0], base[1], 1)]
         for _ in range(127):
@@ -437,12 +446,29 @@ def _build_g1_comb() -> list:
     return rows
 
 
-def _g1_comb() -> list:
-    """The g1 table, built on first use and shared by every group object."""
+def _comb_table(base) -> list | None:
+    """The comb table for a non-identity ``base``, or None while it is to
+    go through GLV.  g1's table is built on first use and shared by every
+    group object; any other base counts one use per call."""
     global _g1_comb_table
-    if _g1_comb_table is None:
-        _g1_comb_table = _build_g1_comb()
-    return _g1_comb_table
+    if base == _G1:
+        if _g1_comb_table is None:
+            _g1_comb_table = _build_comb(_G1)
+        return _g1_comb_table
+    table = _comb_tables.get(base)
+    if table is not None:
+        return table
+    uses = _comb_uses.get(base, 0) + 1
+    if uses < _COMB_AFTER_USES:
+        if len(_comb_uses) >= _COMB_USES_MAX:
+            _comb_uses.clear()
+        _comb_uses[base] = uses
+        return None
+    _comb_uses.pop(base, None)
+    if len(_comb_tables) >= _COMB_TABLES:
+        del _comb_tables[next(iter(_comb_tables))]
+    table = _comb_tables[base] = _build_comb(base)
+    return table
 
 
 def _comb8_digits(e: int) -> list:
@@ -458,10 +484,11 @@ def _comb8_digits(e: int) -> list:
     return digits
 
 
-def _exp_g1(e: int):
-    """g1^e for 0 <= e < 2^256: one mixed addition per nonzero digit."""
+def _exp_comb(table: list, e: int):
+    """B^e for 0 <= e < 2^256, given B's comb ``table``: one mixed addition
+    per nonzero digit."""
     acc = _JAC_ID
-    for row, d in zip(_g1_comb(), _comb8_digits(e)):
+    for row, d in zip(table, _comb8_digits(e)):
         if d > 0:
             acc = _jac_madd(acc, row[d - 1])
         elif d < 0:
@@ -580,7 +607,7 @@ class Secp256k1Group(Group):
     def __init__(self) -> None:
         super().__init__()
         self.q = _N
-        self.g1 = (_GX, _GY)
+        self.g1 = _G1
         self.identity = None
         self.element_len = 33
         self.scalar_len = 32
@@ -589,9 +616,8 @@ class Secp256k1Group(Group):
     def _exp(self, base, e: int):
         if base is None or e == 0:
             return None
-        if base == self.g1:
-            return _exp_g1(e)
-        return _exp_glv(base, e)
+        table = _comb_table(base)
+        return _exp_glv(base, e) if table is None else _exp_comb(table, e)
 
     def _mul(self, a, b):
         if a is None:

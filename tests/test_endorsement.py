@@ -191,3 +191,14 @@ def test_signature_bytes_scale_as_reported(toy16):
     for n in (2, 4, 8):
         assert size(run_default_flow, n) == n * single
         assert size(run_revised_flow, n) == single
+
+
+def test_endorsement_traffic_builds_no_comb_table(curve, comb_cache):
+    # keys are fresh per transaction and used 2-3 times, below the 16 uses
+    # that buy a ≈50–60 ms comb table
+    tables, _ = comb_cache
+    for i in range(3):
+        for flow in (run_revised_flow, run_default_flow):
+            rec = flow(curve, 4, PROPOSAL + b"%d" % i, seed=f"comb|{i}")
+            assert rec.accepted
+    assert tables == {}

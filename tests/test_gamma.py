@@ -72,6 +72,28 @@ def test_rejects_wrong_message_key_and_tampering(curve):
     assert not gamma.verify(curve, key.y, b"paid 5", gamma.Signature(0, sig.s))
 
 
+def test_verdicts_hold_across_comb_promotion(curve, comb_cache):
+    # 40 signatures under one key: its 16th use builds the key's comb
+    # table, and every verdict matches a run that clears the cache first
+    tables, uses = comb_cache
+    key = gamma.keygen(curve, derive_rng(13, "key", 0))
+    rng = random.Random(1994)
+    cases = []
+    for i in range(40):
+        m = b"tx %d" % i
+        sig = gamma.sign_online(curve, key, gamma.precompute(curve, key, i), m)
+        flipped = gamma.Signature(sig.c, sig.s ^ (1 << rng.randrange(255)))
+        cases += [(m, sig), (m, flipped)]
+    live = [gamma.verify(curve, key.y, m, sig) for m, sig in cases]
+    assert key.y in tables
+    uncached = []
+    for m, sig in cases:
+        tables.clear()
+        uses.clear()
+        uncached.append(gamma.verify(curve, key.y, m, sig))
+    assert live == uncached == [True, False] * 40
+
+
 def test_many_keys_round_trip(toy):
     # q=11 is tiny; make sure verification holds across the whole key space
     for i in range(40):

@@ -8,8 +8,9 @@ from multisig.group import (
     OpCounter,
     ToyGroup,
     _comb8_digits,
+    _comb_table,
     _decompress,
-    _exp_g1,
+    _exp_comb,
     _exp_glv,
     _exp_ladder,
     _glv_split,
@@ -306,28 +307,81 @@ def test_wnaf5_digits_reconstruct_the_scalar():
         assert all(j - i >= 5 for i, j in zip(nonzero, nonzero[1:]))
 
 
-def test_curve_fast_exp_counts_once(curve):
+def test_curve_fast_exp_counts_once(curve, comb_cache):
     ops = OpCounter()
     x = curve.exp(curve.g1, 7, ops=ops)
     curve.exp(x, 9, ops=ops)
     assert ops.snapshot() == (2, 0)
+    # a base that repeats gets its own comb table on its K-th use; every
+    # call through it is still one exponentiation and matches the ladder
+    tables, _ = comb_cache
+    base = curve.exp(curve.g1, 0xC0FFEE)
+    for _ in range(group_mod._COMB_AFTER_USES - 1):
+        assert curve.exp(base, 5) == _exp_glv(base, 5)
+    assert base not in tables
+    rng = random.Random(1994)
+    for e in _comb8_edge_scalars(curve.q) + [rng.randrange(curve.q)
+                                             for _ in range(50)] + [0]:
+        total = curve.ops_total.exponentiations
+        with curve.span() as sp:
+            got = curve.exp(base, e, ops=ops)
+        assert base in tables
+        assert got == _exp_ladder(base, e % curve.q) == _exp_glv(base, e), hex(e)
+        assert curve._exp(base, e) == _exp_ladder(base, e), hex(e)
+        assert sp.exponentiations == 1, hex(e)
+        assert curve.ops_total.exponentiations - total == 1, hex(e)
+    assert list(tables) == [base]
+
+
+def test_comb_cache_is_bounded(curve, comb_cache, monkeypatch):
+    """Bookkeeping only: building and evaluating are stubbed out."""
+    tables, uses = comb_cache
+    k, cap = group_mod._COMB_AFTER_USES, group_mod._COMB_USES_MAX
+    built = []
+    monkeypatch.setattr(group_mod, "_build_comb",
+                        lambda base: built.append(base) or [base])
+    monkeypatch.setattr(group_mod, "_exp_glv", lambda base, e: None)
+    monkeypatch.setattr(group_mod, "_exp_comb", lambda table, e: table[0])
+    bases, pt = [], curve.g1
+    for _ in range(200 + cap + 10):
+        pt = curve._mul(pt, curve.g1)
+        bases.append(pt)
+    bases, fresh = bases[:200], bases[200:]
+    for _ in range(k - 1):                # K-1 uses each: no table yet
+        for base in bases:
+            assert curve.exp(base, 3) is None
+    assert built == [] and len(uses) == 200
+    for base in bases:                    # the K-th use builds one
+        assert curve.exp(base, 3) == base
+        assert len(tables) <= group_mod._COMB_TABLES and base in tables
+    assert built == bases
+    assert list(tables) == bases[-group_mod._COMB_TABLES:]
+    assert curve.exp(bases[-1], 3) == bases[-1] and len(built) == 200
+    assert curve.exp(bases[0], 3) is None   # evicted: counts from 1 again
+    assert len(built) == 200 and uses == {bases[0]: 1}
+    sizes = []
+    for base in fresh:                    # one use each, past the cap
+        curve.exp(base, 3)
+        sizes.append(len(uses))
+    assert max(sizes) == cap and sizes[-1] < cap and len(built) == 200
 
 
 def test_g1_table_built_once_and_shared(monkeypatch):
     builds = []
-    real_build = group_mod._build_g1_comb
+    real_build = group_mod._build_comb
 
-    def counting_build():
-        builds.append(1)
-        return real_build()
+    def counting_build(base):
+        builds.append(base)
+        return real_build(base)
 
     monkeypatch.setattr(group_mod, "_g1_comb_table", None)
-    monkeypatch.setattr(group_mod, "_build_g1_comb", counting_build)
+    monkeypatch.setattr(group_mod, "_build_comb", counting_build)
     a, b = curve_group(), group_from_descriptor({"backend": "secp256k1"})
     assert a.exp(a.g1, 3) == b.exp(b.g1, 3) == _exp_ladder(a.g1, 3)
     a.exp(a.g1, 5)
-    assert builds == [1]
-    table = group_mod._g1_comb()
+    assert builds == [a.g1]
+    table = _comb_table(a.g1)
+    assert builds == [a.g1]
     assert len(table) == 33 and all(len(row) == 128 for row in table)
     assert table[1][0] == _exp_ladder(a.g1, 256)
 
@@ -398,7 +452,8 @@ def test_glv_exp_matches_comb_and_reference_ladder(curve):
     x = _exp_ladder(curve.g1, rng.randrange(1, n))
     for e in _glv_edge_scalars():
         ref = _exp_ladder(curve.g1, e % n)
-        assert _exp_glv(curve.g1, e) == _exp_g1(e % n) == ref, hex(e)
+        assert _exp_glv(curve.g1, e) == _exp_comb(_comb_table(curve.g1), e % n) \
+            == ref, hex(e)
     for base in (x, (x[0], group_mod._P - x[1])):
         for e in _glv_edge_scalars():
             assert _exp_glv(base, e) == _exp_ladder(base, e % n), hex(e)

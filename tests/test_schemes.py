@@ -181,6 +181,29 @@ def test_all_schemes_verify_on_curve(curve):
     assert not cosi_verify(curve, g.agg_key, M, g.signature)
 
 
+def test_verdicts_hold_across_comb_promotion(curve, comb_cache):
+    # 40 signatures under one X~: its 16th use builds X~'s comb table, and
+    # every verdict matches a run that clears the cache before each verify
+    tables, uses = comb_cache
+    tree, keys = build_tree(3, 2, 2), derive_keys(curve, 3, "comb")
+    rng = random.Random(1994)
+    cases = []
+    for i in range(40):
+        m = b"tx %d" % i
+        run = agms_online(curve, agms_offline(curve, tree, keys, seed=f"comb|{i}"), m)
+        c, s = run.signature.c, run.signature.s
+        cases += [(m, run.signature), (m, Signature(c, s ^ (1 << rng.randrange(255))))]
+    agg = run.agg_key
+    live = [verify(curve, agg, m, sig) for m, sig in cases]
+    assert agg.X in tables
+    uncached = []
+    for m, sig in cases:
+        tables.clear()
+        uses.clear()
+        uncached.append(verify(curve, agg, m, sig))
+    assert live == uncached == [True, False] * 40
+
+
 def test_agms_online_zero_group_operations(toy, node_spans):
     tree = build_tree(15, 2, 3)
     keys = derive_keys(toy, 15, 33)

@@ -72,7 +72,7 @@ def _add_backend(p: argparse.ArgumentParser, toy_q: int = 11) -> None:
     p.add_argument("--backend", choices=("toy", "curve"), default=None,
                    help="group backend (default: $MULTISIG_BACKEND or toy)")
     p.add_argument("--toy-q", type=int, default=toy_q, metavar="Q",
-                   help=f"toy subgroup order, prime (default {toy_q})")
+                   help=f"toy subgroup order, a prime >= 3 (default {toy_q})")
 
 
 def _add_seed(p: argparse.ArgumentParser) -> None:
@@ -197,13 +197,12 @@ def _sign_and_verify(par, scheme, tree, keys, m, nonce_seed):
     """
     spans = {}
     if scheme == "gamma":
-        key = gamma.GammaKeyPair(keys[0].sk, keys[0].y)
         with par.span() as spans["sign_offline"]:
-            nonce = gamma.precompute(par, key, nonce_seed)
+            nonce = gamma.precompute(par, keys[0], nonce_seed)
         with par.span() as spans["sign_online"]:
-            sig = gamma.sign_online(par, key, nonce, m)
+            sig = gamma.sign_online(par, keys[0], nonce, m)
         with par.span() as spans["verify"]:
-            ok = gamma.verify(par, key.y, m, sig)
+            ok = gamma.verify(par, keys[0].y, m, sig)
         return sig, ok, [], 1, spans
     if scheme == "agms":
         with par.span() as spans["sign_offline"]:
@@ -298,6 +297,9 @@ def cmd_verify(args) -> int:
     elif args.scheme == "cosi":
         ok = cosi_verify(par, key_aggregate(par, pks), m, sig)
     else:  # gamma
+        if len(pks) != 1:
+            raise ValueError(f"--scheme gamma is single-signer: {args.keys} "
+                             f"holds {len(pks)} keys, not 1")
         ok = gamma.verify(par, pks[0].y, m, sig)
     print(f"signature valid: {'true' if ok else 'false'}")
     return 0 if ok else 1

@@ -34,6 +34,7 @@ from .group import Group, derive_rng
 from .schemes import (
     agms_offline,
     announce,
+    bare_keygen,
     derive_keys,
     key_verify,
     respond,
@@ -207,7 +208,7 @@ def run_default_flow(par: Group, n_endorsers: int, proposal: bytes, *, seed,
     if n_endorsers < 1:
         raise ValueError("an AND policy needs at least one endorser")
     endorser_keys = [
-        gamma.keygen(par, derive_rng(seed, "default-endorser", i))
+        bare_keygen(par, derive_rng(seed, "default-endorser", i))
         for i in range(n_endorsers)
     ]
     sig_len = 2 * par.scalar_len

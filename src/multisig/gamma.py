@@ -23,8 +23,8 @@ from .errors import BadLength, InternalError, NonceReuse
 from .group import Group
 from .hashing import H0, H1, derive_nonces, hash_to_scalar
 
-__all__ = ["GammaKeyPair", "GammaNonce", "Signature", "keygen", "precompute",
-           "sign_online", "recover_commitment", "verify"]
+__all__ = ["GammaNonce", "Signature", "precompute", "sign_online",
+           "recover_commitment", "verify"]
 
 _MAX_RESAMPLE = 64
 _NONCE_TAG = b"multisig/gamma-nonce"  # tree sessions use b"multisig/nonce"
@@ -48,12 +48,6 @@ class Signature:
         return cls(par.decode_scalar(data[:half]), par.decode_scalar(data[half:]))
 
 
-@dataclass(frozen=True)
-class GammaKeyPair:
-    sk: int
-    y: object  # public key g1^sk
-
-
 @dataclass
 class GammaNonce:
     """One precomputed signing token: (v, V, c, v*c).  Single use."""
@@ -65,16 +59,12 @@ class GammaNonce:
     used: bool = False
 
 
-def keygen(par: Group, rng) -> GammaKeyPair:
-    sk = par.random_scalar(rng)
-    return GammaKeyPair(sk, par.exp(par.g1, sk))
-
-
-def precompute(par: Group, key: GammaKeyPair, seed: int | str) -> GammaNonce:
+def precompute(par: Group, key, seed: int | str) -> GammaNonce:
     """Offline half of signing: one exponentiation, message not needed.
 
-    v is ``derive_nonces`` over (seed, attempt, 0, sk): the key signs alone
-    at index 0, and ``attempt`` counts the resamples of v while the
+    ``key`` is a ``schemes.KeyPair``, as for every scheme.  v is
+    ``derive_nonces`` over (seed, attempt, 0, sk): the key signs alone at
+    index 0, and ``attempt`` counts the resamples of v while the
     challenge comes out zero (only plausible on toy groups), so the
     verifier's 1/c always exists.  One seed signs one message per key.
     """
@@ -88,9 +78,9 @@ def precompute(par: Group, key: GammaKeyPair, seed: int | str) -> GammaNonce:
     raise InternalError("challenge stuck at zero; backend is broken")
 
 
-def sign_online(par: Group, key: GammaKeyPair, nonce: GammaNonce,
-                m: bytes) -> Signature:
-    """Online half: two scalar multiplications, zero group operations."""
+def sign_online(par: Group, key, nonce: GammaNonce, m: bytes) -> Signature:
+    """Online half for the ``schemes.KeyPair`` that ran ``precompute``: two
+    scalar multiplications, zero group operations."""
     if nonce.used:
         raise NonceReuse("precomputed nonce already consumed")
     nonce.used = True

@@ -125,8 +125,8 @@ class AggregateKey:
 
 def keygen(par: Group, rng) -> KeyPair:
     """Key pair plus possession proof; resamples r if a lands on 0."""
-    sk = par.random_scalar(rng)
-    y = par.exp(par.g1, sk)
+    bare = bare_keygen(par, rng)
+    sk, y = bare.sk, bare.y
     g1b = par.encode_element(par.g1)
     b = hash_to_scalar(par, H2, [par.encode_element(y)])
     for _ in range(_MAX_RESTARTS):
@@ -140,7 +140,7 @@ def keygen(par: Group, rng) -> KeyPair:
 
 
 def bare_keygen(par: Group, rng) -> KeyPair:
-    """Key pair without possession proof — what the baseline scheme uses."""
+    """Key pair without possession proof: the key draw of all four schemes."""
     sk = par.random_scalar(rng)
     return KeyPair(sk, PublicKey(par.exp(par.g1, sk)))
 

@@ -12,12 +12,12 @@ import hashlib
 import json
 from pathlib import Path
 
-from multisig.gamma import keygen as gamma_keygen
 from multisig.gamma import precompute, sign_online
 from multisig.gamma import verify as gamma_verify
 from multisig.group import curve_group, derive_rng, toy_group
 from multisig.hashing import H0, H1, H2, H3, hash_to_scalar
-from multisig.schemes import derive_keys, gms_sign, key_aggregate, keygen, verify
+from multisig.schemes import (bare_keygen, derive_keys, gms_sign, key_aggregate,
+                              keygen, verify)
 from multisig.tree import build_tree
 
 OUT = Path(__file__).with_name("golden_vectors.json")
@@ -81,7 +81,7 @@ def main():
     doc["hash_curve"] = c_vectors
 
     # ── single-signer golden run, toy seed 42 ───────────────────────────
-    key = gamma_keygen(par, derive_rng(42, "key", 0))
+    key = bare_keygen(par, derive_rng(42, "key", 0))
     nonce = precompute(par, key, 42)
     # independent check of the nonce, the precomputed challenge and the
     # response algebra: v is the first attempt whose challenge is nonzero

@@ -19,6 +19,7 @@ from multisig.schemes import (
     Signature,
     agms_offline,
     agms_online,
+    bare_keygen,
     cosi_verify,
     derive_keys,
     gms_sign,
@@ -55,7 +56,7 @@ def test_c01_completeness_across_sizes(toy, acceptance):
             runs += 2
             ok += verify(toy, g.agg_key, m, g.signature)
             ok += verify(toy, a.agg_key, m, a.signature)
-    key = gamma.keygen(toy, derive_rng(0, "key", 0))
+    key = bare_keygen(toy, derive_rng(0, "key", 0))
     for i in range(200):
         m = rng.randbytes(rng.randrange(1, 64))
         nonce = gamma.precompute(toy, key, i)

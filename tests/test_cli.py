@@ -287,6 +287,51 @@ def test_gamma_verify_with_no_keys_is_a_usage_error(tmp_path, capsys):
     assert "no keys" in stderr
 
 
+@pytest.mark.parametrize("others, mine_first", [(1, False), (2, True)])
+def test_gamma_verify_needs_exactly_one_key(tmp_path, capsys, others,
+                                            mine_first):
+    # gamma verify used to read only the first key: the signer's key behind
+    # another printed "signature valid: false", in front of two more "true"
+    signer = tmp_path / "signer.json"
+    keys = tmp_path / "keys.json"
+    sig = tmp_path / "g.sig"
+    run(capsys, "keygen", "--count", "1", "--out", str(signer), "--seed", "3")
+    run(capsys, "keygen", "--count", str(others), "--out", str(keys),
+        "--seed", "4")
+    assert run(capsys, "simulate", "--scheme", "gamma", "--signers", "1",
+               "--seed", "3", "--message", "hi", "--out", str(sig))[0] == 0
+    argv = ("verify", "--scheme", "gamma", "--signature", str(sig),
+            "--message", "hi", "--keys")
+    assert run(capsys, *argv, str(signer))[:2] == (0, "signature valid: true\n")
+    doc = json.loads(keys.read_text())
+    [mine] = json.loads(signer.read_text())["keys"]
+    doc["keys"] = [mine, *doc["keys"]] if mine_first else [*doc["keys"], mine]
+    keys.write_text(json.dumps(doc))
+    code, stdout, stderr = run(capsys, *argv, str(keys))
+    assert (code, stdout) == (2, "")
+    assert f"holds {others + 1} keys, not 1" in stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ("keygen", "--out", "k.json"),
+    ("simulate", "--scheme", "gms"),
+    ("simulate", "--scheme", "agms"),
+    ("simulate", "--scheme", "cosi"),
+    ("simulate", "--scheme", "gamma", "--signers", "1"),
+    ("endorse", "--endorsers-list", "2"),
+    ("bench", "--schemes", "agms", "--signers-list", "3", "--reps", "1"),
+])
+def test_toy_order_two_is_a_usage_error(tmp_path, monkeypatch, capsys, argv):
+    # with q = 2 every scalar draw is 1, so keygen's proof challenge stuck
+    # at zero and each command exited 1, the code for a failed verification
+    monkeypatch.chdir(tmp_path)
+    for seed in ("1", "2", "3"):
+        code, stdout, stderr = run(capsys, *argv, "--toy-q", "2", "--seed", seed)
+        assert (code, stdout) == (2, "")
+        assert "3 <= q < p < 2^40" in stderr
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("argv", [
     ("verify-keys",),
     ("verify", "--scheme", "gms"),

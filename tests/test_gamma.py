@@ -6,7 +6,7 @@ from multisig import gamma
 from multisig.errors import BadLength, NonceReuse
 from multisig.group import derive_rng, toy_group_for_order
 from multisig.hashing import H0, H1, hash_to_scalar
-from multisig.schemes import derive_keys, open_sessions
+from multisig.schemes import bare_keygen, derive_keys, open_sessions
 from multisig.tree import build_tree
 
 GAMMA_TAG = b"multisig/gamma-nonce"
@@ -14,7 +14,7 @@ GAMMA_TAG = b"multisig/gamma-nonce"
 
 def _golden_run(toy, golden):
     vec = golden["gamma_toy_seed42"]
-    key = gamma.keygen(toy, derive_rng(vec["seed"], "key", 0))
+    key = bare_keygen(toy, derive_rng(vec["seed"], "key", 0))
     nonce = gamma.precompute(toy, key, vec["seed"])
     return vec, key, nonce
 
@@ -30,7 +30,7 @@ def test_golden_vector_seed42(toy, golden):
 
 
 def test_precompute_is_one_exp_online_is_zero(toy):
-    key = gamma.keygen(toy, derive_rng(1, "key", 0))
+    key = bare_keygen(toy, derive_rng(1, "key", 0))
     with toy.span() as sp:
         nonce = gamma.precompute(toy, key, 1)
     assert sp.exponentiations == 1
@@ -40,7 +40,7 @@ def test_precompute_is_one_exp_online_is_zero(toy):
 
 
 def test_nonce_single_use(toy):
-    key = gamma.keygen(toy, derive_rng(2, "key", 0))
+    key = bare_keygen(toy, derive_rng(2, "key", 0))
     nonce = gamma.precompute(toy, key, 2)
     gamma.sign_online(toy, key, nonce, b"first")
     with pytest.raises(NonceReuse):
@@ -48,7 +48,7 @@ def test_nonce_single_use(toy):
 
 
 def test_verify_has_three_exponentiations(curve):
-    key = gamma.keygen(curve, derive_rng(3, "key", 0))
+    key = bare_keygen(curve, derive_rng(3, "key", 0))
     nonce = gamma.precompute(curve, key, 3)
     sig = gamma.sign_online(curve, key, nonce, b"m")
     with curve.span() as sp:
@@ -58,8 +58,8 @@ def test_verify_has_three_exponentiations(curve):
 
 
 def test_rejects_wrong_message_key_and_tampering(curve):
-    key = gamma.keygen(curve, derive_rng(4, "key", 0))
-    other = gamma.keygen(curve, derive_rng(4, "key", 1))
+    key = bare_keygen(curve, derive_rng(4, "key", 0))
+    other = bare_keygen(curve, derive_rng(4, "key", 1))
     nonce = gamma.precompute(curve, key, 4)
     sig = gamma.sign_online(curve, key, nonce, b"paid 5")
     assert gamma.verify(curve, key.y, b"paid 5", sig)
@@ -76,7 +76,7 @@ def test_verdicts_hold_across_comb_promotion(curve, comb_cache):
     # 40 signatures under one key: its 16th use builds the key's comb
     # table, and every verdict matches a run that clears the cache first
     tables, uses = comb_cache
-    key = gamma.keygen(curve, derive_rng(13, "key", 0))
+    key = bare_keygen(curve, derive_rng(13, "key", 0))
     rng = random.Random(1994)
     cases = []
     for i in range(40):
@@ -97,7 +97,7 @@ def test_verdicts_hold_across_comb_promotion(curve, comb_cache):
 def test_many_keys_round_trip(toy):
     # q=11 is tiny; make sure verification holds across the whole key space
     for i in range(40):
-        key = gamma.keygen(toy, derive_rng(5, "key", i))
+        key = bare_keygen(toy, derive_rng(5, "key", i))
         nonce = gamma.precompute(toy, key, f"5|{i}")
         m = b"m%d" % i
         assert gamma.verify(toy, key.y, m, gamma.sign_online(toy, key, nonce, m))
@@ -105,7 +105,7 @@ def test_many_keys_round_trip(toy):
 
 def test_completeness_over_random_messages(toy):
     rng = random.Random(6)
-    key = gamma.keygen(toy, derive_rng(6, "key", 0))
+    key = bare_keygen(toy, derive_rng(6, "key", 0))
     for i in range(500):
         m = rng.randbytes(rng.randrange(0, 48))
         nonce = gamma.precompute(toy, key, f"6|{i}")
@@ -115,7 +115,7 @@ def test_completeness_over_random_messages(toy):
 def test_bit_flips_and_shifted_s_never_verify(toy16):
     # at q=65521 a false accept would be ~1/q luck; seed pinned, so none occur
     rng = random.Random(7)
-    key = gamma.keygen(toy16, derive_rng(7, "key", 0))
+    key = bare_keygen(toy16, derive_rng(7, "key", 0))
     accepted = 0
     for i in range(500):
         m = rng.randbytes(rng.randrange(1, 48))
@@ -135,7 +135,7 @@ def test_verification_matches_exhaustive_commitment_search(toy):
     everyone = [toy.exp(toy.g1, i) for i in range(toy.q)]
     assert len(set(everyone)) == toy.q
     for i in range(20):
-        key = gamma.keygen(toy, derive_rng(8, "key", i))
+        key = bare_keygen(toy, derive_rng(8, "key", i))
         nonce = gamma.precompute(toy, key, f"8|{i}")
         m = b"oracle %d" % i
         sig = gamma.sign_online(toy, key, nonce, m)
@@ -150,7 +150,7 @@ def test_verification_matches_exhaustive_commitment_search(toy):
 def test_nonce_matches_raw_hashlib(toy16, curve, raw_nonce):
     # the key signs alone, at index 0, on the gamma tag
     for par in (toy16, curve):
-        key = gamma.keygen(par, derive_rng(9, "key", 0))
+        key = bare_keygen(par, derive_rng(9, "key", 0))
         for seed in (9, "9|x"):
             assert gamma.precompute(par, key, seed).v == raw_nonce(
                 par, GAMMA_TAG, seed, 0, 0, key.sk)
@@ -163,7 +163,7 @@ def test_nonces_stay_off_the_metered_hash_seam(toy, raw_nonce, hash_calls):
     hash_calls.clear()  # keygen's possession proofs
     open_sessions(toy, "agms", build_tree(7, 2, 3), keys, 10)
     assert hash_calls == []
-    key = gamma.GammaKeyPair(keys[0].sk, keys[0].y)
+    key = keys[0]
     pk = toy.encode_element(key.y)
     attempts = []
     for seed in range(40):
@@ -182,16 +182,15 @@ def test_nonces_stay_off_the_metered_hash_seam(toy, raw_nonce, hash_calls):
 def test_gamma_and_tree_nonces_are_tag_separated(curve):
     # one key on one seed never gets the same nonce from both schemes
     kp = derive_keys(curve, 1, 11)[0]
-    key = gamma.GammaKeyPair(kp.sk, kp.y)
     tree = build_tree(1, 2, 1)
     for seed in (11, "11|x"):
         [session] = open_sessions(curve, "agms", tree, [kp], seed)
-        assert gamma.precompute(curve, key, seed).v != session.v
+        assert gamma.precompute(curve, kp, seed).v != session.v
 
 
 def test_precompute_rejects_an_rng_seed(toy):
     # str() of an RNG embeds its address: a nonce that no run reproduces
-    key = gamma.keygen(toy, derive_rng(12, "key", 0))
+    key = bare_keygen(toy, derive_rng(12, "key", 0))
     with pytest.raises(TypeError, match="int or str"):
         gamma.precompute(toy, key, random.Random(1))
 
@@ -201,7 +200,7 @@ def test_known_nonce_seed_does_not_reveal_the_key(backend, curve, raw_nonce):
     # the key comes from a secret seed, the nonce from a published one; a
     # nonce that depended on the seed alone would give sk = (v*c - s)/e
     par = curve if backend == "curve" else toy_group_for_order(1048573)
-    key = gamma.keygen(par, derive_rng("secret seed", "key", 0))
+    key = bare_keygen(par, derive_rng("secret seed", "key", 0))
     nonce = gamma.precompute(par, key, 5)
     sig = gamma.sign_online(par, key, nonce, b"msg")
     e = hash_to_scalar(par, H1, [b"msg"])

@@ -177,11 +177,14 @@ def test_toy_group_for_order():
 def test_toy_group_bounds_sizes_before_primality():
     # checked before trial division, which a crafted 61-bit p keeps busy
     # for minutes; these sizes stay fast even if the bound regresses
-    for p, q in ((2**40 + 1, 11), (23, 23)):
+    # (5, 2): q = 2 has one nonzero scalar, so keygen spun on a zero proof
+    # challenge and every command exited 1 as if a verification had failed
+    for p, q in ((2**40 + 1, 11), (23, 23), (5, 2)):
         with pytest.raises(ValueError, match=r"q < p < 2\^40"):
             ToyGroup(p, q, 2)
-    with pytest.raises(IoError):
-        group_from_descriptor({"backend": "toy", "p": 23, "q": "11", "g": 2})
+    for desc in ({"p": 23, "q": "11", "g": 2}, {"p": 5, "q": 2, "g": 4}):
+        with pytest.raises(IoError):
+            group_from_descriptor({"backend": "toy", **desc})
 
 
 def test_descriptor_round_trip(toy, curve):

@@ -1,4 +1,5 @@
 import ast
+import importlib
 from pathlib import Path
 
 import multisig
@@ -37,3 +38,24 @@ def test_steps_take_no_schedule_and_pass_no_ops_counter():
                 offenders += [f"{path.name}:{node.lineno}: schedule"
                               for a in params if a.arg == "schedule"]
     assert offenders == []
+
+
+def test_every_all_matches_its_module():
+    # a name left in __all__ after its definition goes breaks star imports;
+    # a public definition missing from it is API nobody declared
+    checked, offenders = [], []
+    for path in sorted(PACKAGE.glob("[!_]*.py")):
+        module = importlib.import_module(f"multisig.{path.stem}")
+        exported = getattr(module, "__all__", None)
+        if exported is None:  # cli and errors declare no __all__
+            continue
+        checked.append(path.stem)
+        offenders += [f"{path.name}: {name} is not defined" for name in exported
+                      if not hasattr(module, name)]
+        offenders += [f"{path.name}: {node.name} is not in __all__"
+                      for node in ast.parse(path.read_text()).body
+                      if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                      and not node.name.startswith("_")
+                      and node.name not in exported]
+    assert offenders == []
+    assert {"gamma", "group", "schemes", "tree"} <= set(checked)

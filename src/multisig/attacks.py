@@ -32,13 +32,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import count, islice
 
 from .errors import BackendRefused, KSumNotFound
 from .group import Group, ToyGroup, derive_rng
-from .hashing import H1, H2, H3, hash_to_scalar
+from .hashing import H3, hash_to_scalar
 from .schemes import (
     AggregateKey,
-    KeyProof,
     PublicKey,
     Signature,
     announce,
@@ -51,6 +51,7 @@ from .schemes import (
     key_aggregate,
     key_verify,
     open_sessions,
+    prove_possession,
     respond,
     verify,
 )
@@ -60,7 +61,6 @@ __all__ = [
     "require_toy",
     "RogueKeyReport",
     "rogue_key_attack",
-    "KSumInstance",
     "default_list_size",
     "random_instance",
     "plant_solution",
@@ -134,17 +134,10 @@ def rogue_key_attack(par: Group, honest_keys, message: bytes, *, seed=0,
     sig = Signature(c, par.s_add(v, par.s_mul(c, sk_a)))
     baseline_accepts = cosi_verify(par, X, message, sig)
 
-    g1b = par.encode_element(par.g1)
-    b = hash_to_scalar(par, H2, [par.encode_element(y_a)])
-    accepted = 0
-    for _ in range(proof_attempts):
-        r = par.random_scalar(rng)
-        a = hash_to_scalar(
-            par, H1, [g1b, par.encode_element(par.exp(par.g1, r))]
-        )
-        d = par.s_sub(par.s_mul(r, a), par.s_mul(b, sk_a))
-        if key_verify(par, PublicKey(y_a, KeyProof(a, d))):
-            accepted += 1
+    accepted = sum(
+        key_verify(par, PublicKey(y_a, prove_possession(par, sk_a, y_a, rng)))
+        for _ in range(proof_attempts)
+    )
 
     return RogueKeyReport(
         rogue_y=y_a,
@@ -159,48 +152,33 @@ def rogue_key_attack(par: Group, honest_keys, message: bytes, *, seed=0,
 
 # ── generalized birthday (k-list) solver ─────────────────────────────────────
 
-@dataclass(frozen=True)
-class KSumInstance:
-    """k lists of residues mod q; goal: one index per list, sum == 0 mod q."""
-
-    q: int
-    lists: tuple
-
-    @property
-    def k(self) -> int:
-        return len(self.lists)
-
-
 def default_list_size(q: int) -> int:
     return 4 * math.ceil(q ** (1.0 / 3.0))
 
 
 def random_instance(q: int, k: int, size: int | None = None, *,
-                    seed=0) -> KSumInstance:
+                    seed=0) -> list:
     size = default_list_size(q) if size is None else size
     if size < 1:
         raise ValueError(f"list size must be at least 1, got {size}")
     rng = derive_rng(seed, "ksum-instance")
-    return KSumInstance(
-        q, tuple(tuple(rng.randrange(q) for _ in range(size)) for _ in range(k))
-    )
+    return [[rng.randrange(q) for _ in range(size)] for _ in range(k)]
 
 
-def plant_solution(instance: KSumInstance, *, seed=0):
+def plant_solution(q: int, lists, *, seed=0):
     """Overwrite one slot per list so a zero-sum tuple certainly exists.
 
     Planted values cancel pairwise (x, q-x), so they survive the solver's
-    near-zero filtering at every level.  Returns (new instance, indices).
+    near-zero filtering at every level.  Returns (new lists, indices).
     """
     rng = derive_rng(seed, "ksum-plant")
-    q = instance.q
-    lists = [list(lst) for lst in instance.lists]
+    lists = [list(lst) for lst in lists]
     idx = tuple(rng.randrange(len(lst)) for lst in lists)
     for j in range(0, len(lists), 2):
         x = rng.randrange(1, q)
         lists[j][idx[j]] = x
         lists[j + 1][idx[j + 1]] = (q - x) % q
-    return KSumInstance(q, tuple(tuple(lst) for lst in lists)), idx
+    return lists, idx
 
 
 def _filtered_join(q: int, left, right, bound: int):
@@ -213,20 +191,18 @@ def _filtered_join(q: int, left, right, bound: int):
     return out
 
 
-def solve(instance: KSumInstance):
-    """Wagner-style tree join: filter pair sums into shrinking windows
-    around 0 mod q, then demand an exact zero at the top.  Returns one
-    index per list; raises KSumNotFound when the joins run dry.
+def solve(q: int, lists):
+    """Wagner-style tree join: filter pair sums of the k lists into
+    shrinking windows around 0 mod q, then demand an exact zero at the top.
+    Returns one index per list; raises KSumNotFound when the joins run dry.
     """
-    q, k = instance.q, instance.k
+    k = len(lists)
     if k < 2 or k & (k - 1):
         raise ValueError("number of lists must be a power of two >= 2")
-    if any(not lst for lst in instance.lists):
+    if any(not lst for lst in lists):
         raise KSumNotFound("empty input list")
-    s_l = max(len(lst) for lst in instance.lists)
-    layers = [
-        [(v % q, (i,)) for i, v in enumerate(lst)] for lst in instance.lists
-    ]
+    s_l = max(len(lst) for lst in lists)
+    layers = [[(v % q, (i,)) for i, v in enumerate(lst)] for lst in lists]
     height = k.bit_length() - 1
     for h in range(1, height):
         bound = max(1, q // (2 * s_l ** h))
@@ -244,7 +220,7 @@ def solve(instance: KSumInstance):
         other = lookup.get((q - v) % q)
         if other is not None:
             found = idx + other
-            total = sum(instance.lists[j][found[j]] for j in range(k)) % q
+            total = sum(lists[j][found[j]] for j in range(k)) % q
             assert total == 0, "solver produced a non-solution"
             return found
     raise KSumNotFound("no zero-sum tuple at the top join")
@@ -288,40 +264,42 @@ class KSumAttackReport:
         }
 
 
-def _grind_session_list(par, rng, V_sess, target, x_forge, s_l, message):
-    """Challenge candidates the leader can induce for one open session by
-    varying its own commitment share r, each with the aggregate it would
-    announce: g1^r * V_sess."""
-    vals, announced = [], []
-    while len(vals) < s_l:
-        r = par.random_scalar(rng)
-        v_ann = par.mul(par.exp(par.g1, r), V_sess)
-        c = challenge_hash(par, target, v_ann, x_forge, message)
-        if c == 0:
-            continue
-        vals.append(c)
-        announced.append(v_ann)
-    return vals, announced
-
-
+# a list of s_l entries gives up after s_l * _GRIND_DRAWS candidates
+_GRIND_DRAWS = 64
 # the forged messages are this prefix, "#" and a counter
 _FORGED_PREFIX = b"pay the attacker everything"
 
 
-def _grind_target_list(par, V_bar, target, x_forge, s_l):
-    """Forged-message candidates: target challenges c* = H0(...) negated so
-    the solver's zero-sum means sum(c_j) == c* mod q."""
-    vals, msgs = [], []
-    u = 0
-    while len(vals) < s_l:
+def _grind(s_l, candidates):
+    """The first s_l (challenge, item) candidates whose challenge is not 0,
+    as (challenges, items).  Draws lazily, since the session lists share one
+    RNG, and raises KSumNotFound after s_l * _GRIND_DRAWS draws: the AGMS
+    target challenge ignores the message, so it may be 0 for every one.
+    """
+    vals, items = [], []
+    for c, item in islice(candidates, s_l * _GRIND_DRAWS):
+        if c != 0:
+            vals.append(c)
+            items.append(item)
+            if len(vals) == s_l:
+                return vals, items
+    raise KSumNotFound(f"no {s_l} nonzero challenges in {s_l * _GRIND_DRAWS} draws")
+
+
+def _session_candidates(par, rng, V_sess, target, x_forge, message):
+    """Challenges the leader can induce in one open session by varying its
+    own commitment share r, each with the aggregate g1^r * V_sess it would
+    announce."""
+    while True:
+        v_ann = par.mul(par.exp(par.g1, par.random_scalar(rng)), V_sess)
+        yield challenge_hash(par, target, v_ann, x_forge, message), v_ann
+
+
+def _target_candidates(par, V_bar, target, x_forge):
+    """Forged messages, each with its target challenge c*."""
+    for u in count():
         m_star = _FORGED_PREFIX + b"#" + str(u).encode()
-        u += 1
-        c = challenge_hash(par, target, V_bar, x_forge, m_star)
-        if c == 0:
-            continue
-        vals.append((par.q - c) % par.q)
-        msgs.append(m_star)
-    return vals, msgs
+        yield challenge_hash(par, target, V_bar, x_forge, m_star), m_star
 
 
 def ksum_forgery_attack(par: Group, *, target: str = "cosi", k: int = 4,
@@ -381,18 +359,16 @@ def ksum_forgery_attack(par: Group, *, target: str = "cosi", k: int = 4,
             v_bar = par.mul(v_bar, v)
 
         grind_rng = derive_rng(seed, "grind", t)
-        lists, announced = [], []
-        for j in range(ell):
-            vals, anns = _grind_session_list(
-                par, grind_rng, v_sess[j], target, x_forge, s_l, message
-            )
-            lists.append(tuple(vals))
-            announced.append(anns)
-        targets, msgs = _grind_target_list(par, v_bar, target, x_forge, s_l)
-        lists.append(tuple(targets))
-
         try:
-            idx = solve(KSumInstance(par.q, tuple(lists)))
+            ground = [_grind(s_l, _session_candidates(
+                par, grind_rng, v, target, x_forge, message)) for v in v_sess]
+            c_stars, msgs = _grind(s_l, _target_candidates(
+                par, v_bar, target, x_forge))
+            # negated, so the solver's zero sum means sum(c_j) == c* mod q
+            lists = [vals for vals, _ in ground]
+            lists.append([(par.q - c) % par.q for c in c_stars])
+            announced = [anns for _, anns in ground]
+            idx = solve(par.q, lists)
         except KSumNotFound:
             continue
 
@@ -406,7 +382,7 @@ def ksum_forgery_attack(par: Group, *, target: str = "cosi", k: int = 4,
 
         u_k = idx[-1]
         m_star = msgs[u_k]
-        c_star = (par.q - lists[-1][u_k]) % par.q
+        c_star = c_stars[u_k]
         if baseline:
             s_star = par.s_add(s_total, par.s_mul(c_star, adv.sk))
             sig = Signature(c_star, s_star)

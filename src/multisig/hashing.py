@@ -13,9 +13,9 @@ length-prefixed input items, reduced mod the group order.  Four domains:
 The tag byte plus a 4-byte big-endian length prefix per item make the
 serialization injective over tuples of byte strings: (b"ab", b"c") and
 (b"a", b"bc") hash differently, as do same-bytes inputs under different
-tags.  Items are either raw ``bytes`` or ``int`` scalars (fixed-width
-encoded); group elements must be pre-encoded by the caller, since toy
-group elements are also ints and silent coercion would be ambiguous.
+tags.  Items must be ``bytes``: callers encode scalars and group elements
+first, since toy group elements are also ints and reducing one mod q
+would make distinct elements hash alike.
 """
 
 from __future__ import annotations
@@ -51,23 +51,16 @@ H3 = HashDomain.MESSAGE
 
 # ── serialization ────────────────────────────────────────────────────────────
 
-def _item_bytes(par, item) -> bytes:
-    if isinstance(item, bytes):
-        return item
-    if isinstance(item, int):
-        return par.encode_scalar(item)
-    raise TypeError(
-        f"hash items must be bytes or int scalars, got {type(item).__name__}"
-        " (encode group elements with par.encode_element first)"
-    )
-
-
 def serialize_items(par, tag: HashDomain, items: Iterable) -> bytes:
     out = [bytes([tag])]
     for item in items:
-        data = item if type(item) is bytes else _item_bytes(par, item)
-        out.append(len(data).to_bytes(4, "big"))
-        out.append(data)
+        if not isinstance(item, bytes):
+            raise TypeError(
+                f"hash items must be bytes, got {type(item).__name__} (encode"
+                " scalars and group elements with par.encode_* first)"
+            )
+        out.append(len(item).to_bytes(4, "big"))
+        out.append(item)
     return b"".join(out)
 
 

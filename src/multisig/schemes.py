@@ -65,6 +65,7 @@ __all__ = [
     "respond",
     "keygen",
     "bare_keygen",
+    "prove_possession",
     "key_verify",
     "key_aggregate",
     "derive_keys",
@@ -124,18 +125,12 @@ class AggregateKey:
 
 
 def keygen(par: Group, rng) -> KeyPair:
-    """Key pair plus possession proof; resamples r if a lands on 0."""
-    bare = bare_keygen(par, rng)
-    sk, y = bare.sk, bare.y
-    g1b = par.encode_element(par.g1)
-    b = hash_to_scalar(par, H2, [par.encode_element(y)])
+    """Key pair plus possession proof; redraws the proof while a lands on 0."""
+    key = bare_keygen(par, rng)
     for _ in range(_MAX_RESTARTS):
-        r = par.random_scalar(rng)
-        a = hash_to_scalar(par, H1, [g1b, par.encode_element(par.exp(par.g1, r))])
-        if a == 0:
-            continue
-        d = par.s_sub(par.s_mul(r, a), par.s_mul(b, sk))
-        return KeyPair(sk, PublicKey(y, KeyProof(a, d)))
+        proof = prove_possession(par, key.sk, key.y, rng)
+        if proof.a != 0:
+            return KeyPair(key.sk, PublicKey(key.y, proof))
     raise InternalError("proof challenge stuck at zero")
 
 
@@ -143,6 +138,19 @@ def bare_keygen(par: Group, rng) -> KeyPair:
     """Key pair without possession proof: the key draw of all four schemes."""
     sk = par.random_scalar(rng)
     return KeyPair(sk, PublicKey(par.exp(par.g1, sk)))
+
+
+def prove_possession(par: Group, sk: int, y, rng) -> KeyProof:
+    """One proof draw: a = H1(g1, g1^r), d = r*a - H2(y)*sk for one fresh r.
+
+    It checks only if sk = log_g1(y) and a != 0; the rogue-key demo passes
+    an sk that is not y's discrete log.
+    """
+    r = par.random_scalar(rng)
+    a = hash_to_scalar(par, H1, [par.encode_element(par.g1),
+                                 par.encode_element(par.exp(par.g1, r))])
+    b = hash_to_scalar(par, H2, [par.encode_element(y)])
+    return KeyProof(a, par.s_sub(par.s_mul(r, a), par.s_mul(b, sk)))
 
 
 def key_verify(par: Group, pk: PublicKey) -> bool:
@@ -186,8 +194,6 @@ class SigningSession:
     node: int
     key: KeyPair
     v: int
-    V_agg: object = None        # commitment aggregated over this node's subtree
-    X_agg: object = None        # key aggregate over the subtree (AGMS)
     c: int | None = None
     vc: int | None = None       # v*c, fixed on receiving c (GMS/AGMS)
     m: bytes | None = None
@@ -228,24 +234,24 @@ def commit(par: Group, tree: Tree, sessions):
     """
     el = par.element_len
     aggregate_keys = sessions[0].scheme == "agms"
+    V_agg = X_agg = None
 
     def handler(node, child_payloads):
-        sess = sessions[node]
-        V_agg = par.exp(par.g1, sess.v)
-        X_agg = sess.key.public.y
+        nonlocal V_agg, X_agg
+        V_agg = par.exp(par.g1, sessions[node].v)
+        X_agg = sessions[node].key.public.y
         for _child, payload in child_payloads:
             V_agg = par.mul(V_agg, par.decode_element(payload[:el]))
             if aggregate_keys:
                 X_agg = par.mul(X_agg, par.decode_element(payload[el:]))
-        sess.V_agg = V_agg
         out = par.encode_element(V_agg)
         if aggregate_keys:
-            sess.X_agg = X_agg
             out += par.encode_element(X_agg)
         return out
 
     messages = run_phase(tree, Phase.COMMIT, handler).messages
-    return sessions[0].V_agg, sessions[0].X_agg, messages
+    # the root's handler runs last, so its aggregates are what is left
+    return V_agg, X_agg if aggregate_keys else None, messages
 
 
 def challenge_hash(par: Group, scheme: str, V_agg, X, m: bytes | None) -> int:
@@ -291,17 +297,20 @@ def respond(par: Group, tree: Tree, sessions):
     """Bottom-up response aggregation: S~ = own response + children's.
 
     GMS/AGMS nodes respond v*c - e*sk with e = H3(m); baseline nodes
-    respond v + c*sk.  Returns (S~, messages).
+    respond v + c*sk.  Returns (S~, messages).  The one place a session is
+    checked and spent: every session must hold m and c and must not have
+    responded, or nothing runs and no session is spent.
     """
+    for sess in sessions:
+        if sess.responded:
+            raise NonceReuse(f"node {sess.node} already released its response")
+        if sess.m is None or sess.c is None:
+            raise MixedSessions(f"node {sess.node} missing announce/challenge state")
     baseline = sessions[0].scheme == "cosi"
 
     def handler(node, child_payloads):
         sess = sessions[node]
-        if sess.responded:
-            raise NonceReuse(f"node {node} already released its response")
         sess.responded = True
-        if sess.m is None or sess.c is None:
-            raise MixedSessions(f"node {node} missing announce/challenge state")
         if baseline:
             s = par.s_add(sess.v, par.s_mul(sess.c, sess.key.sk))
         else:
@@ -392,10 +401,8 @@ def agms_online(par: Group, offline: OfflineRun, m: bytes) -> SignRun:
     """Announce m and aggregate responses: zero group operations anywhere."""
     sessions = offline.sessions
     for sess in sessions:
-        if sess.scheme != "agms" or sess.c is None or sess.vc is None:
-            raise MixedSessions(f"node {sess.node} lacks offline state")
-        if sess.responded:
-            raise NonceReuse(f"node {sess.node} already signed with this nonce")
+        if sess.scheme != "agms":
+            raise MixedSessions(f"node {sess.node} holds a {sess.scheme} session")
     messages = announce(offline.tree, sessions, m)
     S, msgs = respond(par, offline.tree, sessions)
     return SignRun(Signature(offline.c, S), offline.agg_key, sessions,

@@ -1,7 +1,6 @@
 import pytest
 
 from multisig.attacks import (
-    KSumInstance,
     default_list_size,
     ksum_forgery_attack,
     plant_solution,
@@ -70,16 +69,17 @@ def test_list_sizes_track_cube_root():
 
 
 def test_solver_on_planted_instance():
-    inst, planted = plant_solution(random_instance(65521, 4, seed=1), seed=1)
-    idx = solve(inst)
+    lists, planted = plant_solution(65521, random_instance(65521, 4, seed=1),
+                                    seed=1)
+    idx = solve(65521, lists)
     assert len(idx) == 4
-    assert sum(inst.lists[j][idx[j]] for j in range(4)) % 65521 == 0
+    assert sum(lists[j][idx[j]] for j in range(4)) % 65521 == 0
 
 
 def test_solver_k2_is_a_birthday_search():
-    inst = random_instance(251, 2, seed=0)
-    idx = solve(inst)
-    assert sum(inst.lists[j][idx[j]] for j in range(2)) % 251 == 0
+    lists = random_instance(251, 2, seed=0)
+    idx = solve(251, lists)
+    assert sum(lists[j][idx[j]] for j in range(2)) % 251 == 0
 
 
 def test_solver_success_rate_at_default_parameters():
@@ -87,29 +87,29 @@ def test_solver_success_rate_at_default_parameters():
     # and hold it to a coarse floor rather than an exact value
     hits = 0
     for seed in range(20):
-        inst = random_instance(65521, 4, seed=seed)
+        lists = random_instance(65521, 4, seed=seed)
         try:
-            idx = solve(inst)
+            idx = solve(65521, lists)
         except KSumNotFound:
             continue
-        assert sum(inst.lists[j][idx[j]] for j in range(4)) % 65521 == 0
+        assert sum(lists[j][idx[j]] for j in range(4)) % 65521 == 0
         hits += 1
     assert hits >= 10, f"solver succeeded on only {hits}/20 instances"
 
 
 def test_solver_rejects_bad_shapes():
-    inst = random_instance(11, 4, seed=0)
+    lists = random_instance(11, 4, seed=0)
     for bad_k in (1, 3, 6):
         with pytest.raises(ValueError):
-            solve(KSumInstance(11, inst.lists[:1] * bad_k))
+            solve(11, lists[:1] * bad_k)
     with pytest.raises(KSumNotFound):
-        solve(KSumInstance(11, ((1,), (), (1,), (1,))))
+        solve(11, ((1,), (), (1,), (1,)))
 
 
 def test_solver_reports_unsatisfiable():
     # singletons summing to 4 mod 11: survives level-1 filters, dies on top
     with pytest.raises(KSumNotFound):
-        solve(KSumInstance(11, ((1,), (1,), (1,), (1,))))
+        solve(11, ((1,), (1,), (1,), (1,)))
 
 
 # ── concurrent-session forgery ───────────────────────────────────────────────

@@ -245,6 +245,22 @@ def test_numeric_arguments_exit_cleanly(flag, tmp_path):
     assert failures == [], "\n".join(map(str, failures))
 
 
+@pytest.mark.parametrize("target", ["agms", "cosi"])
+def test_ksum_on_tiny_orders_ends(target):
+    # the AGMS target challenge ignores the forged message, so when it
+    # hashed to 0 the grinder used to skip every candidate forever; on such
+    # orders the control may forge by chance (exit 1), never hang
+    failures = []
+    for q in (3, 5, 7, 13):
+        for seed in range(4):
+            argv = ["attack", "ksum", "--target", target, "--toy-q", str(q),
+                    "--seed", str(seed)]
+            code = _call(argv)
+            if code not in (0, 1):
+                failures.append((argv, f"exit {code!r}"))
+    assert failures == [], "\n".join(map(str, failures))
+
+
 _WRITERS = (
     ("keygen", "--out"),
     ("simulate", "--out"),

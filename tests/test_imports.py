@@ -59,3 +59,20 @@ def test_every_all_matches_its_module():
                       and node.name not in exported]
     assert offenders == []
     assert {"gamma", "group", "schemes", "tree"} <= set(checked)
+
+
+def test_only_schemes_builds_possession_proofs():
+    # one proof construction (schemes.prove_possession), so a fix to how a
+    # proof is built cannot miss a copy elsewhere
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "schemes.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == "KeyProof":
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []

@@ -36,6 +36,7 @@ from multisig.schemes import (
     load_secret_keys,
     open_sessions,
     read_signature,
+    respond,
     save_public_keys,
     save_secret_keys,
     verify,
@@ -398,6 +399,27 @@ def test_sessions_must_come_from_offline_run(toy):
                      agg_key=off.agg_key, c=off.c, attempts=1)
     with pytest.raises((MixedSessions, NonceReuse)):
         agms_online(toy, fake, M)
+
+
+def test_a_second_respond_is_a_bare_nonce_reuse(toy):
+    # the revised endorsement flow calls announce and respond itself
+    tree = build_tree(3, 2, 3)
+    off = agms_offline(toy, tree, derive_keys(toy, 3, 18), seed=18)
+    announce(tree, off.sessions, M)
+    respond(toy, tree, off.sessions)
+    with pytest.raises(NonceReuse):
+        respond(toy, tree, off.sessions)
+
+
+def test_respond_before_announce_spends_no_session(toy):
+    tree = build_tree(3, 2, 3)
+    off = agms_offline(toy, tree, derive_keys(toy, 3, 19), seed=19)
+    with pytest.raises(MixedSessions):
+        respond(toy, tree, off.sessions)
+    assert not any(sess.responded for sess in off.sessions)
+    announce(tree, off.sessions, M)
+    S, _ = respond(toy, tree, off.sessions)
+    assert verify(toy, off.agg_key, M, Signature(off.c, S))
 
 
 def test_keys_must_match_tree(toy):

@@ -4,7 +4,7 @@ The package provides:
 
 * ``group`` — interchangeable prime-order group backends (toy subgroup of
   Z_p^*, pure-python secp256k1) with exponentiation counting;
-* ``hashing`` — four domain-separated hashes to scalars;
+* ``hashing`` — four domain-separated hashes to nonzero scalars;
 * ``gamma`` — the single-signer scheme whose challenge precomputes;
 * ``tree`` — signer-tree topology and phase-by-phase message simulation;
 * ``schemes`` — GMS / AGMS multi-signatures with possession proofs, a
@@ -22,7 +22,6 @@ from .errors import (
     CapacityExceeded,
     EmptySet,
     HandlerFailure,
-    InternalError,
     InvalidClient,
     InvOfZero,
     IoError,

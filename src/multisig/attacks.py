@@ -62,8 +62,6 @@ __all__ = [
     "RogueKeyReport",
     "rogue_key_attack",
     "default_list_size",
-    "random_instance",
-    "plant_solution",
     "solve",
     "KSumAttackReport",
     "ksum_forgery_attack",
@@ -125,12 +123,8 @@ def rogue_key_attack(par: Group, honest_keys, message: bytes, *, seed=0,
     X = par.mul(y_a, prod)
     assert X == par.exp(par.g1, sk_a), "aggregate failed to collapse"
 
-    c = 0
-    v = 0
-    while c == 0:
-        v = par.random_scalar(rng)
-        V = par.exp(par.g1, v)
-        c = challenge_hash(par, "cosi", V, X, message)
+    v = par.random_scalar(rng)
+    c = challenge_hash(par, "cosi", par.exp(par.g1, v), X, message)
     sig = Signature(c, par.s_add(v, par.s_mul(c, sk_a)))
     baseline_accepts = cosi_verify(par, X, message, sig)
 
@@ -154,31 +148,6 @@ def rogue_key_attack(par: Group, honest_keys, message: bytes, *, seed=0,
 
 def default_list_size(q: int) -> int:
     return 4 * math.ceil(q ** (1.0 / 3.0))
-
-
-def random_instance(q: int, k: int, size: int | None = None, *,
-                    seed=0) -> list:
-    size = default_list_size(q) if size is None else size
-    if size < 1:
-        raise ValueError(f"list size must be at least 1, got {size}")
-    rng = derive_rng(seed, "ksum-instance")
-    return [[rng.randrange(q) for _ in range(size)] for _ in range(k)]
-
-
-def plant_solution(q: int, lists, *, seed=0):
-    """Overwrite one slot per list so a zero-sum tuple certainly exists.
-
-    Planted values cancel pairwise (x, q-x), so they survive the solver's
-    near-zero filtering at every level.  Returns (new lists, indices).
-    """
-    rng = derive_rng(seed, "ksum-plant")
-    lists = [list(lst) for lst in lists]
-    idx = tuple(rng.randrange(len(lst)) for lst in lists)
-    for j in range(0, len(lists), 2):
-        x = rng.randrange(1, q)
-        lists[j][idx[j]] = x
-        lists[j + 1][idx[j + 1]] = (q - x) % q
-    return lists, idx
 
 
 def _filtered_join(q: int, left, right, bound: int):
@@ -264,26 +233,15 @@ class KSumAttackReport:
         }
 
 
-# a list of s_l entries gives up after s_l * _GRIND_DRAWS candidates
-_GRIND_DRAWS = 64
 # the forged messages are this prefix, "#" and a counter
 _FORGED_PREFIX = b"pay the attacker everything"
 
 
 def _grind(s_l, candidates):
-    """The first s_l (challenge, item) candidates whose challenge is not 0,
-    as (challenges, items).  Draws lazily, since the session lists share one
-    RNG, and raises KSumNotFound after s_l * _GRIND_DRAWS draws: the AGMS
-    target challenge ignores the message, so it may be 0 for every one.
-    """
-    vals, items = [], []
-    for c, item in islice(candidates, s_l * _GRIND_DRAWS):
-        if c != 0:
-            vals.append(c)
-            items.append(item)
-            if len(vals) == s_l:
-                return vals, items
-    raise KSumNotFound(f"no {s_l} nonzero challenges in {s_l * _GRIND_DRAWS} draws")
+    """The first s_l (challenge, item) candidates as (challenges, items).
+    Draws no more than that, since the session lists share one RNG."""
+    pairs = list(islice(candidates, s_l))
+    return [c for c, _ in pairs], [item for _, item in pairs]
 
 
 def _session_candidates(par, rng, V_sess, target, x_forge, message):
@@ -359,15 +317,15 @@ def ksum_forgery_attack(par: Group, *, target: str = "cosi", k: int = 4,
             v_bar = par.mul(v_bar, v)
 
         grind_rng = derive_rng(seed, "grind", t)
+        ground = [_grind(s_l, _session_candidates(
+            par, grind_rng, v, target, x_forge, message)) for v in v_sess]
+        c_stars, msgs = _grind(s_l, _target_candidates(
+            par, v_bar, target, x_forge))
+        # negated, so the solver's zero sum means sum(c_j) == c* mod q
+        lists = [vals for vals, _ in ground]
+        lists.append([(par.q - c) % par.q for c in c_stars])
+        announced = [anns for _, anns in ground]
         try:
-            ground = [_grind(s_l, _session_candidates(
-                par, grind_rng, v, target, x_forge, message)) for v in v_sess]
-            c_stars, msgs = _grind(s_l, _target_candidates(
-                par, v_bar, target, x_forge))
-            # negated, so the solver's zero sum means sum(c_j) == c* mod q
-            lists = [vals for vals, _ in ground]
-            lists.append([(par.q - c) % par.q for c in c_stars])
-            announced = [anns for _, anns in ground]
             idx = solve(par.q, lists)
         except KSumNotFound:
             continue

@@ -31,10 +31,6 @@ class InvOfZero(MultisigError):
 
 # -- protocol machinery -----------------------------------------------------
 
-class InternalError(MultisigError):
-    """Bounded retry loop exhausted; indicates a broken RNG or backend."""
-
-
 class NonceReuse(MultisigError):
     """A signing session was asked to release a response twice."""
 

@@ -19,14 +19,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BadLength, InternalError, NonceReuse
+from .errors import BadLength, NonceReuse
 from .group import Group
 from .hashing import H0, H1, derive_nonces, hash_to_scalar
 
 __all__ = ["GammaNonce", "Signature", "precompute", "sign_online",
            "recover_commitment", "verify"]
 
-_MAX_RESAMPLE = 64
 _NONCE_TAG = b"multisig/gamma-nonce"  # tree sessions use b"multisig/nonce"
 
 
@@ -63,19 +62,15 @@ def precompute(par: Group, key, seed: int | str) -> GammaNonce:
     """Offline half of signing: one exponentiation, message not needed.
 
     ``key`` is a ``schemes.KeyPair``, as for every scheme.  v is
-    ``derive_nonces`` over (seed, attempt, 0, sk): the key signs alone at
-    index 0, and ``attempt`` counts the resamples of v while the
-    challenge comes out zero (only plausible on toy groups), so the
-    verifier's 1/c always exists.  One seed signs one message per key.
+    ``derive_nonces`` over (seed, 0, sk): the key signs alone at index 0.
+    c = H0(V, pk) is never 0, so the verifier's 1/c always exists.  One
+    seed signs one message per key.
     """
-    pk = par.encode_element(key.y)
-    for attempt in range(_MAX_RESAMPLE):
-        [v] = derive_nonces(par, _NONCE_TAG, seed, attempt, [key.sk])
-        V = par.exp(par.g1, v)
-        c = hash_to_scalar(par, H0, [par.encode_element(V), pk])
-        if c != 0:
-            return GammaNonce(v, V, c, par.s_mul(v, c))
-    raise InternalError("challenge stuck at zero; backend is broken")
+    [v] = derive_nonces(par, _NONCE_TAG, seed, [key.sk])
+    V = par.exp(par.g1, v)
+    c = hash_to_scalar(par, H0, [par.encode_element(V),
+                                 par.encode_element(key.y)])
+    return GammaNonce(v, V, c, par.s_mul(v, c))
 
 
 def sign_online(par: Group, key, nonce: GammaNonce, m: bytes) -> Signature:

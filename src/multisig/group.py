@@ -227,8 +227,8 @@ class ToyGroup(Group):
         super().__init__()
         # bound the sizes before trial division, which a crafted key file
         # could otherwise keep busy for hours; comparisons (not int()) keep
-        # a non-int value a TypeError.  q = 2 has one nonzero scalar, so a
-        # challenge that hashes to zero could never be redrawn
+        # a non-int value a TypeError.  q = 2 has one nonzero scalar, so
+        # every secret key, nonce and digest would be 1 and public
         if p >= _TOY_P_LIMIT or q < 3 or q >= p:
             raise ValueError("a toy group needs 3 <= q < p < 2^40")
         if not (_is_prime(p) and _is_prime(q)):

@@ -1,7 +1,9 @@
 """Domain-separated hashing to scalars.
 
 All protocol hashes are SHA-512 over a one-byte domain tag followed by the
-length-prefixed input items, reduced mod the group order.  Four domains:
+length-prefixed input items, reduced mod the group order, with 0 read as 1.
+Every digest is therefore a nonzero scalar: a challenge always has the
+inverse the verifier needs, and no digest can cancel a key.  Four domains:
 
 * ``H0`` — challenge derivation (programmable random-oracle slot)
 * ``H1`` — key-possession / standalone challenge (random-oracle slot)
@@ -51,7 +53,7 @@ H3 = HashDomain.MESSAGE
 
 # ── serialization ────────────────────────────────────────────────────────────
 
-def serialize_items(par, tag: HashDomain, items: Iterable) -> bytes:
+def serialize_items(tag: HashDomain, items: Iterable) -> bytes:
     out = [bytes([tag])]
     for item in items:
         if not isinstance(item, bytes):
@@ -67,27 +69,33 @@ def serialize_items(par, tag: HashDomain, items: Iterable) -> bytes:
 # ── hashing ──────────────────────────────────────────────────────────────────
 
 def hash_to_scalar(par, tag: HashDomain, items: Iterable) -> int:
-    """SHA-512(tag ‖ length-prefixed items) reduced into [0, q)."""
-    digest = hashlib.sha512(serialize_items(par, tag, items)).digest()
-    return int.from_bytes(digest, "big") % par.q
+    """SHA-512(tag ‖ length-prefixed items) mod q, or 1 when that is 0.
+
+    The result lies in [1, q).  A nonzero residue keeps its value, so 1
+    comes out with probability 2/q and every other scalar with 1/q: a bias
+    of 1/q, which is 2^-256 on the curve.
+    """
+    digest = hashlib.sha512(serialize_items(tag, items)).digest()
+    return int.from_bytes(digest, "big") % par.q or 1
 
 
-def derive_nonces(par, tag: bytes, seed: int | str, attempt: int,
-                  sks) -> list[int]:
-    """Nonce i is 1 + (SHA-512(tag ‖ len-prefixed str(seed) ‖ attempt ‖ i ‖
-    sk_i) mod (q-1)), in the spirit of RFC 6979: without sk_i the seed
-    reveals nothing about it, so a signature cannot be unwound into the key.
-    512 hash bits mod q-1 leave a bias below 2^-256 on the curve.  Equal
-    inputs give equal nonces, so one seed signs one message.  ``tag`` must
-    not start with a domain byte 0-3; ``seed`` must be an int or str, since
-    another object's ``str`` need not be reproducible.
+def derive_nonces(par, tag: bytes, seed: int | str, sks) -> list[int]:
+    """Nonce i is 1 + (SHA-512(tag ‖ len-prefixed str(seed) ‖ 0000 ‖ i ‖
+    sk_i) mod (q-1)), 0000 being four zero bytes, in the spirit of RFC
+    6979: without sk_i the seed reveals nothing about it, so a signature
+    cannot be unwound into the key.  512 hash bits mod q-1 leave a bias
+    below 2^-256 on the curve.  Equal inputs give equal nonces, so one seed
+    signs one message.  ``tag`` must not start with a domain byte 0-3;
+    ``seed`` must be an int or str, since another object's ``str`` need not
+    be reproducible.
     """
     if not isinstance(seed, (int, str)):
         raise TypeError(f"nonce seed must be an int or str, "
                         f"got {type(seed).__name__}")
     seed_b = str(seed).encode()
-    prefix = (tag + len(seed_b).to_bytes(4, "big") + seed_b
-              + attempt.to_bytes(4, "big"))
+    # four zero bytes after the seed fix the input layout that every
+    # published nonce, seeded signature and golden vector was made with
+    prefix = tag + len(seed_b).to_bytes(4, "big") + seed_b + bytes(4)
     sha512, encode, q1 = hashlib.sha512, par.encode_scalar, par.q - 1
     return [1 + int.from_bytes(sha512(prefix + i.to_bytes(4, "big")
                                       + encode(sk)).digest(), "big") % q1

@@ -20,14 +20,14 @@ schemes emit byte-identical signatures, which the tests pin.
 
 All three run the same four tree rounds through one public step API —
 ``open_sessions``, ``announce``, ``commit``, ``challenge`` and ``respond``
-— and one restart loop (fresh nonces while the challenge hashes to 0);
-``challenge_hash`` is the one definition of c that signers, verifiers and
-the attack demos share.  A session's scheme decides what each step does:
-whether commit also aggregates keys (AGMS), whether challenge is checked
-against H0(V~, m) (baseline), and the response shape.  Steps run over
-``tree.run_phase`` so every byte on every edge lands in a transcript, and
-carry only protocol state: a step is metered from outside, with
-``Group.span()``.
+— in one straight line: every hash is a nonzero scalar, so a challenge
+never forces fresh nonces.  ``challenge_hash`` is the one definition of c
+that signers, verifiers and the attack demos share.  A session's scheme
+decides what each step does: whether commit also aggregates keys (AGMS),
+whether challenge is checked against H0(V~, m) (baseline), and the
+response shape.  Steps run over ``tree.run_phase`` so every byte on every
+edge lands in a transcript, and carry only protocol state: a step is
+metered from outside, with ``Group.span()``.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from pathlib import Path
 
 from .errors import (
     EmptySet,
-    InternalError,
     IoError,
     MixedSessions,
     NonceReuse,
@@ -84,7 +83,6 @@ __all__ = [
     "write_file",
 ]
 
-_MAX_RESTARTS = 64
 _NONCE_TAG = b"multisig/nonce"  # gamma tokens use their own tag
 
 
@@ -125,13 +123,10 @@ class AggregateKey:
 
 
 def keygen(par: Group, rng) -> KeyPair:
-    """Key pair plus possession proof; redraws the proof while a lands on 0."""
+    """Key pair plus possession proof."""
     key = bare_keygen(par, rng)
-    for _ in range(_MAX_RESTARTS):
-        proof = prove_possession(par, key.sk, key.y, rng)
-        if proof.a != 0:
-            return KeyPair(key.sk, PublicKey(key.y, proof))
-    raise InternalError("proof challenge stuck at zero")
+    proof = prove_possession(par, key.sk, key.y, rng)
+    return KeyPair(key.sk, PublicKey(key.y, proof))
 
 
 def bare_keygen(par: Group, rng) -> KeyPair:
@@ -143,8 +138,8 @@ def bare_keygen(par: Group, rng) -> KeyPair:
 def prove_possession(par: Group, sk: int, y, rng) -> KeyProof:
     """One proof draw: a = H1(g1, g1^r), d = r*a - H2(y)*sk for one fresh r.
 
-    It checks only if sk = log_g1(y) and a != 0; the rogue-key demo passes
-    an sk that is not y's discrete log.
+    It checks only if sk = log_g1(y); the rogue-key demo passes an sk that
+    is not y's discrete log.
     """
     r = par.random_scalar(rng)
     a = hash_to_scalar(par, H1, [par.encode_element(par.g1),
@@ -200,18 +195,18 @@ class SigningSession:
     responded: bool = False
 
 
-def open_sessions(par: Group, scheme: str, tree: Tree, keys, seed,
-                  attempt: int = 0) -> list[SigningSession]:
+def open_sessions(par: Group, scheme: str, tree: Tree, keys,
+                  seed) -> list[SigningSession]:
     """One session per node, each with a fresh nonce bound to its secret key.
 
-    Node i's nonce is ``derive_nonces`` over (seed, attempt, i, sk_i), so the
+    Node i's nonce is ``derive_nonces`` over (seed, i, sk_i), so the
     seed alone cannot unwind a signature into the aggregate secret key.  One
     seed must never sign two messages; callers that publish signatures pass
     a fresh random seed.
     """
     if len(keys) != tree.n:
         raise MixedSessions(f"{len(keys)} keys for a {tree.n}-node tree")
-    vs = derive_nonces(par, _NONCE_TAG, seed, attempt, [k.sk for k in keys])
+    vs = derive_nonces(par, _NONCE_TAG, seed, [k.sk for k in keys])
     return [SigningSession(scheme=scheme, node=i, key=key, v=v)
             for i, (key, v) in enumerate(zip(keys, vs))]
 
@@ -331,7 +326,7 @@ class SignRun:
     signature: Signature
     agg_key: AggregateKey
     sessions: list
-    attempts: int
+    attempts: int               # always 1; perfbench/ still reads it
     messages: list = field(default_factory=list)
 
 
@@ -343,42 +338,29 @@ class OfflineRun:
     sessions: list
     agg_key: AggregateKey
     c: int
-    attempts: int
+    attempts: int               # always 1, as for SignRun
     messages: list = field(default_factory=list)
 
 
-def _restart_loop(par: Group, scheme: str, tree: Tree, keys, m: bytes | None,
-                  seed) -> OfflineRun:
-    """The rounds every scheme runs before responding.
-
-    Opens sessions, announces m once (AGMS offline has no m yet), then
-    commits and hashes the challenge, restarting with fresh nonces while
-    c == 0, and finally distributes c.
-    """
+def _rounds_before_respond(par: Group, scheme: str, tree: Tree, keys,
+                           m: bytes | None, seed) -> OfflineRun:
+    """Open sessions, announce m (AGMS offline has no m yet), commit, hash
+    the challenge and distribute it.  Nothing restarts: no challenge is 0."""
     agg = None if scheme == "agms" else key_aggregate(par, keys)
-    messages: list = []
-    for attempt in range(_MAX_RESTARTS):
-        sessions = open_sessions(par, scheme, tree, keys, seed, attempt)
-        if m is not None and attempt == 0:
-            messages += announce(tree, sessions, m)
-        elif m is not None:
-            for sess in sessions:  # m is fixed across restarts; announce once
-                sess.m = m
-        V_agg, X_agg, msgs = commit(par, tree, sessions)
-        messages += msgs
-        if scheme == "agms":
-            agg = AggregateKey(X_agg, tree.n)
-        c = challenge_hash(par, scheme, V_agg, agg.X, m)
-        if c == 0:
-            continue
-        messages += challenge(par, tree, sessions, c, V_agg)
-        return OfflineRun(tree, sessions, agg, c, attempt + 1, messages)
-    raise InternalError("challenge stuck at zero across restarts")
+    sessions = open_sessions(par, scheme, tree, keys, seed)
+    messages = announce(tree, sessions, m) if m is not None else []
+    V_agg, X_agg, msgs = commit(par, tree, sessions)
+    messages += msgs
+    if scheme == "agms":
+        agg = AggregateKey(X_agg, tree.n)
+    c = challenge_hash(par, scheme, V_agg, agg.X, m)
+    messages += challenge(par, tree, sessions, c, V_agg)
+    return OfflineRun(tree, sessions, agg, c, 1, messages)
 
 
 def _sign(par: Group, scheme: str, tree: Tree, keys, m: bytes, seed) -> SignRun:
-    """The restart loop with the message first, then the responses."""
-    run = _restart_loop(par, scheme, tree, keys, m, seed)
+    """The rounds before responding, message first, then the responses."""
+    run = _rounds_before_respond(par, scheme, tree, keys, m, seed)
     S, msgs = respond(par, tree, run.sessions)
     return SignRun(Signature(run.c, S), run.agg_key, run.sessions,
                    run.attempts, run.messages + msgs)
@@ -394,7 +376,7 @@ def agms_offline(par: Group, tree: Tree, keys, *, seed) -> OfflineRun:
 
     One exponentiation per signer; each node ends up holding c and v*c.
     """
-    return _restart_loop(par, "agms", tree, keys, None, seed)
+    return _rounds_before_respond(par, "agms", tree, keys, None, seed)
 
 
 def agms_online(par: Group, offline: OfflineRun, m: bytes) -> SignRun:

@@ -91,14 +91,14 @@ def hash_calls(monkeypatch):
 
 @pytest.fixture(scope="session")
 def raw_nonce():
-    """``raw_nonce(par, tag, seed, attempt, node, sk=None)``: a nonce
-    re-derived with raw hashlib, 1 + SHA-512(tag ‖ length-prefixed str(seed)
-    ‖ attempt ‖ node ‖ sk) mod (q-1).  Without ``sk`` it is what a holder of
-    the seed alone could compute."""
-    def derive(par, tag, seed, attempt, node, sk=None):
+    """``raw_nonce(par, tag, seed, node, sk=None)``: a nonce re-derived
+    with raw hashlib, 1 + SHA-512(tag ‖ length-prefixed str(seed) ‖ four
+    zero bytes ‖ node ‖ sk) mod (q-1).  Without ``sk`` it is what a holder
+    of the seed alone could compute."""
+    def derive(par, tag, seed, node, sk=None):
         seed_b = str(seed).encode()
-        data = (tag + len(seed_b).to_bytes(4, "big") + seed_b
-                + attempt.to_bytes(4, "big") + node.to_bytes(4, "big"))
+        data = (tag + len(seed_b).to_bytes(4, "big") + seed_b + bytes(4)
+                + node.to_bytes(4, "big"))
         if sk is not None:
             data += sk.to_bytes(par.scalar_len, "big")
         digest = hashlib.sha512(data).digest()

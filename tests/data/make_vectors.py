@@ -5,7 +5,9 @@ Run from the repository root:  python3 tests/data/make_vectors.py
 Every recorded value is recomputed here through an independent code path
 (raw hashlib / pow arithmetic, no library hash or protocol helpers) and
 asserted equal before it is written, so the file can only ever contain
-values that two separate derivations agree on.
+values that two separate derivations agree on.  ``build()`` returns the
+document without writing it; a test checks that it equals the committed
+file.
 """
 
 import hashlib
@@ -25,25 +27,26 @@ OUT = Path(__file__).with_name("golden_vectors.json")
 
 def independent_hash(q, scalar_len, tag, chunks):
     """Same construction as the library, written from scratch: sha512 over
-    the tag byte plus 4-byte-length-prefixed items, mod q."""
+    the tag byte plus 4-byte-length-prefixed items, mod q, with 0 read as 1."""
     payload = bytes([tag])
     for chunk in chunks:
         payload += len(chunk).to_bytes(4, "big") + chunk
-    return int.from_bytes(hashlib.sha512(payload).digest(), "big") % q
+    return int.from_bytes(hashlib.sha512(payload).digest(), "big") % q or 1
 
 
-def independent_nonce(q, scalar_len, tag, seed, attempt, node, sk):
+def independent_nonce(q, scalar_len, tag, seed, node, sk):
     """Nonce written from scratch: 1 + sha512(tag ‖ 4-byte-length-prefixed
-    str(seed) ‖ attempt ‖ node ‖ sk) mod (q - 1).  Tree sessions use the tag
-    b"multisig/nonce", gamma tokens b"multisig/gamma-nonce" at node 0."""
+    str(seed) ‖ four zero bytes ‖ node ‖ sk) mod (q - 1).  Tree sessions use
+    the tag b"multisig/nonce", gamma tokens b"multisig/gamma-nonce" at
+    node 0."""
     seed_b = str(seed).encode()
-    payload = (tag + len(seed_b).to_bytes(4, "big") + seed_b
-               + attempt.to_bytes(4, "big") + node.to_bytes(4, "big")
-               + sk.to_bytes(scalar_len, "big"))
+    payload = (tag + len(seed_b).to_bytes(4, "big") + seed_b + bytes(4)
+               + node.to_bytes(4, "big") + sk.to_bytes(scalar_len, "big"))
     return 1 + int.from_bytes(hashlib.sha512(payload).digest(), "big") % (q - 1)
 
 
-def main():
+def build() -> dict:
+    """Every golden vector, each checked against its independent derivation."""
     doc = {}
 
     # ── hash vectors ────────────────────────────────────────────────────
@@ -84,16 +87,12 @@ def main():
     key = bare_keygen(par, derive_rng(42, "key", 0))
     nonce = precompute(par, key, 42)
     # independent check of the nonce, the precomputed challenge and the
-    # response algebra: v is the first attempt whose challenge is nonzero
-    for attempt in range(64):
-        v = independent_nonce(par.q, par.scalar_len, b"multisig/gamma-nonce",
-                              42, attempt, 0, key.sk)
-        c = independent_hash(
-            par.q, par.scalar_len, 0,
-            [par.encode_element(pow(par.g1, v, par.p)),
-             par.encode_element(key.y)])
-        if c != 0:
-            break
+    # response algebra
+    v = independent_nonce(par.q, par.scalar_len, b"multisig/gamma-nonce",
+                          42, 0, key.sk)
+    c = independent_hash(
+        par.q, par.scalar_len, 0,
+        [par.encode_element(pow(par.g1, v, par.p)), par.encode_element(key.y)])
     assert (nonce.v, nonce.c) == (v, c)
     assert nonce.V == pow(par.g1, v, par.p)
     sig = sign_online(par, key, nonce, b"msg")
@@ -139,10 +138,9 @@ def main():
         [par.encode_element(par.g1), par.encode_element(V),
          par.encode_element(agg.X)])
     assert verify(par, agg, b"msg", run.signature)
-    # independent: every node's nonce from the last attempt, and
-    # S = c*sum(v) - e*sum(sk)
+    # independent: every node's nonce, and S = c*sum(v) - e*sum(sk)
     vs = [independent_nonce(par.q, par.scalar_len, b"multisig/nonce", 3,
-                            run.attempts - 1, i, k.sk)
+                            i, k.sk)
           for i, k in enumerate(keys)]
     assert [sess.v for sess in run.sessions] == vs
     assert run.signature.s == (run.signature.c * sum(vs)
@@ -150,11 +148,13 @@ def main():
     doc["gms_toy_n3_seed3"] = {
         "seed": 3, "message": "msg", "n": 3,
         "X": agg.X, "c": run.signature.c, "S": run.signature.s,
-        "attempts": run.attempts,
         "sig_hex": run.signature.to_bytes(par).hex(),
     }
+    return doc
 
-    OUT.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+def main():
+    OUT.write_text(json.dumps(build(), indent=2, sort_keys=True) + "\n")
     print(f"wrote {OUT}")
 
 

@@ -269,7 +269,7 @@ def _naive_verify(p, q, g, X, m, c, s):
         payload = bytes([tag])
         for item in items:
             payload += len(item).to_bytes(4, "big") + item
-        return int.from_bytes(hashlib.sha512(payload).digest(), "big") % q
+        return int.from_bytes(hashlib.sha512(payload).digest(), "big") % q or 1
 
     if not (0 < c < q and 0 <= s < q):
         return False

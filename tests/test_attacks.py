@@ -3,8 +3,6 @@ import pytest
 from multisig.attacks import (
     default_list_size,
     ksum_forgery_attack,
-    plant_solution,
-    random_instance,
     rogue_key_attack,
     solve,
 )
@@ -62,6 +60,31 @@ def test_rogue_report_serializes(toy):
 
 
 # ── k-list solver ────────────────────────────────────────────────────────────
+
+def random_instance(q: int, k: int, size: int | None = None, *,
+                    seed=0) -> list:
+    size = default_list_size(q) if size is None else size
+    if size < 1:
+        raise ValueError(f"list size must be at least 1, got {size}")
+    rng = derive_rng(seed, "ksum-instance")
+    return [[rng.randrange(q) for _ in range(size)] for _ in range(k)]
+
+
+def plant_solution(q: int, lists, *, seed=0):
+    """Overwrite one slot per list so a zero-sum tuple certainly exists.
+
+    Planted values cancel pairwise (x, q-x), so they survive the solver's
+    near-zero filtering at every level.  Returns (new lists, indices).
+    """
+    rng = derive_rng(seed, "ksum-plant")
+    lists = [list(lst) for lst in lists]
+    idx = tuple(rng.randrange(len(lst)) for lst in lists)
+    for j in range(0, len(lists), 2):
+        x = rng.randrange(1, q)
+        lists[j][idx[j]] = x
+        lists[j + 1][idx[j + 1]] = (q - x) % q
+    return lists, idx
+
 
 def test_list_sizes_track_cube_root():
     assert default_list_size(65521) == 164

@@ -261,6 +261,21 @@ def test_ksum_on_tiny_orders_ends(target):
     assert failures == [], "\n".join(map(str, failures))
 
 
+@pytest.mark.parametrize("argv", [
+    ("--toy-q", "3", "--message", "m", "--seed", "1"),
+    ("--toy-q", "13", "--seed", "3"),
+], ids=["q3-digest-hung", "q13-zero-blind"])
+def test_rogue_on_tiny_orders_meets_its_expectation(argv, tmp_path):
+    # q = 3: every commitment's challenge for m = b"m" was 0, and the
+    # baseline signature was redrawn forever.  q = 13: H2(y_A) was 0, so
+    # all 100 fabricated proofs passed
+    out = tmp_path / "rogue.json"
+    assert _call(["attack", "rogue", *argv, "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["expectation_met"] is True
+    assert (doc["successes"], doc["attempts"]) == (0, 100)
+
+
 _WRITERS = (
     ("keygen", "--out"),
     ("simulate", "--out"),

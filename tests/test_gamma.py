@@ -153,30 +153,24 @@ def test_nonce_matches_raw_hashlib(toy16, curve, raw_nonce):
         key = bare_keygen(par, derive_rng(9, "key", 0))
         for seed in (9, "9|x"):
             assert gamma.precompute(par, key, seed).v == raw_nonce(
-                par, GAMMA_TAG, seed, 0, 0, key.sk)
+                par, GAMMA_TAG, seed, 0, key.sk)
 
 
 def test_nonces_stay_off_the_metered_hash_seam(toy, raw_nonce, hash_calls):
     # perfbench counts hash calls at this seam: it sees no nonce hash, and
-    # gamma hashes one H0(V, pk) per attempt
+    # gamma hashes exactly one H0(V, pk) per precompute, even on q = 11
     keys = derive_keys(toy, 7, 10)
     hash_calls.clear()  # keygen's possession proofs
     open_sessions(toy, "agms", build_tree(7, 2, 3), keys, 10)
     assert hash_calls == []
     key = keys[0]
     pk = toy.encode_element(key.y)
-    attempts = []
     for seed in range(40):
         hash_calls.clear()
         nonce = gamma.precompute(toy, key, seed)
-        Vs = [toy.exp(toy.g1, raw_nonce(toy, GAMMA_TAG, seed, a, 0, key.sk))
-              for a in range(len(hash_calls))]
-        assert hash_calls == [(H0, (toy.encode_element(V), pk)) for V in Vs]
-        assert Vs[-1] == nonce.V
-        assert [hash_to_scalar(toy, H0, items) == 0
-                for _, items in hash_calls] == [True] * (len(Vs) - 1) + [False]
-        attempts.append(len(Vs))
-    assert max(attempts) > 1  # q = 11: some challenge hashes to zero
+        V = toy.exp(toy.g1, raw_nonce(toy, GAMMA_TAG, seed, 0, key.sk))
+        assert nonce.V == V
+        assert hash_calls == [(H0, (toy.encode_element(V), pk))]
 
 
 def test_gamma_and_tree_nonces_are_tag_separated(curve):
@@ -212,7 +206,7 @@ def test_known_nonce_seed_does_not_reveal_the_key(backend, curve, raw_nonce):
     assert unwind(nonce.v) == key.sk
     seed_only = {
         "mersenne twister": par.random_scalar(derive_rng(5, "nonce", 0)),
-        "hash without sk": raw_nonce(par, GAMMA_TAG, 5, 0, 0),
+        "hash without sk": raw_nonce(par, GAMMA_TAG, 5, 0),
     }
     for name, v in seed_only.items():
         assert unwind(v) != key.sk, name

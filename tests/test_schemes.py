@@ -127,7 +127,6 @@ def test_gms_golden_n3_seed3(toy, golden):
     run = gms_sign(toy, tree, keys, vec["message"].encode(), seed=vec["seed"])
     assert run.agg_key.X == vec["X"]
     assert (run.signature.c, run.signature.s) == (vec["c"], vec["S"])
-    assert run.attempts == vec["attempts"]
     assert run.signature.to_bytes(toy).hex() == vec["sig_hex"]
     assert verify(toy, run.agg_key, vec["message"].encode(), run.signature)
 
@@ -143,28 +142,6 @@ def test_gms_agms_identical_signatures(toy):
         assert g.signature.to_bytes(toy) == a.signature.to_bytes(toy)
         assert g.agg_key.X == a.agg_key.X
         assert verify(toy, a.agg_key, M, a.signature)
-
-
-def test_agms_challenge_restart_stays_aligned(toy):
-    # key set "k2" hashes to a zero challenge for these nonce seeds, which
-    # forces one (seed 6) and two (seed 5) fresh commitment rounds
-    tree = build_tree(3, 2, 3)
-    keys = derive_keys(toy, 3, "k2")
-    for seed, expected_attempts in ((6, 2), (5, 3)):
-        off = agms_offline(toy, tree, keys, seed=seed)
-        g = gms_sign(toy, tree, keys, M, seed=seed)
-        assert off.attempts == expected_attempts
-        assert g.attempts == expected_attempts
-        # announce once, one commit round per attempt, then challenge and
-        # respond; each phase crosses the tree's two edges
-        commits = ["commit"] * 2 * expected_attempts
-        assert [msg.phase for msg in g.messages] == (
-            ["announce"] * 2 + commits + ["challenge"] * 2 + ["respond"] * 2)
-        assert [msg.phase for msg in off.messages] == (
-            commits + ["challenge"] * 2)
-        run = agms_online(toy, off, M)
-        assert run.signature == g.signature
-        assert verify(toy, run.agg_key, M, run.signature)
 
 
 def test_all_schemes_verify_on_curve(curve):
@@ -243,17 +220,20 @@ def test_verify_costs_three_exps(toy):
 
 
 def test_message_counts(toy):
+    # each phase runs once and crosses every one of the tree's n-1 edges
+    def phases(*names):
+        return [name for name in names for _ in range(n - 1)]
+
     for n in (1, 3, 7):
         tree = build_tree(n, 2, 3)
         keys = derive_keys(toy, n, n)
-        seed = next(s for s in range(100)
-                    if gms_sign(toy, tree, keys, M, seed=s).attempts == 1)
-        run = gms_sign(toy, tree, keys, M, seed=seed)
-        assert len(run.messages) == 4 * (n - 1)
-        off = agms_offline(toy, tree, keys, seed=seed)
+        run = gms_sign(toy, tree, keys, M, seed=0)
+        assert [msg.phase for msg in run.messages] == phases(
+            "announce", "commit", "challenge", "respond")
+        off = agms_offline(toy, tree, keys, seed=0)
         on = agms_online(toy, off, M)
-        assert len(off.messages) == 2 * (n - 1)
-        assert len(on.messages) == 2 * (n - 1)
+        assert [msg.phase for msg in off.messages] == phases("commit", "challenge")
+        assert [msg.phase for msg in on.messages] == phases("announce", "respond")
 
 
 def test_message_absent_from_offline_hashes(toy, hash_calls):
@@ -263,7 +243,7 @@ def test_message_absent_from_offline_hashes(toy, hash_calls):
     off = agms_offline(toy, tree, keys, seed=10)
     assert hash_calls, "offline phase must hash something"
     for tag, items in hash_calls:
-        assert m not in serialize_items(toy, tag, items)
+        assert m not in serialize_items(tag, items)
     run = agms_online(toy, off, m)
     assert verify(toy, run.agg_key, m, run.signature)
 
@@ -433,7 +413,7 @@ def test_baseline_nodes_check_the_challenge(toy16):
     # a leader that lies about the aggregate gets refused by honest nodes
     tree = build_tree(3, 2, 3)
     keys = [bare_keygen(toy16, derive_rng(17, "key", i)) for i in range(3)]
-    sessions = open_sessions(toy16, "cosi", tree, keys, 17, 0)
+    sessions = open_sessions(toy16, "cosi", tree, keys, 17)
     announce(tree, sessions, M)
     V_agg, _, _ = commit(toy16, tree, sessions)
     with pytest.raises(HandlerFailure):
@@ -445,8 +425,8 @@ def test_baseline_nodes_check_the_challenge(toy16):
 TREE_TAG = b"multisig/nonce"
 
 
-def nonces(par, tree, keys, seed, attempt=0):
-    return [s.v for s in open_sessions(par, "agms", tree, keys, seed, attempt)]
+def nonces(par, tree, keys, seed):
+    return [s.v for s in open_sessions(par, "agms", tree, keys, seed)]
 
 
 def test_session_nonces_cover_exactly_one_to_q_minus_one(toy):
@@ -462,9 +442,9 @@ def test_session_nonces_match_raw_hashlib(toy16, curve, raw_nonce):
     tree = build_tree(7, 2, 3)
     for par in (toy16, curve):
         keys = derive_keys(par, 7, 41)
-        for seed, attempt in ((41, 0), ("41|x", 3)):
-            assert nonces(par, tree, keys, seed, attempt) == [
-                raw_nonce(par, TREE_TAG, seed, attempt, i, k.sk)
+        for seed in (41, "41|x"):
+            assert nonces(par, tree, keys, seed) == [
+                raw_nonce(par, TREE_TAG, seed, i, k.sk)
                 for i, k in enumerate(keys)]
 
 
@@ -482,8 +462,6 @@ def test_session_nonces_deterministic_and_distinct(curve):
     vs = nonces(curve, tree, keys, 42)
     assert vs == nonces(curve, tree, keys, 42)
     assert len(set(vs)) == 7                      # across nodes
-    again = nonces(curve, tree, keys, 42, attempt=1)
-    assert all(a != b for a, b in zip(vs, again))  # across attempts
     other = nonces(curve, tree, keys, 43)
     assert all(a != b for a, b in zip(vs, other))  # across seeds
     # only node 0's secret key changes, so only node 0's nonce changes
@@ -511,12 +489,10 @@ def test_known_nonce_seed_does_not_reveal_the_aggregate_key(backend, curve,
 
     # the algebra is right: the signers' own nonces unwind the signature
     assert unwind([sess.v for sess in run.sessions]) == sum_sk
-    attempt = run.attempts - 1
     seed_only = {
-        "mersenne twister": [par.random_scalar(derive_rng(5, "v", attempt, i))
+        "mersenne twister": [par.random_scalar(derive_rng(5, "v", 0, i))
                              for i in range(7)],
-        "hash without sk": [raw_nonce(par, TREE_TAG, 5, attempt, i)
-                            for i in range(7)],
+        "hash without sk": [raw_nonce(par, TREE_TAG, 5, i) for i in range(7)],
     }
     for name, vs in seed_only.items():
         assert unwind(vs) != sum_sk, name

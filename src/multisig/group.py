@@ -4,7 +4,11 @@ Two interchangeable backends sit behind one ``Group`` interface:
 
 * ``ToyGroup`` — the order-q subgroup of Z_p^* for small primes.  Cheap
   enough to brute-force, which is exactly what the attack demos and the
-  exhaustive oracle tests need.
+  exhaustive oracle tests need.  It keeps the curve's two shortcuts at
+  toy scale: ``g1^e`` is one table lookup per 10-bit digit of e (a table
+  of at most 1,024 entries a row, built on the first use of ``g1``), and
+  successful decodes are memoised in a bounded LRU (2,048 entries) that
+  each group owns, so a repeated encoding skips its subgroup check.
 * ``Secp256k1Group`` — the standard 256-bit curve group, pure python.
   Base ``g1`` uses a fixed-base comb over signed 8-bit digits: a table of
   33×128 affine multiples (4,224 points, ≈0.7 MiB, built once per process
@@ -216,11 +220,33 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+# A toy decode is mostly its subgroup check, pow(x, q, p).  As on the curve,
+# the subtree key aggregates arrive as the same bytes on every signature of
+# one signer set: at N = 511 an operation decodes 1,020 encodings, 510 of
+# them seen 1,019 decodes earlier, so the memo holds twice that.  g1's
+# table takes 10-bit digits: two rows of 1,024 cover a 20-bit q.
+_TOY_DECODES = 2048
+_TOY_DIGIT_BITS = 10
+_TOY_DIGIT_MASK = (1 << _TOY_DIGIT_BITS) - 1
+
+
+def _toy_decode(p: int, q: int, data: bytes) -> int:
+    """The subgroup element with big-endian encoding ``data``."""
+    x = int.from_bytes(data, "big")
+    if not (0 < x < p):
+        raise NonCanonical(f"{x} outside [1, p-1]")
+    if pow(x, q, p) != 1:
+        raise NotInGroup(f"{x} is not in the order-{q} subgroup")
+    return x
+
+
 class ToyGroup(Group):
     """Order-q subgroup of Z_p^* with p = c*q + 1; elements are ints.
 
     Small enough to enumerate, so discrete logs are breakable on purpose —
-    the attack demos refuse to run anywhere else.
+    the attack demos refuse to run anywhere else.  Each group owns its
+    decode memo and its ``g1`` table; neither refers back to the group,
+    so dropping the group frees both.
     """
 
     def __init__(self, p: int, q: int, g: int):
@@ -244,9 +270,36 @@ class ToyGroup(Group):
         self.element_len = max(2, (p.bit_length() + 7) // 8)
         self.scalar_len = max(2, (q.bit_length() + 7) // 8)
         self.group_id = f"toy:{p}:{q}:{g}"
+        # a failed decode raises and is not cached
+        self._decode_memo = functools.lru_cache(maxsize=_TOY_DECODES)(
+            functools.partial(_toy_decode, p, q))
+        self._g1_rows: list | None = None
+
+    def _g1_table(self) -> list:
+        """Row j holds g1^(d·2^(10j)) for each digit d that row j of an
+        exponent below q can take: at most 1,024 entries, never more than q."""
+        rows = []
+        base = self.g1
+        for shift in range(0, self.q.bit_length(), _TOY_DIGIT_BITS):
+            row = [1]
+            for _ in range(min(_TOY_DIGIT_MASK, (self.q - 1) >> shift)):
+                row.append(row[-1] * base % self.p)
+            rows.append(row)
+            base = pow(base, 1 << _TOY_DIGIT_BITS, self.p)
+        return rows
 
     def _exp(self, base: int, e: int) -> int:
-        return pow(base, e, self.p)
+        if base != self.g1:
+            return pow(base, e, self.p)
+        rows = self._g1_rows
+        if rows is None:
+            rows = self._g1_rows = self._g1_table()
+        p = self.p
+        x = 1
+        for row in rows:
+            x = x * row[e & _TOY_DIGIT_MASK] % p
+            e >>= _TOY_DIGIT_BITS
+        return x
 
     def _mul(self, a: int, b: int) -> int:
         return (a * b) % self.p
@@ -262,12 +315,7 @@ class ToyGroup(Group):
             raise BadLength(
                 f"element must be {self.element_len} bytes, got {len(data)}"
             )
-        x = int.from_bytes(data, "big")
-        if not (0 < x < self.p):
-            raise NonCanonical(f"{x} outside [1, p-1]")
-        if pow(x, self.q, self.p) != 1:
-            raise NotInGroup(f"{x} is not in the order-{self.q} subgroup")
-        return x
+        return self._decode_memo(bytes(data))
 
     def descriptor(self) -> dict:
         return {"backend": "toy", "p": self.p, "q": self.q, "g": self.g1}

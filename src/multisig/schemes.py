@@ -288,17 +288,23 @@ def challenge(par: Group, tree: Tree, sessions, c: int, V_ann) -> list:
     return run_phase(tree, Phase.CHALLENGE, handler, root_input=payload).messages
 
 
+def _refuse_spent(sessions) -> None:
+    """Raise NonceReuse if any session has already released its response."""
+    for sess in sessions:
+        if sess.responded:
+            raise NonceReuse(f"node {sess.node} already released its response")
+
+
 def respond(par: Group, tree: Tree, sessions):
     """Bottom-up response aggregation: S~ = own response + children's.
 
     GMS/AGMS nodes respond v*c - e*sk with e = H3(m); baseline nodes
     respond v + c*sk.  Returns (S~, messages).  The one place a session is
-    checked and spent: every session must hold m and c and must not have
-    responded, or nothing runs and no session is spent.
+    spent: no session may have responded and every session must hold m
+    and c, or nothing runs and no session is spent.
     """
+    _refuse_spent(sessions)
     for sess in sessions:
-        if sess.responded:
-            raise NonceReuse(f"node {sess.node} already released its response")
         if sess.m is None or sess.c is None:
             raise MixedSessions(f"node {sess.node} missing announce/challenge state")
     baseline = sessions[0].scheme == "cosi"
@@ -380,11 +386,16 @@ def agms_offline(par: Group, tree: Tree, keys, *, seed) -> OfflineRun:
 
 
 def agms_online(par: Group, offline: OfflineRun, m: bytes) -> SignRun:
-    """Announce m and aggregate responses: zero group operations anywhere."""
+    """Announce m and aggregate responses: zero group operations anywhere.
+
+    Spent or foreign sessions are refused before m is announced, so a
+    refused call leaves every session as it was.
+    """
     sessions = offline.sessions
     for sess in sessions:
         if sess.scheme != "agms":
             raise MixedSessions(f"node {sess.node} holds a {sess.scheme} session")
+    _refuse_spent(sessions)
     messages = announce(offline.tree, sessions, m)
     S, msgs = respond(par, offline.tree, sessions)
     return SignRun(Signature(offline.c, S), offline.agg_key, sessions,

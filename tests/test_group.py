@@ -1,4 +1,5 @@
 import random
+import weakref
 
 import pytest
 
@@ -14,6 +15,7 @@ from multisig.group import (
     _exp_glv,
     _exp_ladder,
     _glv_split,
+    _toy_decode,
     _wnaf5,
     curve_group,
     derive_rng,
@@ -497,3 +499,79 @@ def test_decode_memo_is_bounded(curve):
         assert curve.decode_element(data) == pt
         pt = curve._mul(pt, curve.g1)
     assert _decompress.cache_info().currsize <= maxsize
+
+
+def test_toy_decode_memo_hit_equals_uncached_decode(toy16):
+    rng = random.Random(2048)
+    encoded = [toy16.encode_element(toy16.exp(toy16.g1, rng.randrange(1, toy16.q)))
+               for _ in range(200)]
+    for data in encoded:
+        toy16.decode_element(data)
+    hits = toy16._decode_memo.cache_info().hits
+    for data in encoded:
+        assert toy16.decode_element(bytearray(data)) == \
+            _toy_decode(toy16.p, toy16.q, data)
+    assert toy16._decode_memo.cache_info().hits - hits == 200
+
+
+def test_toy_decode_memo_never_caches_rejected_encodings():
+    par = toy_group()                   # p = 23: 5 is in Z_23^*, not in <2>
+    for data, err in ((b"\x08", BadLength),
+                      (bytes.fromhex("0000"), NonCanonical),
+                      ((23).to_bytes(2, "big"), NonCanonical),
+                      (bytes.fromhex("0005"), NotInGroup)):
+        for _ in range(2):
+            with pytest.raises(err):
+                par.decode_element(data)
+    info = par._decode_memo.cache_info()
+    assert info.currsize == 0 and info.hits == 0 and info.misses == 6
+
+
+def test_toy_decode_memo_is_bounded(toy16):
+    maxsize = toy16._decode_memo.cache_info().maxsize
+    assert maxsize >= 2048              # one N = 511 operation reuses 510 of 1,020
+    x = toy16.g1
+    for _ in range(maxsize + 100):
+        assert toy16.decode_element(toy16.encode_element(x)) == x
+        x = toy16._mul(x, toy16.g1)
+    assert toy16._decode_memo.cache_info().currsize == maxsize
+
+
+def test_a_dropped_toy_group_is_freed():
+    par = toy_group_for_order(65521)
+    par.decode_element(par.encode_element(par.exp(par.g1, 12345)))
+    par.exp(par.exp(par.g1, 2), 3)
+    ref = weakref.ref(par)
+    del par
+    assert ref() is None                # freed by refcount: no cycle, no global
+
+
+# ── toy g1 table ─────────────────────────────────────────────────────────────
+
+def test_toy_g1_table_matches_pow_on_every_exponent():
+    for q in (3, 11, 13, 65521):
+        par = toy_group_for_order(q)
+        rows = par._g1_table()
+        assert len(rows) == -(-q.bit_length() // 10)
+        assert all(len(row) <= min(1024, q) for row in rows)
+        for e in range(q):
+            assert par.exp(par.g1, e) == pow(par.g1, e, par.p), (q, e)
+
+
+def test_toy_g1_table_matches_pow_at_twenty_bits():
+    par = toy_group_for_order(1048573)
+    q = par.q
+    rng = random.Random(1048573)
+    edges = [0, 1, 1023, 1024, q - 1]
+    for e in edges + [rng.randrange(q) for _ in range(10_000)]:
+        assert par.exp(par.g1, e) == pow(par.g1, e, par.p), e
+    assert [len(row) for row in par._g1_rows] == [1024, 1024]
+
+
+def test_toy_other_bases_keep_pow():
+    par = toy_group_for_order(65521)
+    base = pow(par.g1, 7, par.p)
+    rng = random.Random(7)
+    for e in [0, 1, par.q - 1] + [rng.randrange(par.q) for _ in range(1000)]:
+        assert par.exp(base, e) == pow(base, e, par.p)
+    assert par._g1_rows is None         # built on the first use of g1 only

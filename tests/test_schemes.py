@@ -370,6 +370,17 @@ def test_offline_state_is_single_use(toy):
         agms_online(toy, off, b"other message")
 
 
+def test_refused_online_call_announces_nothing(toy):
+    # the spent check runs before announce, so no session takes the new m
+    tree = build_tree(7, 2, 3)
+    off = agms_offline(toy, tree, derive_keys(toy, 7, 21), seed=21)
+    first = agms_online(toy, off, M)
+    with pytest.raises(NonceReuse):
+        agms_online(toy, off, b"other")
+    assert [sess.m for sess in off.sessions] == [M] * 7
+    assert verify(toy, first.agg_key, M, first.signature)
+
+
 def test_sessions_must_come_from_offline_run(toy):
     tree = build_tree(3, 2, 3)
     keys = derive_keys(toy, 3, 15)

@@ -111,13 +111,18 @@ def rogue_key_attack(par: Group, honest_keys, message: bytes, *, seed=0,
     Also tries ``proof_attempts`` times to fabricate a possession proof for
     the rogue key using the only scalar the adversary knows (sk_A, which is
     *not* the rogue key's discrete log) plus fresh randomness — the count
-    of accepted proofs is the point of the report.
+    of accepted proofs is the point of the report.  Honest keys that
+    multiply to the identity are a ``ValueError``: y_A would be g1^sk_A,
+    whose proofs are genuine.
     """
     require_toy(par)
     honest_keys = list(honest_keys)
     rng = derive_rng(seed, "rogue")
     sk_a = adversary_sk if adversary_sk is not None else par.random_scalar(rng)
     prod = key_aggregate(par, honest_keys).X
+    if prod == par.identity:  # then y_A = g1^sk_A and every proof is genuine
+        raise ValueError("honest keys aggregate to the identity; "
+                         "nothing is left to cancel")
     # prod^(q-1) == prod^-1 in a group of prime order q
     y_a = par.mul(par.exp(par.g1, sk_a), par.exp(prod, par.q - 1))
     X = par.mul(y_a, prod)

@@ -207,7 +207,7 @@ def open_sessions(par: Group, scheme: str, tree: Tree, keys,
     if len(keys) != tree.n:
         raise MixedSessions(f"{len(keys)} keys for a {tree.n}-node tree")
     vs = derive_nonces(par, _NONCE_TAG, seed, [k.sk for k in keys])
-    return [SigningSession(scheme=scheme, node=i, key=key, v=v)
+    return [SigningSession(scheme, i, key, v)
             for i, (key, v) in enumerate(zip(keys, vs))]
 
 
@@ -227,21 +227,23 @@ def commit(par: Group, tree: Tree, sessions):
     the same tree pass that aggregates commitments — no separate
     key-collection round.  Returns (V~, X~ or None, messages).
     """
-    el = par.element_len
+    el, g1 = par.element_len, par.g1
+    exp, mul, decode, encode = par.exp, par.mul, par.decode_element, par.encode_element
     aggregate_keys = sessions[0].scheme == "agms"
     V_agg = X_agg = None
 
     def handler(node, child_payloads):
         nonlocal V_agg, X_agg
-        V_agg = par.exp(par.g1, sessions[node].v)
-        X_agg = sessions[node].key.public.y
+        sess = sessions[node]
+        V_agg = exp(g1, sess.v)
+        X_agg = sess.key.public.y
         for _child, payload in child_payloads:
-            V_agg = par.mul(V_agg, par.decode_element(payload[:el]))
+            V_agg = mul(V_agg, decode(payload[:el]))
             if aggregate_keys:
-                X_agg = par.mul(X_agg, par.decode_element(payload[el:]))
-        out = par.encode_element(V_agg)
+                X_agg = mul(X_agg, decode(payload[el:]))
+        out = encode(V_agg)
         if aggregate_keys:
-            out += par.encode_element(X_agg)
+            out += encode(X_agg)
         return out
 
     messages = run_phase(tree, Phase.COMMIT, handler).messages
@@ -267,7 +269,7 @@ def challenge(par: Group, tree: Tree, sessions, c: int, V_ann) -> list:
     v*c on arrival — their response shape is what the scheme's security
     leans on, not a per-node recomputation.
     """
-    sl = par.scalar_len
+    sl, q, decode_scalar = par.scalar_len, par.q, par.decode_scalar
     baseline = sessions[0].scheme == "cosi"
     payload = par.encode_scalar(c)
     if baseline:
@@ -275,13 +277,13 @@ def challenge(par: Group, tree: Tree, sessions, c: int, V_ann) -> list:
 
     def handler(node, data):
         sess = sessions[node]
-        c = par.decode_scalar(data[:sl])
+        c = decode_scalar(data[:sl])
         if baseline:
             V = par.decode_element(data[sl:])
             if c != challenge_hash(par, "cosi", V, None, sess.m):
                 raise ValueError("challenge does not match announced aggregate")
         else:
-            sess.vc = par.s_mul(sess.v, c)
+            sess.vc = sess.v * c % q
         sess.c = c
         return data
 
@@ -308,18 +310,18 @@ def respond(par: Group, tree: Tree, sessions):
         if sess.m is None or sess.c is None:
             raise MixedSessions(f"node {sess.node} missing announce/challenge state")
     baseline = sessions[0].scheme == "cosi"
+    decode_scalar, encode_scalar = par.decode_scalar, par.encode_scalar
 
     def handler(node, child_payloads):
         sess = sessions[node]
         sess.responded = True
         if baseline:
-            s = par.s_add(sess.v, par.s_mul(sess.c, sess.key.sk))
+            s = sess.v + sess.c * sess.key.sk
         else:
-            e = hash_to_scalar(par, H3, [sess.m])
-            s = par.s_sub(sess.vc, par.s_mul(e, sess.key.sk))
+            s = sess.vc - hash_to_scalar(par, H3, [sess.m]) * sess.key.sk
         for _child, payload in child_payloads:
-            s = par.s_add(s, par.decode_scalar(payload))
-        return par.encode_scalar(s)
+            s += decode_scalar(payload)
+        return encode_scalar(s)     # reduces the sum mod q
 
     res = run_phase(tree, Phase.RESPOND, handler)
     return par.decode_scalar(res.root_output), res.messages

@@ -9,11 +9,13 @@ N nodes moves exactly 4*(N-1) messages.
 
 ``run_phase`` drives one phase given a per-node handler and records the
 full transcript as ``Message`` tuples (an immutable ``NamedTuple``: phase,
-src, dst, payload).  Handlers are ordinary functions; any exception they
-raise is wrapped in HandlerFailure tagged with the node id.  Handlers
-run one at a time, level by level, in the order ``Tree.levels`` lists
-them; a caller that wants another processing order passes a tree whose
-levels are permuted.
+src, dst, payload).  Each is built as ``tuple.__new__(Message, (...))``,
+the same object ``Message(...)`` makes without its Python-level
+``__new__`` call, and what a node hears waits in a list indexed by node
+id.  Handlers are ordinary functions; any exception they raise is wrapped
+in HandlerFailure tagged with the node id.  Handlers run one at a time,
+level by level, in the order ``Tree.levels`` lists them; a caller that
+wants another processing order passes a tree whose levels are permuted.
 """
 
 from __future__ import annotations
@@ -144,30 +146,40 @@ def run_phase(tree: Tree, phase: Phase, handler, *,
     in ``PhaseResult.root_output``.
     """
     result = PhaseResult()
-    label, children, parent = phase.label, tree.children, tree.parent
-    messages = result.messages
-    down = phase.direction is Direction.DOWN
-    inbox: dict = {0: root_input}
-    for level in tree.levels if down else reversed(tree.levels):
+    label, children = phase.label, tree.children
+    append, new = result.messages.append, tuple.__new__
+    inbox: list = [None] * tree.n
+    if phase.direction is Direction.DOWN:
+        inbox[0] = root_input
+        for level in tree.levels:
+            for node in level:
+                try:
+                    out = handler(node, inbox[node])
+                except HandlerFailure:
+                    raise
+                except Exception as exc:  # noqa: BLE001 - deliberate wrap with node id
+                    raise HandlerFailure(node, exc) from exc
+                for child in children[node]:
+                    inbox[child] = out
+                    append(new(Message, (label, node, child, out)))
+        return result
+    parent = tree.parent
+    for level in reversed(tree.levels):
         for node in level:
-            arg = inbox[node] if down else [(ch, inbox[ch]) for ch in children[node]]
+            kids = children[node]
+            arg = [(ch, inbox[ch]) for ch in kids] if kids else []
             try:
                 out = handler(node, arg)
             except HandlerFailure:
                 raise
             except Exception as exc:  # noqa: BLE001 - deliberate wrap with node id
                 raise HandlerFailure(node, exc) from exc
-            if down:
-                for child in children[node]:
-                    inbox[child] = out
-                    messages.append(Message(label, node, child, out))
+            p = parent[node]
+            if p is None:
+                result.root_output = out
             else:
                 inbox[node] = out
-                p = parent[node]
-                if p is None:
-                    result.root_output = out
-                else:
-                    messages.append(Message(label, node, p, out))
+                append(new(Message, (label, node, p, out)))
     return result
 
 

@@ -22,7 +22,8 @@ import pytest
 
 from multisig.cli import main
 from multisig.errors import MultisigError
-from multisig.schemes import load_secret_keys
+from multisig.group import derive_rng, toy_group_for_order
+from multisig.schemes import bare_keygen, key_aggregate, load_secret_keys
 
 _SCHEMES = ("gms", "agms", "cosi", "gamma")
 _SCHEMA_NAMES = ("multisig/keys/v1", "multisig/secrets/v1", "multisig/keys/v2",
@@ -274,6 +275,21 @@ def test_rogue_on_tiny_orders_meets_its_expectation(argv, tmp_path):
     doc = json.loads(out.read_text())
     assert doc["expectation_met"] is True
     assert (doc["successes"], doc["attempts"]) == (0, 100)
+
+
+@pytest.mark.parametrize("q, seed", [(3, 2), (3, 3), (5, 0), (7, 2)])
+def test_rogue_refuses_honest_keys_that_aggregate_to_the_identity(q, seed, tmp_path):
+    # the three honest keys multiply to the identity, so the rogue key is
+    # g1^sk_A itself and its "fabricated" proofs are genuine; the demo used
+    # to count them as accepted forgeries and exit 1
+    par = toy_group_for_order(q)
+    honest = [bare_keygen(par, derive_rng(seed, "honest-key", i)).public
+              for i in range(3)]
+    assert key_aggregate(par, honest).X == par.identity
+    out = tmp_path / "rogue.json"
+    argv = ["attack", "rogue", "--toy-q", str(q), "--seed", str(seed)]
+    assert _call([*argv, "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 _WRITERS = (

@@ -7,8 +7,10 @@ from multisig import schemes
 from multisig.errors import CapacityExceeded, HandlerFailure
 from multisig.group import toy_group_for_order
 from multisig.tree import (
+    Direction,
     Message,
     Phase,
+    PhaseResult,
     build_tree,
     capacity,
     min_branching,
@@ -207,3 +209,94 @@ def test_single_node_tree():
     res = run_phase(t, Phase.COMMIT, _sum_up)
     assert res.root_output == b"0"
     assert res.messages == []
+
+
+# ── slow reference for run_phase ─────────────────────────────────────────────
+
+def _reference_run_phase(tree, phase, handler, *, root_input=None):
+    """The straightforward loop run_phase is checked against: one dict
+    inbox, one loop for both directions, ``Message(...)`` per edge."""
+    result = PhaseResult()
+    down = phase.direction is Direction.DOWN
+    inbox = {0: root_input}
+    for level in tree.levels if down else reversed(tree.levels):
+        for node in level:
+            kids = tree.children[node]
+            arg = inbox[node] if down else [(ch, inbox[ch]) for ch in kids]
+            try:
+                out = handler(node, arg)
+            except HandlerFailure:
+                raise
+            except Exception as exc:  # noqa: BLE001 - the wrap under test
+                raise HandlerFailure(node, exc) from exc
+            if down:
+                for child in kids:
+                    inbox[child] = out
+                    result.messages.append(Message(phase.label, node, child, out))
+            else:
+                inbox[node] = out
+                p = tree.parent[node]
+                if p is None:
+                    result.root_output = out
+                else:
+                    result.messages.append(Message(phase.label, node, p, out))
+    return result
+
+
+def _recording_handler(fail_at=None):
+    """A handler whose output depends on the node and everything it heard,
+    and the list of (node, arg, type of arg) calls it saw."""
+    calls = []
+
+    def handler(node, arg):
+        calls.append((node, list(arg) if isinstance(arg, list) else arg, type(arg)))
+        if node == fail_at:
+            raise ValueError(f"node {node} fails")
+        heard = repr(arg).encode()
+        return hashlib.sha256(node.to_bytes(2, "big") + heard).digest()[:4]
+
+    return handler, calls
+
+
+def _phase_runs(tree, run, fail_at=None):
+    """(calls, result or exception) per phase, through ``run``."""
+    out = {}
+    for phase in Phase:
+        handler, calls = _recording_handler(fail_at)
+        kwargs = {"root_input": b"r"} if phase.direction is Direction.DOWN else {}
+        try:
+            out[phase] = calls, run(tree, phase, handler, **kwargs)
+        except HandlerFailure as exc:
+            out[phase] = calls, (exc.node, type(exc.cause), str(exc.cause))
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 511])
+@pytest.mark.parametrize("branching", [1, 2, 3, 8])
+def test_run_phase_matches_the_reference_loop(n, branching, shuffled_levels):
+    plain = build_tree(n, branching, n)
+    for tree in (plain, shuffled_levels(plain, n + branching)):
+        fast, slow = _phase_runs(tree, run_phase), _phase_runs(tree, _reference_run_phase)
+        for phase in Phase:
+            (fast_calls, got), (slow_calls, want) = fast[phase], slow[phase]
+            assert fast_calls == slow_calls
+            assert got.messages == want.messages
+            assert got.root_output == want.root_output
+            assert len(got.messages) == n - 1
+            assert all(type(m) is Message for m in got.messages)
+            assert [(m.phase, m.src, m.dst, m.payload) for m in got.messages] == [
+                tuple(m) for m in want.messages]
+            if phase.direction is Direction.UP:
+                assert got.root_output is not None
+
+
+@pytest.mark.parametrize("n", [1, 7, 64])
+@pytest.mark.parametrize("where", ["leaf", "root"])
+def test_run_phase_fails_like_the_reference_loop(n, where):
+    tree = build_tree(n, 3, n)
+    fail_at = tree.levels[-1][-1] if where == "leaf" else 0
+    fast = _phase_runs(tree, run_phase, fail_at)
+    slow = _phase_runs(tree, _reference_run_phase, fail_at)
+    for phase in Phase:
+        assert fast[phase] == slow[phase]
+        assert fast[phase][1] == (fail_at, ValueError, f"node {fail_at} fails")

@@ -498,7 +498,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--list-size", type=int, default=None)
     p.add_argument("--retries", type=int, default=8)
     p.add_argument("--retries-pop", type=int, default=100,
-                   help="rogue only: possession-proof forging attempts")
+                   help="rogue only: possession-proof forging attempts; on "
+                        "tiny --toy-q each passes by chance about 1 in q, so "
+                        "the run reports expectation=VIOLATED and exits 1 "
+                        "with nothing forged")
     p.add_argument("--n-honest", type=int, default=3)
     p.add_argument("--message", default="pay the usual 1")
     p.add_argument("--out", default=None)

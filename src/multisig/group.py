@@ -18,11 +18,13 @@ Two interchangeable backends sit behind one ``Group`` interface:
   two are kept, oldest evicted.  Any other base uses the GLV
   endomorphism, which splits the scalar into two ≈128-bit halves run
   through one interleaved width-5 wNAF loop, so ≈128 doublings instead
-  of 256.  Decoding a compressed element costs a modular square root
+  of 256; its table of odd multiples is built on an isomorphic curve
+  without an inversion, so converting the result is the one inversion.
+  Decoding a compressed element costs a modular square root
   (≈0.17–0.24 ms); successful decodes are memoised in a bounded LRU
   (1,024 entries), so the subtree key aggregates that repeat on every
   signature decode once.  Slow by libsecp standards (≈0.26–0.39 ms per
-  comb exponentiation, ≈0.88–1.75 ms through GLV) but honest: every
+  comb exponentiation, ≈0.75–1.41 ms through GLV) but honest: every
   benchmark number is produced by the same code path the protocols use.
 
 Group elements are opaque to callers: ints for the toy backend, affine
@@ -43,7 +45,7 @@ import random
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import zip_longest
+from operator import itemgetter
 
 from .errors import BadLength, InvOfZero, IoError, NonCanonical, NotInGroup
 
@@ -364,10 +366,9 @@ def _jac_double(pt):
         return _JAC_ID
     A = (Y1 * Y1) % _P
     B = (4 * X1 * A) % _P
-    C = (8 * A * A) % _P
-    D = (3 * X1 * X1) % _P  # a = 0 on secp256k1
+    D = (3 * (X1 * X1)) % _P  # a = 0 on secp256k1
     X3 = (D * D - 2 * B) % _P
-    Y3 = (D * (B - X3) - C) % _P
+    Y3 = (D * (B - X3) - 8 * (A * A)) % _P
     Z3 = (2 * Y1 * Z1) % _P
     return (X3, Y3, Z3)
 
@@ -599,29 +600,96 @@ def _wnaf5_table(odd, negate: bool) -> list:
     return table
 
 
+def _glv_odd_multiples(base) -> tuple[list, int]:
+    """(odd, u): the odd multiples P, 3P, ..., 15P of the affine point
+    ``base`` = P as affine points of an isomorphic curve, and the factor
+    that maps back: (x, y) in ``odd`` is (x/u², y/u³) on secp256k1.
+
+    No inversion, as libsecp256k1 builds its ecmult table.  Doubling P in
+    Jacobian coordinates gives 2P = (Xd, Yd, Zd); scaling P by Zd², Zd³
+    moves it to y² = x³ + 7·Zd⁶, where 2P is the affine (Xd, Yd) and the
+    formulas (a = 0) are unchanged.  Seven mixed additions of 2P give
+    3P ... 15P there, each multiplying Z by its H; scaling each point by
+    the later steps' H², H³ puts all eight on the last Z, so
+    u = Zd·Z_last.  No step doubles or cancels: kP ≠ ±2P for odd k < 16
+    in a group of prime order.
+    """
+    x, y = base
+    Xd, Yd, Zd = _jac_double((x, y, 1))
+    zz = (Zd * Zd) % _P
+    X1, Y1, Z1 = (x * zz) % _P, (y * zz * Zd) % _P, 1
+    pts, ratios = [(X1, Y1)], []
+    for _ in range(7):
+        Z1Z1 = (Z1 * Z1) % _P
+        H = (Xd * Z1Z1) % _P - X1
+        R = (Yd * Z1 * Z1Z1) % _P - Y1
+        HH = (H * H) % _P
+        HHH = (H * HH) % _P
+        V = (X1 * HH) % _P
+        X1 = (R * R - HHH - 2 * V) % _P
+        Y1 = (R * (V - X1) - Y1 * HHH) % _P
+        Z1 = (Z1 * H) % _P
+        pts.append((X1, Y1))
+        ratios.append((HH, HHH))
+    odd = [pts.pop()]
+    s2 = s3 = 1
+    for (X, Y), (HH, HHH) in zip(reversed(pts), reversed(ratios)):
+        s2, s3 = (s2 * HH) % _P, (s3 * HHH) % _P
+        odd.append(((X * s2) % _P, (Y * s3) % _P))
+    odd.reverse()
+    return odd, (Zd * Z1) % _P
+
+
 def _exp_glv(base, e: int):
     """base^e for any non-identity base: split e into two ≈128-bit halves
     k1 + k2·λ, then ≈128 doublings with one mixed addition per nonzero
     wNAF digit of either half, against tables of the odd multiples of
-    base and of φ(base)."""
+    base and of φ(base), both on the curve of ``_glv_odd_multiples``.
+    One inversion, for the result.
+
+    The loop runs on local X, Y, Z with ``_jac_double`` and ``_jac_madd``
+    written out; an addition that would double or cancel, or that starts
+    from the identity, goes to ``_jac_madd``.
+    """
+    P = _P  # a local: the loop reads it over 1,000 times
     k1, k2 = _glv_split(e)
-    jb = (base[0], base[1], 1)
-    twice = _jac_double(jb)
-    odd = [jb]
-    for _ in range(7):
-        odd.append(_jac_add(odd[-1], twice))
-    odd = _batch_to_affine(odd)
+    odd, u = _glv_odd_multiples(base)
     t1 = _wnaf5_table(odd, k1 < 0)
-    t2 = _wnaf5_table([((_BETA * x) % _P, y) for x, y in odd], k2 < 0)
-    digits = zip_longest(_wnaf5(abs(k1)), _wnaf5(abs(k2)), fillvalue=0)
-    acc = _JAC_ID
-    for d1, d2 in reversed(list(digits)):
-        acc = _jac_double(acc)
-        if d1:
-            acc = _jac_madd(acc, t1[d1])
-        if d2:
-            acc = _jac_madd(acc, t2[d2])
-    return _jac_to_affine(acc)
+    t2 = _wnaf5_table([((_BETA * x) % P, y) for x, y in odd], k2 < 0)
+    # (bit, table point) per nonzero digit of either half, top bit first,
+    # then a stop at bit 0 that adds nothing
+    adds = [(i, t1[d]) for i, d in enumerate(_wnaf5(abs(k1))) if d]
+    adds += [(i, t2[d]) for i, d in enumerate(_wnaf5(abs(k2))) if d]
+    adds.sort(key=itemgetter(0), reverse=True)
+    adds.append((0, None))
+    X, Y, Z = _JAC_ID
+    top = adds[0][0]
+    for i, pt in adds:
+        for _ in range(top - i):
+            A = (Y * Y) % P
+            B = (4 * X * A) % P
+            D = (3 * (X * X)) % P
+            Z = (2 * Y * Z) % P
+            X = (D * D - 2 * B) % P
+            Y = (D * (B - X) - 8 * (A * A)) % P
+        top = i
+        if pt is None:
+            break
+        x2, y2 = pt
+        Z1Z1 = (Z * Z) % P
+        U2 = (x2 * Z1Z1) % P
+        if U2 == X or Z == 0:
+            X, Y, Z = _jac_madd((X, Y, Z), pt)
+            continue
+        H = U2 - X
+        R = (y2 * Z * Z1Z1) % P - Y
+        HH = (H * H) % P
+        HHH = (H * HH) % P
+        V = (X * HH) % P
+        X = (R * R - HHH - 2 * V) % P
+        Y = (R * (V - X) - Y * HHH) % P
+        Z = (Z * H) % P
+    return _jac_to_affine((X, Y, (Z * u) % P))
 
 
 # Decoding costs a modular square root (about half a g1 exponentiation).

@@ -15,6 +15,8 @@ from multisig.group import (
     _exp_glv,
     _exp_ladder,
     _glv_split,
+    _jac_double,
+    _jac_to_affine,
     _toy_decode,
     _wnaf5,
     curve_group,
@@ -455,13 +457,60 @@ def test_glv_exp_matches_comb_and_reference_ladder(curve):
     n = curve.q
     rng = random.Random(4242)
     x = _exp_ladder(curve.g1, rng.randrange(1, n))
-    for e in _glv_edge_scalars():
+    # small scalars put the wNAF's first nonzero digit, and so the first
+    # addition from the identity, at each table entry and digit boundary
+    scalars = [1, 2, 3, 15, 16, 17, 31, 32, 33] + _glv_edge_scalars()
+    for e in scalars:
         ref = _exp_ladder(curve.g1, e % n)
         assert _exp_glv(curve.g1, e) == _exp_comb(_comb_table(curve.g1), e % n) \
             == ref, hex(e)
     for base in (x, (x[0], group_mod._P - x[1])):
-        for e in _glv_edge_scalars():
+        for e in scalars:
             assert _exp_glv(base, e) == _exp_ladder(base, e % n), hex(e)
+    for _ in range(300):
+        base = _exp_ladder(curve.g1, rng.randrange(1, n))
+        e = rng.randrange(n)
+        assert _exp_glv(base, e) == _exp_ladder(base, e), (base, hex(e))
+
+
+def test_glv_exp_makes_one_inversion(curve, monkeypatch):
+    """The odd-multiples table is built without an inversion; the one
+    inversion left converts the result to affine."""
+    rng = random.Random(2001)
+    cases = [(_exp_ladder(curve.g1, rng.randrange(1, curve.q)),
+              rng.randrange(1, curve.q)) for _ in range(5)]
+    refs = [_exp_ladder(base, e) for base, e in cases]
+    inversions = []
+
+    def counting_pow(x, y, mod=None):
+        if y == -1:
+            inversions.append(mod)
+        return pow(x, y, mod)
+
+    monkeypatch.setattr(group_mod, "pow", counting_pow, raising=False)
+    for (base, e), ref in zip(cases, refs):
+        inversions.clear()
+        assert _exp_glv(base, e) == ref
+        assert inversions == [group_mod._P]
+
+
+def test_jac_double_matches_affine_doubling(curve):
+    """``_jac_double`` against the affine chord-and-tangent rule of
+    ``_mul`` and the ladder, on points lifted to random Z."""
+    p = group_mod._P
+    rng = random.Random(1986)
+    for _ in range(50):
+        k = rng.randrange(1, curve.q)
+        x, y = _exp_ladder(curve.g1, k)
+        z = rng.randrange(1, p)
+        doubled = _jac_double(((x * z * z) % p, (y * z * z * z) % p, z))
+        assert _jac_to_affine(doubled) == curve._mul((x, y), (x, y)) \
+            == _exp_ladder(curve.g1, 2 * k), hex(k)
+    # Y = 0 and Z = 0 both give the identity, as the ladder does for 2·O
+    assert _jac_double((5, 0, 7)) == group_mod._JAC_ID
+    assert _jac_double(group_mod._JAC_ID) == group_mod._JAC_ID
+    assert _jac_to_affine(_jac_double(group_mod._JAC_ID)) is None
+    assert _exp_ladder(curve.g1, 0) is None and _exp_ladder(None, 2) is None
 
 
 # ── decode memo ──────────────────────────────────────────────────────────────

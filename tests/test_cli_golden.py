@@ -43,6 +43,15 @@ CASES = {
     **{f"endorse_flow_{flow}": ("endorse", "--flow", flow, "--endorsers-list",
                                 "1,3", "--toy-q", "65521", "--seed", "5")
        for flow in ("revised", "default")},
+    "attack_rogue": ("attack", "rogue", "--toy-q", "65521", "--seed", "5",
+                     "--out", "rogue.json"),
+    **{f"attack_ksum_{target}": ("attack", "ksum", "--target", target,
+                                 "--toy-q", "65521", "--seed", "5",
+                                 "--out", "ksum.json")
+       for target in ("cosi", "agms")},
+    # q = 5: fabricated proofs pass by chance, so the run exits 1
+    "attack_rogue_violated": ("attack", "rogue", "--toy-q", "5", "--seed", "1",
+                              "--message", "m"),
 }
 
 

@@ -548,20 +548,23 @@ def _exp_comb(table: list, e: int):
 
 
 def _wnaf5(e: int) -> list:
-    """Width-5 NAF digits of e >= 0, least significant first; every nonzero
-    digit is odd and in [-15, 15]."""
-    digits = []
+    """(bit, digit) for each nonzero width-5 NAF digit of e >= 0, least
+    significant first, so e = sum(digit << bit); every digit is odd and in
+    [-15, 15].  A run of zero digits costs one shift, not one step per bit.
+    """
+    pairs = []
+    bit = 0
     while e:
-        if e & 1:
-            d = e & 31
-            if d >= 16:
-                d -= 32
-            e -= d
-        else:
-            d = 0
-        digits.append(d)
-        e >>= 1
-    return digits
+        zeros = (e & -e).bit_length() - 1
+        e >>= zeros
+        bit += zeros
+        d = e & 31
+        if d >= 16:
+            d -= 32
+        pairs.append((bit, d))
+        e = (e - d) >> 5  # e - d ≡ 0 mod 32: the next four digits are 0
+        bit += 5
+    return pairs
 
 
 # GLV (Gallant, Lambert and Vanstone, CRYPTO 2001): secp256k1 has the
@@ -658,8 +661,8 @@ def _exp_glv(base, e: int):
     t2 = _wnaf5_table([((_BETA * x) % P, y) for x, y in odd], k2 < 0)
     # (bit, table point) per nonzero digit of either half, top bit first,
     # then a stop at bit 0 that adds nothing
-    adds = [(i, t1[d]) for i, d in enumerate(_wnaf5(abs(k1))) if d]
-    adds += [(i, t2[d]) for i, d in enumerate(_wnaf5(abs(k2))) if d]
+    adds = [(i, t1[d]) for i, d in _wnaf5(abs(k1))]
+    adds += [(i, t2[d]) for i, d in _wnaf5(abs(k2))]
     adds.sort(key=itemgetter(0), reverse=True)
     adds.append((0, None))
     X, Y, Z = _JAC_ID

@@ -302,16 +302,35 @@ def test_curve_exp_is_a_homomorphism(curve):
                 curve.exp(base, a + b)
 
 
+def _wnaf5_bit_by_bit(e: int) -> list:
+    """Width-5 NAF digits of e >= 0, least significant first, one per bit
+    (zeros included): the textbook definition ``_wnaf5`` must match."""
+    digits = []
+    while e:
+        if e & 1:
+            d = e & 31
+            if d >= 16:
+                d -= 32
+            e -= d
+        else:
+            d = 0
+        digits.append(d)
+        e >>= 1
+    return digits
+
+
 def test_wnaf5_digits_reconstruct_the_scalar():
     rng = random.Random(3)
-    for e in [1, 15, 16, 31, 32, 2**256 - 1] + [rng.getrandbits(256) | 1
-                                                 for _ in range(50)]:
-        digits = _wnaf5(e)
-        assert sum(d << i for i, d in enumerate(digits)) == e
-        nonzero = [i for i, d in enumerate(digits) if d]
-        assert all(digits[i] % 2 == 1 and -15 <= digits[i] <= 15
-                   for i in nonzero)
-        assert all(j - i >= 5 for i, j in zip(nonzero, nonzero[1:]))
+    for e in [0, 1, 15, 16, 31, 32, 2**256 - 1] + [
+            rng.getrandbits(256) | 1 for _ in range(50)] + [
+            rng.getrandbits(128) for _ in range(50)]:
+        pairs = _wnaf5(e)
+        assert sum(d << i for i, d in pairs) == e
+        assert all(d % 2 == 1 and -15 <= d <= 15 for _, d in pairs)
+        bits = [i for i, _ in pairs]
+        assert all(j - i >= 5 for i, j in zip(bits, bits[1:]))
+        assert pairs == [(i, d) for i, d in enumerate(_wnaf5_bit_by_bit(e))
+                         if d]
 
 
 def test_curve_fast_exp_counts_once(curve, comb_cache):

@@ -552,15 +552,12 @@ def _wnaf5(e: int) -> list:
     significant first, so e = sum(digit << bit); every digit is odd and in
     [-15, 15].  A run of zero digits costs one shift, not one step per bit.
     """
-    pairs = []
-    bit = 0
+    pairs, bit = [], 0
     while e:
         zeros = (e & -e).bit_length() - 1
         e >>= zeros
         bit += zeros
-        d = e & 31
-        if d >= 16:
-            d -= 32
+        d = ((e + 16) & 31) - 16  # e mod 32, as a residue in [-16, 16)
         pairs.append((bit, d))
         e = (e - d) >> 5  # e - d ≡ 0 mod 32: the next four digits are 0
         bit += 5

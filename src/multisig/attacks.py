@@ -26,19 +26,22 @@ k-list challenge forgery
     challenge (v*c - e*sk), so summed responses do not assemble into
     anything the verifier accepts, and e = H3(m) re-binds the message
     independently of c.  The run is kept as a negative control.
+
+Both demos return one ``AttackReport`` and decide its verdict themselves:
+which result their target should show and whether the run showed it.  A
+run with no attempt never meets its expectation.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import count, islice
 
 from .errors import BackendRefused, KSumNotFound
 from .group import Group, ToyGroup, derive_rng
 from .hashing import H3, hash_to_scalar
 from .schemes import (
-    AggregateKey,
     PublicKey,
     Signature,
     announce,
@@ -59,11 +62,10 @@ from .tree import build_tree, min_branching
 
 __all__ = [
     "require_toy",
-    "RogueKeyReport",
+    "AttackReport",
     "rogue_key_attack",
     "default_list_size",
     "solve",
-    "KSumAttackReport",
     "ksum_forgery_attack",
 ]
 
@@ -75,45 +77,47 @@ def require_toy(par: Group) -> None:
         )
 
 
-# ── rogue-key aggregation ────────────────────────────────────────────────────
-
 @dataclass(frozen=True)
-class RogueKeyReport:
-    rogue_y: object
-    aggregate: AggregateKey
-    message: bytes
-    signature: Signature
-    baseline_accepts: bool
-    proof_attempts: int
-    proofs_accepted: int
+class AttackReport:
+    """One demo run and the demo's own verdict on it.
+
+    ``params`` and ``extra`` (top-level keys only one demo writes) are
+    JSON-ready.  ``forgery`` is the example signature or None, ``message``
+    the message it signs and ``aggregate`` the element it verifies under.
+    """
+    attack: str
+    params: dict
+    attempts: int
+    successes: int
+    expectation_met: bool
+    verdict: str
+    forgery: Signature | None
+    message: bytes | None
+    aggregate: object
+    extra: dict = field(default_factory=dict)
 
     def to_json_dict(self, par: Group) -> dict:
-        return {
-            "attack": "rogue-key",
-            "params": {
-                "q": par.q,
-                "rogue_y": par.encode_element(self.rogue_y).hex(),
-                "aggregate": par.encode_element(self.aggregate.X).hex(),
-                "message": self.message.hex(),
-            },
-            "attempts": self.proof_attempts,
-            "successes": self.proofs_accepted,
-            "baseline_accepts_forgery": self.baseline_accepts,
-            "example_forgery_hex": self.signature.to_bytes(par).hex(),
-        }
+        forgery = self.forgery.to_bytes(par).hex() if self.forgery else None
+        return {"attack": self.attack, "params": self.params,
+                "attempts": self.attempts, "successes": self.successes,
+                **self.extra, "example_forgery_hex": forgery,
+                "expectation_met": self.expectation_met}
 
+
+# ── rogue-key aggregation ────────────────────────────────────────────────────
 
 def rogue_key_attack(par: Group, honest_keys, message: bytes, *, seed=0,
                      adversary_sk: int | None = None,
-                     proof_attempts: int = 100) -> RogueKeyReport:
+                     proof_attempts: int = 100) -> AttackReport:
     """Cancel the honest keys out of the aggregate, then sign alone.
 
     Also tries ``proof_attempts`` times to fabricate a possession proof for
     the rogue key using the only scalar the adversary knows (sk_A, which is
     *not* the rogue key's discrete log) plus fresh randomness — the count
-    of accepted proofs is the point of the report.  Honest keys that
-    multiply to the identity are a ``ValueError``: y_A would be g1^sk_A,
-    whose proofs are genuine.
+    of accepted proofs is the report's ``successes``.  The expectation is
+    met when the baseline accepts the forgery and no proof passes.  Honest
+    keys that multiply to the identity are a ``ValueError``: y_A would be
+    g1^sk_A, whose proofs are genuine.
     """
     require_toy(par)
     honest_keys = list(honest_keys)
@@ -138,14 +142,21 @@ def rogue_key_attack(par: Group, honest_keys, message: bytes, *, seed=0,
         for _ in range(proof_attempts)
     )
 
-    return RogueKeyReport(
-        rogue_y=y_a,
-        aggregate=AggregateKey(X, len(honest_keys) + 1),
+    return AttackReport(
+        attack="rogue-key",
+        params={"q": par.q, "rogue_y": par.encode_element(y_a).hex(),
+                "aggregate": par.encode_element(X).hex(),
+                "message": message.hex()},
+        attempts=proof_attempts,
+        successes=accepted,
+        expectation_met=(baseline_accepts and accepted == 0
+                         and proof_attempts > 0),
+        verdict=(f"baseline_accepts={baseline_accepts} "
+                 f"proofs_accepted={accepted}/{proof_attempts}"),
+        forgery=sig,
         message=message,
-        signature=sig,
-        baseline_accepts=baseline_accepts,
-        proof_attempts=proof_attempts,
-        proofs_accepted=accepted,
+        aggregate=X,
+        extra={"baseline_accepts_forgery": baseline_accepts},
     )
 
 
@@ -202,42 +213,6 @@ def solve(q: int, lists):
 
 # ── k-list forgery against concurrent sessions ───────────────────────────────
 
-@dataclass
-class KSumAttackReport:
-    target: str
-    q: int
-    k: int
-    list_size: int
-    n_honest: int
-    attempts: int
-    successes: int
-    forged_message: bytes | None
-    forgery: Signature | None
-    aggregate: object | None
-
-    def to_json_dict(self, par: Group) -> dict:
-        params = {
-            "target": self.target,
-            "q": self.q,
-            "k": self.k,
-            "list_size": self.list_size,
-            "n_honest": self.n_honest,
-        }
-        if self.forged_message is not None:
-            params["forged_message"] = self.forged_message.hex()
-        if self.aggregate is not None:
-            params["aggregate"] = par.encode_element(self.aggregate).hex()
-        return {
-            "attack": "ksum",
-            "params": params,
-            "attempts": self.attempts,
-            "successes": self.successes,
-            "example_forgery_hex": (
-                self.forgery.to_bytes(par).hex() if self.forgery else None
-            ),
-        }
-
-
 # the forged messages are this prefix, "#" and a counter
 _FORGED_PREFIX = b"pay the attacker everything"
 
@@ -258,25 +233,28 @@ def _session_candidates(par, rng, V_sess, target, x_forge, message):
         yield challenge_hash(par, target, v_ann, x_forge, message), v_ann
 
 
-def _target_candidates(par, V_bar, target, x_forge):
-    """Forged messages, each with its target challenge c*."""
+def _target_candidates(par, V_bar, target, x_forge, message):
+    """Forged messages, each with its target challenge c*.  The honest
+    sessions' ``message`` is skipped: a signature on it is no forgery."""
     for u in count():
         m_star = _FORGED_PREFIX + b"#" + str(u).encode()
-        yield challenge_hash(par, target, V_bar, x_forge, m_star), m_star
+        if m_star != message:
+            yield challenge_hash(par, target, V_bar, x_forge, m_star), m_star
 
 
 def ksum_forgery_attack(par: Group, *, target: str = "cosi", k: int = 4,
                         n_honest: int = 3, list_size: int | None = None,
                         retries: int = 8, seed=0,
                         message: bytes = b"pay the usual 1"
-                        ) -> KSumAttackReport:
+                        ) -> AttackReport:
     """Run the concurrent-session forgery end to end against honest signers.
 
     ``target="cosi"`` forges (expected to succeed within a few retries);
     ``target="agms"`` runs the identical pipeline against the reordered
     scheme as a negative control (the solver succeeds, the forgery never
-    verifies).  Honest signers execute the real phase handlers — nothing
-    on their side is mocked.
+    verifies).  The expectation is at least one success against cosi and
+    none against agms, over at least one attempt.  Honest signers execute
+    the real phase handlers — nothing on their side is mocked.
     """
     require_toy(par)
     if target not in ("cosi", "agms"):
@@ -290,10 +268,8 @@ def ksum_forgery_attack(par: Group, *, target: str = "cosi", k: int = 4,
     ell = k - 1
     htree = build_tree(n_honest, min_branching(n_honest), 3)
     if baseline:
-        hkeys = [
-            bare_keygen(par, derive_rng(seed, "honest-key", i))
-            for i in range(n_honest)
-        ]
+        hkeys = [bare_keygen(par, derive_rng(seed, "honest-key", i))
+                 for i in range(n_honest)]
     else:
         hkeys = derive_keys(par, n_honest, f"{seed}|honest")
     x_h = key_aggregate(par, hkeys).X
@@ -301,7 +277,6 @@ def ksum_forgery_attack(par: Group, *, target: str = "cosi", k: int = 4,
     x_forge = par.mul(x_h, adv.y)
 
     attempts = 0
-    successes = 0
     example: Signature | None = None
     example_m: bytes | None = None
 
@@ -325,7 +300,7 @@ def ksum_forgery_attack(par: Group, *, target: str = "cosi", k: int = 4,
         ground = [_grind(s_l, _session_candidates(
             par, grind_rng, v, target, x_forge, message)) for v in v_sess]
         c_stars, msgs = _grind(s_l, _target_candidates(
-            par, v_bar, target, x_forge))
+            par, v_bar, target, x_forge, message))
         # negated, so the solver's zero sum means sum(c_j) == c* mod q
         lists = [vals for vals, _ in ground]
         lists.append([(par.q - c) % par.q for c in c_stars])
@@ -356,20 +331,25 @@ def ksum_forgery_attack(par: Group, *, target: str = "cosi", k: int = 4,
             sig = Signature(c_star, s_star)
             ok = verify(par, x_forge, m_star, sig)
         if ok:
-            successes += 1
-            if example is None:
-                example, example_m = sig, m_star
+            example, example_m = sig, m_star
             break
 
-    return KSumAttackReport(
-        target=target,
-        q=par.q,
-        k=k,
-        list_size=s_l,
-        n_honest=n_honest,
+    successes = int(example is not None)
+    params = {"target": target, "q": par.q, "k": k, "list_size": s_l,
+              "n_honest": n_honest,
+              "aggregate": par.encode_element(x_forge).hex()}
+    if example_m is not None:
+        params["forged_message"] = example_m.hex()
+    return AttackReport(
+        attack="ksum",
+        params=params,
         attempts=attempts,
         successes=successes,
-        forged_message=example_m,
+        expectation_met=attempts > 0 and (successes >= 1 if baseline
+                                          else successes == 0),
+        verdict=(f"target={target} attempts={attempts} "
+                 f"successes={successes}"),
         forgery=example,
+        message=example_m,
         aggregate=x_forge,
     )

@@ -140,14 +140,14 @@ def test_c05_rogue_key(toy16, acceptance):
     honest = derive_keys(toy16, 3, 7)
     report = rogue_key_attack(toy16, honest, b"drain the account", seed=7,
                               proof_attempts=100)
-    forged_ok = report.baseline_accepts and cosi_verify(
-        toy16, report.aggregate, b"drain the account", report.signature)
-    good = forged_ok and report.proofs_accepted == 0
+    forged_ok = report.extra["baseline_accepts_forgery"] and cosi_verify(
+        toy16, report.aggregate, b"drain the account", report.forgery)
+    good = forged_ok and report.successes == 0
     line = _record(acceptance, 5, good,
                    f"rogue key: naive aggregation accepts the forgery; "
                    f"possession check rejected "
-                   f"{report.proof_attempts - report.proofs_accepted}/"
-                   f"{report.proof_attempts} fabricated proofs")
+                   f"{report.attempts - report.successes}/"
+                   f"{report.attempts} fabricated proofs")
     assert good, line
 
 
@@ -155,7 +155,7 @@ def test_c06_concurrent_session_forgery(toy16, acceptance):
     t0 = time.perf_counter()
     hit = ksum_forgery_attack(toy16, target="cosi", k=4, seed=0)
     forged = hit.successes >= 1 and cosi_verify(
-        toy16, hit.aggregate, hit.forged_message, hit.forgery)
+        toy16, hit.aggregate, hit.message, hit.forgery)
     control = ksum_forgery_attack(toy16, target="agms", k=4, seed=0)
     elapsed = time.perf_counter() - t0
     good = forged and control.successes == 0 and elapsed < 300

@@ -7,7 +7,7 @@ from multisig.attacks import (
     solve,
 )
 from multisig.errors import BackendRefused, KSumNotFound
-from multisig.group import derive_rng
+from multisig.group import derive_rng, toy_group_for_order
 from multisig.schemes import (
     PublicKey,
     cosi_verify,
@@ -31,10 +31,10 @@ def test_rogue_key_worked_example(toy):
     # y_A = g^2 * 8^(q-1) = 12 so the aggregate collapses to g^2 = 4
     report = rogue_key_attack(toy, [PublicKey(8)], b"transfer",
                               adversary_sk=2)
-    assert report.rogue_y == 12
-    assert report.aggregate.X == 4
-    assert report.baseline_accepts
-    assert cosi_verify(toy, report.aggregate, b"transfer", report.signature)
+    assert report.params["rogue_y"] == toy.encode_element(12).hex()
+    assert report.aggregate == 4
+    assert report.extra["baseline_accepts_forgery"]
+    assert cosi_verify(toy, report.aggregate, b"transfer", report.forgery)
     # rejection statistics live in the q=65521 test: at q=11 a wrong
     # message or fabricated proof slips through about once in eleven tries
 
@@ -43,10 +43,10 @@ def test_rogue_key_cannot_fake_possession(toy16):
     honest = derive_keys(toy16, 3, 7)
     report = rogue_key_attack(toy16, honest, b"m", seed=7,
                               proof_attempts=100)
-    assert report.baseline_accepts
-    assert report.proof_attempts == 100
-    assert report.proofs_accepted == 0
-    assert cosi_verify(toy16, report.aggregate, b"m", report.signature)
+    assert report.extra["baseline_accepts_forgery"]
+    assert report.attempts == 100
+    assert report.successes == 0
+    assert cosi_verify(toy16, report.aggregate, b"m", report.forgery)
 
 
 def test_rogue_report_serializes(toy):
@@ -141,20 +141,47 @@ def test_ksum_forges_against_the_baseline(toy16):
     report = ksum_forgery_attack(toy16, target="cosi", k=4, seed=0)
     assert report.successes >= 1
     assert report.forgery is not None
-    assert report.forged_message.startswith(b"pay the attacker")
-    assert report.forged_message != b"pay the usual 1"
-    assert cosi_verify(toy16, report.aggregate, report.forged_message,
+    assert report.message.startswith(b"pay the attacker")
+    assert report.message != b"pay the usual 1"
+    assert cosi_verify(toy16, report.aggregate, report.message,
                        report.forgery)
+    assert report.expectation_met
     doc = report.to_json_dict(toy16)
     assert doc["successes"] == report.successes
     assert doc["params"]["k"] == 4
+    assert doc["expectation_met"] is True
 
 
 def test_ksum_fails_against_split_phases(toy16):
     report = ksum_forgery_attack(toy16, target="agms", k=4, seed=0)
     assert report.successes == 0
     assert report.forgery is None
+    assert report.expectation_met
     assert report.to_json_dict(toy16)["example_forgery_hex"] is None
+
+
+@pytest.mark.parametrize("target,k", [("cosi", 4), ("agms", 2)])
+def test_ksum_never_counts_the_honest_message(target, k):
+    # "#0" is the first forged-message candidate; on q = 251 with seed 1 the
+    # solver used to pick it, and a signature on the message the honest
+    # sessions signed was counted as a forgery (agms: expectation VIOLATED)
+    honest = b"pay the attacker everything#0"
+    report = ksum_forgery_attack(toy_group_for_order(251), target=target,
+                                 k=k, seed=1, message=honest)
+    assert report.message != honest
+    assert report.expectation_met
+
+
+def test_runs_without_attempts_never_meet_their_expectation(toy16):
+    for target in ("cosi", "agms"):
+        report = ksum_forgery_attack(toy16, target=target, retries=0)
+        assert report.attempts == 0
+        assert not report.expectation_met
+    report = rogue_key_attack(toy16, derive_keys(toy16, 3, 7), b"m",
+                              proof_attempts=0)
+    assert report.extra["baseline_accepts_forgery"]
+    assert report.attempts == report.successes == 0
+    assert not report.expectation_met
 
 
 def test_ksum_validates_target(toy16):

@@ -10,20 +10,22 @@ Two interchangeable backends sit behind one ``Group`` interface:
   successful decodes are memoised in a bounded LRU (2,048 entries) that
   each group owns, so a repeated encoding skips its subgroup check.
 * ``Secp256k1Group`` — the standard 256-bit curve group, pure python.
-  Base ``g1`` uses a fixed-base comb over signed 8-bit digits: a table of
-  33×128 affine multiples (4,224 points, ≈0.7 MiB, built once per process
-  in ≈70 ms), so at most 33 mixed additions and no doublings.  A base
-  that repeats, such as the aggregate key every signature of one signer
-  set is checked against, gets the same table on its 16th use; at most
-  two are kept, oldest evicted.  Any other base uses the GLV
-  endomorphism, which splits the scalar into two ≈128-bit halves run
-  through one interleaved width-5 wNAF loop, so ≈128 doublings instead
-  of 256; its table of odd multiples is built on an isomorphic curve
-  without an inversion, so converting the result is the one inversion.
+  Every exponentiation splits the scalar with the GLV endomorphism into
+  two halves below 2^128.  Base ``g1`` then uses a fixed-base comb over
+  signed 10-bit digits of both halves: a table of 13×512 affine
+  multiples (6,656 points, ≈1.06 MiB, built once per process in
+  ≈60–85 ms) that the second half reads through the endomorphism, so
+  at most 26 mixed additions and no doublings.  A base that repeats,
+  such as the aggregate key every signature of one signer set is checked
+  against, gets the same table on its 16th use; at most two are kept,
+  oldest evicted.  Any other base runs both halves through one
+  interleaved width-5 wNAF loop, so ≈128 doublings instead of 256; its
+  table of odd multiples is built on an isomorphic curve without an
+  inversion, so converting the result is the one inversion.
   Decoding a compressed element costs a modular square root
   (≈0.17–0.24 ms); successful decodes are memoised in a bounded LRU
   (1,024 entries), so the subtree key aggregates that repeat on every
-  signature decode once.  Slow by libsecp standards (≈0.26–0.39 ms per
+  signature decode once.  Slow by libsecp standards (≈0.17–0.27 ms per
   comb exponentiation, ≈0.75–1.41 ms through GLV) but honest: every
   benchmark number is produced by the same code path the protocols use.
 
@@ -373,34 +375,6 @@ def _jac_double(pt):
     return (X3, Y3, Z3)
 
 
-def _jac_add(p1, p2):
-    X1, Y1, Z1 = p1
-    X2, Y2, Z2 = p2
-    if Z1 == 0:
-        return p2
-    if Z2 == 0:
-        return p1
-    Z1Z1 = (Z1 * Z1) % _P
-    Z2Z2 = (Z2 * Z2) % _P
-    U1 = (X1 * Z2Z2) % _P
-    U2 = (X2 * Z1Z1) % _P
-    S1 = (Y1 * Z2 * Z2Z2) % _P
-    S2 = (Y2 * Z1 * Z1Z1) % _P
-    if U1 == U2:
-        if S1 != S2:
-            return _JAC_ID
-        return _jac_double(p1)
-    H = (U2 - U1) % _P
-    R = (S2 - S1) % _P
-    HH = (H * H) % _P
-    HHH = (H * HH) % _P
-    V = (U1 * HH) % _P
-    X3 = (R * R - HHH - 2 * V) % _P
-    Y3 = (R * (V - X3) - S1 * HHH) % _P
-    Z3 = (H * Z1 * Z2) % _P
-    return (X3, Y3, Z3)
-
-
 def _jac_to_affine(pt):
     X, Y, Z = pt
     if Z == 0:
@@ -453,29 +427,43 @@ def _batch_to_affine(pts):
     return out
 
 
-def _exp_ladder(base, e: int):
-    """Generic left-to-right double-and-add; the reference the fast paths
-    are tested against."""
-    if base is None or e == 0:
-        return None
-    acc = _JAC_ID
-    jb = (base[0], base[1], 1)
-    for bit in bin(e)[2:]:
-        acc = _jac_double(acc)
-        if bit == "1":
-            acc = _jac_add(acc, jb)
-    return _jac_to_affine(acc)
+# GLV (Gallant, Lambert and Vanstone, CRYPTO 2001): secp256k1 has the
+# endomorphism φ(x, y) = (β·x, y) = λ·(x, y), with β a cube root of unity
+# mod p and λ one mod n.  (a1, b1) and (a2, b2) are a reduced basis of the
+# lattice of (a, b) with a + b·λ ≡ 0 (mod n); its determinant is n.
+_BETA = 0x7AE96A2B657C07106E64479EAC3434E99CF0497512F58995C1396C28719501EE
+_LAMBDA = 0x5363AD4CC05C30E0A5261C028812645A122E22EA20816678DF02967C1B23BD72
+_A1 = 0x3086D221A7D46BCDE86C90E49284EB15
+_B1 = -0xE4437ED6010E88286F547FA90ABFE4C3
+_A2 = 0x114CA50F7A8E2F3F657C1108D9D44CFD8
+_B2 = _A1
 
 
-# Fixed-base comb (Lim and Lee, CRYPTO 1994) over signed 8-bit digits: row
-# j holds the affine points d·256^j·B for d = 1..128, and a negative digit
-# uses the negated entry (x, P-y).  Recoding 32 bytes can carry once past
-# the top byte, so 33 rows cover every scalar below 2^256.  A table costs
-# ≈50–60 ms and pays back after ≈45–90 exponentiations, so a base other
-# than g1 gets one on its _COMB_AFTER_USES-th use: endorsement keys are
-# fresh per transaction, reach 2–3 uses and stay on GLV.  Tables (≈0.7 MiB
-# each) and use counts are bounded like the decode memo.
-_COMB_ROWS = 33
+def _glv_split(e: int) -> tuple[int, int]:
+    """(k1, k2) with k1 + k2·λ ≡ e (mod n) and |k1|, |k2| < 2^128.
+
+    Rounds (e, 0) to the nearest lattice point in the basis above (exact
+    integer rounding, floor((2x + n) / 2n) = round(x / n)); the remainder
+    is at most half a basis vector in each coordinate.
+    """
+    c1 = (2 * _B2 * e + _N) // (2 * _N)
+    c2 = (-2 * _B1 * e + _N) // (2 * _N)
+    return e - c1 * _A1 - c2 * _A2, -c1 * _B1 - c2 * _B2
+
+
+# Fixed-base comb (Lim and Lee, CRYPTO 1994) over the two GLV halves above:
+# e = k1 + k2·λ with |k1|, |k2| < 2^128, and each half is recoded into 13
+# signed 10-bit digits in [-511, 512] (13 rows cover 2^129, one bit of
+# margin).  Row j holds the affine points d·1024^j·B for d = 1..512.  The
+# k2 half reads the same rows through φ(x, y) = (β·x, y), one field
+# multiplication per digit, and a negative digit or half negates y.  So at
+# most 26 mixed additions and one inversion, no doublings, from 6,656
+# points (≈1.06 MiB) that take ≈60–85 ms to build.  Saving ≈0.6–0.7 ms a
+# call over GLV, a table pays back after ≈100–120 exponentiations, so a
+# base other than g1 gets one on its _COMB_AFTER_USES-th use: endorsement
+# keys are fresh per transaction, reach 2–3 uses and stay on GLV.  Tables
+# and use counts are bounded like the decode memo.
+_COMB_ROWS = 13
 _COMB_AFTER_USES, _COMB_TABLES, _COMB_USES_MAX = 16, 2, 1024
 _G1 = (_GX, _GY)
 _g1_comb_table: list | None = None
@@ -487,11 +475,11 @@ def _build_comb(base) -> list:
     rows = []
     for _ in range(_COMB_ROWS):
         mults = [(base[0], base[1], 1)]
-        for _ in range(127):
+        for _ in range(511):
             mults.append(_jac_madd(mults[-1], base))
         row = _batch_to_affine(mults)
         rows.append(row)
-        # 256·base = 2·(128·base)
+        # 1024·base = 2·(512·base)
         base = _jac_to_affine(_jac_double((row[-1][0], row[-1][1], 1)))
     return rows
 
@@ -521,29 +509,34 @@ def _comb_table(base) -> list | None:
     return table
 
 
-def _comb8_digits(e: int) -> list:
-    """Signed base-256 digits of 0 <= e < 2^256, least significant first:
-    33 digits in [-127, 128] with e = sum(d_j·256^j)."""
+def _comb10_digits(k: int) -> list:
+    """Signed base-1024 digits of 0 <= k < 2^129, least significant first:
+    13 digits in [-511, 512] with k = sum(d_j·1024^j)."""
     digits = []
     for _ in range(_COMB_ROWS):
-        d = e & 255
-        if d > 128:
-            d -= 256
+        d = k & 1023
+        if d > 512:
+            d -= 1024
         digits.append(d)
-        e = (e - d) >> 8
+        k = (k - d) >> 10
     return digits
 
 
 def _exp_comb(table: list, e: int):
-    """B^e for 0 <= e < 2^256, given B's comb ``table``: one mixed addition
-    per nonzero digit."""
+    """B^e for any e >= 0, given B's comb ``table``: one mixed addition per
+    nonzero digit of either GLV half, so at most 26."""
+    k1, k2 = _glv_split(e)
     acc = _JAC_ID
-    for row, d in zip(table, _comb8_digits(e)):
-        if d > 0:
-            acc = _jac_madd(acc, row[d - 1])
-        elif d < 0:
-            x, y = row[-d - 1]
-            acc = _jac_madd(acc, (x, _P - y))
+    for k, phi in ((k1, False), (k2, True)):
+        flip = k < 0
+        for row, d in zip(table, _comb10_digits(abs(k))):
+            if d:
+                x, y = row[abs(d) - 1]
+                if phi:
+                    x = (_BETA * x) % _P
+                if (d < 0) != flip:
+                    y = _P - y
+                acc = _jac_madd(acc, (x, y))
     return _jac_to_affine(acc)
 
 
@@ -562,30 +555,6 @@ def _wnaf5(e: int) -> list:
         e = (e - d) >> 5  # e - d ≡ 0 mod 32: the next four digits are 0
         bit += 5
     return pairs
-
-
-# GLV (Gallant, Lambert and Vanstone, CRYPTO 2001): secp256k1 has the
-# endomorphism φ(x, y) = (β·x, y) = λ·(x, y), with β a cube root of unity
-# mod p and λ one mod n.  (a1, b1) and (a2, b2) are a reduced basis of the
-# lattice of (a, b) with a + b·λ ≡ 0 (mod n); its determinant is n.
-_BETA = 0x7AE96A2B657C07106E64479EAC3434E99CF0497512F58995C1396C28719501EE
-_LAMBDA = 0x5363AD4CC05C30E0A5261C028812645A122E22EA20816678DF02967C1B23BD72
-_A1 = 0x3086D221A7D46BCDE86C90E49284EB15
-_B1 = -0xE4437ED6010E88286F547FA90ABFE4C3
-_A2 = 0x114CA50F7A8E2F3F657C1108D9D44CFD8
-_B2 = _A1
-
-
-def _glv_split(e: int) -> tuple[int, int]:
-    """(k1, k2) with k1 + k2·λ ≡ e (mod n) and |k1|, |k2| < 2^128.
-
-    Rounds (e, 0) to the nearest lattice point in the basis above (exact
-    integer rounding, floor((2x + n) / 2n) = round(x / n)); the remainder
-    is at most half a basis vector in each coordinate.
-    """
-    c1 = (2 * _B2 * e + _N) // (2 * _N)
-    c2 = (-2 * _B1 * e + _N) // (2 * _N)
-    return e - c1 * _A1 - c2 * _A2, -c1 * _B1 - c2 * _B2
 
 
 def _wnaf5_table(odd, negate: bool) -> list:

@@ -195,7 +195,7 @@ def test_signature_bytes_scale_as_reported(toy16):
 
 def test_endorsement_traffic_builds_no_comb_table(curve, comb_cache):
     # keys are fresh per transaction and used 2-3 times, below the 16 uses
-    # that buy a ≈50–60 ms comb table
+    # that buy a ≈60–85 ms comb table
     tables, _ = comb_cache
     for i in range(3):
         for flow in (run_revised_flow, run_default_flow):

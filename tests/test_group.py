@@ -8,12 +8,13 @@ from multisig import group as group_mod
 from multisig.group import (
     OpCounter,
     ToyGroup,
-    _comb8_digits,
+    _JAC_ID,
+    _P,
+    _comb10_digits,
     _comb_table,
     _decompress,
     _exp_comb,
     _exp_glv,
-    _exp_ladder,
     _glv_split,
     _jac_double,
     _jac_to_affine,
@@ -255,6 +256,49 @@ def test_curve_codec(curve):
 
 # ── curve fast paths against the reference ladder ───────────────────────────
 
+def _jac_add(p1, p2):
+    """Jacobian ``p1`` plus Jacobian ``p2``; only the ladder below uses it."""
+    X1, Y1, Z1 = p1
+    X2, Y2, Z2 = p2
+    if Z1 == 0:
+        return p2
+    if Z2 == 0:
+        return p1
+    Z1Z1 = (Z1 * Z1) % _P
+    Z2Z2 = (Z2 * Z2) % _P
+    U1 = (X1 * Z2Z2) % _P
+    U2 = (X2 * Z1Z1) % _P
+    S1 = (Y1 * Z2 * Z2Z2) % _P
+    S2 = (Y2 * Z1 * Z1Z1) % _P
+    if U1 == U2:
+        if S1 != S2:
+            return _JAC_ID
+        return _jac_double(p1)
+    H = (U2 - U1) % _P
+    R = (S2 - S1) % _P
+    HH = (H * H) % _P
+    HHH = (H * HH) % _P
+    V = (U1 * HH) % _P
+    X3 = (R * R - HHH - 2 * V) % _P
+    Y3 = (R * (V - X3) - S1 * HHH) % _P
+    Z3 = (H * Z1 * Z2) % _P
+    return (X3, Y3, Z3)
+
+
+def _exp_ladder(base, e: int):
+    """Generic left-to-right double-and-add; the reference the fast paths
+    are tested against."""
+    if base is None or e == 0:
+        return None
+    acc = _JAC_ID
+    jb = (base[0], base[1], 1)
+    for bit in bin(e)[2:]:
+        acc = _jac_double(acc)
+        if bit == "1":
+            acc = _jac_add(acc, jb)
+    return _jac_to_affine(acc)
+
+
 def _edge_scalars(q):
     return [
         0, 1, 2, 15, 16, q - 1, q - 2,
@@ -262,7 +306,7 @@ def _edge_scalars(q):
         int("F" * 62, 16),            # every nibble 0xF, below q
         int("0F" * 32, 16),           # alternating zero nibbles
         int("F0" * 32, 16),
-        q,                            # the comb's last addition is P + (-P)
+        q,                            # GLV halves (0, 0): no addition at all
     ]
 
 
@@ -346,8 +390,8 @@ def test_curve_fast_exp_counts_once(curve, comb_cache):
         assert curve.exp(base, 5) == _exp_glv(base, 5)
     assert base not in tables
     rng = random.Random(1994)
-    for e in _comb8_edge_scalars(curve.q) + [rng.randrange(curve.q)
-                                             for _ in range(50)] + [0]:
+    for e in _comb10_edge_scalars() + [rng.randrange(curve.q)
+                                       for _ in range(50)] + [0]:
         total = curve.ops_total.exponentiations
         with curve.span() as sp:
             got = curve.exp(base, e, ops=ops)
@@ -408,36 +452,88 @@ def test_g1_table_built_once_and_shared(monkeypatch):
     assert builds == [a.g1]
     table = _comb_table(a.g1)
     assert builds == [a.g1]
-    assert len(table) == 33 and all(len(row) == 128 for row in table)
-    assert table[1][0] == _exp_ladder(a.g1, 256)
+    assert len(table) == 13 and all(len(row) == 512 for row in table)
+    assert table[1][0] == _exp_ladder(a.g1, 1024)
 
 
-def _comb8_edge_scalars(q):
-    return [
-        0x80, 0x81, 0xFF, 0x100, 0x17F,
-        int("80" * 32, 16),           # every digit 128, the largest entry
-        int("81" * 32, 16),           # negative digits, a carry into each row
-        int("FF" * 32, 16),           # -1 and a carry chain through every row
-        int("FF" * 31 + "80", 16),
-        int("7F" * 32, 16),
-        int("00FF" * 16, 16),
-        q - 1, q - 2, q,
-    ]
+# One GLV half's 13 signed 10-bit digits: 512 and -511 alternate over rows
+# 0-11 and row 12 holds 1, so every row adds; 2^120 - 1 recodes to -1 with
+# a carry through every row into row 12.
+_EDGE_HALF = sum(d << (10 * j) for j, d in enumerate([512, -511] * 6 + [1]))
+_CARRY_HALF = 2**120 - 1
+
+
+def _comb10_edge_halves():
+    """(k1, k2) pairs, each half's sign as ``_glv_split`` gives it."""
+    return [(_EDGE_HALF, _EDGE_HALF), (-_EDGE_HALF, _CARRY_HALF),
+            (_CARRY_HALF, -_EDGE_HALF), (-_CARRY_HALF, -_EDGE_HALF)]
+
+
+def _comb10_edge_scalars():
+    """Scalars whose GLV halves are the edge halves above, digit edges in
+    row 0 of k1 alone, ±1 and ±λ (one half ±1, the other 0), and the
+    coordinates a1, b1, a2, b2 of the lattice basis taken as scalars."""
+    n, lam = group_mod._N, group_mod._LAMBDA
+    return [(k1 + k2 * lam) % n for k1, k2 in _comb10_edge_halves()] + [
+        512, 513, 1023, 1024, 1, lam, n - lam, n - 1] + [
+        c % n for v in _glv_basis() for c in v]
 
 
 def test_g1_comb_signed_digit_edges_match_reference_ladder(curve):
-    for e in _comb8_edge_scalars(curve.q):
-        assert curve._exp(curve.g1, e) == _exp_ladder(curve.g1, e), hex(e)
+    for e in _comb10_edge_scalars():
+        assert curve._exp(curve.g1, e) == _exp_glv(curve.g1, e) \
+            == _exp_ladder(curve.g1, e), hex(e)
 
 
-def test_comb8_digits_reconstruct_the_scalar(curve):
+def test_comb10_digits_reconstruct_the_scalar():
+    n, lam = group_mod._N, group_mod._LAMBDA
+    for k1, k2 in _comb10_edge_halves():
+        assert _glv_split((k1 + k2 * lam) % n) == (k1, k2)
+    assert _comb10_digits(_EDGE_HALF) == [512, -511] * 6 + [1]
+    assert _comb10_digits(_CARRY_HALF) == [-1] + [0] * 11 + [1]
+    assert _comb10_digits(2**129 - 1) == [-1] + [0] * 11 + [512]
     rng = random.Random(8)
-    for e in _comb8_edge_scalars(curve.q) + [0, 1] + [
-            rng.getrandbits(256) for _ in range(50)]:
-        digits = _comb8_digits(e)
-        assert len(digits) == 33
-        assert sum(d << (8 * j) for j, d in enumerate(digits)) == e
-        assert all(-127 <= d <= 128 for d in digits)
+    halves = [0, 1, 512, 513, 1023, 1024, 2**128 - 1, 2**129 - 1] + [
+        abs(k) for e in _comb10_edge_scalars() for k in _glv_split(e)] + [
+        rng.getrandbits(128) for _ in range(50)]
+    for k in halves:
+        digits = _comb10_digits(k)
+        assert len(digits) == 13
+        assert sum(d << (10 * j) for j, d in enumerate(digits)) == k
+        assert all(-511 <= d <= 512 for d in digits)
+
+
+def test_comb_exp_makes_at_most_26_mixed_additions_and_one_inversion(
+        curve, monkeypatch):
+    """One mixed addition per nonzero digit of either half and no other
+    group operation; the one inversion converts the result to affine."""
+    table = _comb_table(curve.g1)
+    rng = random.Random(1024)
+    cases = _comb10_edge_scalars() + [rng.randrange(1, curve.q)
+                                      for _ in range(20)]
+    refs = [_exp_ladder(curve.g1, e) for e in cases]
+    madds, inversions = [], []
+    real_madd = group_mod._jac_madd
+
+    def counting_madd(p1, q2):
+        madds.append(q2)
+        return real_madd(p1, q2)
+
+    def counting_pow(x, y, mod=None):
+        if y == -1:
+            inversions.append(mod)
+        return pow(x, y, mod)
+
+    monkeypatch.setattr(group_mod, "_jac_madd", counting_madd)
+    monkeypatch.setattr(group_mod, "pow", counting_pow, raising=False)
+    counts = []
+    for e, ref in zip(cases, refs):
+        madds.clear()
+        inversions.clear()
+        assert _exp_comb(table, e) == ref, hex(e)
+        assert inversions == [group_mod._P], hex(e)
+        counts.append(len(madds))
+    assert counts[0] == max(counts) == 26
 
 
 # ── GLV endomorphism ─────────────────────────────────────────────────────────
@@ -469,7 +565,7 @@ def test_glv_split_is_short_and_congruent():
     for e in _glv_edge_scalars() + [rng.randrange(n) for _ in range(500)]:
         k1, k2 = _glv_split(e)
         assert (k1 + k2 * lam - e) % n == 0, hex(e)
-        assert abs(k1) < 2**129 and abs(k2) < 2**129, hex(e)
+        assert abs(k1) < 2**128 and abs(k2) < 2**128, hex(e)
 
 
 def test_glv_exp_matches_comb_and_reference_ladder(curve):

@@ -24,7 +24,8 @@ Two interchangeable backends sit behind one ``Group`` interface:
   inversion, so converting the result is the one inversion.
   Decoding a compressed element costs a modular square root
   (≈0.17–0.24 ms); successful decodes are memoised in a bounded LRU
-  (1,024 entries), so the subtree key aggregates that repeat on every
+  (2,048 entries) that each group owns, as it owns the tables of
+  repeating bases, so the subtree key aggregates that repeat on every
   signature decode once.  Slow by libsecp standards (≈0.17–0.27 ms per
   comb exponentiation, ≈0.75–1.41 ms through GLV) but honest: every
   benchmark number is produced by the same code path the protocols use.
@@ -101,6 +102,13 @@ def derive_rng(seed: int | str, *parts: object) -> random.Random:
 
 # ── shared interface ────────────────────────────────────────────────────────
 
+# Both backends memoise successful decodes: the subtree key aggregates
+# arrive as the same bytes on every signature of one signer set.  At
+# N = 1024 an operation decodes 2,046 encodings, 1,023 of them seen 2,045
+# decodes earlier, so the memo holds 2,048.
+_DECODES = 2048
+
+
 class Group:
     """A prime-order cyclic group ⟨g1⟩ of order q with fixed-width codecs."""
 
@@ -111,8 +119,12 @@ class Group:
     element_len: int
     scalar_len: int
 
-    def __init__(self) -> None:
+    def __init__(self, decode) -> None:
         self.ops_total = OpCounter()
+        # ``decode`` maps element_len bytes to an element or raises; a
+        # failed decode is not cached.  A plain function, not a bound
+        # method, so the memo does not refer back to the group.
+        self._decode_memo = functools.lru_cache(maxsize=_DECODES)(decode)
 
     # group operations -------------------------------------------------
 
@@ -196,7 +208,11 @@ class Group:
         raise NotImplementedError
 
     def decode_element(self, data: bytes):
-        raise NotImplementedError
+        if len(data) != self.element_len:
+            raise BadLength(
+                f"element must be {self.element_len} bytes, got {len(data)}"
+            )
+        return self._decode_memo(bytes(data))
 
     # persistence ---------------------------------------------------------
 
@@ -224,12 +240,7 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-# A toy decode is mostly its subgroup check, pow(x, q, p).  As on the curve,
-# the subtree key aggregates arrive as the same bytes on every signature of
-# one signer set: at N = 511 an operation decodes 1,020 encodings, 510 of
-# them seen 1,019 decodes earlier, so the memo holds twice that.  g1's
-# table takes 10-bit digits: two rows of 1,024 cover a 20-bit q.
-_TOY_DECODES = 2048
+# g1's table takes 10-bit digits: two rows of 1,024 cover a 20-bit q.
 _TOY_DIGIT_BITS = 10
 _TOY_DIGIT_MASK = (1 << _TOY_DIGIT_BITS) - 1
 
@@ -254,7 +265,7 @@ class ToyGroup(Group):
     """
 
     def __init__(self, p: int, q: int, g: int):
-        super().__init__()
+        super().__init__(functools.partial(_toy_decode, p, q))
         # bound the sizes before trial division, which a crafted key file
         # could otherwise keep busy for hours; comparisons (not int()) keep
         # a non-int value a TypeError.  q = 2 has one nonzero scalar, so
@@ -274,9 +285,6 @@ class ToyGroup(Group):
         self.element_len = max(2, (p.bit_length() + 7) // 8)
         self.scalar_len = max(2, (q.bit_length() + 7) // 8)
         self.group_id = f"toy:{p}:{q}:{g}"
-        # a failed decode raises and is not cached
-        self._decode_memo = functools.lru_cache(maxsize=_TOY_DECODES)(
-            functools.partial(_toy_decode, p, q))
         self._g1_rows: list | None = None
 
     def _g1_table(self) -> list:
@@ -313,13 +321,6 @@ class ToyGroup(Group):
 
     def encode_element(self, x: int) -> bytes:
         return x.to_bytes(self.element_len, "big")
-
-    def decode_element(self, data: bytes) -> int:
-        if len(data) != self.element_len:
-            raise BadLength(
-                f"element must be {self.element_len} bytes, got {len(data)}"
-            )
-        return self._decode_memo(bytes(data))
 
     def descriptor(self) -> dict:
         return {"backend": "toy", "p": self.p, "q": self.q, "g": self.g1}
@@ -461,14 +462,13 @@ def _glv_split(e: int) -> tuple[int, int]:
 # points (≈1.06 MiB) that take ≈60–85 ms to build.  Saving ≈0.6–0.7 ms a
 # call over GLV, a table pays back after ≈100–120 exponentiations, so a
 # base other than g1 gets one on its _COMB_AFTER_USES-th use: endorsement
-# keys are fresh per transaction, reach 2–3 uses and stay on GLV.  Tables
-# and use counts are bounded like the decode memo.
+# keys are fresh per transaction, reach 2–3 uses and stay on GLV.  Each
+# group owns its tables and use counts, bounded like its decode memo; g1
+# is a constant of the curve, so its one table is shared by every group.
 _COMB_ROWS = 13
 _COMB_AFTER_USES, _COMB_TABLES, _COMB_USES_MAX = 16, 2, 1024
 _G1 = (_GX, _GY)
 _g1_comb_table: list | None = None
-_comb_tables: dict = {}
-_comb_uses: dict = {}
 
 
 def _build_comb(base) -> list:
@@ -482,31 +482,6 @@ def _build_comb(base) -> list:
         # 1024·base = 2·(512·base)
         base = _jac_to_affine(_jac_double((row[-1][0], row[-1][1], 1)))
     return rows
-
-
-def _comb_table(base) -> list | None:
-    """The comb table for a non-identity ``base``, or None while it is to
-    go through GLV.  g1's table is built on first use and shared by every
-    group object; any other base counts one use per call."""
-    global _g1_comb_table
-    if base == _G1:
-        if _g1_comb_table is None:
-            _g1_comb_table = _build_comb(_G1)
-        return _g1_comb_table
-    table = _comb_tables.get(base)
-    if table is not None:
-        return table
-    uses = _comb_uses.get(base, 0) + 1
-    if uses < _COMB_AFTER_USES:
-        if len(_comb_uses) >= _COMB_USES_MAX:
-            _comb_uses.clear()
-        _comb_uses[base] = uses
-        return None
-    _comb_uses.pop(base, None)
-    if len(_comb_tables) >= _COMB_TABLES:
-        del _comb_tables[next(iter(_comb_tables))]
-    table = _comb_tables[base] = _build_comb(base)
-    return table
 
 
 def _comb10_digits(k: int) -> list:
@@ -661,13 +636,13 @@ def _exp_glv(base, e: int):
     return _jac_to_affine((X, Y, (Z * u) % P))
 
 
-# Decoding costs a modular square root (about half a g1 exponentiation).
-# The subtree key aggregates arrive as the same bytes on every signature
-# while the signer set stays the same, so successful decodes are memoised;
-# a failed decode raises and is not cached.  Results are immutable tuples.
-@functools.lru_cache(maxsize=1024)
+# Decoding costs a modular square root (about half a g1 exponentiation);
+# each group memoises it.  Results are immutable tuples.
 def _decompress(data: bytes):
-    """The point with 33-byte compressed SEC1 encoding ``data`` (02/03)."""
+    """The point with 33-byte compressed SEC1 encoding ``data`` (02/03),
+    or the identity for 33 zero bytes."""
+    if data == bytes(33):
+        return None
     prefix = data[0]
     if prefix not in (2, 3):
         raise NonCanonical(f"bad compression prefix {prefix:#04x}")
@@ -691,18 +666,44 @@ class Secp256k1Group(Group):
     """
 
     def __init__(self) -> None:
-        super().__init__()
+        super().__init__(_decompress)
         self.q = _N
         self.g1 = _G1
         self.identity = None
         self.element_len = 33
         self.scalar_len = 32
         self.group_id = "secp256k1"
+        self._comb_tables: dict = {}
+        self._comb_uses: dict = {}
+
+    def _comb_table(self, base) -> list | None:
+        """The comb table for a non-identity ``base``, or None while it is
+        to go through GLV.  g1's table is built on first use and shared by
+        every group object; any other base counts one use per call."""
+        global _g1_comb_table
+        if base == _G1:
+            if _g1_comb_table is None:
+                _g1_comb_table = _build_comb(_G1)
+            return _g1_comb_table
+        table = self._comb_tables.get(base)
+        if table is not None:
+            return table
+        uses = self._comb_uses.get(base, 0) + 1
+        if uses < _COMB_AFTER_USES:
+            if len(self._comb_uses) >= _COMB_USES_MAX:
+                self._comb_uses.clear()
+            self._comb_uses[base] = uses
+            return None
+        self._comb_uses.pop(base, None)
+        if len(self._comb_tables) >= _COMB_TABLES:
+            del self._comb_tables[next(iter(self._comb_tables))]
+        table = self._comb_tables[base] = _build_comb(base)
+        return table
 
     def _exp(self, base, e: int):
         if base is None or e == 0:
             return None
-        table = _comb_table(base)
+        table = self._comb_table(base)
         return _exp_glv(base, e) if table is None else _exp_comb(table, e)
 
     def _mul(self, a, b):
@@ -740,13 +741,6 @@ class Secp256k1Group(Group):
         px, py = x
         prefix = b"\x03" if py & 1 else b"\x02"
         return prefix + px.to_bytes(32, "big")
-
-    def decode_element(self, data: bytes):
-        if len(data) != 33:
-            raise BadLength(f"element must be 33 bytes, got {len(data)}")
-        if data == b"\x00" * 33:
-            return None
-        return _decompress(bytes(data))
 
     def descriptor(self) -> dict:
         return {"backend": "secp256k1"}

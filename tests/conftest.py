@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from multisig import gamma, group, schemes
+from multisig import gamma, schemes
 from multisig.group import curve_group, toy_group, toy_group_for_order
 
 DATA = Path(__file__).parent / "data"
@@ -27,17 +27,6 @@ def toy16():
 @pytest.fixture(scope="session")
 def curve():
     return curve_group()
-
-
-@pytest.fixture
-def comb_cache(monkeypatch):
-    """An empty variable-base comb cache for one test, the process's own
-    restored after it: ``(tables, uses)``, the dicts ``group`` keeps of
-    base -> comb table and base -> uses so far."""
-    tables, uses = {}, {}
-    monkeypatch.setattr(group, "_comb_tables", tables)
-    monkeypatch.setattr(group, "_comb_uses", uses)
-    return tables, uses
 
 
 class NodeSpans(dict):

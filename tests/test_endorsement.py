@@ -10,7 +10,7 @@ from multisig.endorsement import (
     run_revised_flow,
 )
 from multisig.errors import InvalidClient, PolicyUnsatisfied
-from multisig.group import derive_rng
+from multisig.group import curve_group, derive_rng
 from multisig.schemes import (
     agms_offline,
     agms_online,
@@ -193,12 +193,12 @@ def test_signature_bytes_scale_as_reported(toy16):
         assert size(run_revised_flow, n) == single
 
 
-def test_endorsement_traffic_builds_no_comb_table(curve, comb_cache):
+def test_endorsement_traffic_builds_no_comb_table():
     # keys are fresh per transaction and used 2-3 times, below the 16 uses
     # that buy a ≈60–85 ms comb table
-    tables, _ = comb_cache
+    curve = curve_group()
     for i in range(3):
         for flow in (run_revised_flow, run_default_flow):
             rec = flow(curve, 4, PROPOSAL + b"%d" % i, seed=f"comb|{i}")
             assert rec.accepted
-    assert tables == {}
+    assert curve._comb_tables == {}

@@ -4,7 +4,7 @@ import pytest
 
 from multisig import gamma
 from multisig.errors import BadLength, NonceReuse
-from multisig.group import derive_rng, toy_group_for_order
+from multisig.group import curve_group, derive_rng, toy_group_for_order
 from multisig.hashing import H0, H1, hash_to_scalar
 from multisig.schemes import bare_keygen, derive_keys, open_sessions
 from multisig.tree import build_tree
@@ -72,10 +72,10 @@ def test_rejects_wrong_message_key_and_tampering(curve):
     assert not gamma.verify(curve, key.y, b"paid 5", gamma.Signature(0, sig.s))
 
 
-def test_verdicts_hold_across_comb_promotion(curve, comb_cache):
+def test_verdicts_hold_across_comb_promotion():
     # 40 signatures under one key: its 16th use builds the key's comb
-    # table, and every verdict matches a run that clears the cache first
-    tables, uses = comb_cache
+    # table, and every verdict matches one on a fresh group
+    curve = curve_group()
     key = bare_keygen(curve, derive_rng(13, "key", 0))
     rng = random.Random(1994)
     cases = []
@@ -85,12 +85,8 @@ def test_verdicts_hold_across_comb_promotion(curve, comb_cache):
         flipped = gamma.Signature(sig.c, sig.s ^ (1 << rng.randrange(255)))
         cases += [(m, sig), (m, flipped)]
     live = [gamma.verify(curve, key.y, m, sig) for m, sig in cases]
-    assert key.y in tables
-    uncached = []
-    for m, sig in cases:
-        tables.clear()
-        uses.clear()
-        uncached.append(gamma.verify(curve, key.y, m, sig))
+    assert key.y in curve._comb_tables
+    uncached = [gamma.verify(curve_group(), key.y, m, sig) for m, sig in cases]
     assert live == uncached == [True, False] * 40
 
 

@@ -11,7 +11,6 @@ from multisig.group import (
     _JAC_ID,
     _P,
     _comb10_digits,
-    _comb_table,
     _decompress,
     _exp_comb,
     _exp_glv,
@@ -377,14 +376,15 @@ def test_wnaf5_digits_reconstruct_the_scalar():
                          if d]
 
 
-def test_curve_fast_exp_counts_once(curve, comb_cache):
+def test_curve_fast_exp_counts_once():
+    curve = curve_group()
     ops = OpCounter()
     x = curve.exp(curve.g1, 7, ops=ops)
     curve.exp(x, 9, ops=ops)
     assert ops.snapshot() == (2, 0)
     # a base that repeats gets its own comb table on its K-th use; every
     # call through it is still one exponentiation and matches the ladder
-    tables, _ = comb_cache
+    tables = curve._comb_tables
     base = curve.exp(curve.g1, 0xC0FFEE)
     for _ in range(group_mod._COMB_AFTER_USES - 1):
         assert curve.exp(base, 5) == _exp_glv(base, 5)
@@ -403,9 +403,10 @@ def test_curve_fast_exp_counts_once(curve, comb_cache):
     assert list(tables) == [base]
 
 
-def test_comb_cache_is_bounded(curve, comb_cache, monkeypatch):
+def test_comb_cache_is_bounded(monkeypatch):
     """Bookkeeping only: building and evaluating are stubbed out."""
-    tables, uses = comb_cache
+    curve = curve_group()
+    tables, uses = curve._comb_tables, curve._comb_uses
     k, cap = group_mod._COMB_AFTER_USES, group_mod._COMB_USES_MAX
     built = []
     monkeypatch.setattr(group_mod, "_build_comb",
@@ -450,7 +451,7 @@ def test_g1_table_built_once_and_shared(monkeypatch):
     assert a.exp(a.g1, 3) == b.exp(b.g1, 3) == _exp_ladder(a.g1, 3)
     a.exp(a.g1, 5)
     assert builds == [a.g1]
-    table = _comb_table(a.g1)
+    table = a._comb_table(a.g1)
     assert builds == [a.g1]
     assert len(table) == 13 and all(len(row) == 512 for row in table)
     assert table[1][0] == _exp_ladder(a.g1, 1024)
@@ -507,7 +508,7 @@ def test_comb_exp_makes_at_most_26_mixed_additions_and_one_inversion(
         curve, monkeypatch):
     """One mixed addition per nonzero digit of either half and no other
     group operation; the one inversion converts the result to affine."""
-    table = _comb_table(curve.g1)
+    table = curve._comb_table(curve.g1)
     rng = random.Random(1024)
     cases = _comb10_edge_scalars() + [rng.randrange(1, curve.q)
                                       for _ in range(20)]
@@ -577,7 +578,7 @@ def test_glv_exp_matches_comb_and_reference_ladder(curve):
     scalars = [1, 2, 3, 15, 16, 17, 31, 32, 33] + _glv_edge_scalars()
     for e in scalars:
         ref = _exp_ladder(curve.g1, e % n)
-        assert _exp_glv(curve.g1, e) == _exp_comb(_comb_table(curve.g1), e % n) \
+        assert _exp_glv(curve.g1, e) == _exp_comb(curve._comb_table(curve.g1), e % n) \
             == ref, hex(e)
     for base in (x, (x[0], group_mod._P - x[1])):
         for e in scalars:
@@ -628,86 +629,93 @@ def test_jac_double_matches_affine_doubling(curve):
     assert _exp_ladder(curve.g1, 0) is None and _exp_ladder(None, 2) is None
 
 
-# ── decode memo ──────────────────────────────────────────────────────────────
+# ── per-group caches ─────────────────────────────────────────────────────────
 
-def test_decode_memo_hit_equals_uncached_decode(curve):
-    rng = random.Random(4096)
-    encoded = [curve.encode_element(curve.exp(curve.g1, rng.randrange(1, curve.q)))
+def _toy16():
+    return toy_group_for_order(65521)
+
+
+def _uncached_decode(par, data):
+    if isinstance(par, ToyGroup):
+        return _toy_decode(par.p, par.q, data)
+    return _decompress(data)
+
+
+_BACKENDS = pytest.mark.parametrize("make", [curve_group, _toy16],
+                                    ids=["curve", "toy"])
+
+
+@pytest.mark.parametrize("make, seed", [(curve_group, 4096), (_toy16, 2048)],
+                         ids=["curve", "toy"])
+def test_decode_memo_hit_equals_uncached_decode(make, seed):
+    par = make()
+    rng = random.Random(seed)
+    encoded = [par.encode_element(par.exp(par.g1, rng.randrange(1, par.q)))
                for _ in range(200)]
     for data in encoded:
-        curve.decode_element(data)
-    hits = _decompress.cache_info().hits
+        par.decode_element(data)
+    hits = par._decode_memo.cache_info().hits
     for data in encoded:
-        assert curve.decode_element(bytearray(data)) == \
-            _decompress.__wrapped__(data)
-    assert _decompress.cache_info().hits - hits == 200
+        assert par.decode_element(bytearray(data)) == _uncached_decode(par, data)
+    assert par._decode_memo.cache_info().hits - hits == 200
 
 
-def test_decode_memo_never_caches_rejected_encodings(curve):
-    _decompress.cache_clear()
-    for data, err in ((b"\x02" + b"\x00" * 30, BadLength),
-                      (b"\x05" + b"\x11" * 32, NonCanonical),
-                      (b"\x02" + (5).to_bytes(32, "big"), NotInGroup)):
-        for _ in range(2):
-            with pytest.raises(err):
-                curve.decode_element(data)
-    info = _decompress.cache_info()
-    assert info.currsize == 0 and info.hits == 0 and info.misses == 4
-
-
-def test_decode_memo_is_bounded(curve):
-    maxsize = _decompress.cache_info().maxsize
-    pt = curve.g1
-    for _ in range(1100):
-        data = curve.encode_element(pt)
-        assert curve.decode_element(data) == pt
-        pt = curve._mul(pt, curve.g1)
-    assert _decompress.cache_info().currsize <= maxsize
-
-
-def test_toy_decode_memo_hit_equals_uncached_decode(toy16):
-    rng = random.Random(2048)
-    encoded = [toy16.encode_element(toy16.exp(toy16.g1, rng.randrange(1, toy16.q)))
-               for _ in range(200)]
-    for data in encoded:
-        toy16.decode_element(data)
-    hits = toy16._decode_memo.cache_info().hits
-    for data in encoded:
-        assert toy16.decode_element(bytearray(data)) == \
-            _toy_decode(toy16.p, toy16.q, data)
-    assert toy16._decode_memo.cache_info().hits - hits == 200
-
-
-def test_toy_decode_memo_never_caches_rejected_encodings():
-    par = toy_group()                   # p = 23: 5 is in Z_23^*, not in <2>
-    for data, err in ((b"\x08", BadLength),
-                      (bytes.fromhex("0000"), NonCanonical),
-                      ((23).to_bytes(2, "big"), NonCanonical),
-                      (bytes.fromhex("0005"), NotInGroup)):
+@pytest.mark.parametrize("make, rejected, misses", [
+    (curve_group, ((b"\x02" + b"\x00" * 30, BadLength),
+                   (b"\x05" + b"\x11" * 32, NonCanonical),
+                   (b"\x02" + (5).to_bytes(32, "big"), NotInGroup)), 4),
+    # p = 23: 5 is in Z_23^*, not in <2>
+    (toy_group, ((b"\x08", BadLength),
+                 (bytes.fromhex("0000"), NonCanonical),
+                 ((23).to_bytes(2, "big"), NonCanonical),
+                 (bytes.fromhex("0005"), NotInGroup)), 6),
+], ids=["curve", "toy"])
+def test_decode_memo_never_caches_rejected_encodings(make, rejected, misses):
+    par = make()
+    for data, err in rejected:
         for _ in range(2):
             with pytest.raises(err):
                 par.decode_element(data)
     info = par._decode_memo.cache_info()
-    assert info.currsize == 0 and info.hits == 0 and info.misses == 6
+    assert info.currsize == 0 and info.hits == 0 and info.misses == misses
 
 
-def test_toy_decode_memo_is_bounded(toy16):
-    maxsize = toy16._decode_memo.cache_info().maxsize
-    assert maxsize >= 2048              # one N = 511 operation reuses 510 of 1,020
-    x = toy16.g1
+@_BACKENDS
+def test_decode_memo_is_bounded(make):
+    par = make()
+    maxsize = par._decode_memo.cache_info().maxsize
+    assert maxsize >= 2048              # one N = 1024 operation reuses 1,023 of 2,046
+    x = par.g1
     for _ in range(maxsize + 100):
-        assert toy16.decode_element(toy16.encode_element(x)) == x
-        x = toy16._mul(x, toy16.g1)
-    assert toy16._decode_memo.cache_info().currsize == maxsize
+        assert par.decode_element(par.encode_element(x)) == x
+        x = par._mul(x, par.g1)
+    assert par._decode_memo.cache_info().currsize == maxsize
 
 
-def test_a_dropped_toy_group_is_freed():
-    par = toy_group_for_order(65521)
+@_BACKENDS
+def test_a_dropped_group_is_freed(make):
+    par = make()
     par.decode_element(par.encode_element(par.exp(par.g1, 12345)))
     par.exp(par.exp(par.g1, 2), 3)
     ref = weakref.ref(par)
     del par
     assert ref() is None                # freed by refcount: no cycle, no global
+
+
+def test_two_groups_share_no_cache_state():
+    a, b = curve_group(), curve_group()
+    data = a.encode_element(a.exp(a.g1, 5))
+    a.decode_element(data)
+    b.decode_element(data)
+    assert a._decode_memo.cache_info().misses == 1
+    assert b._decode_memo.cache_info().hits == 0
+    base = a.exp(a.g1, 7)
+    for _ in range(group_mod._COMB_AFTER_USES):
+        assert a.exp(base, 3) == _exp_ladder(base, 3)
+    assert list(a._comb_tables) == [base]
+    assert b._comb_tables == {} and b._comb_uses == {}
+    assert b.exp(base, 3) == _exp_ladder(base, 3)
+    assert b._comb_tables == {} and b._comb_uses == {base: 1}
 
 
 # ── toy g1 table ─────────────────────────────────────────────────────────────

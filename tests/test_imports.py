@@ -76,3 +76,41 @@ def test_only_schemes_builds_possession_proofs():
             if name == "KeyProof":
                 offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []
+
+
+def _callee(node) -> str | None:
+    """The bare name a decorator or call refers to: ``lru_cache`` for
+    ``functools.lru_cache(maxsize=8)``, ``dict`` for ``dict()``."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def test_group_module_holds_no_cache_state():
+    # memos and comb tables belong to a Group object, so a fresh group
+    # starts cold and no caller pays for state it cannot see; g1's shared
+    # table is a None global until built, and __all__ is the one list
+    offenders = []
+    for node in ast.parse((PACKAGE / "group.py").read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            offenders += [f"{node.name}: @{_callee(d)}" for d in node.decorator_list
+                          if _callee(d) in ("lru_cache", "cache")]
+            continue
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            targets = [node.target]
+        else:
+            continue
+        names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        if names == ["__all__"]:
+            continue
+        offenders += [f"{', '.join(names)}:{node.lineno}"
+                      for v in ast.walk(node.value)
+                      if isinstance(v, (ast.Dict, ast.List, ast.Set, ast.DictComp,
+                                        ast.ListComp, ast.SetComp))
+                      or (isinstance(v, ast.Call)
+                          and _callee(v) in ("dict", "list", "set"))]
+    assert offenders == []

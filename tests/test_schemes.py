@@ -13,7 +13,7 @@ from multisig.errors import (
     NonceReuse,
     NotInGroup,
 )
-from multisig.group import derive_rng, toy_group_for_order
+from multisig.group import curve_group, derive_rng, toy_group_for_order
 from multisig.hashing import H3, hash_to_scalar, serialize_items
 from multisig.schemes import (
     KeyProof,
@@ -162,10 +162,10 @@ def test_all_schemes_verify_on_curve(curve):
     assert not cosi_verify(curve, g.agg_key, M, g.signature)
 
 
-def test_verdicts_hold_across_comb_promotion(curve, comb_cache):
+def test_verdicts_hold_across_comb_promotion():
     # 40 signatures under one X~: its 16th use builds X~'s comb table, and
-    # every verdict matches a run that clears the cache before each verify
-    tables, uses = comb_cache
+    # every verdict matches one on a fresh group per verify
+    curve = curve_group()
     tree, keys = build_tree(3, 2, 2), derive_keys(curve, 3, "comb")
     rng = random.Random(1994)
     cases = []
@@ -176,12 +176,8 @@ def test_verdicts_hold_across_comb_promotion(curve, comb_cache):
         cases += [(m, run.signature), (m, Signature(c, s ^ (1 << rng.randrange(255))))]
     agg = run.agg_key
     live = [verify(curve, agg, m, sig) for m, sig in cases]
-    assert agg.X in tables
-    uncached = []
-    for m, sig in cases:
-        tables.clear()
-        uses.clear()
-        uncached.append(verify(curve, agg, m, sig))
+    assert agg.X in curve._comb_tables
+    uncached = [verify(curve_group(), agg, m, sig) for m, sig in cases]
     assert live == uncached == [True, False] * 40
 
 

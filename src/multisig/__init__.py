@@ -63,6 +63,6 @@ from .schemes import (
     keygen,
     verify,
 )
-from .tree import Tree, build_tree, capacity, min_branching
+from .tree import Tree, build_tree, min_branching
 
 __version__ = "0.1.0"

@@ -1,11 +1,14 @@
 """Spanning-tree topology and phase-by-phase message simulation.
 
 Signers are arranged as a complete-ish b-ary tree, BFS-numbered with the
-leader at node 0.  A protocol run is a sequence of phases; each phase
-either flows down (every node hears from its parent, then speaks to its
-children) or up (every node hears from all children, then speaks to its
-parent).  One message crosses each edge per phase, so a 4-phase run over
-N nodes moves exactly 4*(N-1) messages.
+leader at node 0: node i's children are the ids b*i+1 ... b*i+b below n,
+node j's parent is (j-1) // b, and level k holds the next b^k ids.  n
+nodes fit depth d when the level widths 1, b, b^2, ... of levels 0 ... d
+add up to at least n.  A protocol run is a sequence of phases; each
+phase either flows down (every node hears from its parent, then speaks
+to its children) or up (every node hears from all children, then speaks
+to its parent).  One message crosses each edge per phase, so a 4-phase
+run over N nodes moves exactly 4*(N-1) messages.
 
 ``run_phase`` drives one phase given a per-node handler and records the
 full transcript as ``Message`` tuples (an immutable ``NamedTuple``: phase,
@@ -33,7 +36,6 @@ __all__ = [
     "Message",
     "Tree",
     "PhaseResult",
-    "capacity",
     "min_branching",
     "build_tree",
     "run_phase",
@@ -72,11 +74,16 @@ class Tree:
     levels: tuple          # node ids grouped by depth, root level first
 
 
-def capacity(branching: int, max_depth: int) -> int:
-    """Nodes a b-ary tree of the given depth can hold (root is depth 0)."""
-    if branching == 1:
-        return max_depth + 1
-    return (branching ** (max_depth + 1) - 1) // (branching - 1)
+def _fits(n: int, branching: int, max_depth: int) -> bool:
+    """Whether n nodes fit depth max_depth: add level widths until they hold
+    n, so any depth costs at most ceil(log_b n) + 1 steps for b >= 2."""
+    held, width = 0, 1
+    for _ in range(max_depth + 1):
+        held += width
+        if held >= n:
+            return True
+        width *= branching
+    return False
 
 
 def min_branching(n: int, max_depth: int = 3) -> int:
@@ -85,12 +92,13 @@ def min_branching(n: int, max_depth: int = 3) -> int:
     Below depth 1 no fan-out adds room (the tree is the root alone, or
     empty), so a node count that does not fit raises CapacityExceeded.
     """
+    if n < 1:
+        raise ValueError("need at least one node")
     b = 2
-    if max_depth < 1 and capacity(b, max_depth) < n:
-        raise CapacityExceeded(
-            f"{n} nodes do not fit in a tree of depth {max_depth}"
-        )
-    while capacity(b, max_depth) < n:
+    if max_depth < 1 and not _fits(n, b, max_depth):
+        raise CapacityExceeded(f"{n} nodes do not fit in a tree of depth "
+                               f"{max_depth}")
+    while not _fits(n, b, max_depth):
         b += 1
     return b
 
@@ -101,32 +109,21 @@ def build_tree(n: int, branching: int, max_depth: int = 3) -> Tree:
         raise ValueError("need at least one node")
     if branching < 1:
         raise ValueError("branching must be >= 1")
-    cap = capacity(branching, max_depth)
-    if n > cap:
-        raise CapacityExceeded(
-            f"{n} nodes exceed capacity {cap} of a depth-{max_depth} "
-            f"{branching}-ary tree"
-        )
-    parent: list = [None] * n
-    children: list = [[] for _ in range(n)]
-    levels: list = [[0]]
-    next_id = 1
-    while next_id < n:
-        level: list = []
-        for p in levels[-1]:
-            for _ in range(branching):
-                if next_id >= n:
-                    break
-                parent[next_id] = p
-                children[p].append(next_id)
-                level.append(next_id)
-                next_id += 1
-        levels.append(level)
+    if not _fits(n, branching, max_depth):
+        raise CapacityExceeded(f"{n} nodes do not fit in a depth-{max_depth} "
+                               f"{branching}-ary tree")
+    b, ids = branching, tuple(range(n))
+    # node i's children are ids[b*i+1 : b*i+b+1]; the nodes after are leaves
+    inner = tuple([ids[j:j + b] for j in range(1, n, b)])
+    levels, start = [], 0
+    while start < n:  # the level after the one at start begins at b*start+1
+        levels.append(ids[start:b * start + 1])
+        start = b * start + 1
     return Tree(
         n=n,
-        parent=tuple(parent),
-        children=tuple(tuple(c) for c in children),
-        levels=tuple(tuple(lv) for lv in levels),
+        parent=(None, *[i // b for i in range(n - 1)]),
+        children=inner + ((),) * (n - len(inner)),
+        levels=tuple(levels),
     )
 
 

@@ -189,6 +189,22 @@ def test_impossible_depth_exits_two_without_hanging(argv, depth):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--signers", "5", "--branching", "3", "--depth", "100000000"),
+    ("simulate", "--signers", "5", "--depth", "10000000000"),
+    ("bench", "--schemes", "agms", "--signers-list", "5", "--reps", "1",
+     "--depth", "10000000000"),
+    ("endorse", "--endorsers-list", "5", "--flow", "revised",
+     "--depth", "10000000000"),
+])
+def test_deep_tree_is_sized_without_hanging(argv):
+    # sizing a tree must cost nothing that grows with --depth: the fit
+    # check walks only the levels that 5 nodes fill
+    proc = run_child(*argv)
+    assert proc.returncode == 0
+    assert "Traceback" not in proc.stderr
+
+
 _M61 = 2**61 - 1  # prime; trial division of it runs for minutes
 
 

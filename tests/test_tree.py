@@ -11,8 +11,8 @@ from multisig.tree import (
     Message,
     Phase,
     PhaseResult,
+    Tree,
     build_tree,
-    capacity,
     min_branching,
     run_phase,
     transcript_to_jsonl,
@@ -30,9 +30,10 @@ def test_seven_node_binary_tree():
 
 
 def test_capacity_limits():
-    assert capacity(2, 3) == 15
-    assert capacity(1, 3) == 4
-    assert capacity(8, 3) == 585
+    for branching, full in ((2, 15), (1, 4), (8, 585)):
+        assert build_tree(full, branching, 3).n == full
+        with pytest.raises(CapacityExceeded):
+            build_tree(full + 1, branching, 3)
     with pytest.raises(CapacityExceeded):
         build_tree(100, 2, 3)
     build_tree(15, 2, 3)  # exactly full is fine
@@ -45,6 +46,8 @@ def test_min_branching():
     assert min_branching(63) == 4
     assert min_branching(511) == 8
     assert min_branching(1024) == 10
+    assert min_branching(100000, 1) == 99999
+    assert min_branching(5, 10**10) == 2
 
 
 def test_min_branching_rejects_impossible_depth():
@@ -53,6 +56,14 @@ def test_min_branching_rejects_impossible_depth():
     for n, depth in ((2, 0), (7, 0), (1, -1), (7, -1), (7, -3)):
         with pytest.raises(CapacityExceeded):
             min_branching(n, depth)
+
+
+def test_empty_signer_set_raises_one_error_at_every_depth():
+    for depth in range(-3, 6):
+        with pytest.raises(ValueError, match="need at least one node"):
+            min_branching(0, depth)
+        with pytest.raises(ValueError, match="need at least one node"):
+            build_tree(0, 2, depth)
 
 
 def test_irregular_last_level():
@@ -300,3 +311,82 @@ def test_run_phase_fails_like_the_reference_loop(n, where):
     for phase in Phase:
         assert fast[phase] == slow[phase]
         assert fast[phase][1] == (fail_at, ValueError, f"node {fail_at} fails")
+
+
+# ── slow reference for build_tree and min_branching ─────────────────────────
+
+def _reference_capacity(branching, max_depth):
+    """Nodes a b-ary tree of the given depth holds, in closed form (root is
+    depth 0); a negative depth gives a float at most 0."""
+    if branching == 1:
+        return max_depth + 1
+    return (branching ** (max_depth + 1) - 1) // (branching - 1)
+
+
+def _reference_build_tree(n, branching, max_depth=3):
+    """The fill loop build_tree is checked against: the closed-form fit,
+    then each parent, level by level, takes up to b of the next ids."""
+    if n < 1:
+        raise ValueError("need at least one node")
+    if branching < 1:
+        raise ValueError("branching must be >= 1")
+    if n > _reference_capacity(branching, max_depth):
+        raise CapacityExceeded(f"{n} nodes do not fit")
+    parent = [None] * n
+    children = [[] for _ in range(n)]
+    levels = [[0]]
+    next_id = 1
+    while next_id < n:
+        level = []
+        for p in levels[-1]:
+            for _ in range(branching):
+                if next_id >= n:
+                    break
+                parent[next_id] = p
+                children[p].append(next_id)
+                level.append(next_id)
+                next_id += 1
+        levels.append(level)
+    return Tree(n=n, parent=tuple(parent),
+                children=tuple(tuple(c) for c in children),
+                levels=tuple(tuple(lv) for lv in levels))
+
+
+def _reference_min_branching(n, max_depth=3):
+    """The closed-form search min_branching is checked against (n >= 1)."""
+    b = 2
+    if max_depth < 1 and _reference_capacity(b, max_depth) < n:
+        raise CapacityExceeded(f"{n} nodes do not fit")
+    while _reference_capacity(b, max_depth) < n:
+        b += 1
+    return b
+
+
+def _outcome(fn, *args):
+    """What fn returns, or the class of the exception it raises."""
+    try:
+        return fn(*args)
+    except (ValueError, CapacityExceeded) as exc:
+        return type(exc)
+
+
+_GRID_N = [*range(1, 81), 100, 255, 511, 512, 1023, 1024, 1100, 4096]
+
+
+def test_build_tree_matches_the_reference_fill_loop():
+    cases = 0
+    for n in _GRID_N:
+        for branching in range(12):
+            for depth in range(-2, 6):
+                got = _outcome(build_tree, n, branching, depth)
+                want = _outcome(_reference_build_tree, n, branching, depth)
+                assert got == want, (n, branching, depth)
+                cases += 1
+    assert cases == 8448
+
+
+def test_min_branching_matches_the_closed_form():
+    for n in _GRID_N:
+        for depth in range(-3, 6):
+            got = _outcome(min_branching, n, depth)
+            assert got == _outcome(_reference_min_branching, n, depth), (n, depth)

@@ -26,11 +26,12 @@ import os
 import secrets
 import statistics
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import gamma
 from .attacks import ksum_forgery_attack, rogue_key_attack
-from .endorsement import csv_rows, run_flows
+from .endorsement import run_flows
 from .errors import (
     BackendRefused,
     BadLength,
@@ -141,6 +142,11 @@ def _emit(out, data, note: str = "", report=()) -> None:
         sys.stdout.write(text)
 
 
+def _table(header, rows) -> list:
+    """CSV rows: ``header``, then each dict row's values in header order."""
+    return [header] + [[row[h] for h in header] for row in rows]
+
+
 def _write_all(writes) -> None:
     """Call ``write(path)`` for every ``(path, write)`` pair.  When one path
     is unwritable, remove the files written before it and re-raise, so a
@@ -191,7 +197,7 @@ def _sign_and_verify(par, scheme, tree, keys, m, nonce_seed):
     """Sign m under ``scheme`` with nonces from ``nonce_seed``, then verify
     the signature, one span per phase.
 
-    Returns (signature, verified, messages, attempts, {phase: Span}); the
+    Returns (signature, verified, messages, {phase: Span}); the
     phases are sign_offline (AGMS and gamma only), sign_online and verify.
     Gamma signs with the first key alone.
     """
@@ -203,7 +209,7 @@ def _sign_and_verify(par, scheme, tree, keys, m, nonce_seed):
             sig = gamma.sign_online(par, keys[0], nonce, m)
         with par.span() as spans["verify"]:
             ok = gamma.verify(par, keys[0].y, m, sig)
-        return sig, ok, [], 1, spans
+        return sig, ok, [], spans
     if scheme == "agms":
         with par.span() as spans["sign_offline"]:
             off = agms_offline(par, tree, keys, seed=nonce_seed)
@@ -218,7 +224,7 @@ def _sign_and_verify(par, scheme, tree, keys, m, nonce_seed):
     check = cosi_verify if scheme == "cosi" else verify
     with par.span() as spans["verify"]:
         ok = check(par, run.agg_key, m, run.signature)
-    return run.signature, ok, messages, run.attempts, spans
+    return run.signature, ok, messages, spans
 
 
 def cmd_simulate(args) -> int:
@@ -235,7 +241,7 @@ def cmd_simulate(args) -> int:
     # from a fresh seed unless --seed asks for a reproducible run
     nonce_seed = seed if reproducible else secrets.token_hex(16)
     m = args.message.encode()
-    sig, ok, messages, attempts, spans = _sign_and_verify(
+    sig, ok, messages, spans = _sign_and_verify(
         par, args.scheme, tree, keys, m, nonce_seed)
     exps = {phase: sp.exponentiations for phase, sp in spans.items()}
     timings = {f"{phase.removeprefix('sign_')}_ns": sp.wall_ns
@@ -257,7 +263,7 @@ def cmd_simulate(args) -> int:
             "branching": branching,
             "depth": args.depth,
             "seed": seed,
-            "attempts": attempts,
+            "attempts": 1,
             "message_hex": m.hex(),
             "message_count": len(messages),
             "signature_hex": sig_hex,
@@ -270,7 +276,7 @@ def cmd_simulate(args) -> int:
     _write_all(writes)
 
     print(f"scheme={args.scheme} backend={par.group_id} signers={args.signers}")
-    print(f"attempts={attempts} messages={len(messages)}")
+    print(f"attempts=1 messages={len(messages)}")
     print(f"signature={sig_hex}")
     for phase, n in exps.items():
         print(f"exp[{phase}]={n}")
@@ -352,11 +358,11 @@ def cmd_bench(args) -> int:
             row["mean_ns"] = ""
             row["std_ns"] = ""
 
-    header = ["scheme", "N", "phase", "mean_ns", "std_ns", "exp_count"]
     if args.format == "json":
         data = {"schema": "multisig/bench/v1", "rows": rows}
     else:
-        data = [header] + [[r[h] for h in header] for r in rows]
+        data = _table(["scheme", "N", "phase", "mean_ns", "std_ns",
+                       "exp_count"], rows)
     _emit(args.out, data, f" ({len(rows)} rows)")
     return 0
 
@@ -406,13 +412,20 @@ def cmd_endorse(args) -> int:
               f"signature_bytes={rec.signature_bytes} "
               f"accepted={'true' if rec.accepted else 'false'}"
               for rec in records]
+    docs = [asdict(rec) for rec in records]
+    if reproducible:
+        for doc in docs:
+            for step in doc["steps"]:
+                step["wall_ns"] = None
     if args.format == "json":
-        _emit(args.out, {"schema": "multisig/endorsement/v1",
-                         "records": [r.to_json_dict(not reproducible)
-                                     for r in records]}, report=report)
+        _emit(args.out, {"schema": "multisig/endorsement/v1", "records": docs},
+              report=report)
     else:
-        rows = csv_rows(records, include_timing=not reproducible)
-        _emit(args.out, rows, f" ({len(rows) - 1} rows)", report)
+        rows = [{"flow": doc["flow"], "n_endorsers": doc["n_endorsers"], **step}
+                for doc in docs for step in doc["steps"]]
+        _emit(args.out, _table(["flow", "n_endorsers", "step", "wall_ns",
+                                "exp_count", "verify_calls", "bytes"], rows),
+              f" ({len(rows)} rows)", report)
     return 0 if all(r.accepted for r in records) else 1
 
 

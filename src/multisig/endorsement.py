@@ -49,12 +49,7 @@ __all__ = [
     "run_revised_flow",
     "run_default_flow",
     "run_flows",
-    "csv_rows",
-    "CSV_HEADER",
 ]
-
-CSV_HEADER = ["flow", "n_endorsers", "step", "wall_ns", "exp_count",
-              "verify_calls", "bytes"]
 
 
 @dataclass(frozen=True)
@@ -64,11 +59,14 @@ class StepMetrics:
     wall_ns: int
     exp_count: int
     verify_calls: int
-    bytes_moved: int
+    bytes: int
 
 
 @dataclass
 class TransactionRecord:
+    """One flow at one endorser count; ``dataclasses.asdict`` of it is the
+    record ``multisig endorse`` writes as JSON."""
+
     flow: str
     n_endorsers: int
     signature_bytes: int
@@ -78,26 +76,6 @@ class TransactionRecord:
 
     def step7_verify_calls(self) -> int:
         return sum(s.verify_calls for s in self.steps if s.step == 7)
-
-    def to_json_dict(self, include_timing: bool = True) -> dict:
-        return {
-            "flow": self.flow,
-            "n_endorsers": self.n_endorsers,
-            "signature_bytes": self.signature_bytes,
-            "signature_hex": self.signature_hex,
-            "accepted": self.accepted,
-            "steps": [
-                {
-                    "step": s.step,
-                    "name": s.name,
-                    "wall_ns": s.wall_ns if include_timing else None,
-                    "exp_count": s.exp_count,
-                    "verify_calls": s.verify_calls,
-                    "bytes": s.bytes_moved,
-                }
-                for s in self.steps
-            ],
-        }
 
 
 def chaincode_stub(proposal: bytes) -> bytes:
@@ -264,13 +242,3 @@ def run_flows(par: Group, n_list, proposal: bytes, *, seed, depth: int = 3,
     return [run_revised_flow(par, n, proposal, seed=seed, depth=depth)
             if flow == "revised" else run_default_flow(par, n, proposal, seed=seed)
             for n in n_list for flow in flows]
-
-
-def csv_rows(records, include_timing: bool = True) -> list:
-    """``CSV_HEADER`` plus one row per step of every record."""
-    return [list(CSV_HEADER)] + [
-        [rec.flow, rec.n_endorsers, s.step,
-         s.wall_ns if include_timing else "", s.exp_count, s.verify_calls,
-         s.bytes_moved]
-        for rec in records for s in rec.steps
-    ]

@@ -119,7 +119,6 @@ class KeyPair:
 @dataclass(frozen=True)
 class AggregateKey:
     X: object
-    count: int
 
 
 def keygen(par: Group, rng) -> KeyPair:
@@ -171,7 +170,7 @@ def key_aggregate(par: Group, keys) -> AggregateKey:
     X = ys[0]
     for y in ys[1:]:
         X = par.mul(X, y)
-    return AggregateKey(X, len(ys))
+    return AggregateKey(X)
 
 
 def derive_keys(par: Group, n: int, seed) -> list[KeyPair]:
@@ -267,7 +266,8 @@ def challenge(par: Group, tree: Tree, sessions, c: int, V_ann) -> list:
     c == H0(V_ann, m): the challenge must be a genuine hash of the
     aggregate the leader announces.  GMS/AGMS nodes receive c alone and fix
     v*c on arrival — their response shape is what the scheme's security
-    leans on, not a per-node recomputation.
+    leans on, not a per-node recomputation.  Every node refuses c = 0, which
+    no hash yields: under it a GMS/AGMS response is -e*sk_i, the key itself.
     """
     sl, q, decode_scalar = par.scalar_len, par.q, par.decode_scalar
     baseline = sessions[0].scheme == "cosi"
@@ -278,6 +278,8 @@ def challenge(par: Group, tree: Tree, sessions, c: int, V_ann) -> list:
     def handler(node, data):
         sess = sessions[node]
         c = decode_scalar(data[:sl])
+        if c == 0:
+            raise ValueError("challenge is 0")
         if baseline:
             V = par.decode_element(data[sl:])
             if c != challenge_hash(par, "cosi", V, None, sess.m):
@@ -334,8 +336,8 @@ class SignRun:
     signature: Signature
     agg_key: AggregateKey
     sessions: list
-    attempts: int               # always 1; perfbench/ still reads it
     messages: list = field(default_factory=list)
+    attempts: int = 1           # always 1; perfbench/ still reads it
 
 
 @dataclass
@@ -346,8 +348,8 @@ class OfflineRun:
     sessions: list
     agg_key: AggregateKey
     c: int
-    attempts: int               # always 1, as for SignRun
     messages: list = field(default_factory=list)
+    attempts: int = 1           # always 1, as for SignRun
 
 
 def _rounds_before_respond(par: Group, scheme: str, tree: Tree, keys,
@@ -360,10 +362,10 @@ def _rounds_before_respond(par: Group, scheme: str, tree: Tree, keys,
     V_agg, X_agg, msgs = commit(par, tree, sessions)
     messages += msgs
     if scheme == "agms":
-        agg = AggregateKey(X_agg, tree.n)
+        agg = AggregateKey(X_agg)
     c = challenge_hash(par, scheme, V_agg, agg.X, m)
     messages += challenge(par, tree, sessions, c, V_agg)
-    return OfflineRun(tree, sessions, agg, c, 1, messages)
+    return OfflineRun(tree, sessions, agg, c, messages)
 
 
 def _sign(par: Group, scheme: str, tree: Tree, keys, m: bytes, seed) -> SignRun:
@@ -371,7 +373,7 @@ def _sign(par: Group, scheme: str, tree: Tree, keys, m: bytes, seed) -> SignRun:
     run = _rounds_before_respond(par, scheme, tree, keys, m, seed)
     S, msgs = respond(par, tree, run.sessions)
     return SignRun(Signature(run.c, S), run.agg_key, run.sessions,
-                   run.attempts, run.messages + msgs)
+                   run.messages + msgs)
 
 
 def gms_sign(par: Group, tree: Tree, keys, m: bytes, *, seed) -> SignRun:
@@ -401,7 +403,7 @@ def agms_online(par: Group, offline: OfflineRun, m: bytes) -> SignRun:
     messages = announce(offline.tree, sessions, m)
     S, msgs = respond(par, offline.tree, sessions)
     return SignRun(Signature(offline.c, S), offline.agg_key, sessions,
-                   offline.attempts, messages + msgs)
+                   messages + msgs)
 
 
 def cosi_sign(par: Group, tree: Tree, keys, m: bytes, *, seed) -> SignRun:

@@ -117,8 +117,9 @@ def test_unseeded_endorse_draws_fresh_nonces(tmp_path, capsys):
                          "--toy-q", "65521", "--message", message,
                          "--out", str(out))
         assert code == 0
-        sig = bytes.fromhex(json.loads(out.read_text())
-                            ["records"][0]["signature_hex"])
+        record = json.loads(out.read_text())["records"][0]
+        assert all(isinstance(s["wall_ns"], int) for s in record["steps"])
+        sig = bytes.fromhex(record["signature_hex"])
         cs.append(sig[:len(sig) // 2])
     assert cs[0] != cs[1]
 
@@ -209,7 +210,7 @@ _M61 = 2**61 - 1  # prime; trial division of it runs for minutes
 
 
 @pytest.mark.parametrize("command", ["verify-keys", "verify"])
-@pytest.mark.parametrize("p,q", [(_M61, 11), (23, _M61)])
+@pytest.mark.parametrize("p,q", [(_M61, 11), (23, _M61), (23, 7)])
 def test_crafted_toy_group_exits_two_without_hanging(tmp_path, command, p, q):
     keys = tmp_path / "keys.json"
     keys.write_text(json.dumps({
@@ -385,6 +386,15 @@ def test_verify_keys_flags_bad_proofs(tmp_path, capsys):
     assert code == 1
     assert "key 1: FAIL" in stdout
     assert "1/2 keys verified" in stdout
+    sig = tmp_path / "s.sig"
+    assert run(capsys, "simulate", "--signers", "2", "--seed", "1",
+               "--out", str(sig))[0] == 0
+    code, stdout, _ = run(capsys, "verify", "--scheme", "agms", "--keys",
+                          str(keys), "--signature", str(sig), "--message",
+                          "simulated transaction")
+    assert code == 1
+    assert stdout == ("key 1 failed its possession check; refusing to "
+                      "aggregate\n")
 
 
 def test_missing_file_is_a_usage_error(tmp_path, capsys):
@@ -441,7 +451,7 @@ def test_bench_csv_schema(tmp_path, capsys):
                      "--signers-list", "3,7", "--reps", "2", "--seed", "4",
                      "--out", str(out))
     assert code == 0
-    rows = list(csv.reader(out.open()))
+    rows = list(csv.reader(out.read_text().splitlines()))
     assert rows[0] == ["scheme", "N", "phase", "mean_ns", "std_ns",
                        "exp_count"]
     # agms splits signing into offline/online; others do not
@@ -493,7 +503,7 @@ def test_bench_verify_time_flat_across_n(tmp_path, capsys):
                          "--signers-list", "4,64", "--reps", "5",
                          "--backend", "curve", "--out", str(out))
         assert code == 0
-        rows = list(csv.reader(out.open()))
+        rows = list(csv.reader(out.read_text().splitlines()))
         for r in rows[1:]:
             if r[2] == "verify":
                 verify_ns[r[1]].append(float(r[3]))
@@ -585,11 +595,13 @@ def test_endorse_csv_schema(tmp_path, capsys):
     assert code == 0
     assert "revised n=2: step7_verify_calls=1" in stdout
     assert "default n=4: step7_verify_calls=4" in stdout
-    rows = list(csv.reader(out.open()))
+    rows = list(csv.reader(out.read_text().splitlines()))
     assert rows[0] == ["flow", "n_endorsers", "step", "wall_ns", "exp_count",
                        "verify_calls", "bytes"]
     assert len(rows) == 1 + 2 * (7 + 6)
-    for flow, n, step, _, _, vcalls, _ in rows[1:]:
+    assert f"wrote {out} ({len(rows) - 1} rows)" in stdout
+    for flow, n, step, wall_ns, _, vcalls, _ in rows[1:]:
+        assert wall_ns == ""  # seeded run
         if step == "7":
             assert vcalls == ("1" if flow == "revised" else n)
 
@@ -604,6 +616,8 @@ def test_endorse_json_format(tmp_path, capsys):
     assert doc["schema"] == "multisig/endorsement/v1"
     assert [r["flow"] for r in doc["records"]] == ["revised", "default"]
     assert all(r["accepted"] for r in doc["records"])
+    assert all(s["wall_ns"] is None  # seeded run
+               for r in doc["records"] for s in r["steps"])
 
 
 @pytest.mark.parametrize("n", ["0", "-3"])
@@ -624,6 +638,10 @@ def test_backend_env_variable(tmp_path, capsys, monkeypatch):
     assert "secp256k1" in stdout
     doc = json.loads(keys.read_text())
     assert doc["group"]["backend"] == "secp256k1"
+    monkeypatch.setenv("MULTISIG_BACKEND", "bogus")
+    code, stdout, stderr = run(capsys, "keygen", "--out", str(keys))
+    assert (code, stdout) == (2, "")
+    assert "unknown backend 'bogus'" in stderr
 
 
 def test_unknown_subcommand_exits_two(capsys):

@@ -16,6 +16,7 @@ from multisig.group import (
     _exp_glv,
     _glv_split,
     _jac_double,
+    _jac_madd,
     _jac_to_affine,
     _toy_decode,
     _wnaf5,
@@ -223,6 +224,7 @@ def test_curve_group_law(curve):
     assert curve.exp(g, curve.q) is None                   # full order
     assert curve.exp(g, 0) is None
     assert curve.mul(g, curve.identity) == g
+    assert curve.mul(curve.identity, g) == g
     # inverse element: x * x^(q-1) = identity
     x = curve.exp(g, 123456789)
     assert curve.mul(x, curve.exp(x, curve.q - 1)) is None
@@ -251,6 +253,9 @@ def test_curve_codec(curve):
     # x = 5 is not on secp256k1
     with pytest.raises(NotInGroup):
         curve.decode_element(b"\x02" + (5).to_bytes(32, "big"))
+    assert curve.is_element(None)                          # the identity
+    for not_a_point in (5, [1, 2], (1, 2, 3)):
+        assert not curve.is_element(not_a_point)
 
 
 # ── curve fast paths against the reference ladder ───────────────────────────
@@ -629,6 +634,17 @@ def test_jac_double_matches_affine_doubling(curve):
     assert _exp_ladder(curve.g1, 0) is None and _exp_ladder(None, 2) is None
 
 
+def test_jac_madd_handles_identity_and_equal_points(curve):
+    p = group_mod._P
+    x, y = curve.exp(curve.g1, 12345)
+    z = 987654321
+    lifted = ((x * z * z) % p, (y * z * z * z) % p, z)
+    assert _jac_madd(group_mod._JAC_ID, (x, y)) == (x, y, 1)
+    assert _jac_madd(lifted, (x, p - y)) == group_mod._JAC_ID       # P + (-P)
+    assert _jac_to_affine(_jac_madd(lifted, (x, y))) == curve.exp(curve.g1,
+                                                                  24690)
+
+
 # ── per-group caches ─────────────────────────────────────────────────────────
 
 def _toy16():
@@ -663,7 +679,8 @@ def test_decode_memo_hit_equals_uncached_decode(make, seed):
 @pytest.mark.parametrize("make, rejected, misses", [
     (curve_group, ((b"\x02" + b"\x00" * 30, BadLength),
                    (b"\x05" + b"\x11" * 32, NonCanonical),
-                   (b"\x02" + (5).to_bytes(32, "big"), NotInGroup)), 4),
+                   (b"\x02" + _P.to_bytes(32, "big"), NonCanonical),
+                   (b"\x02" + (5).to_bytes(32, "big"), NotInGroup)), 6),
     # p = 23: 5 is in Z_23^*, not in <2>
     (toy_group, ((b"\x08", BadLength),
                  (bytes.fromhex("0000"), NonCanonical),

@@ -85,7 +85,6 @@ def test_key_aggregate_toy_example(toy):
     # y1 = 4 = g^2, y2 = 8 = g^3: product is 32 mod 23 = 9 = g^5
     agg = key_aggregate(toy, [PublicKey(4), PublicKey(8)])
     assert agg.X == 9
-    assert agg.count == 2
     # same answer regardless of wrapper type and order
     k1, k2 = derive_keys(toy, 2, 77)
     a = key_aggregate(toy, [k1, k2])
@@ -317,6 +316,9 @@ def test_baseline_completeness(toy16):
         m = b"run %d" % seed
         run = cosi_sign(toy16, tree, keys, m, seed=seed)
         assert cosi_verify(toy16, run.agg_key, m, run.signature)
+    c, s, q = run.signature.c, run.signature.s, toy16.q
+    for out_of_range in (Signature(0, s), Signature(q, s), Signature(c, q)):
+        assert not cosi_verify(toy16, run.agg_key, m, out_of_range)
 
 
 def test_response_linearity(toy):
@@ -428,6 +430,33 @@ def test_baseline_nodes_check_the_challenge(toy16):
     V_agg, _, _ = commit(toy16, tree, sessions)
     with pytest.raises(HandlerFailure):
         challenge(toy16, tree, sessions, 5, V_agg)
+
+
+@pytest.mark.parametrize("backend", ["toy", "curve"])
+@pytest.mark.parametrize("scheme", ["gms", "agms"])
+def test_nodes_refuse_a_zero_challenge(backend, scheme, curve):
+    # under c = 0 every node fixes v*c = 0 and responds -e*sk_i, so -S~/e is
+    # the sum of the keys below the sender: the aggregate secret of seven
+    # nodes, or the own key of a leaf whose parent sends 0
+    par = curve if backend == "curve" else toy_group_for_order(1048573)
+    for n in (7, 1):
+        tree = build_tree(n, 2, 3)
+        keys = derive_keys(par, n, 50)
+        sessions = open_sessions(par, scheme, tree, keys, 50)
+        announce(tree, sessions, M)
+        V_agg, _, _ = commit(par, tree, sessions)
+        try:
+            challenge(par, tree, sessions, 0, V_agg)
+        except HandlerFailure as exc:
+            assert str(exc.cause) == "challenge is 0"
+            with pytest.raises(MixedSessions, match="challenge state"):
+                respond(par, tree, sessions)
+            continue
+        S, _ = respond(par, tree, sessions)
+        e = hash_to_scalar(par, H3, [M])
+        leaked = par.s_mul(par.s_sub(0, S), par.s_inv(e))
+        assert leaked == sum(k.sk for k in keys) % par.q
+        pytest.fail(f"c = 0 accepted: -S/e is the key sum of {n} node(s)")
 
 
 # ── session nonces ───────────────────────────────────────────────────────────

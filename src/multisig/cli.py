@@ -355,8 +355,8 @@ def cmd_bench(args) -> int:
                 })
     if reproducible:
         for row in rows:
-            row["mean_ns"] = ""
-            row["std_ns"] = ""
+            row["mean_ns"] = None
+            row["std_ns"] = None
 
     if args.format == "json":
         data = {"schema": "multisig/bench/v1", "rows": rows}

@@ -8,7 +8,8 @@ message m is then two scalar operations:
     s = v*c - e*sk  (mod q),   e = H1(m)
 
 and the signature is (c, s).  Verification recovers the commitment as
-V = (g1^s * pk^e)^(1/c) and accepts iff H0(V, pk) == c.
+V = (g1^s * pk^e)^(1/c), computed as g1^(s/c) * pk^(e/c), and accepts
+iff H0(V, pk) == c.
 
 Each precomputed nonce is strictly one-time: reusing (v, c) for two
 messages leaks the secret key by linear algebra, so ``sign_online``
@@ -88,14 +89,17 @@ def recover_commitment(par: Group, a: int, Y, b: int, c: int):
     """(g1^a * Y^b)^(1/c): the commitment the signature and possession-proof
     checks recompute.
 
-    Signature checks pass (s, e, c), the proof check (d, b, a).  Three
-    exponentiations and one multiplication; c must be nonzero.
+    Signature checks pass (s, e, c), the proof check (d, b, a).  Computed
+    as g1^(a/c) * Y^(b/c): two exponentiations, one of them on the fixed
+    base g1, and one multiplication.  Equal to the literal form for every
+    group element Y, since 1/c exists mod the prime q; c must be nonzero.
     """
-    return par.exp(par.mul(par.exp(par.g1, a), par.exp(Y, b)), par.s_inv(c))
+    ci = par.s_inv(c)
+    return par.mul(par.exp(par.g1, par.s_mul(a, ci)), par.exp(Y, par.s_mul(b, ci)))
 
 
 def verify(par: Group, y, m: bytes, sig: Signature) -> bool:
-    """Three exponentiations and one multiplication; constant in everything."""
+    """Two exponentiations and one multiplication; constant in everything."""
     if not (0 < sig.c < par.q) or not (0 <= sig.s < par.q):
         return False
     e = hash_to_scalar(par, H1, [m])

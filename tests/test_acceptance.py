@@ -12,7 +12,7 @@ from multisig import gamma
 from multisig.attacks import ksum_forgery_attack, rogue_key_attack
 from multisig.cli import main
 from multisig.endorsement import run_flows
-from multisig.group import derive_rng
+from multisig.group import derive_rng, toy_group_for_order
 from multisig.schemes import (
     KeyProof,
     PublicKey,
@@ -261,26 +261,30 @@ def _naive_inv(q, a):
     raise ValueError(f"{a} has no inverse mod {q}")
 
 
+def _naive_hash(q, tag, items):
+    payload = bytes([tag])
+    for item in items:
+        payload += len(item).to_bytes(4, "big") + item
+    return int.from_bytes(hashlib.sha512(payload).digest(), "big") % q or 1
+
+
+def _naive_enc(p, x):
+    return x.to_bytes(max(2, (p.bit_length() + 7) // 8), "big")
+
+
+def _naive_commitment(p, q, g, a, Y, b, c):
+    """(g^a * Y^b)^(1/c), written out literally."""
+    base = (_naive_exp(p, q, g, a) * _naive_exp(p, q, Y, b)) % p
+    return _naive_exp(p, q, base, _naive_inv(q, c))
+
+
 def _naive_verify(p, q, g, X, m, c, s):
     """Independent re-implementation: enumeration and hashlib only."""
-    el = max(2, (p.bit_length() + 7) // 8)
-
-    def h(tag, items):
-        payload = bytes([tag])
-        for item in items:
-            payload += len(item).to_bytes(4, "big") + item
-        return int.from_bytes(hashlib.sha512(payload).digest(), "big") % q or 1
-
     if not (0 < c < q and 0 <= s < q):
         return False
-    e = h(3, [m])
-    base = (_naive_exp(p, q, g, s) * _naive_exp(p, q, X, e)) % p
-    V = _naive_exp(p, q, base, _naive_inv(q, c))
-
-    def enc(x):
-        return x.to_bytes(el, "big")
-
-    return h(0, [enc(g), enc(V), enc(X)]) == c
+    V = _naive_commitment(p, q, g, s, X, _naive_hash(q, 3, [m]), c)
+    return _naive_hash(q, 0, [_naive_enc(p, g), _naive_enc(p, V),
+                              _naive_enc(p, X)]) == c
 
 
 def test_c09_brute_force_oracle_agreement(toy, acceptance):
@@ -323,6 +327,73 @@ def test_c09_brute_force_oracle_agreement(toy, acceptance):
                    f"{agree}/{cases} verification cases matched an "
                    f"enumeration-only reimplementation ({accepts} accepts)")
     assert good, line
+
+
+# Criterion 09's oracle, extended to the single-signer and possession-proof
+# verifiers.  q = 1019 keeps the enumeration cheap and chance accepts rare.
+
+def _naive_gamma_verify(p, q, g, y, m, c, s):
+    if not (0 < c < q and 0 <= s < q):
+        return False
+    V = _naive_commitment(p, q, g, s, y, _naive_hash(q, 1, [m]), c)
+    return _naive_hash(q, 0, [_naive_enc(p, V), _naive_enc(p, y)]) == c
+
+
+def _naive_key_verify(p, q, g, members, y, a, d):
+    if not (0 < a < q and 0 <= d < q) or y not in members or y == 1:
+        return False
+    b = _naive_hash(q, 2, [_naive_enc(p, y)])
+    V = _naive_commitment(p, q, g, d, y, b, a)
+    return _naive_hash(q, 1, [_naive_enc(p, g), _naive_enc(p, V)]) == a
+
+
+def test_gamma_verify_matches_enumeration_oracle():
+    par = toy_group_for_order(1019)
+    rng = derive_rng(9, "gamma-oracle")
+    verdicts = []
+    for i in range(200):
+        key = bare_keygen(par, derive_rng(9, "gamma-key", i))
+        m = b"tx %d" % i
+        sig = gamma.sign_online(par, key, gamma.precompute(par, key, i), m)
+        kind = i % 4
+        if kind == 1:
+            sig = gamma.Signature((sig.c + rng.randrange(1, par.q)) % par.q, sig.s)
+        elif kind == 2:
+            sig = gamma.Signature(sig.c, (sig.s + rng.randrange(1, par.q)) % par.q)
+        elif kind == 3:
+            m += b"!"
+        lib = gamma.verify(par, key.y, m, sig)
+        assert lib == _naive_gamma_verify(par.p, par.q, par.g1, key.y, m,
+                                          sig.c, sig.s), f"case {i}"
+        verdicts.append(lib)
+    assert verdicts[::4] == [True] * 50
+
+
+def test_key_verify_matches_enumeration_oracle():
+    par = toy_group_for_order(1019)
+    members, x = set(), 1
+    for _ in range(par.q):
+        members.add(x)
+        x = (x * par.g1) % par.p
+    rng = derive_rng(9, "key-oracle")
+    verdicts = []
+    for i in range(200):
+        pk = keygen(par, derive_rng(9, "proof-key", i)).public
+        y, a, d = pk.y, pk.proof.a, pk.proof.d
+        kind = i % 5
+        if kind == 1:
+            a = (a + rng.randrange(1, par.q)) % par.q
+        elif kind == 2:
+            d = (d + rng.randrange(1, par.q)) % par.q
+        elif kind == 3:  # another member, often the identity
+            y = rng.choice([1, (y * par.g1) % par.p])
+        elif kind == 4:  # almost always outside the subgroup
+            y = rng.randrange(1, par.p)
+        lib = key_verify(par, PublicKey(y, KeyProof(a, d)))
+        assert lib == _naive_key_verify(par.p, par.q, par.g1, members, y,
+                                        a, d), f"case {i}"
+        verdicts.append(lib)
+    assert verdicts[::5] == [True] * 40
 
 
 def test_c10_reproducible_cli(tmp_path, capsys, acceptance):

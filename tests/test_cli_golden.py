@@ -36,6 +36,9 @@ CASES = {
                              "--backend", "curve", "--seed", "5", *_FILES),
     "bench_csv": ("bench", "--schemes", "gms,agms,cosi", "--signers-list",
                   "3,7", "--reps", "2", *_TOY, "--out", "bench.csv"),
+    "bench_json": ("bench", "--schemes", "agms", "--signers-list", "3",
+                   "--reps", "2", *_TOY, "--format", "json",
+                   "--out", "bench.json"),
     "endorse_csv": ("endorse", "--endorsers-list", "2,4", "--toy-q", "65521",
                     "--seed", "5", "--out", "endorse.csv"),
     "endorse_json": ("endorse", "--endorsers-list", "2,4", "--toy-q", "65521",
@@ -84,9 +87,13 @@ def test_seeded_output_matches_recording(name, tmp_path):
 
 
 if __name__ == "__main__":
+    old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
     doc = {}
     for name, argv in CASES.items():
         with tempfile.TemporaryDirectory() as tmp:
             doc[name] = {"argv": list(argv), **run_case(argv, Path(tmp))}
     GOLDEN.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {GOLDEN} ({len(doc)} cases)", file=sys.stderr)
+    changed = sorted(n for n in old.keys() | doc.keys()
+                     if old.get(n) != doc.get(n))
+    print(f"wrote {GOLDEN} ({len(doc)} cases; changed: "
+          f"{', '.join(changed) or 'none'})", file=sys.stderr)

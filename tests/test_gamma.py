@@ -47,14 +47,33 @@ def test_nonce_single_use(toy):
         gamma.sign_online(toy, key, nonce, b"second")
 
 
-def test_verify_has_three_exponentiations(curve):
+def test_verify_has_two_exponentiations(curve):
     key = bare_keygen(curve, derive_rng(3, "key", 0))
     nonce = gamma.precompute(curve, key, 3)
     sig = gamma.sign_online(curve, key, nonce, b"m")
     with curve.span() as sp:
         assert gamma.verify(curve, key.y, b"m", sig)
-    assert sp.exponentiations == 3
+    assert sp.exponentiations == 2
     assert sp.multiplications == 1
+
+
+@pytest.mark.parametrize("make", [lambda: toy_group_for_order(1048573),
+                                  curve_group], ids=["toy", "curve"])
+def test_recover_commitment_matches_literal_form(make):
+    # g1^(a/c) * Y^(b/c) against (g1^a * Y^b)^(1/c); the two random bases
+    # pass their 16th use, so on the curve both GLV and comb tables are hit
+    par = make()
+    rng = random.Random(25)
+    pool = [par.identity, par.g1] + [par.exp(par.g1, par.random_scalar(rng))
+                                     for _ in range(2)]
+    for i in range(48):
+        Y = pool[i % 4]
+        a = 0 if i % 6 == 0 else rng.randrange(par.q)
+        b = 0 if i % 6 == 1 else rng.randrange(par.q)
+        c = rng.randrange(1, par.q)
+        literal = par.exp(par.mul(par.exp(par.g1, a), par.exp(Y, b)),
+                          par.s_inv(c))
+        assert gamma.recover_commitment(par, a, Y, b, c) == literal, (i, a, b, c)
 
 
 def test_rejects_wrong_message_key_and_tampering(curve):

@@ -74,11 +74,11 @@ def test_key_verify_rejects_forgeries(toy16):
     assert not key_verify(toy16, PublicKey(toy16.identity, good.proof))
 
 
-def test_key_verify_costs_three_exps(toy):
+def test_key_verify_costs_two_exps(toy):
     kp = keygen(toy, derive_rng(1, "key", 0))
     with toy.span() as sp:
         assert key_verify(toy, kp.public)
-    assert sp.exponentiations == 3
+    assert sp.exponentiations == 2
 
 
 def test_key_aggregate_toy_example(toy):

@@ -22,7 +22,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import secrets
 import statistics
 import sys
@@ -63,6 +62,7 @@ from .schemes import (
 from .tree import build_tree, min_branching, transcript_to_jsonl
 
 DEFAULT_SEED = 1729
+MAX_SIZE = 2 ** 20  # any count: a run holds O(N) state; perfbench's N <= 1024
 _USAGE_ERRORS = (BackendRefused, BadLength, CapacityExceeded, IoError,
                  NonCanonical, NotInGroup, ValueError)
 
@@ -70,8 +70,8 @@ _USAGE_ERRORS = (BackendRefused, BadLength, CapacityExceeded, IoError,
 # ── shared options ───────────────────────────────────────────────────────────
 
 def _add_backend(p: argparse.ArgumentParser, toy_q: int = 11) -> None:
-    p.add_argument("--backend", choices=("toy", "curve"), default=None,
-                   help="group backend (default: $MULTISIG_BACKEND or toy)")
+    p.add_argument("--backend", choices=("toy", "curve"), default="toy",
+                   help="group backend (default: toy)")
     p.add_argument("--toy-q", type=int, default=toy_q, metavar="Q",
                    help=f"toy subgroup order, a prime >= 3 (default {toy_q})")
 
@@ -84,14 +84,11 @@ def _add_seed(p: argparse.ArgumentParser) -> None:
 
 
 def _resolve_group(args) -> Group:
-    backend = args.backend or os.environ.get("MULTISIG_BACKEND") or "toy"
-    if backend == "curve":
+    if args.backend == "curve":
         return curve_group()
-    if backend == "toy":
-        if args.toy_q == 11:
-            return toy_group()
-        return toy_group_for_order(args.toy_q)
-    raise ValueError(f"unknown backend {backend!r}")
+    if args.toy_q == 11:
+        return toy_group()
+    return toy_group_for_order(args.toy_q)
 
 
 def _resolve_seed(args) -> tuple[int, bool]:
@@ -99,6 +96,15 @@ def _resolve_seed(args) -> tuple[int, bool]:
     if args.seed is None:
         return DEFAULT_SEED, False
     return args.seed, True
+
+
+def _size(value: int, flag: str) -> int:
+    """``value`` if it is a count from 1 to MAX_SIZE, else a usage error."""
+    if value < 1:
+        raise ValueError(f"{flag} must be at least 1")
+    if value > MAX_SIZE:
+        raise ValueError(f"{flag} must be at most {MAX_SIZE}")
+    return value
 
 
 def _secret_path(out: str) -> str:
@@ -165,8 +171,7 @@ def _write_all(writes) -> None:
 # ── keygen ───────────────────────────────────────────────────────────────────
 
 def cmd_keygen(args) -> int:
-    if args.count < 1:
-        raise ValueError("--count must be at least 1")
+    _size(args.count, "--count")
     par = _resolve_group(args)
     seed, _ = _resolve_seed(args)
     keys = derive_keys(par, args.count, seed)
@@ -230,6 +235,7 @@ def _sign_and_verify(par, scheme, tree, keys, m, nonce_seed):
 def cmd_simulate(args) -> int:
     if args.scheme == "gamma" and args.signers != 1:
         raise ValueError("--scheme gamma is single-signer (use --signers 1)")
+    _size(args.signers, "--signers")
     par = _resolve_group(args)
     seed, reproducible = _resolve_seed(args)
     branching = args.branching
@@ -318,13 +324,13 @@ def _fmt_mean(x: float):
 
 
 def cmd_bench(args) -> int:
-    if args.reps < 1:
-        raise ValueError("--reps must be at least 1")
+    _size(args.reps, "--reps")
     schemes_list = _comma_list(args.schemes, str.strip, "--schemes")
     for scheme in schemes_list:
         if scheme not in ("gms", "agms", "cosi"):
             raise ValueError(f"unknown scheme {scheme!r}")
-    n_list = _comma_list(args.signers_list, int, "--signers-list")
+    n_list = [_size(n, "--signers-list") for n in
+              _comma_list(args.signers_list, int, "--signers-list")]
     par = _resolve_group(args)
     seed, reproducible = _resolve_seed(args)
     m = args.message.encode()
@@ -371,25 +377,22 @@ def cmd_bench(args) -> int:
 
 def cmd_attack(args) -> int:
     # with no attempt or no honest signer a demo shows nothing, so it must
-    # not report its expectation as met
-    for flag, value in (("--n-honest", args.n_honest),
-                        ("--retries", args.retries),
-                        ("--retries-pop", args.retries_pop)):
-        if value < 1:
-            raise ValueError(f"{flag} must be at least 1")
+    # not report its expectation as met; each demo checks the count it reads
+    n_honest = _size(args.n_honest, "--n-honest")
     par = _resolve_group(args)
     seed, _ = _resolve_seed(args)
     if args.kind == "rogue":
+        attempts = _size(args.retries_pop, "--retries-pop")
         honest = [bare_keygen(par, derive_rng(seed, "honest-key", i)).public
-                  for i in range(args.n_honest)]
+                  for i in range(n_honest)]
         report = rogue_key_attack(par, honest, args.message.encode(),
-                                  seed=seed, proof_attempts=args.retries_pop)
+                                  seed=seed, proof_attempts=attempts)
     else:  # ksum
         report = ksum_forgery_attack(par, target=args.target, k=args.k,
-                                     n_honest=args.n_honest,
+                                     n_honest=n_honest,
                                      list_size=args.list_size,
-                                     retries=args.retries, seed=seed,
-                                     message=args.message.encode())
+                                     retries=_size(args.retries, "--retries"),
+                                     seed=seed, message=args.message.encode())
     _emit(args.out, report.to_json_dict(par))
     met = report.expectation_met
     print(f"{report.verdict} expectation={'met' if met else 'VIOLATED'}")
@@ -403,7 +406,8 @@ def cmd_endorse(args) -> int:
     seed, reproducible = _resolve_seed(args)
     if not reproducible:  # one fixed seed would sign every message on one nonce
         seed = secrets.token_hex(16)
-    n_list = _comma_list(args.endorsers_list, int, "--endorsers-list")
+    n_list = [_size(n, "--endorsers-list") for n in
+              _comma_list(args.endorsers_list, int, "--endorsers-list")]
     flows = ("revised", "default") if args.flow == "both" else (args.flow,)
     records = run_flows(par, n_list, args.message.encode(), seed=seed,
                         depth=args.depth, flows=flows)

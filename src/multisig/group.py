@@ -14,7 +14,7 @@ Two interchangeable backends sit behind one ``Group`` interface:
   two halves below 2^128.  Base ``g1`` then uses a fixed-base comb over
   signed 10-bit digits of both halves: a table of 13×512 affine
   multiples (6,656 points, ≈1.06 MiB, built once per process in
-  ≈60–85 ms) that the second half reads through the endomorphism, so
+  ≈45 ms) that the second half reads through the endomorphism, so
   at most 26 mixed additions and no doublings.  A base that repeats,
   such as the aggregate key every signature of one signer set is checked
   against, gets the same table on its 16th use; at most two are kept,
@@ -22,13 +22,13 @@ Two interchangeable backends sit behind one ``Group`` interface:
   interleaved width-5 wNAF loop, so ≈128 doublings instead of 256; its
   table of odd multiples is built on an isomorphic curve without an
   inversion, so converting the result is the one inversion.
-  Decoding a compressed element costs a modular square root
-  (≈0.17–0.24 ms); successful decodes are memoised in a bounded LRU
-  (2,048 entries) that each group owns, as it owns the tables of
-  repeating bases, so the subtree key aggregates that repeat on every
-  signature decode once.  Slow by libsecp standards (≈0.17–0.27 ms per
-  comb exponentiation, ≈0.75–1.41 ms through GLV) but honest: every
-  benchmark number is produced by the same code path the protocols use.
+  Decoding a compressed element costs a modular square root (≈0.10 ms);
+  successful decodes are memoised in a bounded LRU (2,048 entries) that
+  each group owns, as it owns the tables of repeating bases, so the
+  subtree key aggregates that repeat on every signature decode once.
+  Slow by libsecp standards (≈0.12 ms per comb exponentiation, ≈0.55 ms
+  through GLV; Python 3.11.7, 2-vCPU VM) but honest: every benchmark
+  number is produced by the same code path the protocols use.
 
 Group elements are opaque to callers: ints for the toy backend, affine
 ``(x, y)`` tuples (or ``None`` for the identity) on the curve.  Scalars
@@ -459,10 +459,10 @@ def _glv_split(e: int) -> tuple[int, int]:
 # k2 half reads the same rows through φ(x, y) = (β·x, y), one field
 # multiplication per digit, and a negative digit or half negates y.  So at
 # most 26 mixed additions and one inversion, no doublings, from 6,656
-# points (≈1.06 MiB) that take ≈60–85 ms to build.  Saving ≈0.6–0.7 ms a
-# call over GLV, a table pays back after ≈100–120 exponentiations, so a
-# base other than g1 gets one on its _COMB_AFTER_USES-th use: endorsement
-# keys are fresh per transaction, reach 2–3 uses and stay on GLV.  Each
+# points (≈1.06 MiB) that take ≈45 ms to build.  Saving ≈0.4 ms a call
+# over GLV, a table pays back after ≈100 exponentiations, so a base other
+# than g1 gets one on its _COMB_AFTER_USES-th use: endorsement keys are
+# fresh per transaction, reach 2–3 uses and stay on GLV.  Each
 # group owns its tables and use counts, bounded like its decode memo; g1
 # is a constant of the curve, so its one table is shared by every group.
 _COMB_ROWS = 13
@@ -636,7 +636,7 @@ def _exp_glv(base, e: int):
     return _jac_to_affine((X, Y, (Z * u) % P))
 
 
-# Decoding costs a modular square root (about half a g1 exponentiation);
+# Decoding costs a modular square root (≈0.8 of a g1 exponentiation);
 # each group memoises it.  Results are immutable tuples.
 def _decompress(data: bytes):
     """The point with 33-byte compressed SEC1 encoding ``data`` (02/03),

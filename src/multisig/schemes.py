@@ -35,6 +35,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import ClassVar
 
 from .errors import (
     EmptySet,
@@ -337,7 +338,6 @@ class SignRun:
     agg_key: AggregateKey
     sessions: list
     messages: list = field(default_factory=list)
-    attempts: int = 1           # always 1; perfbench/ still reads it
 
 
 @dataclass
@@ -349,7 +349,7 @@ class OfflineRun:
     agg_key: AggregateKey
     c: int
     messages: list = field(default_factory=list)
-    attempts: int = 1           # always 1, as for SignRun
+    attempts: ClassVar[int] = 1  # nothing restarts; perfbench/ reads it
 
 
 def _rounds_before_respond(par: Group, scheme: str, tree: Tree, keys,

@@ -146,37 +146,32 @@ def run_phase(tree: Tree, phase: Phase, handler, *,
     label, children = phase.label, tree.children
     append, new = result.messages.append, tuple.__new__
     inbox: list = [None] * tree.n
-    if phase.direction is Direction.DOWN:
-        inbox[0] = root_input
-        for level in tree.levels:
-            for node in level:
-                try:
+    try:
+        if phase.direction is Direction.DOWN:
+            inbox[0] = root_input
+            for level in tree.levels:
+                for node in level:
                     out = handler(node, inbox[node])
-                except HandlerFailure:
-                    raise
-                except Exception as exc:  # noqa: BLE001 - deliberate wrap with node id
-                    raise HandlerFailure(node, exc) from exc
-                for child in children[node]:
-                    inbox[child] = out
-                    append(new(Message, (label, node, child, out)))
-        return result
-    parent = tree.parent
-    for level in reversed(tree.levels):
-        for node in level:
-            kids = children[node]
-            arg = [(ch, inbox[ch]) for ch in kids] if kids else []
-            try:
+                    for child in children[node]:
+                        inbox[child] = out
+                        append(new(Message, (label, node, child, out)))
+            return result
+        parent = tree.parent
+        for level in reversed(tree.levels):
+            for node in level:
+                kids = children[node]
+                arg = [(ch, inbox[ch]) for ch in kids] if kids else []
                 out = handler(node, arg)
-            except HandlerFailure:
-                raise
-            except Exception as exc:  # noqa: BLE001 - deliberate wrap with node id
-                raise HandlerFailure(node, exc) from exc
-            p = parent[node]
-            if p is None:
-                result.root_output = out
-            else:
-                inbox[node] = out
-                append(new(Message, (label, node, p, out)))
+                p = parent[node]
+                if p is None:
+                    result.root_output = out
+                else:
+                    inbox[node] = out
+                    append(new(Message, (label, node, p, out)))
+    except HandlerFailure:
+        raise
+    except Exception as exc:  # noqa: BLE001 - deliberate wrap with node id
+        raise HandlerFailure(node, exc) from exc
     return result
 
 

@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 import multisig
-from multisig.cli import main
+from multisig import cli
+from multisig.cli import MAX_SIZE, main
 
 
 def run(capsys, *argv):
@@ -588,6 +589,49 @@ def test_attack_rejects_empty_runs(capsys, argv, flag):
     assert stdout == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ("attack", "rogue", "--retries", "0"),
+    ("attack", "ksum", "--k", "2", "--retries-pop", "0"),
+])
+def test_attack_checks_only_the_flags_its_demo_reads(capsys, argv):
+    # rogue never reads --retries and ksum never reads --retries-pop
+    code, stdout, stderr = run(capsys, *argv, "--toy-q", "251", "--seed", "0")
+    assert (code, stderr) == (0, "")
+    assert "expectation=met" in stdout
+
+
+_TOO_BIG = str(MAX_SIZE + 1)
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("keygen", "--count", _TOO_BIG, "--out", "@dir@/k.json"), "--count"),
+    (("simulate", "--signers", _TOO_BIG), "--signers"),
+    (("bench", "--signers-list", f"4,{_TOO_BIG}", "--reps", "1"),
+     "--signers-list"),
+    (("bench", "--signers-list", "4", "--reps", _TOO_BIG), "--reps"),
+    (("endorse", "--endorsers-list", f"2,{_TOO_BIG}"), "--endorsers-list"),
+    (("attack", "rogue", "--n-honest", _TOO_BIG), "--n-honest"),
+    (("attack", "ksum", "--n-honest", _TOO_BIG), "--n-honest"),
+    (("attack", "rogue", "--retries-pop", _TOO_BIG), "--retries-pop"),
+    (("attack", "ksum", "--retries", _TOO_BIG), "--retries"),
+])
+def test_sizes_above_the_cap_are_refused_before_any_work(
+        tmp_path, capsys, monkeypatch, argv, flag):
+    # only ever cap + 1: a run at the cap holds a million signers.  Each
+    # entry point that would start one fails the test instead
+    def tripwire(*args, **kwargs):
+        raise AssertionError("a refused size reached the protocol")
+
+    for name in ("derive_keys", "build_tree", "bare_keygen",
+                 "ksum_forgery_attack", "run_flows"):
+        monkeypatch.setattr(cli, name, tripwire)
+    argv = [a.replace("@dir@", str(tmp_path)) for a in argv]
+    code, stdout, stderr = run(capsys, *argv, "--seed", "1")
+    assert (code, stdout) == (2, "")
+    assert stderr == f"error: {flag} must be at most {MAX_SIZE}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_endorse_csv_schema(tmp_path, capsys):
     out = tmp_path / "endorse.csv"
     code, stdout, _ = run(capsys, "endorse", "--endorsers-list", "2,4",
@@ -627,21 +671,6 @@ def test_endorse_rejects_endorser_counts_below_one(capsys, n):
     assert code == 2
     assert "endorser" in stderr
     assert "accepted=" not in stdout
-
-
-def test_backend_env_variable(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("MULTISIG_BACKEND", "curve")
-    keys = tmp_path / "keys.json"
-    code, stdout, _ = run(capsys, "keygen", "--count", "1", "--out",
-                          str(keys), "--seed", "1")
-    assert code == 0
-    assert "secp256k1" in stdout
-    doc = json.loads(keys.read_text())
-    assert doc["group"]["backend"] == "secp256k1"
-    monkeypatch.setenv("MULTISIG_BACKEND", "bogus")
-    code, stdout, stderr = run(capsys, "keygen", "--out", str(keys))
-    assert (code, stdout) == (2, "")
-    assert "unknown backend 'bogus'" in stderr
 
 
 def test_unknown_subcommand_exits_two(capsys):

@@ -114,3 +114,18 @@ def test_group_module_holds_no_cache_state():
                       or (isinstance(v, ast.Call)
                           and _callee(v) in ("dict", "list", "set"))]
     assert offenders == []
+
+
+def test_no_module_reads_the_environment():
+    # a seeded run's output is a function of its arguments alone: no
+    # setting arrives through an environment variable
+    names = {"environ", "environb", "getenv", "getenvb"}
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr in names:
+                offenders.append(f"{path.name}:{node.lineno}: {node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                offenders += [f"{path.name}:{node.lineno}: {alias.name}"
+                              for alias in node.names if alias.name in names]
+    assert offenders == []

@@ -200,7 +200,6 @@ def test_gms_online_is_one_exp_per_signer(toy, node_spans):
     keys = derive_keys(toy, 7, 3)
     spans = node_spans(toy)
     run = gms_sign(toy, tree, keys, M, seed=5)
-    assert run.attempts == 1
     assert all(spans.exponentiations(s.node) == 1 for s in run.sessions)
 
 
@@ -388,7 +387,7 @@ def test_sessions_must_come_from_offline_run(toy):
     gms_run = gms_sign(toy, tree, keys, M, seed=15)
     off = agms_offline(toy, tree, keys, seed=15)
     fake = type(off)(tree=off.tree, sessions=gms_run.sessions,
-                     agg_key=off.agg_key, c=off.c, attempts=1)
+                     agg_key=off.agg_key, c=off.c)
     with pytest.raises((MixedSessions, NonceReuse)):
         agms_online(toy, fake, M)
 

@@ -22,10 +22,11 @@ Two interchangeable backends sit behind one ``Group`` interface:
   interleaved width-5 wNAF loop, so ≈128 doublings instead of 256; its
   table of odd multiples is built on an isomorphic curve without an
   inversion, so converting the result is the one inversion.
-  Decoding a compressed element costs a modular square root (≈0.10 ms);
-  successful decodes are memoised in a bounded LRU (2,048 entries) that
-  each group owns, as it owns the tables of repeating bases, so the
-  subtree key aggregates that repeat on every signature decode once.
+  Hashes and key files encode a point compressed (33 bytes), whose
+  decode costs a modular square root (≈98 µs); tree payloads carry it
+  uncompressed (65 bytes), whose decode checks y² = x³ + 7 (≈1.4 µs).
+  The curve keeps no decode memo: a warm N = 64 ``agms_offline`` took
+  the same time with one and without (within 1.5%, either way).
   Slow by libsecp standards (≈0.12 ms per comb exponentiation, ≈0.55 ms
   through GLV; Python 3.11.7, 2-vCPU VM) but honest: every benchmark
   number is produced by the same code path the protocols use.
@@ -102,13 +103,6 @@ def derive_rng(seed: int | str, *parts: object) -> random.Random:
 
 # ── shared interface ────────────────────────────────────────────────────────
 
-# Both backends memoise successful decodes: the subtree key aggregates
-# arrive as the same bytes on every signature of one signer set.  At
-# N = 1024 an operation decodes 2,046 encodings, 1,023 of them seen 2,045
-# decodes earlier, so the memo holds 2,048.
-_DECODES = 2048
-
-
 class Group:
     """A prime-order cyclic group ⟨g1⟩ of order q with fixed-width codecs."""
 
@@ -117,14 +111,11 @@ class Group:
     g1: object
     identity: object
     element_len: int
+    wire_len: int
     scalar_len: int
 
-    def __init__(self, decode) -> None:
+    def __init__(self) -> None:
         self.ops_total = OpCounter()
-        # ``decode`` maps element_len bytes to an element or raises; a
-        # failed decode is not cached.  A plain function, not a bound
-        # method, so the memo does not refer back to the group.
-        self._decode_memo = functools.lru_cache(maxsize=_DECODES)(decode)
 
     # group operations -------------------------------------------------
 
@@ -205,14 +196,16 @@ class Group:
         return s
 
     def encode_element(self, x) -> bytes:
+        """The canonical ``element_len``-byte form: hash inputs, key files."""
+        raise NotImplementedError
+
+    def encode_wire(self, x) -> bytes:
+        """The ``wire_len``-byte form that tree payloads carry."""
         raise NotImplementedError
 
     def decode_element(self, data: bytes):
-        if len(data) != self.element_len:
-            raise BadLength(
-                f"element must be {self.element_len} bytes, got {len(data)}"
-            )
-        return self._decode_memo(bytes(data))
+        """The element either form encodes; the one way to read a point."""
+        raise NotImplementedError
 
     # persistence ---------------------------------------------------------
 
@@ -244,6 +237,12 @@ def _is_prime(n: int) -> bool:
 _TOY_DIGIT_BITS = 10
 _TOY_DIGIT_MASK = (1 << _TOY_DIGIT_BITS) - 1
 
+# The toy group memoises successful decodes: the subtree key aggregates
+# arrive as the same bytes on every signature of one signer set.  At
+# N = 1024 an operation decodes 2,046 encodings, 1,023 of them seen 2,045
+# decodes earlier, so the memo holds 2,048.
+_TOY_DECODES = 2048
+
 
 def _toy_decode(p: int, q: int, data: bytes) -> int:
     """The subgroup element with big-endian encoding ``data``."""
@@ -265,7 +264,11 @@ class ToyGroup(Group):
     """
 
     def __init__(self, p: int, q: int, g: int):
-        super().__init__(functools.partial(_toy_decode, p, q))
+        super().__init__()
+        # a failed decode is not cached; a plain function, not a bound
+        # method, so the memo does not refer back to the group
+        self._decode_memo = functools.lru_cache(maxsize=_TOY_DECODES)(
+            functools.partial(_toy_decode, p, q))
         # bound the sizes before trial division, which a crafted key file
         # could otherwise keep busy for hours; comparisons (not int()) keep
         # a non-int value a TypeError.  q = 2 has one nonzero scalar, so
@@ -282,7 +285,7 @@ class ToyGroup(Group):
         self.q = q
         self.g1 = g
         self.identity = 1
-        self.element_len = max(2, (p.bit_length() + 7) // 8)
+        self.element_len = self.wire_len = max(2, (p.bit_length() + 7) // 8)
         self.scalar_len = max(2, (q.bit_length() + 7) // 8)
         self.group_id = f"toy:{p}:{q}:{g}"
         self._g1_rows: list | None = None
@@ -321,6 +324,16 @@ class ToyGroup(Group):
 
     def encode_element(self, x: int) -> bytes:
         return x.to_bytes(self.element_len, "big")
+
+    # one form on every path; an alias, so a tree payload costs no extra call
+    encode_wire = encode_element
+
+    def decode_element(self, data: bytes) -> int:
+        if len(data) != self.element_len:
+            raise BadLength(
+                f"element must be {self.element_len} bytes, got {len(data)}"
+            )
+        return self._decode_memo(bytes(data))
 
     def descriptor(self) -> dict:
         return {"backend": "toy", "p": self.p, "q": self.q, "g": self.g1}
@@ -463,8 +476,8 @@ def _glv_split(e: int) -> tuple[int, int]:
 # over GLV, a table pays back after ≈100 exponentiations, so a base other
 # than g1 gets one on its _COMB_AFTER_USES-th use: endorsement keys are
 # fresh per transaction, reach 2–3 uses and stay on GLV.  Each
-# group owns its tables and use counts, bounded like its decode memo; g1
-# is a constant of the curve, so its one table is shared by every group.
+# group owns its tables and use counts, both bounded; g1 is a constant of
+# the curve, so its one table is shared by every group.
 _COMB_ROWS = 13
 _COMB_AFTER_USES, _COMB_TABLES, _COMB_USES_MAX = 16, 2, 1024
 _G1 = (_GX, _GY)
@@ -636,8 +649,9 @@ def _exp_glv(base, e: int):
     return _jac_to_affine((X, Y, (Z * u) % P))
 
 
-# Decoding costs a modular square root (≈0.8 of a g1 exponentiation);
-# each group memoises it.  Results are immutable tuples.
+# A compressed point costs a modular square root to decode, ≈0.8 of a g1
+# exponentiation, so tree payloads carry the uncompressed form, whose
+# decode checks the curve equation in a few field multiplications.
 def _decompress(data: bytes):
     """The point with 33-byte compressed SEC1 encoding ``data`` (02/03),
     or the identity for 33 zero bytes."""
@@ -658,19 +672,41 @@ def _decompress(data: bytes):
     return (px, py)
 
 
+def _parse_uncompressed(data: bytes):
+    """The point with 65-byte uncompressed SEC1 encoding ``data``
+    (04 ‖ x ‖ y), or the identity for 65 zero bytes.  Cofactor 1: a point
+    on the curve is a group element."""
+    if data[0] != 4:
+        if data == bytes(65):
+            return None
+        raise NonCanonical(f"bad uncompressed prefix {data[0]:#04x}")
+    px = int.from_bytes(data[1:33], "big")
+    py = int.from_bytes(data[33:], "big")
+    if px >= _P or py >= _P:
+        raise NonCanonical("coordinate >= field prime")
+    if (py * py - px * px * px - 7) % _P:
+        raise NotInGroup(f"({px}, {py}) is not on the curve")
+    return (px, py)
+
+
 class Secp256k1Group(Group):
     """secp256k1 over affine tuples; identity is ``None``.
 
-    Encoding is 33-byte compressed SEC1 (02/03 prefix + big-endian x);
-    the identity, which SEC1 has no compressed form for, is 33 zero bytes.
+    Two SEC1 encodings (SEC 1 v2.0, §2.3.3–2.3.4).  The canonical one,
+    which hashes and key files use, is 33-byte compressed (02/03 prefix +
+    big-endian x).  Tree payloads carry the 65-byte uncompressed form
+    (04 ‖ x ‖ y), which decodes without a square root.  SEC1 has no
+    compressed or uncompressed form for the identity; here it is all zero
+    bytes in either length.  ``decode_element`` reads both, by length.
     """
 
     def __init__(self) -> None:
-        super().__init__(_decompress)
+        super().__init__()
         self.q = _N
         self.g1 = _G1
         self.identity = None
         self.element_len = 33
+        self.wire_len = 65
         self.scalar_len = 32
         self.group_id = "secp256k1"
         self._comb_tables: dict = {}
@@ -741,6 +777,19 @@ class Secp256k1Group(Group):
         px, py = x
         prefix = b"\x03" if py & 1 else b"\x02"
         return prefix + px.to_bytes(32, "big")
+
+    def encode_wire(self, x) -> bytes:
+        if x is None:
+            return bytes(65)
+        px, py = x
+        return b"\x04" + px.to_bytes(32, "big") + py.to_bytes(32, "big")
+
+    def decode_element(self, data: bytes):
+        if len(data) == 65:
+            return _parse_uncompressed(data)
+        if len(data) == 33:
+            return _decompress(data)
+        raise BadLength(f"element must be 33 or 65 bytes, got {len(data)}")
 
     def descriptor(self) -> dict:
         return {"backend": "secp256k1"}

@@ -225,10 +225,13 @@ def commit(par: Group, tree: Tree, sessions):
 
     AGMS payloads carry (V_agg, X_agg), so the key aggregate is computed by
     the same tree pass that aggregates commitments — no separate
-    key-collection round.  Returns (V~, X~ or None, messages).
+    key-collection round.  A payload is ``encode_wire(V_agg)``, then for
+    AGMS ``encode_wire(X_agg)``: ``wire_len`` bytes each, 65 on the curve
+    (uncompressed, no square root to decode).  Returns (V~, X~ or None,
+    messages).
     """
-    el, g1 = par.element_len, par.g1
-    exp, mul, decode, encode = par.exp, par.mul, par.decode_element, par.encode_element
+    wl, g1 = par.wire_len, par.g1
+    exp, mul, decode, encode = par.exp, par.mul, par.decode_element, par.encode_wire
     aggregate_keys = sessions[0].scheme == "agms"
     V_agg = X_agg = None
 
@@ -238,9 +241,9 @@ def commit(par: Group, tree: Tree, sessions):
         V_agg = exp(g1, sess.v)
         X_agg = sess.key.public.y
         for _child, payload in child_payloads:
-            V_agg = mul(V_agg, decode(payload[:el]))
+            V_agg = mul(V_agg, decode(payload[:wl]))
             if aggregate_keys:
-                X_agg = mul(X_agg, decode(payload[el:]))
+                X_agg = mul(X_agg, decode(payload[wl:]))
         out = encode(V_agg)
         if aggregate_keys:
             out += encode(X_agg)
@@ -274,7 +277,7 @@ def challenge(par: Group, tree: Tree, sessions, c: int, V_ann) -> list:
     baseline = sessions[0].scheme == "cosi"
     payload = par.encode_scalar(c)
     if baseline:
-        payload += par.encode_element(V_ann)
+        payload += par.encode_wire(V_ann)
 
     def handler(node, data):
         sess = sessions[node]

@@ -233,6 +233,28 @@ def test_message_counts(toy):
         assert [msg.phase for msg in on.messages] == phases("announce", "respond")
 
 
+def _edge_bytes(messages, phase):
+    return {len(msg.payload) for msg in messages if msg.phase == phase}
+
+
+def test_tree_payloads_carry_wire_points(toy, curve):
+    # uncompressed SEC1 points on the curve's edges, element_len-sized ones
+    # on the toy group's
+    tree = build_tree(5, 2, 3)
+    el, sl = toy.element_len, toy.scalar_len
+    for par, agms, gms, cosi in ((curve, 130, 65, 32 + 65),
+                                 (toy, 2 * el, el, sl + el)):
+        keys = derive_keys(par, 5, 19)
+        off = agms_offline(par, tree, keys, seed=19)
+        assert _edge_bytes(off.messages, "commit") == {agms}
+        assert _edge_bytes(off.messages, "challenge") == {par.scalar_len}
+        run = gms_sign(par, tree, keys, M, seed=19)
+        assert _edge_bytes(run.messages, "commit") == {gms}
+        run = cosi_sign(par, tree, keys, M, seed=19)
+        assert _edge_bytes(run.messages, "challenge") == {cosi}
+        assert cosi_verify(par, run.agg_key, M, run.signature)
+
+
 def test_message_absent_from_offline_hashes(toy, hash_calls):
     tree = build_tree(7, 2, 3)
     keys = derive_keys(toy, 7, 10)
@@ -555,6 +577,22 @@ def test_key_file_round_trip(tmp_path, toy16):
     save_public_keys(pub, toy16, bare)
     _, pks = load_public_keys(pub)
     assert all(p.proof is None for p in pks)
+
+
+def test_curve_key_file_writes_compressed_and_reads_both_forms(tmp_path, curve):
+    keys = derive_keys(curve, 2, 20)
+    pub = tmp_path / "keys.json"
+    save_public_keys(pub, curve, keys)
+    doc = json.loads(pub.read_text())
+    assert [len(bytes.fromhex(e["y"])) for e in doc["keys"]] == [33, 33]
+    # the uncompressed form is the same point; every hash re-encodes it
+    # compressed, so the proofs still check
+    for entry, key in zip(doc["keys"], keys):
+        entry["y"] = curve.encode_wire(key.y).hex()
+    pub.write_text(json.dumps(doc))
+    _, pks = load_public_keys(pub)
+    assert [p.y for p in pks] == [k.y for k in keys]
+    assert all(key_verify(curve, p) for p in pks)
 
 
 def test_key_file_rejects_garbage(tmp_path, toy):

@@ -166,6 +166,31 @@ def default_list_size(q: int) -> int:
     return 4 * math.ceil(q ** (1.0 / 3.0))
 
 
+# The most list entries plus pair sums one ``solve`` may handle; k = 16
+# lists of the default 164 on q = 65521 take ≈0.48 M.
+_SOLVE_WORK_MAX = 2**20
+
+
+def _window(q: int, s_l: int, h: int) -> int:
+    """Level h's join keeps the pair sums within this of 0 mod q."""
+    return max(1, q // (2 * s_l ** h))
+
+
+def _solve_work(q: int, k: int, s_l: int) -> int:
+    """About how many entries and pair sums ``solve`` handles on k lists
+    of s_l values, or a count past ``_SOLVE_WORK_MAX``.  A join of lists
+    of L values over w residues keeps about L²·w'/w of its pair sums,
+    w' = 2·window + 1: once the window floors at 1, joins square lists."""
+    work, size, width = k * s_l, s_l, q
+    for h in range(1, k.bit_length() - 1):
+        work += (k >> h) * size * size
+        if work > _SOLVE_WORK_MAX:
+            return work
+        new_width = min(q, 2 * _window(q, s_l, h) + 1)
+        size, width = size * size * new_width // width, new_width
+    return work + 2 * size
+
+
 def _filtered_join(q: int, left, right, bound: int):
     out = []
     for v1, i1 in left:
@@ -190,7 +215,7 @@ def solve(q: int, lists):
     layers = [[(v % q, (i,)) for i, v in enumerate(lst)] for lst in lists]
     height = k.bit_length() - 1
     for h in range(1, height):
-        bound = max(1, q // (2 * s_l ** h))
+        bound = _window(q, s_l, h)
         layers = [
             _filtered_join(q, layers[t], layers[t + 1], bound)
             for t in range(0, len(layers), 2)
@@ -265,6 +290,9 @@ def ksum_forgery_attack(par: Group, *, target: str = "cosi", k: int = 4,
     s_l = default_list_size(par.q) if list_size is None else list_size
     if s_l < 1:
         raise ValueError(f"list size must be at least 1, got {s_l}")
+    if _solve_work(par.q, k, s_l) > _SOLVE_WORK_MAX:
+        raise ValueError(f"k={k} lists of {s_l} on q={par.q}: the solver's "
+                         f"joins would handle over {_SOLVE_WORK_MAX} entries")
     ell = k - 1
     htree = build_tree(n_honest, min_branching(n_honest), 3)
     if baseline:

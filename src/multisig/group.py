@@ -14,14 +14,15 @@ Two interchangeable backends sit behind one ``Group`` interface:
   two halves below 2^128.  Base ``g1`` then uses a fixed-base comb over
   signed 10-bit digits of both halves: a table of 13×512 affine
   multiples (6,656 points, ≈1.06 MiB, built once per process in
-  ≈45 ms) that the second half reads through the endomorphism, so
-  at most 26 mixed additions and no doublings.  A base that repeats,
-  such as the aggregate key every signature of one signer set is checked
-  against, gets the same table on its 16th use; at most two are kept,
-  oldest evicted.  Any other base runs both halves through one
+  ≈72 ms, the fastest of 20 timed builds) that the second half reads
+  through the endomorphism, so at most 26 mixed additions and no
+  doublings.  ``fixed_base(point)`` gives any other point such a table
+  of its own, held by the caller: ``schemes.AggregateKey`` asks for one
+  on its 16th check.  Every other base runs both halves through one
   interleaved width-5 wNAF loop, so ≈128 doublings instead of 256; its
   table of odd multiples is built on an isomorphic curve without an
-  inversion, so converting the result is the one inversion.
+  inversion, so converting the result is the one inversion.  The group
+  keeps no per-base state.
   Hashes and key files encode a point compressed (33 bytes), whose
   decode costs a modular square root (≈98 µs); tree payloads carry it
   uncompressed (65 bytes), whose decode checks y² = x³ + 7 (≈1.4 µs).
@@ -146,6 +147,11 @@ class Group:
             sp.wall_ns = time.perf_counter_ns() - t0
             sp.exponentiations = total.exponentiations - e0
             sp.multiplications = total.multiplications - m0
+
+    def fixed_base(self, point):
+        """A base ``exp`` raises like ``point``, for a caller that raises it
+        many times; ``pow`` needs no table, so here ``point`` itself."""
+        return point
 
     def is_element(self, x) -> bool:
         raise NotImplementedError
@@ -472,14 +478,11 @@ def _glv_split(e: int) -> tuple[int, int]:
 # k2 half reads the same rows through φ(x, y) = (β·x, y), one field
 # multiplication per digit, and a negative digit or half negates y.  So at
 # most 26 mixed additions and one inversion, no doublings, from 6,656
-# points (≈1.06 MiB) that take ≈45 ms to build.  Saving ≈0.4 ms a call
-# over GLV, a table pays back after ≈100 exponentiations, so a base other
-# than g1 gets one on its _COMB_AFTER_USES-th use: endorsement keys are
-# fresh per transaction, reach 2–3 uses and stay on GLV.  Each
-# group owns its tables and use counts, both bounded; g1 is a constant of
-# the curve, so its one table is shared by every group.
+# points (≈1.06 MiB) that take ≈72 ms to build.  g1 is a constant of the
+# curve, so its one table is built on first use and shared by every group.
+# Any other base gets a table only through ``fixed_base``, held by the
+# caller that asked; the group keeps none.
 _COMB_ROWS = 13
-_COMB_AFTER_USES, _COMB_TABLES, _COMB_USES_MAX = 16, 2, 1024
 _G1 = (_GX, _GY)
 _g1_comb_table: list | None = None
 
@@ -709,38 +712,23 @@ class Secp256k1Group(Group):
         self.wire_len = 65
         self.scalar_len = 32
         self.group_id = "secp256k1"
-        self._comb_tables: dict = {}
-        self._comb_uses: dict = {}
 
-    def _comb_table(self, base) -> list | None:
-        """The comb table for a non-identity ``base``, or None while it is
-        to go through GLV.  g1's table is built on first use and shared by
-        every group object; any other base counts one use per call."""
+    def fixed_base(self, point):
+        """``point``'s comb table, which ``exp`` takes as a base: ≈72 ms to
+        build, then ≈0.4 ms saved a call over GLV."""
+        return None if point is None else _build_comb(point)
+
+    def _exp(self, base, e: int):
         global _g1_comb_table
+        if base is None or e == 0:
+            return None
         if base == _G1:
             if _g1_comb_table is None:
                 _g1_comb_table = _build_comb(_G1)
-            return _g1_comb_table
-        table = self._comb_tables.get(base)
-        if table is not None:
-            return table
-        uses = self._comb_uses.get(base, 0) + 1
-        if uses < _COMB_AFTER_USES:
-            if len(self._comb_uses) >= _COMB_USES_MAX:
-                self._comb_uses.clear()
-            self._comb_uses[base] = uses
-            return None
-        self._comb_uses.pop(base, None)
-        if len(self._comb_tables) >= _COMB_TABLES:
-            del self._comb_tables[next(iter(self._comb_tables))]
-        table = self._comb_tables[base] = _build_comb(base)
-        return table
-
-    def _exp(self, base, e: int):
-        if base is None or e == 0:
-            return None
-        table = self._comb_table(base)
-        return _exp_glv(base, e) if table is None else _exp_comb(table, e)
+            base = _g1_comb_table
+        if type(base) is list:
+            return _exp_comb(base, e)
+        return _exp_glv(base, e)
 
     def _mul(self, a, b):
         if a is None:

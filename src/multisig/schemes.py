@@ -117,9 +117,19 @@ class KeyPair:
         return self.public.y
 
 
-@dataclass(frozen=True)
+# A comb table costs ≈100 GLV exponentiations to build, so a held key gets
+# one on its 16th check; endorsement keys see 2-3 checks and never do.
+_COMB_AFTER_CHECKS = 16
+
+
+@dataclass
 class AggregateKey:
+    """X~, with the checks made against it and, from the 16th, the
+    ``fixed_base`` verifiers raise; neither takes part in equality."""
+
     X: object
+    checks: int = field(default=0, compare=False, repr=False)
+    base: object = field(default=None, compare=False, repr=False)
 
 
 def keygen(par: Group, rng) -> KeyPair:
@@ -416,8 +426,15 @@ def cosi_sign(par: Group, tree: Tree, keys, m: bytes, *, seed) -> SignRun:
 
 # ── verification ─────────────────────────────────────────────────────────────
 
-def _agg_x(X):
-    return X.X if isinstance(X, AggregateKey) else X
+def _verify_base(par: Group, X):
+    """(X~, the base to raise): a raw point is its own base; an
+    ``AggregateKey`` counts the check and gets its base on the 16th."""
+    if not isinstance(X, AggregateKey):
+        return X, X
+    X.checks += 1
+    if X.checks == _COMB_AFTER_CHECKS:
+        X.base = par.fixed_base(X.X)
+    return X.X, X.X if X.base is None else X.base
 
 
 def verify(par: Group, X, m: bytes, sig: Signature) -> bool:
@@ -426,22 +443,22 @@ def verify(par: Group, X, m: bytes, sig: Signature) -> bool:
     Three exponentiations and one multiplication, independent of signer
     count — the verifier never learns how many keys are inside X~.
     """
-    X = _agg_x(X)
+    X, base = _verify_base(par, X)
     if not (0 < sig.c < par.q) or not (0 <= sig.s < par.q):
         return False
     e = hash_to_scalar(par, H3, [m])
     # Literal form: perfbench's expected_group_ops and test_smoke pin
     # exp_var == 2 here; ROADMAP item 7a moves both to recover_commitment.
-    V = par.exp(par.mul(par.exp(par.g1, sig.s), par.exp(X, e)), par.s_inv(sig.c))
+    V = par.exp(par.mul(par.exp(par.g1, sig.s), par.exp(base, e)), par.s_inv(sig.c))
     return challenge_hash(par, "agms", V, X, m) == sig.c
 
 
 def cosi_verify(par: Group, X, m: bytes, sig: Signature) -> bool:
     """Baseline verifier: V~ = g1^S * X~^(-c), accept iff H0(V~, m) == c."""
-    X = _agg_x(X)
+    X, base = _verify_base(par, X)
     if not (0 < sig.c < par.q) or not (0 <= sig.s < par.q):
         return False
-    V = par.mul(par.exp(par.g1, sig.s), par.exp(X, par.q - sig.c))
+    V = par.mul(par.exp(par.g1, sig.s), par.exp(base, par.q - sig.c))
     return challenge_hash(par, "cosi", V, X, m) == sig.c
 
 

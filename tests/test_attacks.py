@@ -202,3 +202,28 @@ def test_honest_keys_unaffected_by_attack_runs(toy16):
     kp = keygen(toy16, derive_rng(0, "key", 0))
     rogue_key_attack(toy16, [kp.public], b"m", seed=1, proof_attempts=5)
     assert key_verify(toy16, kp.public)
+
+
+@pytest.mark.parametrize("kwargs", [{"k": 32}, {"k": 1024}, {"k": 2**20},
+                                    {"list_size": 10000},
+                                    {"list_size": 10**9}])
+def test_ksum_refuses_unbounded_joins_before_any_key(toy16, monkeypatch,
+                                                    kwargs):
+    import multisig.attacks as attacks
+
+    def tripwire(*args, **kw):
+        raise AssertionError("a key was derived")
+
+    for name in ("bare_keygen", "derive_keys"):
+        monkeypatch.setattr(attacks, name, tripwire)
+    with pytest.raises(ValueError, match="solver's joins"):
+        ksum_forgery_attack(toy16, target="cosi", **kwargs)
+
+
+def test_default_ksum_sizes_fit_the_solver_bound():
+    from multisig.attacks import _SOLVE_WORK_MAX, _solve_work
+
+    for q in (251, 65521):
+        for k in (2, 4, 8, 16):
+            assert _solve_work(q, k, default_list_size(q)) <= _SOLVE_WORK_MAX
+    assert _solve_work(65521, 32, 164) > _SOLVE_WORK_MAX

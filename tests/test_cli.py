@@ -513,6 +513,24 @@ def test_bench_verify_time_flat_across_n(tmp_path, capsys):
     assert 0.5 < ratio < 2.0
 
 
+def test_bench_builds_no_comb_table_besides_g1s(tmp_path, capsys,
+                                               monkeypatch):
+    # each rep verifies against its own run's aggregate key, one check
+    # each, so no rep pays for a table that a later rep or scheme inherits
+    from multisig import group as group_mod
+
+    builds = []
+    real_build = group_mod._build_comb
+    monkeypatch.setattr(group_mod, "_g1_comb_table", None)
+    monkeypatch.setattr(group_mod, "_build_comb",
+                        lambda base: builds.append(base) or real_build(base))
+    code, _, _ = run(capsys, "bench", "--backend", "curve", "--schemes",
+                     "agms,gms", "--signers-list", "4", "--reps", "20",
+                     "--seed", "1", "--out", str(tmp_path / "bench.csv"))
+    assert code == 0
+    assert builds == [group_mod._G1]
+
+
 def test_bench_json_format(tmp_path, capsys):
     out = tmp_path / "bench.json"
     code, _, _ = run(capsys, "bench", "--schemes", "gms", "--signers-list",
@@ -570,6 +588,21 @@ def test_attack_ksum_signs_the_given_message(capsys, monkeypatch):
                      "--message", "pay someone else", "--seed", "0")
     assert code == 0
     assert seen and set(seen) == {b"pay someone else"}
+
+
+@pytest.mark.parametrize("argv", [
+    ("--k", "32"), ("--k", "64"), ("--k", "1024"), ("--k", "1048576"),
+    ("--list-size", "10000"), ("--list-size", "100000"),
+    ("--list-size", "1000000000"),
+])
+def test_attack_ksum_refuses_unbounded_joins(argv):
+    # each of these used to run on for seconds to hours: once the solver's
+    # window floors at 1, every join squares its lists
+    proc = run_child("attack", "ksum", *argv, "--seed", "0")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: k=")
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
 
 
 @pytest.mark.parametrize("argv, flag", [

@@ -1,6 +1,6 @@
 import pytest
 
-from multisig import schemes
+from multisig import group as group_mod, schemes
 from multisig.endorsement import (
     chaincode_stub,
     run_default_flow,
@@ -185,12 +185,18 @@ def test_signature_bytes_scale_as_reported(toy16):
         assert size(run_revised_flow, n) == single
 
 
-def test_endorsement_traffic_builds_no_comb_table():
-    # keys are fresh per transaction and used 2-3 times, below the 16 uses
-    # that buy a ≈60–85 ms comb table
+def test_endorsement_traffic_builds_no_comb_table(monkeypatch):
+    # keys are fresh per transaction and checked 2-3 times, below the 16
+    # checks that buy an aggregate key a ≈72 ms comb table
+    builds = []
+    real_build = group_mod._build_comb
+    monkeypatch.setattr(group_mod, "_build_comb",
+                        lambda base: builds.append(base) or real_build(base))
     curve = curve_group()
+    curve.exp(curve.g1, 1)               # g1's shared table, if not built yet
+    builds.clear()
     for i in range(3):
         for flow in (run_revised_flow, run_default_flow):
             rec = flow(curve, 4, PROPOSAL + b"%d" % i, seed=f"comb|{i}")
             assert rec.accepted
-    assert curve._comb_tables == {}
+    assert builds == []

@@ -60,20 +60,22 @@ def test_verify_has_two_exponentiations(curve):
 @pytest.mark.parametrize("make", [lambda: toy_group_for_order(1048573),
                                   curve_group], ids=["toy", "curve"])
 def test_recover_commitment_matches_literal_form(make):
-    # g1^(a/c) * Y^(b/c) against (g1^a * Y^b)^(1/c); the two random bases
-    # pass their 16th use, so on the curve both GLV and comb tables are hit
+    # g1^(a/c) * Y^(b/c) against (g1^a * Y^b)^(1/c); the last pool entry
+    # raises a random Y through a fixed base, so on the curve both GLV and
+    # a comb table other than g1's are hit
     par = make()
     rng = random.Random(25)
-    pool = [par.identity, par.g1] + [par.exp(par.g1, par.random_scalar(rng))
-                                     for _ in range(2)]
-    for i in range(48):
-        Y = pool[i % 4]
+    points = [par.identity, par.g1] + [par.exp(par.g1, par.random_scalar(rng))
+                                       for _ in range(2)]
+    pool = [(Y, Y) for Y in points] + [(par.fixed_base(points[3]), points[3])]
+    for i in range(50):
+        base, Y = pool[i % 5]
         a = 0 if i % 6 == 0 else rng.randrange(par.q)
         b = 0 if i % 6 == 1 else rng.randrange(par.q)
         c = rng.randrange(1, par.q)
         literal = par.exp(par.mul(par.exp(par.g1, a), par.exp(Y, b)),
                           par.s_inv(c))
-        assert gamma.recover_commitment(par, a, Y, b, c) == literal, (i, a, b, c)
+        assert gamma.recover_commitment(par, a, base, b, c) == literal, (i, a, b, c)
 
 
 def test_rejects_wrong_message_key_and_tampering(curve):
@@ -92,8 +94,9 @@ def test_rejects_wrong_message_key_and_tampering(curve):
 
 
 def test_verdicts_hold_across_comb_promotion():
-    # 40 signatures under one key: its 16th use builds the key's comb
-    # table, and every verdict matches one on a fresh group
+    # 40 signatures under one raw key: gamma.verify raises it through GLV
+    # every time and leaves the group as it found it, and every verdict
+    # matches the commitment recovered through the key's own comb table
     curve = curve_group()
     key = bare_keygen(curve, derive_rng(13, "key", 0))
     rng = random.Random(1994)
@@ -103,10 +106,15 @@ def test_verdicts_hold_across_comb_promotion():
         sig = gamma.sign_online(curve, key, gamma.precompute(curve, key, i), m)
         flipped = gamma.Signature(sig.c, sig.s ^ (1 << rng.randrange(255)))
         cases += [(m, sig), (m, flipped)]
+    before = {k: v for k, v in vars(curve).items() if k != "ops_total"}
     live = [gamma.verify(curve, key.y, m, sig) for m, sig in cases]
-    assert key.y in curve._comb_tables
-    uncached = [gamma.verify(curve_group(), key.y, m, sig) for m, sig in cases]
-    assert live == uncached == [True, False] * 40
+    assert {k: v for k, v in vars(curve).items() if k != "ops_total"} == before
+    fixed, yb = curve.fixed_base(key.y), curve.encode_element(key.y)
+    combed = [hash_to_scalar(curve, H0, [curve.encode_element(
+        gamma.recover_commitment(curve, sig.s, fixed,
+                                 hash_to_scalar(curve, H1, [m]), sig.c)), yb])
+              == sig.c for m, sig in cases]
+    assert live == combed == [True, False] * 40
 
 
 def test_many_keys_round_trip(toy):

@@ -1,3 +1,4 @@
+import copy
 import random
 import weakref
 
@@ -433,59 +434,37 @@ def test_curve_fast_exp_counts_once():
     x = curve.exp(curve.g1, 7, ops=ops)
     curve.exp(x, 9, ops=ops)
     assert ops.snapshot() == (2, 0)
-    # a base that repeats gets its own comb table on its K-th use; every
-    # call through it is still one exponentiation and matches the ladder
-    tables = curve._comb_tables
+    # a fixed base carries its own comb table; every call through it is
+    # still one exponentiation and matches the ladder
     base = curve.exp(curve.g1, 0xC0FFEE)
-    for _ in range(group_mod._COMB_AFTER_USES - 1):
-        assert curve.exp(base, 5) == _exp_glv(base, 5)
-    assert base not in tables
+    fixed = curve.fixed_base(base)
     rng = random.Random(1994)
     for e in _comb10_edge_scalars() + [rng.randrange(curve.q)
                                        for _ in range(50)] + [0]:
         total = curve.ops_total.exponentiations
         with curve.span() as sp:
-            got = curve.exp(base, e, ops=ops)
-        assert base in tables
+            got = curve.exp(fixed, e, ops=ops)
         assert got == _exp_ladder(base, e % curve.q) == _exp_glv(base, e), hex(e)
-        assert curve._exp(base, e) == _exp_ladder(base, e), hex(e)
+        assert curve._exp(fixed, e) == _exp_ladder(base, e), hex(e)
         assert sp.exponentiations == 1, hex(e)
         assert curve.ops_total.exponentiations - total == 1, hex(e)
-    assert list(tables) == [base]
+    assert curve.fixed_base(None) is None
+    assert curve.exp(curve.fixed_base(None), 5) is None
 
 
-def test_comb_cache_is_bounded(monkeypatch):
-    """Bookkeeping only: building and evaluating are stubbed out."""
+def _group_state(par) -> dict:
+    """A deep copy of everything ``par`` holds except its op totals."""
+    return {k: copy.deepcopy(v) for k, v in vars(par).items()
+            if k != "ops_total"}
+
+
+def test_curve_group_keeps_no_per_base_state():
     curve = curve_group()
-    tables, uses = curve._comb_tables, curve._comb_uses
-    k, cap = group_mod._COMB_AFTER_USES, group_mod._COMB_USES_MAX
-    built = []
-    monkeypatch.setattr(group_mod, "_build_comb",
-                        lambda base: built.append(base) or [base])
-    monkeypatch.setattr(group_mod, "_exp_glv", lambda base, e: None)
-    monkeypatch.setattr(group_mod, "_exp_comb", lambda table, e: table[0])
-    bases, pt = [], curve.g1
-    for _ in range(200 + cap + 10):
-        pt = curve._mul(pt, curve.g1)
-        bases.append(pt)
-    bases, fresh = bases[:200], bases[200:]
-    for _ in range(k - 1):                # K-1 uses each: no table yet
-        for base in bases:
-            assert curve.exp(base, 3) is None
-    assert built == [] and len(uses) == 200
-    for base in bases:                    # the K-th use builds one
-        assert curve.exp(base, 3) == base
-        assert len(tables) <= group_mod._COMB_TABLES and base in tables
-    assert built == bases
-    assert list(tables) == bases[-group_mod._COMB_TABLES:]
-    assert curve.exp(bases[-1], 3) == bases[-1] and len(built) == 200
-    assert curve.exp(bases[0], 3) is None   # evicted: counts from 1 again
-    assert len(built) == 200 and uses == {bases[0]: 1}
-    sizes = []
-    for base in fresh:                    # one use each, past the cap
-        curve.exp(base, 3)
-        sizes.append(len(uses))
-    assert max(sizes) == cap and sizes[-1] < cap and len(built) == 200
+    base = curve.exp(curve.g1, 0xBEEF)
+    before = _group_state(curve)
+    for e in range(1, 21):
+        assert curve.exp(base, e) == _exp_glv(base, e)
+    assert _group_state(curve) == before
 
 
 def test_g1_table_built_once_and_shared(monkeypatch):
@@ -502,8 +481,7 @@ def test_g1_table_built_once_and_shared(monkeypatch):
     assert a.exp(a.g1, 3) == b.exp(b.g1, 3) == _exp_ladder(a.g1, 3)
     a.exp(a.g1, 5)
     assert builds == [a.g1]
-    table = a._comb_table(a.g1)
-    assert builds == [a.g1]
+    table = group_mod._g1_comb_table
     assert len(table) == 13 and all(len(row) == 512 for row in table)
     assert table[1][0] == _exp_ladder(a.g1, 1024)
 
@@ -559,7 +537,7 @@ def test_comb_exp_makes_at_most_26_mixed_additions_and_one_inversion(
         curve, monkeypatch):
     """One mixed addition per nonzero digit of either half and no other
     group operation; the one inversion converts the result to affine."""
-    table = curve._comb_table(curve.g1)
+    table = curve.fixed_base(curve.g1)
     rng = random.Random(1024)
     cases = _comb10_edge_scalars() + [rng.randrange(1, curve.q)
                                       for _ in range(20)]
@@ -627,10 +605,10 @@ def test_glv_exp_matches_comb_and_reference_ladder(curve):
     # small scalars put the wNAF's first nonzero digit, and so the first
     # addition from the identity, at each table entry and digit boundary
     scalars = [1, 2, 3, 15, 16, 17, 31, 32, 33] + _glv_edge_scalars()
+    table = curve.fixed_base(curve.g1)
     for e in scalars:
         ref = _exp_ladder(curve.g1, e % n)
-        assert _exp_glv(curve.g1, e) == _exp_comb(curve._comb_table(curve.g1), e % n) \
-            == ref, hex(e)
+        assert _exp_glv(curve.g1, e) == _exp_comb(table, e % n) == ref, hex(e)
     for base in (x, (x[0], group_mod._P - x[1])):
         for e in scalars:
             assert _exp_glv(base, e) == _exp_ladder(base, e % n), hex(e)
@@ -763,14 +741,14 @@ def test_two_groups_share_no_cache_state():
     b.decode_element(data)
     assert a._decode_memo.cache_info().misses == 1
     assert b._decode_memo.cache_info().hits == 0
+    # a fixed base's table travels with the base, not with the group that
+    # built it, and neither curve group holds any per-base state
     a, b = curve_group(), curve_group()
+    before = _group_state(b)
     base = a.exp(a.g1, 7)
-    for _ in range(group_mod._COMB_AFTER_USES):
-        assert a.exp(base, 3) == _exp_ladder(base, 3)
-    assert list(a._comb_tables) == [base]
-    assert b._comb_tables == {} and b._comb_uses == {}
-    assert b.exp(base, 3) == _exp_ladder(base, 3)
-    assert b._comb_tables == {} and b._comb_uses == {base: 1}
+    fixed = a.fixed_base(base)
+    assert b.exp(fixed, 3) == b.exp(base, 3) == _exp_ladder(base, 3)
+    assert _group_state(a) == _group_state(b) == before
 
 
 # ── toy g1 table ─────────────────────────────────────────────────────────────

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import pytest
 
+from multisig import group as group_mod, schemes
 from multisig.errors import (
     BadLength,
     EmptySet,
@@ -162,8 +163,8 @@ def test_all_schemes_verify_on_curve(curve):
 
 
 def test_verdicts_hold_across_comb_promotion():
-    # 40 signatures under one X~: its 16th use builds X~'s comb table, and
-    # every verdict matches one on a fresh group per verify
+    # 40 signatures under one X~: its 16th check builds X~'s comb table, and
+    # every verdict matches one against the raw point on a fresh group
     curve = curve_group()
     tree, keys = build_tree(3, 2, 2), derive_keys(curve, 3, "comb")
     rng = random.Random(1994)
@@ -175,9 +176,35 @@ def test_verdicts_hold_across_comb_promotion():
         cases += [(m, run.signature), (m, Signature(c, s ^ (1 << rng.randrange(255))))]
     agg = run.agg_key
     live = [verify(curve, agg, m, sig) for m, sig in cases]
-    assert agg.X in curve._comb_tables
-    uncached = [verify(curve_group(), agg, m, sig) for m, sig in cases]
+    assert agg.base is not None and agg.checks == 80
+    uncached = [verify(curve_group(), agg.X, m, sig) for m, sig in cases]
     assert live == uncached == [True, False] * 40
+
+
+def test_held_aggregate_key_gets_its_table_on_the_16th_check(monkeypatch):
+    curve = curve_group()
+    tree, keys = build_tree(3, 2, 2), derive_keys(curve, 3, "held")
+    agg = key_aggregate(curve, keys)
+    cases = []
+    for i in range(4):
+        m = b"held %d" % i
+        sig = gms_sign(curve, tree, keys, m, seed=f"held|{i}").signature
+        cases += [(m, sig), (m, Signature(sig.c, sig.s ^ 1))]
+    builds = []
+    real_build = group_mod._build_comb
+    monkeypatch.setattr(group_mod, "_build_comb",
+                        lambda base: builds.append(base) or real_build(base))
+    curve.exp(curve.g1, 1)               # g1's shared table, if not built yet
+    builds.clear()
+    for check in range(1, 21):
+        m, sig = cases[check % len(cases)]
+        with curve.span() as sp:
+            ok = verify(curve, agg, m, sig)
+        assert sp.exponentiations == 3, check
+        assert ok == verify(curve, agg.X, m, sig) == (check % 2 == 0), check
+        assert builds == ([] if check < 16 else [agg.X]), check
+    assert agg.checks == 20
+    assert agg == schemes.AggregateKey(agg.X)   # the count and table are not compared
 
 
 def test_agms_online_zero_group_operations(toy, node_spans):

@@ -58,7 +58,7 @@ from .schemes import (
     respond,
     verify,
 )
-from .tree import build_tree, min_branching
+from .tree import build_tree
 
 __all__ = [
     "require_toy",
@@ -134,7 +134,7 @@ def rogue_key_attack(par: Group, honest_keys, message: bytes, *, seed=0,
 
     v = par.random_scalar(rng)
     c = challenge_hash(par, "cosi", par.exp(par.g1, v), X, message)
-    sig = Signature(c, par.s_add(v, par.s_mul(c, sk_a)))
+    sig = Signature(c, (v + c * sk_a) % par.q)
     baseline_accepts = cosi_verify(par, X, message, sig)
 
     accepted = sum(
@@ -169,6 +169,11 @@ def default_list_size(q: int) -> int:
 # The most list entries plus pair sums one ``solve`` may handle; k = 16
 # lists of the default 164 on q = 65521 take ≈0.48 M.
 _SOLVE_WORK_MAX = 2**20
+# The most candidates one retry may grind for the solver's k lists.  A
+# candidate (exponentiation, multiplication, hash) costs ≈45x a pair sum,
+# so the bound above alone admits seconds of grinding at k = 2.  2^16 grind
+# in under 0.5 s a retry; the defaults need at most 6,528 (k = 16).
+_GRIND_MAX = 2**16
 
 
 def _window(q: int, s_l: int, h: int) -> int:
@@ -290,11 +295,14 @@ def ksum_forgery_attack(par: Group, *, target: str = "cosi", k: int = 4,
     s_l = default_list_size(par.q) if list_size is None else list_size
     if s_l < 1:
         raise ValueError(f"list size must be at least 1, got {s_l}")
+    if k * s_l > _GRIND_MAX:
+        raise ValueError(f"k={k} lists of {s_l} on q={par.q}: the solver's "
+                         f"joins would need over {_GRIND_MAX} candidates")
     if _solve_work(par.q, k, s_l) > _SOLVE_WORK_MAX:
         raise ValueError(f"k={k} lists of {s_l} on q={par.q}: the solver's "
                          f"joins would handle over {_SOLVE_WORK_MAX} entries")
     ell = k - 1
-    htree = build_tree(n_honest, min_branching(n_honest), 3)
+    htree = build_tree(n_honest)
     if baseline:
         hkeys = [bare_keygen(par, derive_rng(seed, "honest-key", i))
                  for i in range(n_honest)]
@@ -344,18 +352,18 @@ def ksum_forgery_attack(par: Group, *, target: str = "cosi", k: int = 4,
             challenge(par, htree, session_states[j], lists[j][idx[j]],
                       announced[j][idx[j]])
             s_j, _ = respond(par, htree, session_states[j])
-            s_total = par.s_add(s_total, s_j)
+            s_total = (s_total + s_j) % par.q
 
         u_k = idx[-1]
         m_star = msgs[u_k]
         c_star = c_stars[u_k]
         if baseline:
-            s_star = par.s_add(s_total, par.s_mul(c_star, adv.sk))
+            s_star = (s_total + c_star * adv.sk) % par.q
             sig = Signature(c_star, s_star)
             ok = cosi_verify(par, x_forge, m_star, sig)
         else:
             e_star = hash_to_scalar(par, H3, [m_star])
-            s_star = par.s_sub(s_total, par.s_mul(e_star, adv.sk))
+            s_star = (s_total - e_star * adv.sk) % par.q
             sig = Signature(c_star, s_star)
             ok = verify(par, x_forge, m_star, sig)
         if ok:

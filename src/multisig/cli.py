@@ -59,7 +59,7 @@ from .schemes import (
     write_file,
     write_signature,
 )
-from .tree import build_tree, min_branching, transcript_to_jsonl
+from .tree import build_tree, transcript_to_jsonl
 
 DEFAULT_SEED = 1729
 MAX_SIZE = 2 ** 20  # any count: a run holds O(N) state; perfbench's N <= 1024
@@ -238,10 +238,7 @@ def cmd_simulate(args) -> int:
     _size(args.signers, "--signers")
     par = _resolve_group(args)
     seed, reproducible = _resolve_seed(args)
-    branching = args.branching
-    if branching is None:
-        branching = min_branching(args.signers, args.depth)
-    tree = build_tree(args.signers, branching, args.depth)
+    tree = build_tree(args.signers, args.branching, args.depth)
     keys = derive_keys(par, args.signers, seed)
     # keys stay on the seed so that keygen and verify pair up; nonces come
     # from a fresh seed unless --seed asks for a reproducible run
@@ -266,7 +263,7 @@ def cmd_simulate(args) -> int:
             "scheme": args.scheme,
             "backend": par.group_id,
             "signers": args.signers,
-            "branching": branching,
+            "branching": tree.branching,
             "depth": args.depth,
             "seed": seed,
             "attempts": 1,
@@ -337,10 +334,7 @@ def cmd_bench(args) -> int:
     rows = []
     for scheme in schemes_list:
         for n in n_list:
-            branching = args.branching
-            if branching is None:
-                branching = min_branching(n, args.depth)
-            tree = build_tree(n, branching, args.depth)
+            tree = build_tree(n, args.branching, args.depth)
             keys = derive_keys(par, n, f"{seed}|{n}")
             samples: dict[str, list] = {}
             for rep in range(args.reps):

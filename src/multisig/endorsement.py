@@ -40,7 +40,7 @@ from .schemes import (
     respond,
     verify,
 )
-from .tree import build_tree, min_branching
+from .tree import build_tree
 
 __all__ = [
     "StepMetrics",
@@ -124,7 +124,7 @@ def run_revised_flow(par: Group, n_endorsers: int, proposal: bytes, *, seed,
                      failing_endorsers=()) -> TransactionRecord:
     """Aggregated endorsement: offline sync, zero-exponentiation endorsing,
     one constant-size signature through ordering and validation."""
-    tree = build_tree(n_endorsers, min_branching(n_endorsers, depth), depth)
+    tree = build_tree(n_endorsers, max_depth=depth)
     endorser_keys = derive_keys(par, n_endorsers, f"{seed}|endorser")
     client_key = derive_keys(par, 1, f"{seed}|client")[0]
     if not all(key_verify(par, k.public) for k in endorser_keys):

@@ -71,7 +71,7 @@ def precompute(par: Group, key, seed: int | str) -> GammaNonce:
     V = par.exp(par.g1, v)
     c = hash_to_scalar(par, H0, [par.encode_element(V),
                                  par.encode_element(key.y)])
-    return GammaNonce(v, V, c, par.s_mul(v, c))
+    return GammaNonce(v, V, c, v * c % par.q)
 
 
 def sign_online(par: Group, key, nonce: GammaNonce, m: bytes) -> Signature:
@@ -81,7 +81,7 @@ def sign_online(par: Group, key, nonce: GammaNonce, m: bytes) -> Signature:
         raise NonceReuse("precomputed nonce already consumed")
     nonce.used = True
     e = hash_to_scalar(par, H1, [m])
-    s = par.s_sub(nonce.vc, par.s_mul(e, key.sk))
+    s = (nonce.vc - e * key.sk) % par.q
     return Signature(nonce.c, s)
 
 
@@ -94,8 +94,8 @@ def recover_commitment(par: Group, a: int, Y, b: int, c: int):
     base g1, and one multiplication.  Equal to the literal form for every
     group element Y, since 1/c exists mod the prime q; c must be nonzero.
     """
-    ci = par.s_inv(c)
-    return par.mul(par.exp(par.g1, par.s_mul(a, ci)), par.exp(Y, par.s_mul(b, ci)))
+    q, ci = par.q, par.s_inv(c)
+    return par.mul(par.exp(par.g1, a * ci % q), par.exp(Y, b * ci % q))
 
 
 def verify(par: Group, y, m: bytes, sig: Signature) -> bool:

@@ -164,15 +164,6 @@ class Group:
 
     # scalar field Z_q ---------------------------------------------------
 
-    def s_add(self, a: int, b: int) -> int:
-        return (a + b) % self.q
-
-    def s_sub(self, a: int, b: int) -> int:
-        return (a - b) % self.q
-
-    def s_mul(self, a: int, b: int) -> int:
-        return (a * b) % self.q
-
     def s_inv(self, a: int) -> int:
         if a % self.q == 0:
             raise InvOfZero("no inverse of 0 mod q")

@@ -117,8 +117,13 @@ class KeyPair:
         return self.public.y
 
 
-# A comb table costs ≈100 GLV exponentiations to build, so a held key gets
-# one on its 16th check; endorsement keys see 2-3 checks and never do.
+# A comb table takes ≈72 ms to build and saves ≈0.43 ms a check (≈0.12 ms
+# against ≈0.55 ms for GLV), so it pays back after ≈170 checks on one key.
+# Only a long-running verifier makes 3 or more: perfbench's held
+# ``SignState.agg`` (≈1.1 checks per operation).  Endorsement keys see 2
+# checks, and ``verify`` and ``bench`` 1 per key.  At 16 the held key gets
+# its table early in each sign-curve-64 run; moving the threshold moves
+# that build, which the run's verify_ms.p90 can show.
 _COMB_AFTER_CHECKS = 16
 
 
@@ -155,7 +160,7 @@ def prove_possession(par: Group, sk: int, y, rng) -> KeyProof:
     a = hash_to_scalar(par, H1, [par.encode_element(par.g1),
                                  par.encode_element(par.exp(par.g1, r))])
     b = hash_to_scalar(par, H2, [par.encode_element(y)])
-    return KeyProof(a, par.s_sub(par.s_mul(r, a), par.s_mul(b, sk)))
+    return KeyProof(a, (r * a - b * sk) % par.q)
 
 
 def key_verify(par: Group, pk: PublicKey) -> bool:

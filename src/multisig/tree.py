@@ -31,7 +31,6 @@ from typing import NamedTuple
 from .errors import CapacityExceeded, HandlerFailure
 
 __all__ = [
-    "Direction",
     "Phase",
     "Message",
     "Tree",
@@ -43,20 +42,15 @@ __all__ = [
 ]
 
 
-class Direction(Enum):
-    DOWN = "down"  # root to leaves
-    UP = "up"      # leaves to root
-
-
 class Phase(Enum):
-    ANNOUNCE = ("announce", Direction.DOWN)
-    COMMIT = ("commit", Direction.UP)
-    CHALLENGE = ("challenge", Direction.DOWN)
-    RESPOND = ("respond", Direction.UP)
+    ANNOUNCE = ("announce", True)   # down: root to leaves
+    COMMIT = ("commit", False)      # up: leaves to root
+    CHALLENGE = ("challenge", True)
+    RESPOND = ("respond", False)
 
-    def __init__(self, label: str, direction: Direction):
+    def __init__(self, label: str, down: bool):
         self.label = label
-        self.direction = direction
+        self.down = down
 
 
 class Message(NamedTuple):
@@ -69,6 +63,7 @@ class Message(NamedTuple):
 @dataclass(frozen=True)
 class Tree:
     n: int
+    branching: int         # the fan-out the tree was built with
     parent: tuple          # parent[i] is None for the root
     children: tuple        # children[i] is a tuple of node ids
     levels: tuple          # node ids grouped by depth, root level first
@@ -103,8 +98,12 @@ def min_branching(n: int, max_depth: int = 3) -> int:
     return b
 
 
-def build_tree(n: int, branching: int, max_depth: int = 3) -> Tree:
-    """BFS-numbered b-ary tree: node 0 is the leader, fill level by level."""
+def build_tree(n: int, branching: int | None = None,
+               max_depth: int = 3) -> Tree:
+    """BFS-numbered b-ary tree: node 0 is the leader, fill level by level.
+    With no ``branching``, the fan-out is ``min_branching(n, max_depth)``."""
+    if branching is None:
+        branching = min_branching(n, max_depth)
     if n < 1:
         raise ValueError("need at least one node")
     if branching < 1:
@@ -121,6 +120,7 @@ def build_tree(n: int, branching: int, max_depth: int = 3) -> Tree:
         start = b * start + 1
     return Tree(
         n=n,
+        branching=b,
         parent=(None, *[i // b for i in range(n - 1)]),
         children=inner + ((),) * (n - len(inner)),
         levels=tuple(levels),
@@ -137,17 +137,17 @@ def run_phase(tree: Tree, phase: Phase, handler, *,
               root_input: bytes | None = None) -> PhaseResult:
     """Execute one phase over the tree.
 
-    DOWN phases: handler(node, payload_from_parent) -> payload for children;
-    the root receives ``root_input``.  UP phases: handler(node,
-    [(child, payload), ...]) -> payload for parent; the root's output lands
-    in ``PhaseResult.root_output``.
+    Down phases (``phase.down``): handler(node, payload_from_parent) ->
+    payload for children; the root receives ``root_input``.  Up phases:
+    handler(node, [(child, payload), ...]) -> payload for parent; the
+    root's output lands in ``PhaseResult.root_output``.
     """
     result = PhaseResult()
     label, children = phase.label, tree.children
     append, new = result.messages.append, tuple.__new__
     inbox: list = [None] * tree.n
     try:
-        if phase.direction is Direction.DOWN:
+        if phase.down:
             inbox[0] = root_input
             for level in tree.levels:
                 for node in level:

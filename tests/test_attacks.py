@@ -206,7 +206,9 @@ def test_honest_keys_unaffected_by_attack_runs(toy16):
 
 @pytest.mark.parametrize("kwargs", [{"k": 32}, {"k": 1024}, {"k": 2**20},
                                     {"list_size": 10000},
-                                    {"list_size": 10**9}])
+                                    {"list_size": 10**9},
+                                    {"k": 2, "list_size": 262000,
+                                     "retries": 1}])
 def test_ksum_refuses_unbounded_joins_before_any_key(toy16, monkeypatch,
                                                     kwargs):
     import multisig.attacks as attacks

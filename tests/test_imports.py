@@ -129,3 +129,17 @@ def test_no_module_reads_the_environment():
                 offenders += [f"{path.name}:{node.lineno}: {alias.name}"
                               for alias in node.names if alias.name in names]
     assert offenders == []
+
+
+def test_only_tree_picks_the_fan_out():
+    # build_tree works out the default fan-out itself, so a caller cannot
+    # pair a signer count with a fan-out for another depth
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "tree.py":
+            continue
+        offenders += [f"{path.name}:{node.lineno}"
+                      for node in ast.walk(ast.parse(path.read_text()))
+                      if isinstance(node, ast.Call)
+                      and _callee(node) == "min_branching"]
+    assert offenders == []

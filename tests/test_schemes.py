@@ -380,9 +380,8 @@ def test_response_linearity(toy):
         run = gms_sign(toy, tree, keys, M, seed=seed)
         total = 0
         for sess in run.sessions:
-            total = toy.s_add(total, toy.s_sub(
-                toy.s_mul(sess.v, run.signature.c),
-                toy.s_mul(e, sess.key.sk)))
+            total = (total + sess.v * run.signature.c
+                     - e * sess.key.sk) % toy.q
         assert total == run.signature.s
 
 
@@ -502,7 +501,7 @@ def test_nodes_refuse_a_zero_challenge(backend, scheme, curve):
             continue
         S, _ = respond(par, tree, sessions)
         e = hash_to_scalar(par, H3, [M])
-        leaked = par.s_mul(par.s_sub(0, S), par.s_inv(e))
+        leaked = -S * par.s_inv(e) % par.q
         assert leaked == sum(k.sk for k in keys) % par.q
         pytest.fail(f"c = 0 accepted: -S/e is the key sum of {n} node(s)")
 
@@ -571,8 +570,7 @@ def test_known_nonce_seed_does_not_reveal_the_aggregate_key(backend, curve,
     sum_sk = sum(k.sk for k in keys) % par.q
 
     def unwind(vs):
-        return par.s_mul(par.s_sub(par.s_mul(c, sum(vs) % par.q), S),
-                         par.s_inv(e))
+        return (c * sum(vs) - S) * par.s_inv(e) % par.q
 
     # the algebra is right: the signers' own nonces unwind the signature
     assert unwind([sess.v for sess in run.sessions]) == sum_sk

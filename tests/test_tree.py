@@ -7,7 +7,6 @@ from multisig import schemes
 from multisig.errors import CapacityExceeded, HandlerFailure
 from multisig.group import toy_group_for_order
 from multisig.tree import (
-    Direction,
     Message,
     Phase,
     PhaseResult,
@@ -130,7 +129,7 @@ def test_messages_per_full_run():
         t = build_tree(n, 2, 3)
         total = 0
         for phase in Phase:
-            if phase.direction.value == "down":
+            if phase.down:
                 total += len(run_phase(t, phase, lambda _, p: p, root_input=b"x").messages)
             else:
                 total += len(run_phase(t, phase, lambda _, ps: b"y").messages)
@@ -228,7 +227,7 @@ def _reference_run_phase(tree, phase, handler, *, root_input=None):
     """The straightforward loop run_phase is checked against: one dict
     inbox, one loop for both directions, ``Message(...)`` per edge."""
     result = PhaseResult()
-    down = phase.direction is Direction.DOWN
+    down = phase.down
     inbox = {0: root_input}
     for level in tree.levels if down else reversed(tree.levels):
         for node in level:
@@ -274,7 +273,7 @@ def _phase_runs(tree, run, fail_at=None):
     out = {}
     for phase in Phase:
         handler, calls = _recording_handler(fail_at)
-        kwargs = {"root_input": b"r"} if phase.direction is Direction.DOWN else {}
+        kwargs = {"root_input": b"r"} if phase.down else {}
         try:
             out[phase] = calls, run(tree, phase, handler, **kwargs)
         except HandlerFailure as exc:
@@ -297,7 +296,7 @@ def test_run_phase_matches_the_reference_loop(n, branching, shuffled_levels):
             assert all(type(m) is Message for m in got.messages)
             assert [(m.phase, m.src, m.dst, m.payload) for m in got.messages] == [
                 tuple(m) for m in want.messages]
-            if phase.direction is Direction.UP:
+            if not phase.down:
                 assert got.root_output is not None
 
 
@@ -325,7 +324,10 @@ def _reference_capacity(branching, max_depth):
 
 def _reference_build_tree(n, branching, max_depth=3):
     """The fill loop build_tree is checked against: the closed-form fit,
-    then each parent, level by level, takes up to b of the next ids."""
+    then each parent, level by level, takes up to b of the next ids.  With
+    no branching, the fan-out is the reference search's."""
+    if branching is None:
+        branching = _reference_min_branching(n, max_depth)
     if n < 1:
         raise ValueError("need at least one node")
     if branching < 1:
@@ -347,7 +349,7 @@ def _reference_build_tree(n, branching, max_depth=3):
                 level.append(next_id)
                 next_id += 1
         levels.append(level)
-    return Tree(n=n, parent=tuple(parent),
+    return Tree(n=n, branching=branching, parent=tuple(parent),
                 children=tuple(tuple(c) for c in children),
                 levels=tuple(tuple(lv) for lv in levels))
 
@@ -376,13 +378,17 @@ _GRID_N = [*range(1, 81), 100, 255, 511, 512, 1023, 1024, 1100, 4096]
 def test_build_tree_matches_the_reference_fill_loop():
     cases = 0
     for n in _GRID_N:
-        for branching in range(12):
+        for branching in (None, *range(12)):
             for depth in range(-2, 6):
                 got = _outcome(build_tree, n, branching, depth)
                 want = _outcome(_reference_build_tree, n, branching, depth)
                 assert got == want, (n, branching, depth)
+                if isinstance(got, Tree):
+                    used = (_reference_min_branching(n, depth)
+                            if branching is None else branching)
+                    assert got.branching == used, (n, branching, depth)
                 cases += 1
-    assert cases == 8448
+    assert cases == 9152
 
 
 def test_min_branching_matches_the_closed_form():

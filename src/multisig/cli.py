@@ -42,6 +42,7 @@ from .errors import (
 )
 from .group import Group, curve_group, derive_rng, toy_group, toy_group_for_order
 from .schemes import (
+    SCHEMES,
     agms_offline,
     agms_online,
     bare_keygen,
@@ -324,7 +325,7 @@ def cmd_bench(args) -> int:
     _size(args.reps, "--reps")
     schemes_list = _comma_list(args.schemes, str.strip, "--schemes")
     for scheme in schemes_list:
-        if scheme not in ("gms", "agms", "cosi"):
+        if scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {scheme!r}")
     n_list = [_size(n, "--signers-list") for n in
               _comma_list(args.signers_list, int, "--signers-list")]
@@ -453,8 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate",
                        help="run one signing protocol over a signer tree")
-    p.add_argument("--scheme", choices=("gms", "agms", "cosi", "gamma"),
-                   default="agms")
+    p.add_argument("--scheme", choices=(*SCHEMES, "gamma"), default="agms")
     p.add_argument("--signers", type=int, default=3)
     p.add_argument("--branching", type=int, default=None,
                    help="tree fan-out (default: smallest that fits --depth)")
@@ -469,15 +469,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("verify", help="verify a signature file against keys")
-    p.add_argument("--scheme", choices=("gms", "agms", "cosi", "gamma"),
-                   default="agms")
+    p.add_argument("--scheme", choices=(*SCHEMES, "gamma"), default="agms")
     p.add_argument("--keys", required=True)
     p.add_argument("--signature", required=True)
     p.add_argument("--message", required=True)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("bench", help="wall-clock and operation-count sweep")
-    p.add_argument("--schemes", default="gms,agms,cosi")
+    p.add_argument("--schemes", default=",".join(SCHEMES))
     p.add_argument("--signers-list", default="4,16,64,256,1024,4096")
     p.add_argument("--reps", type=int, default=20)
     p.add_argument("--branching", type=int, default=None)

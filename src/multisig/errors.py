@@ -50,10 +50,7 @@ class CapacityExceeded(MultisigError):
 
 
 class HandlerFailure(MultisigError):
-    """A per-node handler raised during phase execution.
-
-    Carries the failing node id so multi-node traces stay debuggable.
-    """
+    """A per-node handler raised during a phase; ``node`` names which."""
 
     def __init__(self, node: int, cause: BaseException):
         super().__init__(f"handler failed at node {node}: {cause!r}")

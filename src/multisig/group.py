@@ -336,9 +336,9 @@ class ToyGroup(Group):
         return {"backend": "toy", "p": self.p, "q": self.q, "g": self.g1}
 
 
-def toy_group(p: int = 23, q: int = 11, g: int = 2) -> ToyGroup:
-    """The worked-example group (defaults p=23, q=11, g=2)."""
-    return ToyGroup(p, q, g)
+def toy_group() -> ToyGroup:
+    """The worked-example group: p=23, q=11, g=2."""
+    return ToyGroup(23, 11, 2)
 
 
 def toy_group_for_order(q: int) -> ToyGroup:

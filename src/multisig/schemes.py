@@ -18,14 +18,14 @@ offline; announcing the message and aggregating responses run online with
 zero group operations per node.  Given the same per-node nonces both
 schemes emit byte-identical signatures, which the tests pin.
 
-All three run the same four tree rounds through one public step API —
-``open_sessions``, ``announce``, ``commit``, ``challenge`` and ``respond``
-— in one straight line: every hash is a nonzero scalar, so a challenge
-never forces fresh nonces.  ``challenge_hash`` is the one definition of c
-that signers, verifiers and the attack demos share.  A session's scheme
-decides what each step does: whether commit also aggregates keys (AGMS),
-whether challenge is checked against H0(V~, m) (baseline), and the
-response shape.  Steps run over ``tree.run_phase`` so every byte on every
+All three, named once in ``SCHEMES``, run the same four tree rounds
+through one public step API — ``open_sessions``, ``announce``,
+``commit``, ``challenge`` and ``respond`` — in one straight line: every
+hash is a nonzero scalar, so a challenge never forces fresh nonces.
+``challenge_hash`` is the one definition of c that signers, verifiers and
+the attack demos share.  A session's scheme decides what each step does:
+whether commit also aggregates keys (AGMS), whether challenge is checked
+against H0(V~, m) (baseline), and the response shape.  Steps run over ``tree.run_phase`` so every byte on every
 edge lands in a transcript, and carry only protocol state: a step is
 metered from outside, with ``Group.span()``.
 """
@@ -49,6 +49,7 @@ from .hashing import H0, H1, H2, H3, derive_nonces, hash_to_scalar
 from .tree import Phase, Tree, run_phase
 
 __all__ = [
+    "SCHEMES",
     "KeyProof",
     "PublicKey",
     "KeyPair",
@@ -85,6 +86,8 @@ __all__ = [
 ]
 
 _NONCE_TAG = b"multisig/nonce"  # gamma tokens use their own tag
+
+SCHEMES = ("gms", "agms", "cosi")  # the steps refuse any other name
 
 
 # ── keys ─────────────────────────────────────────────────────────────────────
@@ -133,8 +136,8 @@ class AggregateKey:
     ``fixed_base`` verifiers raise; neither takes part in equality."""
 
     X: object
-    checks: int = field(default=0, compare=False, repr=False)
-    base: object = field(default=None, compare=False, repr=False)
+    checks: int = field(default=0, init=False, compare=False, repr=False)
+    base: object = field(default=None, init=False, compare=False, repr=False)
 
 
 def keygen(par: Group, rng) -> KeyPair:
@@ -200,7 +203,7 @@ def derive_keys(par: Group, n: int, seed) -> list[KeyPair]:
 class SigningSession:
     """Per-node state for one signature; nonces are strictly one-time."""
 
-    scheme: str                 # "gms", "agms" or "cosi"
+    scheme: str                 # one of SCHEMES
     node: int
     key: KeyPair
     v: int
@@ -217,8 +220,10 @@ def open_sessions(par: Group, scheme: str, tree: Tree, keys,
     Node i's nonce is ``derive_nonces`` over (seed, i, sk_i), so the
     seed alone cannot unwind a signature into the aggregate secret key.  One
     seed must never sign two messages; callers that publish signatures pass
-    a fresh random seed.
+    a fresh random seed.  A scheme not in ``SCHEMES`` is a ValueError.
     """
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}")
     if len(keys) != tree.n:
         raise MixedSessions(f"{len(keys)} keys for a {tree.n}-node tree")
     vs = derive_nonces(par, _NONCE_TAG, seed, [k.sk for k in keys])
@@ -255,7 +260,7 @@ def commit(par: Group, tree: Tree, sessions):
         sess = sessions[node]
         V_agg = exp(g1, sess.v)
         X_agg = sess.key.public.y
-        for _child, payload in child_payloads:
+        for payload in child_payloads:
             V_agg = mul(V_agg, decode(payload[:wl]))
             if aggregate_keys:
                 X_agg = mul(X_agg, decode(payload[wl:]))
@@ -270,7 +275,9 @@ def commit(par: Group, tree: Tree, sessions):
 
 
 def challenge_hash(par: Group, scheme: str, V_agg, X, m: bytes | None) -> int:
-    """c = H0(V~, m) for the baseline, H0(g1, V~, X~) for GMS/AGMS."""
+    """c = H0(V~, m) for "cosi", H0(g1, V~, X~) for "gms" and "agms"."""
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}")
     Vb = par.encode_element(V_agg)
     if scheme == "cosi":
         return hash_to_scalar(par, H0, [Vb, m])
@@ -340,7 +347,7 @@ def respond(par: Group, tree: Tree, sessions):
             s = sess.v + sess.c * sess.key.sk
         else:
             s = sess.vc - hash_to_scalar(par, H3, [sess.m]) * sess.key.sk
-        for _child, payload in child_payloads:
+        for payload in child_payloads:
             s += decode_scalar(payload)
         return encode_scalar(s)     # reduces the sum mod q
 
@@ -372,15 +379,14 @@ class OfflineRun:
 
 def _rounds_before_respond(par: Group, scheme: str, tree: Tree, keys,
                            m: bytes | None, seed) -> OfflineRun:
-    """Open sessions, announce m (AGMS offline has no m yet), commit, hash
-    the challenge and distribute it.  Nothing restarts: no challenge is 0."""
-    agg = None if scheme == "agms" else key_aggregate(par, keys)
+    """Open sessions, announce m (AGMS offline has no m yet), commit (AGMS's
+    also aggregates the keys), hash the challenge and distribute it.
+    Nothing restarts: no challenge is 0."""
     sessions = open_sessions(par, scheme, tree, keys, seed)
     messages = announce(tree, sessions, m) if m is not None else []
     V_agg, X_agg, msgs = commit(par, tree, sessions)
     messages += msgs
-    if scheme == "agms":
-        agg = AggregateKey(X_agg)
+    agg = AggregateKey(X_agg) if scheme == "agms" else key_aggregate(par, keys)
     c = challenge_hash(par, scheme, V_agg, agg.X, m)
     messages += challenge(par, tree, sessions, c, V_agg)
     return OfflineRun(tree, sessions, agg, c, messages)

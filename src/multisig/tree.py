@@ -12,11 +12,12 @@ run over N nodes moves exactly 4*(N-1) messages.
 
 ``run_phase`` drives one phase given a per-node handler and records the
 full transcript as ``Message`` tuples (an immutable ``NamedTuple``: phase,
-src, dst, payload).  Each is built as ``tuple.__new__(Message, (...))``,
-the same object ``Message(...)`` makes without its Python-level
-``__new__`` call, and what a node hears waits in a list indexed by node
-id.  Handlers are ordinary functions; any exception they raise is wrapped
-in HandlerFailure tagged with the node id.  Handlers run one at a time,
+src, dst, payload), each built by ``tuple.__new__`` to skip the
+Python-level ``Message.__new__``.  What a node hears waits in a list
+indexed by node id.  An up-phase handler hears its children's payloads as
+a list, in child order; each ``Message.src`` says who sent which.
+Handlers are ordinary functions; any exception they raise is wrapped in
+HandlerFailure tagged with the node id.  Handlers run one at a time,
 level by level, in the order ``Tree.levels`` lists them; a caller that
 wants another processing order passes a tree whose levels are permuted.
 """
@@ -139,8 +140,8 @@ def run_phase(tree: Tree, phase: Phase, handler, *,
 
     Down phases (``phase.down``): handler(node, payload_from_parent) ->
     payload for children; the root receives ``root_input``.  Up phases:
-    handler(node, [(child, payload), ...]) -> payload for parent; the
-    root's output lands in ``PhaseResult.root_output``.
+    handler(node, [payload per child, in ``tree.children`` order]) ->
+    payload for parent; the root's output lands in ``PhaseResult.root_output``.
     """
     result = PhaseResult()
     label, children = phase.label, tree.children
@@ -159,17 +160,14 @@ def run_phase(tree: Tree, phase: Phase, handler, *,
         parent = tree.parent
         for level in reversed(tree.levels):
             for node in level:
-                kids = children[node]
-                arg = [(ch, inbox[ch]) for ch in kids] if kids else []
-                out = handler(node, arg)
+                kids = children[node]  # a leaf skips the comprehension's call
+                out = handler(node, [inbox[ch] for ch in kids] if kids else [])
                 p = parent[node]
                 if p is None:
                     result.root_output = out
                 else:
                     inbox[node] = out
                     append(new(Message, (label, node, p, out)))
-    except HandlerFailure:
-        raise
     except Exception as exc:  # noqa: BLE001 - deliberate wrap with node id
         raise HandlerFailure(node, exc) from exc
     return result

@@ -223,9 +223,21 @@ def test_ksum_refuses_unbounded_joins_before_any_key(toy16, monkeypatch,
 
 
 def test_default_ksum_sizes_fit_the_solver_bound():
-    from multisig.attacks import _SOLVE_WORK_MAX, _solve_work
+    from multisig.attacks import _GRIND_MAX, _SOLVE_WORK_MAX, _solve_work
 
     for q in (251, 65521):
         for k in (2, 4, 8, 16):
             assert _solve_work(q, k, default_list_size(q)) <= _SOLVE_WORK_MAX
     assert _solve_work(65521, 32, 164) > _SOLVE_WORK_MAX
+    # q = 1048573 lists 408 values: k = 16 is refused by the join cap, and
+    # k = 8 takes 1,002,954 of its 1,048,576, a 4% headroom
+    s_l = default_list_size(1048573)
+    assert s_l == 408
+    for k in (2, 4, 8):
+        assert _solve_work(1048573, k, s_l) <= _SOLVE_WORK_MAX
+    assert _solve_work(1048573, 8, s_l) == 1_002_954
+    assert _solve_work(1048573, 16, s_l) == 1_338_240 > _SOLVE_WORK_MAX
+    # the grind cap never binds a default: at most 16 * 408 = 6,528
+    grinds = [k * default_list_size(q) for q in (251, 65521, 1048573)
+              for k in (2, 4, 8, 16)]
+    assert max(grinds) == 6528 <= _GRIND_MAX == 2**16

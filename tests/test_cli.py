@@ -487,6 +487,13 @@ def test_commands_that_would_do_nothing_exit_two(capsys, argv):
     assert stdout == ""
 
 
+def test_bench_names_an_unknown_scheme(capsys):
+    code, stdout, stderr = run(capsys, "bench", "--schemes", "bogus")
+    assert code == 2
+    assert "unknown scheme 'bogus'" in stderr
+    assert stdout == ""
+
+
 def test_bench_rejects_zero_reps(capsys):
     code, _, stderr = run(capsys, "bench", "--reps", "0")
     assert code == 2

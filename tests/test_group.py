@@ -173,7 +173,7 @@ def test_toy_group_for_order():
     with pytest.raises(ValueError):
         toy_group_for_order(65520)                    # not prime
     with pytest.raises(ValueError):
-        toy_group(p=24, q=11, g=2)
+        ToyGroup(24, 11, 2)                           # p not prime
 
 
 def test_toy_group_bounds_sizes_before_primality():

@@ -17,6 +17,7 @@ from multisig.errors import (
 from multisig.group import curve_group, derive_rng, toy_group_for_order
 from multisig.hashing import H3, hash_to_scalar, serialize_items
 from multisig.schemes import (
+    SCHEMES,
     KeyProof,
     PublicKey,
     Signature,
@@ -25,6 +26,7 @@ from multisig.schemes import (
     announce,
     bare_keygen,
     challenge,
+    challenge_hash,
     commit,
     cosi_sign,
     cosi_verify,
@@ -466,6 +468,25 @@ def test_keys_must_match_tree(toy):
     keys = derive_keys(toy, 2, 16)
     with pytest.raises(MixedSessions):
         gms_sign(toy, tree, keys, M, seed=16)
+
+
+@pytest.mark.parametrize("name", ["cosy", "COSI", "gamma", ""])
+def test_only_the_named_schemes_open_sessions(toy16, name):
+    # an unknown name used to sign as GMS, byte for byte
+    tree = build_tree(7, 2, 3)
+    keys = derive_keys(toy16, 7, 18)
+    assert SCHEMES == ("gms", "agms", "cosi")
+    with pytest.raises(ValueError, match="unknown scheme"):
+        open_sessions(toy16, name, tree, keys, 18)
+
+
+@pytest.mark.parametrize("name", ["COSI", "cosy", "agms "])
+def test_challenge_hash_refuses_unknown_schemes(toy16, name):
+    # an unknown name used to hash as GMS/AGMS
+    keys = derive_keys(toy16, 2, 19)
+    X = key_aggregate(toy16, keys).X
+    with pytest.raises(ValueError, match="unknown scheme"):
+        challenge_hash(toy16, name, toy16.g1, X, M)
 
 
 def test_baseline_nodes_check_the_challenge(toy16):

@@ -72,7 +72,7 @@ def test_irregular_last_level():
 
 
 def _sum_up(node, child_payloads):
-    total = node + sum(int(p) for _, p in child_payloads)
+    total = node + sum(int(p) for p in child_payloads)
     return str(total).encode()
 
 
@@ -113,6 +113,22 @@ def test_bottom_up_fires_leaves_first():
     pos = {n: i for i, n in enumerate(order)}
     assert all(pos[leaf] < pos[mid] for leaf in (3, 4, 5, 6) for mid in (1, 2))
     assert pos[0] == 6
+
+
+def test_up_phase_hands_over_child_payloads_in_child_order():
+    # the handler hears payloads only; the transcript says who sent each
+    t = build_tree(7, 2, 3)
+    heard = {}
+
+    def note(node, child_payloads):
+        heard[node] = child_payloads
+        return bytes([node])
+
+    res = run_phase(t, Phase.COMMIT, note)
+    assert heard == {0: [b"\x01", b"\x02"], 1: [b"\x03", b"\x04"],
+                     2: [b"\x05", b"\x06"], 3: [], 4: [], 5: [], 6: []}
+    assert {m.src: m.payload for m in res.messages} == {
+        i: bytes([i]) for i in range(1, 7)}
 
 
 def test_message_directions_follow_the_tree():
@@ -232,11 +248,9 @@ def _reference_run_phase(tree, phase, handler, *, root_input=None):
     for level in tree.levels if down else reversed(tree.levels):
         for node in level:
             kids = tree.children[node]
-            arg = inbox[node] if down else [(ch, inbox[ch]) for ch in kids]
+            arg = inbox[node] if down else [inbox[ch] for ch in kids]
             try:
                 out = handler(node, arg)
-            except HandlerFailure:
-                raise
             except Exception as exc:  # noqa: BLE001 - the wrap under test
                 raise HandlerFailure(node, exc) from exc
             if down:

@@ -19,6 +19,7 @@ The package provides:
 from .errors import (
     BackendRefused,
     BadLength,
+    BadPayload,
     CapacityExceeded,
     EmptySet,
     HandlerFailure,

@@ -58,6 +58,16 @@ class HandlerFailure(MultisigError):
         self.cause = cause
 
 
+class BadPayload(MultisigError):
+    """A payload failed to decode at its receiver; ``src`` names the node
+    that sent it (``None`` for the root's own input)."""
+
+    def __init__(self, src: int | None, cause: BaseException):
+        super().__init__(f"bad payload from node {src}: {cause!r}")
+        self.src = src
+        self.cause = cause
+
+
 # -- attacks ----------------------------------------------------------------
 
 class BackendRefused(MultisigError):

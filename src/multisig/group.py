@@ -14,9 +14,10 @@ Two interchangeable backends sit behind one ``Group`` interface:
   two halves below 2^128.  Base ``g1`` then uses a fixed-base comb over
   signed 10-bit digits of both halves: a table of 13×512 affine
   multiples (6,656 points, ≈1.06 MiB, built once per process in
-  ≈72 ms, the fastest of 20 timed builds) that the second half reads
-  through the endomorphism, so at most 26 mixed additions and no
-  doublings.  ``fixed_base(point)`` gives any other point such a table
+  ≈70 ms, the fastest of 30 timed builds).  One Jacobian accumulator
+  takes the second half's rows, then the endomorphism once, then the
+  first half's rows: at most 26 mixed additions, no doublings and one
+  inversion.  ``fixed_base(point)`` gives any other point such a table
   of its own, held by the caller: ``schemes.AggregateKey`` asks for one
   on its 16th check.  Every other base runs both halves through one
   interleaved width-5 wNAF loop, so ≈128 doublings instead of 256; its
@@ -28,9 +29,10 @@ Two interchangeable backends sit behind one ``Group`` interface:
   uncompressed (65 bytes), whose decode checks y² = x³ + 7 (≈1.4 µs).
   The curve keeps no decode memo: a warm N = 64 ``agms_offline`` took
   the same time with one and without (within 1.5%, either way).
-  Slow by libsecp standards (≈0.12 ms per comb exponentiation, ≈0.55 ms
-  through GLV; Python 3.11.7, 2-vCPU VM) but honest: every benchmark
-  number is produced by the same code path the protocols use.
+  Slow by libsecp standards (≈0.20 ms per comb exponentiation, ≈0.9 ms
+  through GLV, the fastest of 30 interleaved rounds; Python 3.11.7,
+  2-vCPU VM) but honest: every benchmark number is produced by the same
+  code path the protocols use.
 
 Group elements are opaque to callers: ints for the toy backend, affine
 ``(x, y)`` tuples (or ``None`` for the identity) on the curve.  Scalars
@@ -370,7 +372,9 @@ _GX = 0x79BE667EF9DCBBAC55A06295CE870B07029BFCDB2DCE28D959F2815B16F81798
 _GY = 0x483ADA7726A3C4655DA4FBFC0E1108A8FD17B448A68554199C47D08FFB10D4B8
 
 # Jacobian coordinates (X, Y, Z) ~ (X/Z^2, Y/Z^3); Z=0 is the identity.
-_JAC_ID = (1, 1, 0)
+# Its X is 0: a mixed addition to it finds U2 = x2·Z² = 0 = X, so the one
+# special-case test in ``_exp_comb`` (H = U2 - X = 0) also catches it.
+_JAC_ID = (0, 1, 0)
 
 
 def _jac_double(pt):
@@ -465,14 +469,16 @@ def _glv_split(e: int) -> tuple[int, int]:
 # Fixed-base comb (Lim and Lee, CRYPTO 1994) over the two GLV halves above:
 # e = k1 + k2·λ with |k1|, |k2| < 2^128, and each half is recoded into 13
 # signed 10-bit digits in [-511, 512] (13 rows cover 2^129, one bit of
-# margin).  Row j holds the affine points d·1024^j·B for d = 1..512.  The
-# k2 half reads the same rows through φ(x, y) = (β·x, y), one field
-# multiplication per digit, and a negative digit or half negates y.  So at
-# most 26 mixed additions and one inversion, no doublings, from 6,656
-# points (≈1.06 MiB) that take ≈72 ms to build.  g1 is a constant of the
-# curve, so its one table is built on first use and shared by every group.
-# Any other base gets a table only through ``fixed_base``, held by the
-# caller that asked; the group keeps none.
+# margin).  Row j holds the affine points d·1024^j·B for d = 1..512.  One
+# Jacobian accumulator takes k2's rows first, giving k2·B.  φ, which in
+# Jacobian coordinates is (X, Y, Z) -> (β·X, Y, Z), then turns that into
+# k2·λ·B with one field multiplication, and k1's rows follow.  A negative
+# digit or half negates y.  So at most 26 mixed additions and one
+# inversion, no doublings, from 6,656 points (≈1.06 MiB) that take ≈70 ms
+# to build.  g1 is a constant of the curve, so its one table is built on
+# first use and shared by every group.  Any other base gets a table only
+# through ``fixed_base``, held by the caller that asked; the group keeps
+# none.
 _COMB_ROWS = 13
 _G1 = (_GX, _GY)
 _g1_comb_table: list | None = None
@@ -491,35 +497,50 @@ def _build_comb(base) -> list:
     return rows
 
 
-def _comb10_digits(k: int) -> list:
-    """Signed base-1024 digits of 0 <= k < 2^129, least significant first:
-    13 digits in [-511, 512] with k = sum(d_j·1024^j)."""
-    digits = []
-    for _ in range(_COMB_ROWS):
-        d = k & 1023
-        if d > 512:
-            d -= 1024
-        digits.append(d)
-        k = (k - d) >> 10
-    return digits
-
-
 def _exp_comb(table: list, e: int):
-    """B^e for any e >= 0, given B's comb ``table``: one mixed addition per
-    nonzero digit of either GLV half, so at most 26."""
+    """B^e for any e >= 0, given B's comb ``table``: k2's rows, φ, then
+    k1's rows, one mixed addition per nonzero digit (at most 26) and one
+    inversion.  Each half is recoded as it is read, low digit first: a
+    digit d above 512 is read as d - 1024, carrying 1 into the next.  As
+    in ``_exp_glv``, the addition is written out on local X, Y, Z; one
+    that would double or cancel, or that starts from the identity (H = 0
+    for all three), goes to ``_jac_madd``."""
+    P = _P
     k1, k2 = _glv_split(e)
-    acc = _JAC_ID
-    for k, phi in ((k1, False), (k2, True)):
-        flip = k < 0
-        for row, d in zip(table, _comb10_digits(abs(k))):
-            if d:
-                x, y = row[abs(d) - 1]
-                if phi:
-                    x = (_BETA * x) % _P
-                if (d < 0) != flip:
-                    y = _P - y
-                acc = _jac_madd(acc, (x, y))
-    return _jac_to_affine(acc)
+    X, Y, Z = _JAC_ID
+    for phi, k in ((True, k2), (False, k1)):
+        neg = k < 0
+        if neg:
+            k = -k
+        for row in table:
+            d = k & 1023
+            k >>= 10
+            if d > 512:
+                k += 1
+                x2, y2 = row[1023 - d]
+                if not neg:
+                    y2 = P - y2
+            elif d:
+                x2, y2 = row[d - 1]
+                if neg:
+                    y2 = P - y2
+            else:
+                continue
+            Z1Z1 = (Z * Z) % P
+            H = (x2 * Z1Z1 - X) % P
+            if not H:
+                X, Y, Z = _jac_madd((X, Y, Z), (x2, y2))
+                continue
+            R = (y2 * Z * Z1Z1) % P - Y
+            HH = (H * H) % P
+            HHH = (H * HH) % P
+            V = (X * HH) % P
+            X = (R * R - HHH - 2 * V) % P
+            Y = (R * (V - X) - Y * HHH) % P
+            Z = (Z * H) % P
+        if phi:
+            X = (_BETA * X) % P  # φ: k2·B becomes k2·λ·B
+    return _jac_to_affine((X, Y, Z))
 
 
 def _wnaf5(e: int) -> list:
@@ -705,8 +726,8 @@ class Secp256k1Group(Group):
         self.group_id = "secp256k1"
 
     def fixed_base(self, point):
-        """``point``'s comb table, which ``exp`` takes as a base: ≈72 ms to
-        build, then ≈0.4 ms saved a call over GLV."""
+        """``point``'s comb table, which ``exp`` takes as a base: ≈70 ms to
+        build, then ≈0.7 ms saved a call over GLV."""
         return None if point is None else _build_comb(point)
 
     def _exp(self, base, e: int):

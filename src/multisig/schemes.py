@@ -38,9 +38,12 @@ from pathlib import Path
 from typing import ClassVar
 
 from .errors import (
+    BadLength,
+    BadPayload,
     EmptySet,
     IoError,
     MixedSessions,
+    MultisigError,
     NonceReuse,
 )
 from .gamma import Signature, recover_commitment
@@ -120,8 +123,8 @@ class KeyPair:
         return self.public.y
 
 
-# A comb table takes ≈72 ms to build and saves ≈0.43 ms a check (≈0.12 ms
-# against ≈0.55 ms for GLV), so it pays back after ≈170 checks on one key.
+# A comb table takes ≈70 ms to build and saves ≈0.7 ms a check (≈0.20 ms
+# against ≈0.9 ms for GLV), so it pays back after ≈100 checks on one key.
 # Only a long-running verifier makes 3 or more: perfbench's held
 # ``SignState.agg`` (≈1.1 checks per operation).  Endorsement keys see 2
 # checks, and ``verify`` and ``bench`` 1 per key.  At 16 the held key gets
@@ -247,23 +250,38 @@ def commit(par: Group, tree: Tree, sessions):
     the same tree pass that aggregates commitments — no separate
     key-collection round.  A payload is ``encode_wire(V_agg)``, then for
     AGMS ``encode_wire(X_agg)``: ``wire_len`` bytes each, 65 on the curve
-    (uncompressed, no square root to decode).  Returns (V~, X~ or None,
-    messages).
+    (uncompressed, no square root to decode).  A payload of any other
+    length, or one that does not decode, is a ``BadPayload`` naming the
+    child that sent it.  Returns (V~, X~ or None, messages).
     """
-    wl, g1 = par.wire_len, par.g1
+    wl, g1, children = par.wire_len, par.g1, tree.children
     exp, mul, decode, encode = par.exp, par.mul, par.decode_element, par.encode_wire
     aggregate_keys = sessions[0].scheme == "agms"
+    size = 2 * wl if aggregate_keys else wl
     V_agg = X_agg = None
+
+    def read(payload):
+        if len(payload) != size:
+            raise BadLength(f"commit payload must be {size} bytes, "
+                            f"got {len(payload)}")
+        if aggregate_keys:
+            return decode(payload[:wl]), decode(payload[wl:])
+        return decode(payload), None
 
     def handler(node, child_payloads):
         nonlocal V_agg, X_agg
         sess = sessions[node]
         V_agg = exp(g1, sess.v)
         X_agg = sess.key.public.y
-        for payload in child_payloads:
-            V_agg = mul(V_agg, decode(payload[:wl]))
-            if aggregate_keys:
-                X_agg = mul(X_agg, decode(payload[wl:]))
+        try:
+            for payload in child_payloads:
+                V, X = read(payload)
+                V_agg = mul(V_agg, V)
+                if aggregate_keys:
+                    X_agg = mul(X_agg, X)
+        except MultisigError:
+            _name_sender(children[node], child_payloads, read)
+            raise
         out = encode(V_agg)
         if aggregate_keys:
             out += encode(X_agg)
@@ -294,20 +312,33 @@ def challenge(par: Group, tree: Tree, sessions, c: int, V_ann) -> list:
     v*c on arrival — their response shape is what the scheme's security
     leans on, not a per-node recomputation.  Every node refuses c = 0, which
     no hash yields: under it a GMS/AGMS response is -e*sk_i, the key itself.
+    A payload of any other length than ``scalar_len`` (plus ``wire_len``
+    for the baseline), or one that does not decode, is a ``BadPayload``
+    naming the parent that sent it.
     """
     sl, q, decode_scalar = par.scalar_len, par.q, par.decode_scalar
     baseline = sessions[0].scheme == "cosi"
+    size = sl + par.wire_len
+    parent = tree.parent
     payload = par.encode_scalar(c)
     if baseline:
         payload += par.encode_wire(V_ann)
 
     def handler(node, data):
         sess = sessions[node]
-        c = decode_scalar(data[:sl])
+        try:
+            if not baseline:
+                c = decode_scalar(data)
+            elif len(data) != size:
+                raise BadLength(f"challenge payload must be {size} bytes, "
+                                f"got {len(data)}")
+            else:
+                c, V = decode_scalar(data[:sl]), par.decode_element(data[sl:])
+        except MultisigError as exc:
+            raise BadPayload(parent[node], exc) from exc
         if c == 0:
             raise ValueError("challenge is 0")
         if baseline:
-            V = par.decode_element(data[sl:])
             if c != challenge_hash(par, "cosi", V, None, sess.m):
                 raise ValueError("challenge does not match announced aggregate")
         else:
@@ -316,6 +347,17 @@ def challenge(par: Group, tree: Tree, sessions, c: int, V_ann) -> list:
         return data
 
     return run_phase(tree, Phase.CHALLENGE, handler, root_input=payload).messages
+
+
+def _name_sender(srcs, payloads, read) -> None:
+    """Raise ``BadPayload`` naming the sender in ``srcs`` of the first of
+    ``payloads`` that ``read`` refuses: the slow path an up-phase handler
+    takes once its loop over the payloads has failed."""
+    for src, payload in zip(srcs, payloads):
+        try:
+            read(payload)
+        except MultisigError as exc:
+            raise BadPayload(src, exc) from exc
 
 
 def _refuse_spent(sessions) -> None:
@@ -331,7 +373,8 @@ def respond(par: Group, tree: Tree, sessions):
     GMS/AGMS nodes respond v*c - e*sk with e = H3(m); baseline nodes
     respond v + c*sk.  Returns (S~, messages).  The one place a session is
     spent: no session may have responded and every session must hold m
-    and c, or nothing runs and no session is spent.
+    and c, or nothing runs and no session is spent.  A child's payload
+    that does not decode is a ``BadPayload`` naming that child.
     """
     _refuse_spent(sessions)
     for sess in sessions:
@@ -339,6 +382,7 @@ def respond(par: Group, tree: Tree, sessions):
             raise MixedSessions(f"node {sess.node} missing announce/challenge state")
     baseline = sessions[0].scheme == "cosi"
     decode_scalar, encode_scalar = par.decode_scalar, par.encode_scalar
+    children = tree.children
 
     def handler(node, child_payloads):
         sess = sessions[node]
@@ -347,8 +391,12 @@ def respond(par: Group, tree: Tree, sessions):
             s = sess.v + sess.c * sess.key.sk
         else:
             s = sess.vc - hash_to_scalar(par, H3, [sess.m]) * sess.key.sk
-        for payload in child_payloads:
-            s += decode_scalar(payload)
+        try:
+            for payload in child_payloads:
+                s += decode_scalar(payload)
+        except MultisigError:
+            _name_sender(children[node], child_payloads, decode_scalar)
+            raise
         return encode_scalar(s)     # reduces the sum mod q
 
     res = run_phase(tree, Phase.RESPOND, handler)

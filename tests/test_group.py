@@ -11,7 +11,6 @@ from multisig.group import (
     ToyGroup,
     _JAC_ID,
     _P,
-    _comb10_digits,
     _decompress,
     _exp_comb,
     _exp_glv,
@@ -511,7 +510,40 @@ def test_g1_comb_signed_digit_edges_match_reference_ladder(curve):
             == _exp_ladder(curve.g1, e), hex(e)
 
 
-def test_comb10_digits_reconstruct_the_scalar():
+def _comb10_digits(k: int) -> list:
+    """Signed base-1024 digits of 0 <= k < 2^129, least significant first:
+    13 digits in [-511, 512] with k = sum(d_j·1024^j).  The recoding
+    ``_exp_comb`` does inline, written out as a reference."""
+    digits = []
+    for _ in range(13):
+        d = k & 1023
+        if d > 512:
+            d -= 1024
+        digits.append(d)
+        k = (k - d) >> 10
+    return digits
+
+
+def _g1_table(curve):
+    curve.exp(curve.g1, 1)  # builds g1's shared table on first use
+    return group_mod._g1_comb_table
+
+
+def _logged(table, reads):
+    """``table`` with rows that append (row number, index) to ``reads`` on
+    every read: one read per nonzero digit, and each read one addition."""
+    class Row(list):
+        def __getitem__(self, i):
+            reads.append((self.j, i))
+            return super().__getitem__(i)
+
+    rows = [Row(row) for row in table]
+    for j, row in enumerate(rows):
+        row.j = j
+    return rows
+
+
+def test_comb10_digits_reconstruct_the_scalar(curve):
     n, lam = group_mod._N, group_mod._LAMBDA
     for k1, k2 in _comb10_edge_halves():
         assert _glv_split((k1 + k2 * lam) % n) == (k1, k2)
@@ -527,39 +559,57 @@ def test_comb10_digits_reconstruct_the_scalar():
         assert len(digits) == 13
         assert sum(d << (10 * j) for j, d in enumerate(digits)) == k
         assert all(-511 <= d <= 512 for d in digits)
+    # the comb reads row j at |d| - 1 for each nonzero digit, k2's first
+    reads = []
+    table = _logged(_g1_table(curve), reads)
+    for e in _comb10_edge_scalars() + [rng.randrange(n) for _ in range(20)]:
+        reads.clear()
+        _exp_comb(table, e)
+        k1, k2 = _glv_split(e)
+        assert reads == [(j, abs(d) - 1) for k in (k2, k1)
+                         for j, d in enumerate(_comb10_digits(abs(k))) if d]
 
 
 def test_comb_exp_makes_at_most_26_mixed_additions_and_one_inversion(
         curve, monkeypatch):
-    """One mixed addition per nonzero digit of either half and no other
-    group operation; the one inversion converts the result to affine."""
-    table = curve.fixed_base(curve.g1)
+    """One table read per nonzero digit of either half, each read one
+    mixed addition, and no other group operation; the one inversion
+    converts the result to affine.  The additions are written out in the
+    loop, so the rows count the reads."""
+    reads, inversions = [], []
+    table = _logged(_g1_table(curve), reads)
     rng = random.Random(1024)
     cases = _comb10_edge_scalars() + [rng.randrange(1, curve.q)
                                       for _ in range(20)]
     refs = [_exp_ladder(curve.g1, e) for e in cases]
-    madds, inversions = [], []
-    real_madd = group_mod._jac_madd
-
-    def counting_madd(p1, q2):
-        madds.append(q2)
-        return real_madd(p1, q2)
 
     def counting_pow(x, y, mod=None):
         if y == -1:
             inversions.append(mod)
         return pow(x, y, mod)
 
-    monkeypatch.setattr(group_mod, "_jac_madd", counting_madd)
     monkeypatch.setattr(group_mod, "pow", counting_pow, raising=False)
     counts = []
     for e, ref in zip(cases, refs):
-        madds.clear()
+        reads.clear()
         inversions.clear()
         assert _exp_comb(table, e) == ref, hex(e)
         assert inversions == [group_mod._P], hex(e)
-        counts.append(len(madds))
+        counts.append(len(reads))
     assert counts[0] == max(counts) == 26
+
+
+def test_comb_exp_adds_on_after_the_accumulator_cancels(curve):
+    """With row 0 in every row the comb sums its digits: 5 - 5·1024 +
+    7·1024² reads 5·B, -5·B and 7·B, so the accumulator returns to the
+    identity mid-run and must add on from there, in either half."""
+    flat = [_g1_table(curve)[0]] * 13
+    n, lam = curve.q, group_mod._LAMBDA
+    k = 5 - 5 * 1024 + 7 * 1024**2
+    assert _comb10_digits(k)[:3] == [5, -5, 7]
+    assert _glv_split(k) == (k, 0) and _glv_split(k * lam % n) == (0, k)
+    assert _exp_comb(flat, k) == _exp_ladder(curve.g1, 7)
+    assert _exp_comb(flat, k * lam % n) == _exp_ladder(curve.g1, 7 * lam % n)
 
 
 # ── GLV endomorphism ─────────────────────────────────────────────────────────
@@ -663,6 +713,67 @@ def test_jac_madd_handles_identity_and_equal_points(curve):
     assert _jac_madd(lifted, (x, p - y)) == group_mod._JAC_ID       # P + (-P)
     assert _jac_to_affine(_jac_madd(lifted, (x, y))) == curve.exp(curve.g1,
                                                                   24690)
+
+
+# ── OpenSSL as a second secp256k1 ────────────────────────────────────────────
+# These skip where the ``cryptography`` package is missing; the ladder tests
+# above check the same paths without it.
+
+@pytest.fixture(scope="module")
+def ec():
+    return pytest.importorskip("cryptography.hazmat.primitives.asymmetric.ec")
+
+
+def _openssl_point(ec, k: int):
+    """k·G from OpenSSL, as an affine (x, y), for 1 <= k < n."""
+    pub = ec.derive_private_key(k, ec.SECP256K1()).public_key().public_numbers()
+    return (pub.x, pub.y)
+
+
+def _openssl_scalars(n: int) -> list:
+    rng = random.Random(2048)
+    return [e for e in _comb10_edge_scalars() if e] + [
+        rng.randrange(1, n) for _ in range(40)]
+
+
+def test_g1_comb_and_fixed_base_match_openssl(curve, ec):
+    n = curve.q
+    b = 0x5EED
+    fixed = curve.fixed_base(_openssl_point(ec, b))
+    for e in _openssl_scalars(n):
+        assert curve.exp(curve.g1, e) == _openssl_point(ec, e), hex(e)
+        assert curve.exp(fixed, e) == _openssl_point(ec, b * e % n), hex(e)
+
+
+def test_glv_exp_x_matches_openssl_ecdh(curve, ec):
+    rng = random.Random(1976)
+    for _ in range(40):
+        b, e = rng.randrange(1, curve.q), rng.randrange(1, curve.q)
+        base = _openssl_point(ec, b)
+        peer = ec.EllipticCurvePublicNumbers(*base, ec.SECP256K1()).public_key()
+        shared = ec.derive_private_key(e, ec.SECP256K1()).exchange(ec.ECDH(), peer)
+        assert _exp_glv(base, e)[0].to_bytes(32, "big") == shared, hex(e)
+
+
+def test_sec1_decodes_match_openssl(curve, ec):
+    def openssl_decode(data):
+        pub = ec.EllipticCurvePublicKey.from_encoded_point(ec.SECP256K1(), data)
+        numbers = pub.public_numbers()
+        return (numbers.x, numbers.y)
+
+    rng = random.Random(1998)
+    for _ in range(20):
+        x = _openssl_point(ec, rng.randrange(1, curve.q))
+        for data in (curve.encode_element(x), curve.encode_wire(x)):
+            assert curve.decode_element(data) == openssl_decode(data) == x
+    # off the curve: y + 1 at 65 bytes, and an x with no y at 33 bytes
+    px, py = _openssl_point(ec, 0xC0FFEE)
+    x0 = next(x for x in range(1, 100) if pow(x**3 + 7, (_P - 1) // 2, _P) != 1)
+    for data in (_uncompressed(px, py + 1), b"\x02" + x0.to_bytes(32, "big")):
+        with pytest.raises(NotInGroup):
+            curve.decode_element(data)
+        with pytest.raises(ValueError):
+            openssl_decode(data)
 
 
 # ── per-group caches ─────────────────────────────────────────────────────────

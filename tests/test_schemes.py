@@ -7,10 +7,12 @@ import pytest
 from multisig import group as group_mod, schemes
 from multisig.errors import (
     BadLength,
+    BadPayload,
     EmptySet,
     HandlerFailure,
     IoError,
     MixedSessions,
+    NonCanonical,
     NonceReuse,
     NotInGroup,
 )
@@ -45,7 +47,7 @@ from multisig.schemes import (
     verify,
     write_signature,
 )
-from multisig.tree import build_tree
+from multisig.tree import Phase, build_tree
 
 M = b"msg"
 
@@ -525,6 +527,90 @@ def test_nodes_refuse_a_zero_challenge(backend, scheme, curve):
         leaked = -S * par.s_inv(e) % par.q
         assert leaked == sum(k.sk for k in keys) % par.q
         pytest.fail(f"c = 0 accepted: -S/e is the key sum of {n} node(s)")
+
+
+# ── strict payload lengths; a bad payload names its sender ──────────────────
+
+def _tamper(monkeypatch, phase, node, rewrite):
+    """Make ``node`` send ``rewrite(payload)`` in ``phase`` instead of its
+    honest payload."""
+    real = schemes.run_phase
+
+    def run_phase(tree, ph, handler, **kwargs):
+        if ph is phase:
+            honest = handler
+
+            def handler(n, arg):
+                out = honest(n, arg)
+                return rewrite(out) if n == node else out
+        return real(tree, ph, handler, **kwargs)
+
+    monkeypatch.setattr(schemes, "run_phase", run_phase)
+
+
+# trailing bytes used to be ignored and forwarded, and the signature
+# verified; junk of the right length was blamed on the honest receiver
+_BAD_PAYLOADS = pytest.mark.parametrize("rewrite, cause", [
+    (lambda p: p + bytes(8), BadLength),
+    (lambda p: b"\xff" * len(p), NonCanonical),
+], ids=["trailing", "junk"])
+
+
+def _committed(par, scheme):
+    """(tree, sessions, V~, c) for a 7-node binary tree (node 3's parent is
+    1, node 5's is 2) whose sessions have heard the message and committed."""
+    tree = build_tree(7, 2, 3)
+    keys = derive_keys(par, 7, 60)
+    sessions = open_sessions(par, scheme, tree, keys, 60)
+    announce(tree, sessions, M)
+    V_agg, X_agg, _ = commit(par, tree, sessions)
+    X = X_agg if scheme == "agms" else key_aggregate(par, keys).X
+    return tree, sessions, V_agg, challenge_hash(par, scheme, V_agg, X, M)
+
+
+def _raised(exc_info, node, src, cause):
+    """The receiver ``node`` raised; its cause names the sender ``src``."""
+    failure = exc_info.value
+    assert failure.node == node
+    assert isinstance(failure.cause, BadPayload)
+    assert failure.cause.src == src
+    assert isinstance(failure.cause.cause, cause)
+
+
+@_BAD_PAYLOADS
+@pytest.mark.parametrize("backend", ["toy", "curve"])
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_a_bad_commit_is_refused_naming_the_sender(
+        backend, scheme, rewrite, cause, toy16, curve, monkeypatch):
+    par = curve if backend == "curve" else toy16
+    tree = build_tree(7, 2, 3)
+    sessions = open_sessions(par, scheme, tree, derive_keys(par, 7, 60), 60)
+    _tamper(monkeypatch, Phase.COMMIT, 3, rewrite)
+    with pytest.raises(HandlerFailure) as exc:
+        commit(par, tree, sessions)
+    _raised(exc, 1, 3, cause)
+
+
+@_BAD_PAYLOADS
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_a_bad_challenge_is_refused_naming_the_sender(
+        scheme, rewrite, cause, toy16, monkeypatch):
+    tree, sessions, V_agg, c = _committed(toy16, scheme)
+    _tamper(monkeypatch, Phase.CHALLENGE, 1, rewrite)
+    with pytest.raises(HandlerFailure) as exc:
+        challenge(toy16, tree, sessions, c, V_agg)
+    _raised(exc, 3, 1, cause)
+
+
+@_BAD_PAYLOADS
+def test_a_bad_response_is_refused_naming_the_sender(
+        rewrite, cause, toy16, monkeypatch):
+    tree, sessions, V_agg, c = _committed(toy16, "gms")
+    challenge(toy16, tree, sessions, c, V_agg)
+    _tamper(monkeypatch, Phase.RESPOND, 5, rewrite)
+    with pytest.raises(HandlerFailure) as exc:
+        respond(toy16, tree, sessions)
+    _raised(exc, 2, 5, cause)
 
 
 # ── session nonces ───────────────────────────────────────────────────────────

@@ -59,8 +59,8 @@ class HandlerFailure(MultisigError):
 
 
 class BadPayload(MultisigError):
-    """A payload failed to decode at its receiver; ``src`` names the node
-    that sent it (``None`` for the root's own input)."""
+    """A receiver refused a payload; ``src`` names the node that sent it
+    (``None`` for the root's own input)."""
 
     def __init__(self, src: int | None, cause: BaseException):
         super().__init__(f"bad payload from node {src}: {cause!r}")

@@ -250,11 +250,12 @@ def commit(par: Group, tree: Tree, sessions):
     the same tree pass that aggregates commitments — no separate
     key-collection round.  A payload is ``encode_wire(V_agg)``, then for
     AGMS ``encode_wire(X_agg)``: ``wire_len`` bytes each, 65 on the curve
-    (uncompressed, no square root to decode).  A payload of any other
-    length, or one that does not decode, is a ``BadPayload`` naming the
-    child that sent it.  Returns (V~, X~ or None, messages).
+    (uncompressed, no square root to decode).  ``run_phase`` reads each
+    child's payload with ``read``, so a payload of any other length, or
+    one that does not decode, is a ``BadPayload`` naming the child that
+    sent it.  Returns (V~, X~ or None, messages).
     """
-    wl, g1, children = par.wire_len, par.g1, tree.children
+    wl, g1 = par.wire_len, par.g1
     exp, mul, decode, encode = par.exp, par.mul, par.decode_element, par.encode_wire
     aggregate_keys = sessions[0].scheme == "agms"
     size = 2 * wl if aggregate_keys else wl
@@ -268,26 +269,21 @@ def commit(par: Group, tree: Tree, sessions):
             return decode(payload[:wl]), decode(payload[wl:])
         return decode(payload), None
 
-    def handler(node, child_payloads):
+    def handler(node, child_aggregates):
         nonlocal V_agg, X_agg
         sess = sessions[node]
         V_agg = exp(g1, sess.v)
         X_agg = sess.key.public.y
-        try:
-            for payload in child_payloads:
-                V, X = read(payload)
-                V_agg = mul(V_agg, V)
-                if aggregate_keys:
-                    X_agg = mul(X_agg, X)
-        except MultisigError:
-            _name_sender(children[node], child_payloads, read)
-            raise
+        for V, X in child_aggregates:
+            V_agg = mul(V_agg, V)
+            if aggregate_keys:
+                X_agg = mul(X_agg, X)
         out = encode(V_agg)
         if aggregate_keys:
             out += encode(X_agg)
         return out
 
-    messages = run_phase(tree, Phase.COMMIT, handler).messages
+    messages = run_phase(tree, Phase.COMMIT, handler, read=read).messages
     # the root's handler runs last, so its aggregates are what is left
     return V_agg, X_agg if aggregate_keys else None, messages
 
@@ -313,8 +309,9 @@ def challenge(par: Group, tree: Tree, sessions, c: int, V_ann) -> list:
     leans on, not a per-node recomputation.  Every node refuses c = 0, which
     no hash yields: under it a GMS/AGMS response is -e*sk_i, the key itself.
     A payload of any other length than ``scalar_len`` (plus ``wire_len``
-    for the baseline), or one that does not decode, is a ``BadPayload``
-    naming the parent that sent it.
+    for the baseline), one that does not decode, a c of 0 and a baseline
+    c that is not H0(V_ann, m) are each a ``BadPayload`` naming the
+    parent that sent it (``None`` at the root, whose input is the caller's).
     """
     sl, q, decode_scalar = par.scalar_len, par.q, par.decode_scalar
     baseline = sessions[0].scheme == "cosi"
@@ -334,30 +331,18 @@ def challenge(par: Group, tree: Tree, sessions, c: int, V_ann) -> list:
                                 f"got {len(data)}")
             else:
                 c, V = decode_scalar(data[:sl]), par.decode_element(data[sl:])
-        except MultisigError as exc:
-            raise BadPayload(parent[node], exc) from exc
-        if c == 0:
-            raise ValueError("challenge is 0")
-        if baseline:
-            if c != challenge_hash(par, "cosi", V, None, sess.m):
+            if c == 0:
+                raise ValueError("challenge is 0")
+            if baseline and c != challenge_hash(par, "cosi", V, None, sess.m):
                 raise ValueError("challenge does not match announced aggregate")
-        else:
+        except (MultisigError, ValueError) as exc:
+            raise BadPayload(parent[node], exc) from exc
+        if not baseline:
             sess.vc = sess.v * c % q
         sess.c = c
         return data
 
     return run_phase(tree, Phase.CHALLENGE, handler, root_input=payload).messages
-
-
-def _name_sender(srcs, payloads, read) -> None:
-    """Raise ``BadPayload`` naming the sender in ``srcs`` of the first of
-    ``payloads`` that ``read`` refuses: the slow path an up-phase handler
-    takes once its loop over the payloads has failed."""
-    for src, payload in zip(srcs, payloads):
-        try:
-            read(payload)
-        except MultisigError as exc:
-            raise BadPayload(src, exc) from exc
 
 
 def _refuse_spent(sessions) -> None:
@@ -373,33 +358,29 @@ def respond(par: Group, tree: Tree, sessions):
     GMS/AGMS nodes respond v*c - e*sk with e = H3(m); baseline nodes
     respond v + c*sk.  Returns (S~, messages).  The one place a session is
     spent: no session may have responded and every session must hold m
-    and c, or nothing runs and no session is spent.  A child's payload
-    that does not decode is a ``BadPayload`` naming that child.
+    and c, or nothing runs and no session is spent.  ``run_phase`` decodes
+    each child's payload, so one that does not decode is a ``BadPayload``
+    naming that child.
     """
     _refuse_spent(sessions)
     for sess in sessions:
         if sess.m is None or sess.c is None:
             raise MixedSessions(f"node {sess.node} missing announce/challenge state")
     baseline = sessions[0].scheme == "cosi"
-    decode_scalar, encode_scalar = par.decode_scalar, par.encode_scalar
-    children = tree.children
+    encode_scalar = par.encode_scalar
 
-    def handler(node, child_payloads):
+    def handler(node, child_sums):
         sess = sessions[node]
         sess.responded = True
         if baseline:
             s = sess.v + sess.c * sess.key.sk
         else:
             s = sess.vc - hash_to_scalar(par, H3, [sess.m]) * sess.key.sk
-        try:
-            for payload in child_payloads:
-                s += decode_scalar(payload)
-        except MultisigError:
-            _name_sender(children[node], child_payloads, decode_scalar)
-            raise
+        for child_s in child_sums:
+            s += child_s
         return encode_scalar(s)     # reduces the sum mod q
 
-    res = run_phase(tree, Phase.RESPOND, handler)
+    res = run_phase(tree, Phase.RESPOND, handler, read=par.decode_scalar)
     return par.decode_scalar(res.root_output), res.messages
 
 

@@ -14,12 +14,15 @@ run over N nodes moves exactly 4*(N-1) messages.
 full transcript as ``Message`` tuples (an immutable ``NamedTuple``: phase,
 src, dst, payload), each built by ``tuple.__new__`` to skip the
 Python-level ``Message.__new__``.  What a node hears waits in a list
-indexed by node id.  An up-phase handler hears its children's payloads as
-a list, in child order; each ``Message.src`` says who sent which.
-Handlers are ordinary functions; any exception they raise is wrapped in
-HandlerFailure tagged with the node id.  Handlers run one at a time,
-level by level, in the order ``Tree.levels`` lists them; a caller that
-wants another processing order passes a tree whose levels are permuted.
+indexed by node id.  An up-phase handler hears its children's payloads,
+as the caller's ``read`` decodes them, in a list in child order; only the
+tree knows who sent which, so a payload ``read`` refuses is a
+``BadPayload`` naming that child.  A down-phase handler reads its
+parent's payload itself.  Handlers are ordinary functions; any exception
+they or ``read`` raise is wrapped in HandlerFailure tagged with the
+receiving node's id.  Handlers run one at a time, level by level, in the
+order ``Tree.levels`` lists them; a caller that wants another processing
+order passes a tree whose levels are permuted.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
 
-from .errors import CapacityExceeded, HandlerFailure
+from .errors import BadPayload, CapacityExceeded, HandlerFailure, MultisigError
 
 __all__ = [
     "Phase",
@@ -135,13 +138,15 @@ class PhaseResult:
 
 
 def run_phase(tree: Tree, phase: Phase, handler, *,
-              root_input: bytes | None = None) -> PhaseResult:
+              root_input: bytes | None = None, read=None) -> PhaseResult:
     """Execute one phase over the tree.
 
     Down phases (``phase.down``): handler(node, payload_from_parent) ->
     payload for children; the root receives ``root_input``.  Up phases:
-    handler(node, [payload per child, in ``tree.children`` order]) ->
-    payload for parent; the root's output lands in ``PhaseResult.root_output``.
+    handler(node, [read(payload) per child, in ``tree.children`` order]) ->
+    payload for parent, with raw payloads if ``read`` is None; the root's
+    output lands in ``PhaseResult.root_output``.  A ``MultisigError`` from
+    ``read`` is raised as ``BadPayload(child, exc)``.
     """
     result = PhaseResult()
     label, children = phase.label, tree.children
@@ -157,11 +162,16 @@ def run_phase(tree: Tree, phase: Phase, handler, *,
                         inbox[child] = out
                         append(new(Message, (label, node, child, out)))
             return result
-        parent = tree.parent
+        parent, read = tree.parent, read or (lambda payload: payload)
         for level in reversed(tree.levels):
             for node in level:
-                kids = children[node]  # a leaf skips the comprehension's call
-                out = handler(node, [inbox[ch] for ch in kids] if kids else [])
+                heard = []
+                try:
+                    for src in children[node]:
+                        heard.append(read(inbox[src]))
+                except MultisigError as exc:
+                    raise BadPayload(src, exc) from exc
+                out = handler(node, heard)
                 p = parent[node]
                 if p is None:
                     result.root_output = out

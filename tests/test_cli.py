@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import multisig
-from multisig import cli
+from multisig import cli, endorsement, gamma
 from multisig.cli import MAX_SIZE, main
 
 
@@ -713,6 +713,21 @@ def test_endorse_rejects_endorser_counts_below_one(capsys, n):
     assert code == 2
     assert "endorser" in stderr
     assert "accepted=" not in stdout
+
+
+@pytest.mark.parametrize("flow, checker", [("revised", endorsement),
+                                           ("default", gamma)])
+def test_a_failed_client_side_check_exits_one(capsys, monkeypatch, flow, checker):
+    # main's MultisigError branch: a refused endorsement is one error line
+    # on stderr and exit 1, with no report and no traceback
+    monkeypatch.setattr(checker, "verify", lambda *args: False)
+    code, stdout, stderr = run(capsys, "endorse", "--flow", flow,
+                               "--endorsers-list", "2", "--seed", "1")
+    assert code == 1
+    assert stdout == ""
+    assert stderr.startswith("error: ")
+    assert stderr.endswith("failed client-side check\n")
+    assert stderr.count("\n") == 1
 
 
 def test_unknown_subcommand_exits_two(capsys):

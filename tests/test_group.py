@@ -173,6 +173,8 @@ def test_toy_group_for_order():
         toy_group_for_order(65520)                    # not prime
     with pytest.raises(ValueError):
         ToyGroup(24, 11, 2)                           # p not prime
+    with pytest.raises(ValueError, match="divide"):
+        ToyGroup(23, 7, 2)                            # 7 does not divide 22
 
 
 def test_toy_group_bounds_sizes_before_primality():
@@ -183,7 +185,8 @@ def test_toy_group_bounds_sizes_before_primality():
     for p, q in ((2**40 + 1, 11), (23, 23), (5, 2)):
         with pytest.raises(ValueError, match=r"q < p < 2\^40"):
             ToyGroup(p, q, 2)
-    for desc in ({"p": 23, "q": "11", "g": 2}, {"p": 5, "q": 2, "g": 4}):
+    for desc in ({"p": 23, "q": "11", "g": 2}, {"p": 5, "q": 2, "g": 4},
+                 {"p": 23, "q": 7, "g": 2}):
         with pytest.raises(IoError):
             group_from_descriptor({"backend": "toy", **desc})
 

@@ -143,3 +143,17 @@ def test_only_tree_picks_the_fan_out():
                       if isinstance(node, ast.Call)
                       and _callee(node) == "min_branching"]
     assert offenders == []
+
+
+def test_only_the_tree_and_challenge_name_a_bad_sender():
+    # who sent a payload is a fact about the tree: run_phase names an
+    # up-phase sender, and a challenge's sender is its receiver's parent
+    builders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = ast.parse(path.read_text())
+        scopes = {id(node): fn.name for fn in module.body
+                  if isinstance(fn, ast.FunctionDef) for node in ast.walk(fn)}
+        builders += [f"{path.name}:{scopes.get(id(node))}"
+                     for node in ast.walk(module)
+                     if isinstance(node, ast.Call) and _callee(node) == "BadPayload"]
+    assert sorted(set(builders)) == ["schemes.py:challenge", "tree.py:run_phase"]

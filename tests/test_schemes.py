@@ -507,7 +507,8 @@ def test_baseline_nodes_check_the_challenge(toy16):
 def test_nodes_refuse_a_zero_challenge(backend, scheme, curve):
     # under c = 0 every node fixes v*c = 0 and responds -e*sk_i, so -S~/e is
     # the sum of the keys below the sender: the aggregate secret of seven
-    # nodes, or the own key of a leaf whose parent sends 0
+    # nodes, or the own key of a leaf whose parent sends 0.  The root
+    # refuses the caller's own 0, so the refusal names no sending node
     par = curve if backend == "curve" else toy_group_for_order(1048573)
     for n in (7, 1):
         tree = build_tree(n, 2, 3)
@@ -518,7 +519,10 @@ def test_nodes_refuse_a_zero_challenge(backend, scheme, curve):
         try:
             challenge(par, tree, sessions, 0, V_agg)
         except HandlerFailure as exc:
-            assert str(exc.cause) == "challenge is 0"
+            assert exc.node == 0
+            assert isinstance(exc.cause, BadPayload)
+            assert exc.cause.src is None
+            assert str(exc.cause.cause) == "challenge is 0"
             with pytest.raises(MixedSessions, match="challenge state"):
                 respond(par, tree, sessions)
             continue
@@ -611,6 +615,27 @@ def test_a_bad_response_is_refused_naming_the_sender(
     with pytest.raises(HandlerFailure) as exc:
         respond(toy16, tree, sessions)
     _raised(exc, 2, 5, cause)
+
+
+@pytest.mark.parametrize("backend", ["toy", "curve"])
+@pytest.mark.parametrize("scheme, relayed, message", [
+    ("gms", lambda c: 0, "challenge is 0"),
+    ("agms", lambda c: 0, "challenge is 0"),
+    ("cosi", lambda c: c + 1, "challenge does not match announced aggregate"),
+], ids=["gms", "agms", "cosi"])
+def test_a_refused_relayed_challenge_names_the_sender(
+        backend, scheme, relayed, message, toy16, curve, monkeypatch):
+    # a challenge that decodes but is refused names its sender too: node 1
+    # relays it, so its child 3 names 1
+    par = curve if backend == "curve" else toy16
+    tree, sessions, V_agg, c = _committed(par, scheme)
+    sl = par.scalar_len
+    _tamper(monkeypatch, Phase.CHALLENGE, 1,
+            lambda p: par.encode_scalar(relayed(c)) + p[sl:])
+    with pytest.raises(HandlerFailure) as exc:
+        challenge(par, tree, sessions, c, V_agg)
+    _raised(exc, 3, 1, ValueError)
+    assert str(exc.value.cause.cause) == message
 
 
 # ── session nonces ───────────────────────────────────────────────────────────

@@ -4,7 +4,13 @@ import json
 import pytest
 
 from multisig import schemes
-from multisig.errors import CapacityExceeded, HandlerFailure
+from multisig.errors import (
+    BadPayload,
+    CapacityExceeded,
+    HandlerFailure,
+    MultisigError,
+    NonCanonical,
+)
 from multisig.group import toy_group_for_order
 from multisig.tree import (
     Message,
@@ -239,17 +245,21 @@ def test_single_node_tree():
 
 # ── slow reference for run_phase ─────────────────────────────────────────────
 
-def _reference_run_phase(tree, phase, handler, *, root_input=None):
+def _reference_run_phase(tree, phase, handler, *, root_input=None, read=None):
     """The straightforward loop run_phase is checked against: one dict
-    inbox, one loop for both directions, ``Message(...)`` per edge."""
+    inbox, one loop for both directions, ``Message(...)`` per edge, and
+    each child's payload read on its own."""
     result = PhaseResult()
     down = phase.down
     inbox = {0: root_input}
     for level in tree.levels if down else reversed(tree.levels):
         for node in level:
             kids = tree.children[node]
-            arg = inbox[node] if down else [inbox[ch] for ch in kids]
             try:
+                if down:
+                    arg = inbox[node]
+                else:
+                    arg = [_reference_read(read, ch, inbox[ch]) for ch in kids]
                 out = handler(node, arg)
             except Exception as exc:  # noqa: BLE001 - the wrap under test
                 raise HandlerFailure(node, exc) from exc
@@ -267,9 +277,20 @@ def _reference_run_phase(tree, phase, handler, *, root_input=None):
     return result
 
 
+def _reference_read(read, src, payload):
+    """``payload`` as ``read`` decodes it; a refusal names ``src``."""
+    if read is None:
+        return payload
+    try:
+        return read(payload)
+    except MultisigError as exc:
+        raise BadPayload(src, exc) from exc
+
+
 def _recording_handler(fail_at=None):
-    """A handler whose output depends on the node and everything it heard,
-    and the list of (node, arg, type of arg) calls it saw."""
+    """A handler whose output is the node's id, then a digest of the node
+    and everything it heard, and the list of (node, arg, type of arg)
+    calls it saw."""
     calls = []
 
     def handler(node, arg):
@@ -277,21 +298,45 @@ def _recording_handler(fail_at=None):
         if node == fail_at:
             raise ValueError(f"node {node} fails")
         heard = repr(arg).encode()
-        return hashlib.sha256(node.to_bytes(2, "big") + heard).digest()[:4]
+        node_id = node.to_bytes(2, "big")
+        return node_id + hashlib.sha256(node_id + heard).digest()[:4]
 
     return handler, calls
 
 
-def _phase_runs(tree, run, fail_at=None):
-    """(calls, result or exception) per phase, through ``run``."""
+def _decode(payload):
+    """A read that turns a handler's output into (sender id, digest)."""
+    return int.from_bytes(payload[:2], "big"), payload[2:]
+
+
+def _refusing(bad):
+    """A read that refuses the payload node ``bad`` sent, by its content."""
+    def read(payload):
+        src, digest = _decode(payload)
+        if src == bad:
+            raise NonCanonical(f"refused {digest.hex()}")
+        return src, digest
+
+    return read
+
+
+def _phase_runs(tree, run, fail_at=None, read=None):
+    """(calls, result or failure) per phase, through ``run``; an up phase
+    reads with ``read``.  A failure is (node, type and text of its cause),
+    and for a ``BadPayload`` (node, sender, type and text of its cause)."""
     out = {}
     for phase in Phase:
         handler, calls = _recording_handler(fail_at)
-        kwargs = {"root_input": b"r"} if phase.down else {}
+        kwargs = {"root_input": b"r"} if phase.down else {"read": read}
         try:
             out[phase] = calls, run(tree, phase, handler, **kwargs)
         except HandlerFailure as exc:
-            out[phase] = calls, (exc.node, type(exc.cause), str(exc.cause))
+            cause = exc.cause
+            if isinstance(cause, BadPayload):
+                failure = (exc.node, cause.src, type(cause.cause), str(cause.cause))
+            else:
+                failure = (exc.node, type(cause), str(cause))
+            out[phase] = calls, failure
     return out
 
 
@@ -300,18 +345,20 @@ def _phase_runs(tree, run, fail_at=None):
 def test_run_phase_matches_the_reference_loop(n, branching, shuffled_levels):
     plain = build_tree(n, branching, n)
     for tree in (plain, shuffled_levels(plain, n + branching)):
-        fast, slow = _phase_runs(tree, run_phase), _phase_runs(tree, _reference_run_phase)
-        for phase in Phase:
-            (fast_calls, got), (slow_calls, want) = fast[phase], slow[phase]
-            assert fast_calls == slow_calls
-            assert got.messages == want.messages
-            assert got.root_output == want.root_output
-            assert len(got.messages) == n - 1
-            assert all(type(m) is Message for m in got.messages)
-            assert [(m.phase, m.src, m.dst, m.payload) for m in got.messages] == [
-                tuple(m) for m in want.messages]
-            if not phase.down:
-                assert got.root_output is not None
+        for read in (None, _decode):
+            fast = _phase_runs(tree, run_phase, read=read)
+            slow = _phase_runs(tree, _reference_run_phase, read=read)
+            for phase in Phase:
+                (fast_calls, got), (slow_calls, want) = fast[phase], slow[phase]
+                assert fast_calls == slow_calls
+                assert got.messages == want.messages
+                assert got.root_output == want.root_output
+                assert len(got.messages) == n - 1
+                assert all(type(m) is Message for m in got.messages)
+                assert [(m.phase, m.src, m.dst, m.payload) for m in got.messages] == [
+                    tuple(m) for m in want.messages]
+                if not phase.down:
+                    assert got.root_output is not None
 
 
 @pytest.mark.parametrize("n", [1, 7, 64])
@@ -324,6 +371,16 @@ def test_run_phase_fails_like_the_reference_loop(n, where):
     for phase in Phase:
         assert fast[phase] == slow[phase]
         assert fast[phase][1] == (fail_at, ValueError, f"node {fail_at} fails")
+    if n == 1:
+        return  # no child sends a payload to refuse
+    # the read refuses one child's payload: its parent fails, naming it
+    bad = fail_at if where == "leaf" else tree.children[0][-1]
+    fast = _phase_runs(tree, run_phase, read=_refusing(bad))
+    slow = _phase_runs(tree, _reference_run_phase, read=_refusing(bad))
+    for phase in Phase:
+        assert fast[phase] == slow[phase]
+        if not phase.down:
+            assert fast[phase][1][:3] == (tree.parent[bad], bad, NonCanonical)
 
 
 # ── slow reference for build_tree and min_branching ─────────────────────────

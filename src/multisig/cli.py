@@ -42,6 +42,7 @@ from .errors import (
 )
 from .group import Group, curve_group, derive_rng, toy_group, toy_group_for_order
 from .schemes import (
+    MAX_KEYS,
     SCHEMES,
     agms_offline,
     agms_online,
@@ -63,7 +64,7 @@ from .schemes import (
 from .tree import build_tree, transcript_to_jsonl
 
 DEFAULT_SEED = 1729
-MAX_SIZE = 2 ** 20  # any count: a run holds O(N) state; perfbench's N <= 1024
+MAX_SIZE = MAX_KEYS  # the cap on any count is the cap on a key file's keys
 _USAGE_ERRORS = (BackendRefused, BadLength, CapacityExceeded, IoError,
                  NonCanonical, NotInGroup, ValueError)
 

@@ -12,12 +12,12 @@ Two interchangeable backends sit behind one ``Group`` interface:
 * ``Secp256k1Group`` — the standard 256-bit curve group, pure python.
   Every exponentiation splits the scalar with the GLV endomorphism into
   two halves below 2^128.  Base ``g1`` then uses a fixed-base comb over
-  signed 10-bit digits of both halves: a table of 13×512 affine
-  multiples (6,656 points, ≈1.06 MiB, built once per process in
-  ≈70 ms, the fastest of 30 timed builds).  One Jacobian accumulator
+  signed 12-bit digits of both halves: a table of 11 rows, 10 of 2,048
+  affine multiples and one of 512 (20,992 points, packed one int each,
+  ≈2.1 MiB, built once per process in ≈60 ms).  One Jacobian accumulator
   takes the second half's rows, then the endomorphism once, then the
-  first half's rows: at most 26 mixed additions, no doublings and one
-  inversion.  ``fixed_base(point)`` gives any other point such a table
+  first half's rows: at most 22 mixed additions, no doublings and one
+  inversion.  ``fixed_base(point)`` gives any other point a 10-bit table
   of its own, held by the caller: ``schemes.AggregateKey`` asks for one
   on its 16th check.  Every other base runs both halves through one
   interleaved width-5 wNAF loop, so ≈128 doublings instead of 256; its
@@ -29,8 +29,8 @@ Two interchangeable backends sit behind one ``Group`` interface:
   uncompressed (65 bytes), whose decode checks y² = x³ + 7 (≈1.4 µs).
   The curve keeps no decode memo: a warm N = 64 ``agms_offline`` took
   the same time with one and without (within 1.5%, either way).
-  Slow by libsecp standards (≈0.20 ms per comb exponentiation, ≈0.9 ms
-  through GLV, the fastest of 30 interleaved rounds; Python 3.11.7,
+  Slow by libsecp standards (≈0.14 ms per ``g1`` comb exponentiation,
+  ≈0.8 ms through GLV, medians of 5 interleaved rounds; Python 3.11.7,
   2-vCPU VM) but honest: every benchmark number is produced by the same
   code path the protocols use.
 
@@ -423,25 +423,6 @@ def _jac_madd(p1, q2):
     return (X3, Y3, Z3)
 
 
-def _batch_to_affine(pts):
-    """Non-identity Jacobian points to affine with one shared inversion
-    (Montgomery's trick)."""
-    prefix = []
-    acc = 1
-    for _, _, Z in pts:
-        prefix.append(acc)
-        acc = (acc * Z) % _P
-    inv = pow(acc, -1, _P)
-    out = [None] * len(pts)
-    for i in range(len(pts) - 1, -1, -1):
-        X, Y, Z = pts[i]
-        zi = (inv * prefix[i]) % _P
-        inv = (inv * Z) % _P
-        zi2 = (zi * zi) % _P
-        out[i] = ((X * zi2) % _P, (Y * zi2 * zi) % _P)
-    return out
-
-
 # GLV (Gallant, Lambert and Vanstone, CRYPTO 2001): secp256k1 has the
 # endomorphism φ(x, y) = (β·x, y) = λ·(x, y), with β a cube root of unity
 # mod p and λ one mod n.  (a1, b1) and (a2, b2) are a reduced basis of the
@@ -467,45 +448,99 @@ def _glv_split(e: int) -> tuple[int, int]:
 
 
 # Fixed-base comb (Lim and Lee, CRYPTO 1994) over the two GLV halves above:
-# e = k1 + k2·λ with |k1|, |k2| < 2^128, and each half is recoded into 13
-# signed 10-bit digits in [-511, 512] (13 rows cover 2^129, one bit of
-# margin).  Row j holds the affine points d·1024^j·B for d = 1..512.  One
-# Jacobian accumulator takes k2's rows first, giving k2·B.  φ, which in
-# Jacobian coordinates is (X, Y, Z) -> (β·X, Y, Z), then turns that into
-# k2·λ·B with one field multiplication, and k1's rows follow.  A negative
-# digit or half negates y.  So at most 26 mixed additions and one
-# inversion, no doublings, from 6,656 points (≈1.06 MiB) that take ≈70 ms
-# to build.  g1 is a constant of the curve, so its one table is built on
-# first use and shared by every group.  Any other base gets a table only
-# through ``fixed_base``, held by the caller that asked; the group keeps
-# none.
-_COMB_ROWS = 13
+# e = k1 + k2·λ with |k1|, |k2| < 2^128, and each half is recoded into
+# signed w-bit digits in [-(2^(w-1) - 1), 2^(w-1)].  Row j holds the affine
+# points d·2^(wj)·B for d = 1..2^(w-1), each packed into one int
+# x | (y << 256).  The rows cover halves below 2^129, one bit of margin:
+# the top row takes bits 120 to 128 plus the carry, so a digit of at most
+# 512.  One Jacobian accumulator takes k2's rows first, giving k2·B.  φ,
+# which in Jacobian coordinates is (X, Y, Z) -> (β·X, Y, Z), then turns
+# that into k2·λ·B with one field multiplication, and k1's rows follow.  A
+# negative digit or half negates y.  So one mixed addition per row and
+# half, no doublings and one inversion.
+#
+# g1 is a constant of the curve, so its one table is built on first use
+# and shared by every group: w = 12, 10 rows of 2,048 points and a top row
+# of 512 (20,992 points, ≈2.1 MiB, ≈60 ms to build), at most 22
+# additions.  Any other base gets a table only through ``fixed_base``,
+# held by the caller that asked; the group keeps none.  A verifier may
+# hold many of those, and each saves one exponentiation a check, so they
+# keep w = 10: 13 rows of 512 (6,656 points, ≈0.65 MiB, ≈22 ms), at most
+# 26 additions.  (Sizes by tracemalloc; times the medians of 5 interleaved
+# rounds, each the fastest of 5 builds; Python 3.11.7, 2-vCPU VM.)
 _G1 = (_GX, _GY)
+_XMASK = (1 << 256) - 1
 _g1_comb_table: list | None = None
 
 
+def _comb_row(base, size: int) -> list:
+    """d·B for d = 1..size, a power of two, as packed ints x | (y << 256),
+    given the affine point ``base`` = B.
+
+    The list of multiples 1..m doubles each round around the centre
+    c = 3m/2: c·B ± d·B for d < m/2 share the denominator x_c − x_d,
+    c·B + (m/2)·B is 2m·B, and c·B doubled, with denominator 2·y_c, is
+    the next round's centre.  All of a round's denominators share one
+    inversion (Montgomery's trick).  No addition meets equal or opposite
+    points: every multiple is below n/2.
+    """
+    P = _P
+    x, y = base
+    x2, y2 = _jac_to_affine(_jac_double((x, y, 1)))
+    xc, yc = _jac_to_affine(_jac_madd((x2, y2, 1), base))
+    xs, ys = [x, x2], [y, y2]
+    while len(xs) < size:
+        h = len(xs) // 2
+        acc = 1
+        prefix = [1] + [acc := (acc * (xc - x)) % P for x in xs[:h]]
+        inv = pow(acc * 2 * yc % P, -1, P)
+        lam = (3 * xc * xc * inv * acc) % P
+        inv = (inv * 2 * yc) % P
+        xn = (lam * lam - 2 * xc) % P
+        yn = (lam * (xc - xn) - yc) % P
+        lo_x, lo_y, hi_x, hi_y = [], [], [], []
+        for x, y, pre in zip(xs[h - 1::-1], ys[h - 1::-1], prefix[h - 1::-1]):
+            i = (inv * pre) % P
+            inv = (inv * (xc - x)) % P
+            lam = ((yc - y) * i) % P           # c + d
+            x3 = (lam * lam - x - xc) % P
+            hi_x.append(x3)
+            hi_y.append((lam * (x - x3) - y) % P)
+            lam = ((yc + y) * i) % P           # c - d
+            x3 = (lam * lam - x - xc) % P
+            lo_x.append(x3)
+            lo_y.append((lam * (x - x3) + y) % P)
+        # lo holds c - m/2 .. c - 1, and c - m/2 = m is already in xs
+        xs += lo_x[1:] + [xc] + hi_x[::-1]
+        ys += lo_y[1:] + [yc] + hi_y[::-1]
+        xc, yc = xn, yn
+    return [x | (y << 256) for x, y in zip(xs, ys)]
+
+
 def _build_comb(base) -> list:
+    """``base``'s comb table: 12-bit digits for g1, 10-bit for any other."""
+    bits = 12 if base == _G1 else 10
     rows = []
-    for _ in range(_COMB_ROWS):
-        mults = [(base[0], base[1], 1)]
-        for _ in range(511):
-            mults.append(_jac_madd(mults[-1], base))
-        row = _batch_to_affine(mults)
-        rows.append(row)
-        # 1024·base = 2·(512·base)
-        base = _jac_to_affine(_jac_double((row[-1][0], row[-1][1], 1)))
+    for shift in range(0, 129, bits):
+        if rows:  # 2^bits·B = 2·(2^(bits-1)·B), B the last row's base
+            last = rows[-1][-1]
+            base = _jac_to_affine(_jac_double((last & _XMASK, last >> 256, 1)))
+        rows.append(_comb_row(base, min(1 << (bits - 1), 1 << (129 - shift))))
     return rows
 
 
 def _exp_comb(table: list, e: int):
     """B^e for any e >= 0, given B's comb ``table``: k2's rows, φ, then
-    k1's rows, one mixed addition per nonzero digit (at most 26) and one
-    inversion.  Each half is recoded as it is read, low digit first: a
-    digit d above 512 is read as d - 1024, carrying 1 into the next.  As
-    in ``_exp_glv``, the addition is written out on local X, Y, Z; one
-    that would double or cancel, or that starts from the identity (H = 0
-    for all three), goes to ``_jac_madd``."""
-    P = _P
+    k1's rows, one mixed addition per nonzero digit and one inversion.
+    The digit width w follows from row 0, which holds 2^(w-1) points.
+    Each half is recoded as it is read, low digit first: a digit d above
+    2^(w-1) is read as d - 2^w, carrying 1 into the next.  As in
+    ``_exp_glv``, the addition is written out on local X, Y, Z; one that
+    would double or cancel, or that starts from the identity (H = 0 for
+    all three), goes to ``_jac_madd``."""
+    P, M = _P, _XMASK
+    half = len(table[0])
+    bits, mask = half.bit_length(), 2 * half - 1
     k1, k2 = _glv_split(e)
     X, Y, Z = _JAC_ID
     for phi, k in ((True, k2), (False, k1)):
@@ -513,19 +548,18 @@ def _exp_comb(table: list, e: int):
         if neg:
             k = -k
         for row in table:
-            d = k & 1023
-            k >>= 10
-            if d > 512:
+            d = k & mask
+            k >>= bits
+            if d > half:
                 k += 1
-                x2, y2 = row[1023 - d]
-                if not neg:
-                    y2 = P - y2
+                xy, flip = row[mask - d], not neg
             elif d:
-                x2, y2 = row[d - 1]
-                if neg:
-                    y2 = P - y2
+                xy, flip = row[d - 1], neg
             else:
                 continue
+            x2, y2 = xy & M, xy >> 256
+            if flip:
+                y2 = P - y2
             Z1Z1 = (Z * Z) % P
             H = (x2 * Z1Z1 - X) % P
             if not H:
@@ -726,8 +760,8 @@ class Secp256k1Group(Group):
         self.group_id = "secp256k1"
 
     def fixed_base(self, point):
-        """``point``'s comb table, which ``exp`` takes as a base: ≈70 ms to
-        build, then ≈0.7 ms saved a call over GLV."""
+        """``point``'s comb table, which ``exp`` takes as a base: ≈22 ms to
+        build, then ≈0.63 ms saved a call over GLV."""
         return None if point is None else _build_comb(point)
 
     def _exp(self, base, e: int):

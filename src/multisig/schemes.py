@@ -53,6 +53,7 @@ from .tree import Phase, Tree, run_phase
 
 __all__ = [
     "SCHEMES",
+    "MAX_KEYS",
     "KeyProof",
     "PublicKey",
     "KeyPair",
@@ -92,6 +93,10 @@ _NONCE_TAG = b"multisig/nonce"  # gamma tokens use their own tag
 
 SCHEMES = ("gms", "agms", "cosi")  # the steps refuse any other name
 
+# the most keys a key file may list, and the most any CLI count may ask
+# for: a run holds O(N) state, and perfbench's N is at most 1024
+MAX_KEYS = 2**20
+
 
 # ── keys ─────────────────────────────────────────────────────────────────────
 
@@ -123,8 +128,8 @@ class KeyPair:
         return self.public.y
 
 
-# A comb table takes ≈70 ms to build and saves ≈0.7 ms a check (≈0.20 ms
-# against ≈0.9 ms for GLV), so it pays back after ≈100 checks on one key.
+# A comb table takes ≈22 ms to build and saves ≈0.63 ms a check (≈0.17 ms
+# against ≈0.8 ms for GLV), so it pays back after ≈35 checks on one key.
 # Only a long-running verifier makes 3 or more: perfbench's held
 # ``SignState.agg`` (≈1.1 checks per operation).  Endorsement keys see 2
 # checks, and ``verify`` and ``bench`` 1 per key.  At 16 the held key gets
@@ -552,12 +557,17 @@ def _load_doc(path, schema: str) -> dict:
 
 def load_public_keys(path) -> tuple[Group, list[PublicKey]]:
     """Rebuilds the group from the file header and validates every element;
-    a file with no keys is an ``IoError``, since nothing can use it."""
+    a file with no keys is an ``IoError``, since nothing can use it, and
+    so is one with more than ``MAX_KEYS``, before any key is decoded."""
     doc = _load_doc(path, _KEYS_SCHEMA)
     try:
         par = group_from_descriptor(doc["group"])
+        entries = doc["keys"]
+        if len(entries) > MAX_KEYS:
+            raise IoError(f"key file {path} lists {len(entries)} keys, "
+                          f"more than {MAX_KEYS}")
         out = []
-        for entry in doc["keys"]:
+        for entry in entries:
             y = par.decode_element(bytes.fromhex(entry["y"]))
             proof = None
             if "a" in entry:

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import multisig
-from multisig import cli, endorsement, gamma
+from multisig import cli, endorsement, gamma, schemes
 from multisig.cli import MAX_SIZE, main
 
 
@@ -672,6 +672,22 @@ def test_sizes_above_the_cap_are_refused_before_any_work(
     assert (code, stdout) == (2, "")
     assert stderr == f"error: {flag} must be at most {MAX_SIZE}\n"
     assert list(tmp_path.iterdir()) == []
+
+
+def test_verify_refuses_a_key_file_over_the_cap(tmp_path, capsys,
+                                                monkeypatch):
+    # the CLI's count cap and the key file cap are one definition
+    assert MAX_SIZE == schemes.MAX_KEYS
+    keys, sig = tmp_path / "keys.json", tmp_path / "out.sig"
+    run(capsys, "keygen", "--count", "5", "--out", str(keys), "--seed", "8")
+    assert run(capsys, "simulate", "--scheme", "gms", "--signers", "5",
+               "--seed", "8", "--message", "m", "--out", str(sig))[0] == 0
+    monkeypatch.setattr(schemes, "MAX_KEYS", 4)
+    code, stdout, stderr = run(capsys, "verify", "--scheme", "gms", "--keys",
+                               str(keys), "--signature", str(sig),
+                               "--message", "m")
+    assert (code, stdout) == (2, "")
+    assert stderr == f"error: key file {keys} lists 5 keys, more than 4\n"
 
 
 def test_endorse_csv_schema(tmp_path, capsys):

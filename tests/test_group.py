@@ -1,5 +1,6 @@
 import copy
 import random
+import tracemalloc
 import weakref
 
 import pytest
@@ -465,6 +466,11 @@ def test_curve_group_keeps_no_per_base_state():
     assert _group_state(curve) == before
 
 
+def _unpack(xy: int):
+    """The affine (x, y) a comb row packs as x | (y << 256)."""
+    return (xy & ((1 << 256) - 1), xy >> 256)
+
+
 def test_g1_table_built_once_and_shared(monkeypatch):
     builds = []
     real_build = group_mod._build_comb
@@ -480,14 +486,18 @@ def test_g1_table_built_once_and_shared(monkeypatch):
     a.exp(a.g1, 5)
     assert builds == [a.g1]
     table = group_mod._g1_comb_table
-    assert len(table) == 13 and all(len(row) == 512 for row in table)
-    assert table[1][0] == _exp_ladder(a.g1, 1024)
+    assert [len(row) for row in table] == [2048] * 10 + [512]
+    assert all(type(xy) is int for row in table for xy in row)
+    assert _unpack(table[1][0]) == _exp_ladder(a.g1, 4096)
 
 
-# One GLV half's 13 signed 10-bit digits: 512 and -511 alternate over rows
-# 0-11 and row 12 holds 1, so every row adds; 2^120 - 1 recodes to -1 with
-# a carry through every row into row 12.
+# One GLV half's signed digits: at 10 bits, 512 and -511 alternate over
+# rows 0-11 and row 12 holds 1; at 12 bits, 2048 and -2047 alternate over
+# rows 0-9 and row 10 holds 1.  So every row adds.  2^120 - 1 recodes to
+# -1 with a carry through every row into the top one at either width.
 _EDGE_HALF = sum(d << (10 * j) for j, d in enumerate([512, -511] * 6 + [1]))
+_EDGE12_HALF = sum(d << (12 * j)
+                   for j, d in enumerate([2048, -2047] * 5 + [1]))
 _CARRY_HALF = 2**120 - 1
 
 
@@ -497,14 +507,27 @@ def _comb10_edge_halves():
             (_CARRY_HALF, -_EDGE_HALF), (-_CARRY_HALF, -_EDGE_HALF)]
 
 
-def _comb10_edge_scalars():
-    """Scalars whose GLV halves are the edge halves above, digit edges in
-    row 0 of k1 alone, ±1 and ±λ (one half ±1, the other 0), and the
-    coordinates a1, b1, a2, b2 of the lattice basis taken as scalars."""
-    n, lam = group_mod._N, group_mod._LAMBDA
-    return [(k1 + k2 * lam) % n for k1, k2 in _comb10_edge_halves()] + [
-        512, 513, 1023, 1024, 1, lam, n - lam, n - 1] + [
+def _comb12_edge_halves():
+    return [(_EDGE12_HALF, _EDGE12_HALF), (-_EDGE12_HALF, _CARRY_HALF),
+            (_CARRY_HALF, -_EDGE12_HALF), (-_CARRY_HALF, -_EDGE12_HALF)]
+
+
+def _comb_edge_scalars(halves, bits):
+    """Scalars whose GLV halves are ``halves``, digit edges in row 0 of k1
+    alone, ±1 and ±λ (one half ±1, the other 0), and the coordinates a1,
+    b1, a2, b2 of the lattice basis taken as scalars."""
+    n, lam, half = group_mod._N, group_mod._LAMBDA, 1 << (bits - 1)
+    return [(k1 + k2 * lam) % n for k1, k2 in halves] + [
+        half, half + 1, 2 * half - 1, 2 * half, 1, lam, n - lam, n - 1] + [
         c % n for v in _glv_basis() for c in v]
+
+
+def _comb10_edge_scalars():
+    return _comb_edge_scalars(_comb10_edge_halves(), 10)
+
+
+def _comb12_edge_scalars():
+    return _comb_edge_scalars(_comb12_edge_halves(), 12)
 
 
 def test_g1_comb_signed_digit_edges_match_reference_ladder(curve):
@@ -513,23 +536,42 @@ def test_g1_comb_signed_digit_edges_match_reference_ladder(curve):
             == _exp_ladder(curve.g1, e), hex(e)
 
 
-def _comb10_digits(k: int) -> list:
-    """Signed base-1024 digits of 0 <= k < 2^129, least significant first:
-    13 digits in [-511, 512] with k = sum(d_j·1024^j).  The recoding
-    ``_exp_comb`` does inline, written out as a reference."""
+def test_g1_comb12_signed_digit_edges_match_reference_ladder(curve):
+    for e in _comb12_edge_scalars():
+        assert curve._exp(curve.g1, e) == _exp_glv(curve.g1, e) \
+            == _exp_ladder(curve.g1, e), hex(e)
+
+
+def _comb_digits(k: int, bits: int, rows: int) -> list:
+    """Signed base-2^bits digits of 0 <= k < 2^129, least significant
+    first: ``rows`` digits in [-(2^(bits-1) - 1), 2^(bits-1)].  The
+    recoding ``_exp_comb`` does inline, written out as a reference."""
     digits = []
-    for _ in range(13):
-        d = k & 1023
-        if d > 512:
-            d -= 1024
+    for _ in range(rows):
+        d = k & ((1 << bits) - 1)
+        if d > 1 << (bits - 1):
+            d -= 1 << bits
         digits.append(d)
-        k = (k - d) >> 10
+        k = (k - d) >> bits
     return digits
+
+
+def _comb10_digits(k: int) -> list:
+    return _comb_digits(k, 10, 13)
+
+
+def _comb12_digits(k: int) -> list:
+    return _comb_digits(k, 12, 11)
 
 
 def _g1_table(curve):
     curve.exp(curve.g1, 1)  # builds g1's shared table on first use
     return group_mod._g1_comb_table
+
+
+def _key_table(curve):
+    """A ``fixed_base`` table, for the 10-bit digits."""
+    return curve.fixed_base(_exp_ladder(curve.g1, 0xC0FFEE))
 
 
 def _logged(table, reads):
@@ -546,45 +588,55 @@ def _logged(table, reads):
     return rows
 
 
-def test_comb10_digits_reconstruct_the_scalar(curve):
-    n, lam = group_mod._N, group_mod._LAMBDA
-    for k1, k2 in _comb10_edge_halves():
+def _check_digits_and_reads(table, halves, scalars, digits, bits, rows):
+    """Every half recodes to ``rows`` digits that sum back to it, and the
+    comb reads row j at |d| - 1 for each nonzero digit, k2's first."""
+    n, lam, half = group_mod._N, group_mod._LAMBDA, 1 << (bits - 1)
+    for k1, k2 in halves:
         assert _glv_split((k1 + k2 * lam) % n) == (k1, k2)
+    rng = random.Random(8)
+    ks = [0, 1, half, half + 1, 2 * half - 1, 2 * half, 2**128 - 1,
+          2**129 - 1] + [abs(k) for e in scalars for k in _glv_split(e)] + [
+        rng.getrandbits(128) for _ in range(50)]
+    for k in ks:
+        ds = digits(k)
+        assert len(ds) == rows
+        assert sum(d << (bits * j) for j, d in enumerate(ds)) == k
+        assert all(-(half - 1) <= d <= half for d in ds)
+    reads = []
+    logged = _logged(table, reads)
+    for e in scalars + [rng.randrange(n) for _ in range(20)]:
+        reads.clear()
+        _exp_comb(logged, e)
+        k1, k2 = _glv_split(e)
+        assert reads == [(j, abs(d) - 1) for k in (k2, k1)
+                         for j, d in enumerate(digits(abs(k))) if d]
+
+
+def test_comb10_digits_reconstruct_the_scalar(curve):
     assert _comb10_digits(_EDGE_HALF) == [512, -511] * 6 + [1]
     assert _comb10_digits(_CARRY_HALF) == [-1] + [0] * 11 + [1]
     assert _comb10_digits(2**129 - 1) == [-1] + [0] * 11 + [512]
-    rng = random.Random(8)
-    halves = [0, 1, 512, 513, 1023, 1024, 2**128 - 1, 2**129 - 1] + [
-        abs(k) for e in _comb10_edge_scalars() for k in _glv_split(e)] + [
-        rng.getrandbits(128) for _ in range(50)]
-    for k in halves:
-        digits = _comb10_digits(k)
-        assert len(digits) == 13
-        assert sum(d << (10 * j) for j, d in enumerate(digits)) == k
-        assert all(-511 <= d <= 512 for d in digits)
-    # the comb reads row j at |d| - 1 for each nonzero digit, k2's first
-    reads = []
-    table = _logged(_g1_table(curve), reads)
-    for e in _comb10_edge_scalars() + [rng.randrange(n) for _ in range(20)]:
-        reads.clear()
-        _exp_comb(table, e)
-        k1, k2 = _glv_split(e)
-        assert reads == [(j, abs(d) - 1) for k in (k2, k1)
-                         for j, d in enumerate(_comb10_digits(abs(k))) if d]
+    _check_digits_and_reads(_key_table(curve), _comb10_edge_halves(),
+                            _comb10_edge_scalars(), _comb10_digits, 10, 13)
 
 
-def test_comb_exp_makes_at_most_26_mixed_additions_and_one_inversion(
-        curve, monkeypatch):
+def test_comb12_digits_reconstruct_the_scalar(curve):
+    assert _comb12_digits(_EDGE12_HALF) == [2048, -2047] * 5 + [1]
+    assert _comb12_digits(_CARRY_HALF) == [-1] + [0] * 9 + [1]
+    assert _comb12_digits(2**129 - 1) == [-1] + [0] * 9 + [512]
+    _check_digits_and_reads(_g1_table(curve), _comb12_edge_halves(),
+                            _comb12_edge_scalars(), _comb12_digits, 12, 11)
+
+
+def _count_additions(monkeypatch, table, base, scalars) -> list:
     """One table read per nonzero digit of either half, each read one
     mixed addition, and no other group operation; the one inversion
     converts the result to affine.  The additions are written out in the
-    loop, so the rows count the reads."""
+    loop, so the rows count the reads.  Returns each scalar's reads."""
     reads, inversions = [], []
-    table = _logged(_g1_table(curve), reads)
-    rng = random.Random(1024)
-    cases = _comb10_edge_scalars() + [rng.randrange(1, curve.q)
-                                      for _ in range(20)]
-    refs = [_exp_ladder(curve.g1, e) for e in cases]
+    logged = _logged(table, reads)
+    refs = [_exp_ladder(base, e) for e in scalars]
 
     def counting_pow(x, y, mod=None):
         if y == -1:
@@ -593,26 +645,99 @@ def test_comb_exp_makes_at_most_26_mixed_additions_and_one_inversion(
 
     monkeypatch.setattr(group_mod, "pow", counting_pow, raising=False)
     counts = []
-    for e, ref in zip(cases, refs):
+    for e, ref in zip(scalars, refs):
         reads.clear()
         inversions.clear()
-        assert _exp_comb(table, e) == ref, hex(e)
+        assert _exp_comb(logged, e) == ref, hex(e)
         assert inversions == [group_mod._P], hex(e)
         counts.append(len(reads))
+    return counts
+
+
+def test_comb_exp_makes_at_most_26_mixed_additions_and_one_inversion(
+        curve, monkeypatch):
+    """A ``fixed_base`` table's 10-bit digits: 13 rows a half."""
+    rng = random.Random(1024)
+    table = _key_table(curve)
+    base = _exp_ladder(curve.g1, 0xC0FFEE)
+    cases = _comb10_edge_scalars() + [rng.randrange(1, curve.q)
+                                      for _ in range(20)]
+    counts = _count_additions(monkeypatch, table, base, cases)
     assert counts[0] == max(counts) == 26
 
 
+def test_g1_comb_exp_makes_at_most_22_mixed_additions_and_one_inversion(
+        curve, monkeypatch):
+    """g1's 12-bit digits: 11 rows a half."""
+    rng = random.Random(4096)
+    cases = _comb12_edge_scalars() + [rng.randrange(1, curve.q)
+                                      for _ in range(20)]
+    counts = _count_additions(monkeypatch, _g1_table(curve), curve.g1, cases)
+    assert counts[0] == max(counts) == 22
+
+
 def test_comb_exp_adds_on_after_the_accumulator_cancels(curve):
-    """With row 0 in every row the comb sums its digits: 5 - 5·1024 +
-    7·1024² reads 5·B, -5·B and 7·B, so the accumulator returns to the
-    identity mid-run and must add on from there, in either half."""
-    flat = [_g1_table(curve)[0]] * 13
+    """With row 0 in every row the comb sums its digits: 5 - 5·R + 7·R²,
+    R the radix, reads 5·B, -5·B and 7·B, so the accumulator returns to
+    the identity mid-run and must add on from there, in either half.  At
+    both widths: g1's 12-bit table and a ``fixed_base`` 10-bit one."""
     n, lam = curve.q, group_mod._LAMBDA
-    k = 5 - 5 * 1024 + 7 * 1024**2
-    assert _comb10_digits(k)[:3] == [5, -5, 7]
-    assert _glv_split(k) == (k, 0) and _glv_split(k * lam % n) == (0, k)
-    assert _exp_comb(flat, k) == _exp_ladder(curve.g1, 7)
-    assert _exp_comb(flat, k * lam % n) == _exp_ladder(curve.g1, 7 * lam % n)
+    key = _exp_ladder(curve.g1, 0xC0FFEE)
+    for table, base, bits, digits in (
+            (_g1_table(curve), curve.g1, 12, _comb12_digits),
+            (_key_table(curve), key, 10, _comb10_digits)):
+        flat = [table[0]] * len(table)
+        k = 5 - 5 * (1 << bits) + 7 * (1 << (2 * bits))
+        assert digits(k)[:3] == [5, -5, 7]
+        assert _glv_split(k) == (k, 0) and _glv_split(k * lam % n) == (0, k)
+        assert _exp_comb(flat, k) == _exp_ladder(base, 7)
+        assert _exp_comb(flat, k * lam % n) == _exp_ladder(base, 7 * lam % n)
+
+
+def _check_row(curve, row, base, radix_power):
+    """``row`` is d·2^radix_power·B for d = 1, 2, ...: entry by entry, each
+    one the last plus the row's first (affine addition, a reference
+    chain), and by the ladder at each round's last entry, 2^r, and at its
+    centre, 3·2^r, which the round before made by a doubling."""
+    step = _exp_ladder(base, 1 << radix_power)
+    pts = [_unpack(xy) for xy in row]
+    assert pts[0] == step
+    for prev, pt in zip(pts, pts[1:]):
+        assert pt == curve._mul(prev, step)
+    for d in [1 << r for r in range(len(row).bit_length())] + [
+            3 << r for r in range(len(row).bit_length() - 2)]:
+        assert pts[d - 1] == _exp_ladder(base, d << radix_power), d
+
+
+def test_comb_rows_match_the_reference_chain(curve):
+    """One full row and the short top row of g1's table, and row 0 of a
+    ``fixed_base`` table, against a chain of affine additions."""
+    g1_table, key_table = _g1_table(curve), _key_table(curve)
+    key = _exp_ladder(curve.g1, 0xC0FFEE)
+    _check_row(curve, g1_table[3], curve.g1, 36)
+    _check_row(curve, g1_table[-1], curve.g1, 120)
+    assert [len(row) for row in key_table] == [512] * 13
+    _check_row(curve, key_table[0], key, 0)
+    _check_row(curve, key_table[-1], key, 120)
+
+
+def _traced_size(base) -> int:
+    """Bytes that ``_build_comb(base)``'s table holds, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        table = group_mod._build_comb(base)
+        return tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_comb_tables_fit_the_memory_budget(curve):
+    """g1's 12-bit table within 2.3 MiB, a ``fixed_base`` 10-bit one within
+    0.75 MiB.  A wider digit or a looser layout shows here before it uses
+    up peak RSS's bound in the benchmark."""
+    assert _traced_size(curve.g1) <= 2.3 * 2**20
+    assert _traced_size(_exp_ladder(curve.g1, 0xC0FFEE)) <= 0.75 * 2**20
 
 
 # ── GLV endomorphism ─────────────────────────────────────────────────────────
@@ -746,6 +871,11 @@ def test_g1_comb_and_fixed_base_match_openssl(curve, ec):
     for e in _openssl_scalars(n):
         assert curve.exp(curve.g1, e) == _openssl_point(ec, e), hex(e)
         assert curve.exp(fixed, e) == _openssl_point(ec, b * e % n), hex(e)
+
+
+def test_g1_comb12_edges_match_openssl(curve, ec):
+    for e in _comb12_edge_scalars():
+        assert curve.exp(curve.g1, e) == _openssl_point(ec, e), hex(e)
 
 
 def test_glv_exp_x_matches_openssl_ecdh(curve, ec):

@@ -752,6 +752,25 @@ def test_curve_key_file_writes_compressed_and_reads_both_forms(tmp_path, curve):
     assert all(key_verify(curve, p) for p in pks)
 
 
+def test_key_file_over_the_key_cap_is_refused_before_any_decode(
+        tmp_path, toy16, monkeypatch):
+    assert schemes.MAX_KEYS == 2**20
+    pub = tmp_path / "keys.json"
+    save_public_keys(pub, toy16, derive_keys(toy16, 4, 31))
+    decodes = []
+    real_decode = group_mod.ToyGroup.decode_element
+    monkeypatch.setattr(group_mod.ToyGroup, "decode_element",
+                        lambda par, data: decodes.append(data)
+                        or real_decode(par, data))
+    monkeypatch.setattr(schemes, "MAX_KEYS", 3)
+    with pytest.raises(IoError, match="lists 4 keys, more than 3"):
+        load_public_keys(pub)
+    assert decodes == []
+    monkeypatch.setattr(schemes, "MAX_KEYS", 4)
+    _, pks = load_public_keys(pub)
+    assert len(pks) == len(decodes) == 4
+
+
 def test_key_file_rejects_garbage(tmp_path, toy):
     bad = tmp_path / "bad.json"
     bad.write_text("not json at all {")

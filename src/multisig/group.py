@@ -14,23 +14,23 @@ Two interchangeable backends sit behind one ``Group`` interface:
   two halves below 2^128.  Base ``g1`` then uses a fixed-base comb over
   signed 12-bit digits of both halves: a table of 11 rows, 10 of 2,048
   affine multiples and one of 512 (20,992 points, packed one int each,
-  ≈2.1 MiB, built once per process in ≈60 ms).  One Jacobian accumulator
-  takes the second half's rows, then the endomorphism once, then the
-  first half's rows: at most 22 mixed additions, no doublings and one
-  inversion.  ``fixed_base(point)`` gives any other point a 10-bit table
-  of its own, held by the caller: ``schemes.AggregateKey`` asks for one
-  on its 16th check.  Every other base runs both halves through one
-  interleaved width-5 wNAF loop, so ≈128 doublings instead of 256; its
-  table of odd multiples is built on an isomorphic curve without an
-  inversion, so converting the result is the one inversion.  The group
-  keeps no per-base state.
+  ≈2.1 MiB, built once per process in ≈60 ms; ``fixed_base(g1)`` returns
+  it).  ``fixed_base(point)`` gives any other point a 10-bit table of its
+  own, held by the caller: ``schemes.AggregateKey`` asks for one on its
+  16th check.  Every other base interleaves both halves' width-5 wNAF
+  digits, ≈128 doublings instead of 256, against odd multiples built on
+  an isomorphic curve without an inversion.  Both paths run one loop,
+  ``_accumulate``, on one Jacobian accumulator: the comb's k2 rows, the
+  endomorphism, then its k1 rows (at most 22 additions, no doublings).
+  Converting the result is the one inversion; the group keeps no
+  per-base state.
   Hashes and key files encode a point compressed (33 bytes), whose
   decode costs a modular square root (≈98 µs); tree payloads carry it
   uncompressed (65 bytes), whose decode checks y² = x³ + 7 (≈1.4 µs).
   The curve keeps no decode memo: a warm N = 64 ``agms_offline`` took
   the same time with one and without (within 1.5%, either way).
-  Slow by libsecp standards (≈0.14 ms per ``g1`` comb exponentiation,
-  ≈0.8 ms through GLV, medians of 5 interleaved rounds; Python 3.11.7,
+  Slow by libsecp standards (≈0.15 ms per ``g1`` comb exponentiation,
+  ≈0.8 ms through GLV, medians of 75 interleaved rounds; Python 3.11.7,
   2-vCPU VM) but honest: every benchmark number is produced by the same
   code path the protocols use.
 
@@ -152,7 +152,10 @@ class Group:
 
     def fixed_base(self, point):
         """A base ``exp`` raises like ``point``, for a caller that raises it
-        many times; ``pow`` needs no table, so here ``point`` itself."""
+        many times; here ``point`` itself.  A toy table would be faster than
+        ``pow`` (10-bit rows raise a key in ≈0.3 µs against ≈1.2 µs, ≈9% of
+        a toy verify), but it takes ≈0.28 ms to build, ≈280 checks of one
+        key, and a verify is under 1% of a toy signing operation."""
         return point
 
     def is_element(self, x) -> bool:
@@ -373,7 +376,7 @@ _GY = 0x483ADA7726A3C4655DA4FBFC0E1108A8FD17B448A68554199C47D08FFB10D4B8
 
 # Jacobian coordinates (X, Y, Z) ~ (X/Z^2, Y/Z^3); Z=0 is the identity.
 # Its X is 0: a mixed addition to it finds U2 = x2·Z² = 0 = X, so the one
-# special-case test in ``_exp_comb`` (H = U2 - X = 0) also catches it.
+# special-case test in ``_accumulate`` (H = U2 - X = 0) also catches it.
 _JAC_ID = (0, 1, 0)
 
 
@@ -453,11 +456,11 @@ def _glv_split(e: int) -> tuple[int, int]:
 # points d·2^(wj)·B for d = 1..2^(w-1), each packed into one int
 # x | (y << 256).  The rows cover halves below 2^129, one bit of margin:
 # the top row takes bits 120 to 128 plus the carry, so a digit of at most
-# 512.  One Jacobian accumulator takes k2's rows first, giving k2·B.  φ,
-# which in Jacobian coordinates is (X, Y, Z) -> (β·X, Y, Z), then turns
-# that into k2·λ·B with one field multiplication, and k1's rows follow.  A
-# negative digit or half negates y.  So one mixed addition per row and
-# half, no doublings and one inversion.
+# 512.  ``_accumulate``, the loop GLV runs too, takes k2's rows first,
+# giving k2·B.  φ, which in Jacobian coordinates is (X, Y, Z) -> (β·X, Y,
+# Z), then turns that into k2·λ·B with one field multiplication, and k1's
+# rows follow.  A negative digit or half negates y.  So one mixed
+# addition per nonzero digit, no doublings and one inversion.
 #
 # g1 is a constant of the curve, so its one table is built on first use
 # and shared by every group: w = 12, 10 rows of 2,048 points and a top row
@@ -529,24 +532,58 @@ def _build_comb(base) -> list:
     return rows
 
 
+def _accumulate(acc, steps):
+    """The Jacobian ``acc`` after each step (doublings, x, y): that many
+    doublings, then the affine (x, y) added; x None ends the run.  The one
+    loop of every exponentiation, written out on local X, Y, Z (a call
+    per step cost GLV ≈4%).  An addition with H = 0 (a doubling, a
+    cancellation, or a start from the identity, whose X stays 0 when
+    doubled) goes to ``_jac_madd``."""
+    P = _P  # a local: a GLV run reads it over 1,000 times
+    X, Y, Z = acc
+    for n, x2, y2 in steps:
+        while n:  # a range(0) per comb step cost the comb ≈3%
+            A = (Y * Y) % P
+            B = (4 * X * A) % P
+            D = (3 * (X * X)) % P  # a = 0 on secp256k1
+            Z = (2 * Y * Z) % P
+            X = (D * D - 2 * B) % P
+            Y = (D * (B - X) - 8 * (A * A)) % P
+            n -= 1
+        if x2 is None:
+            break
+        Z1Z1 = (Z * Z) % P
+        H = (x2 * Z1Z1 - X) % P
+        if not H:
+            X, Y, Z = _jac_madd((X, Y, Z), (x2, y2))
+            continue
+        R = (y2 * Z * Z1Z1) % P - Y
+        HH = (H * H) % P
+        HHH = (H * HH) % P
+        V = (X * HH) % P
+        X = (R * R - HHH - 2 * V) % P
+        Y = (R * (V - X) - Y * HHH) % P
+        Z = (Z * H) % P
+    return X, Y, Z
+
+
 def _exp_comb(table: list, e: int):
     """B^e for any e >= 0, given B's comb ``table``: k2's rows, φ, then
-    k1's rows, one mixed addition per nonzero digit and one inversion.
-    The digit width w follows from row 0, which holds 2^(w-1) points.
-    Each half is recoded as it is read, low digit first: a digit d above
-    2^(w-1) is read as d - 2^w, carrying 1 into the next.  As in
-    ``_exp_glv``, the addition is written out on local X, Y, Z; one that
-    would double or cancel, or that starts from the identity (H = 0 for
-    all three), goes to ``_jac_madd``."""
+    k1's rows through ``_accumulate``, one mixed addition per nonzero digit
+    and one inversion.  The digit width w follows from row 0, which holds
+    2^(w-1) points.  Each half is recoded into steps low digit first: a
+    digit d above 2^(w-1) is read as d - 2^w, carrying 1 into the next."""
     P, M = _P, _XMASK
     half = len(table[0])
     bits, mask = half.bit_length(), 2 * half - 1
     k1, k2 = _glv_split(e)
     X, Y, Z = _JAC_ID
-    for phi, k in ((True, k2), (False, k1)):
+    # φ before each half: it turns k2·B into k2·λ·B, and fixes the identity
+    for k in (k2, k1):
         neg = k < 0
         if neg:
             k = -k
+        steps = []
         for row in table:
             d = k & mask
             k >>= bits
@@ -557,23 +594,9 @@ def _exp_comb(table: list, e: int):
                 xy, flip = row[d - 1], neg
             else:
                 continue
-            x2, y2 = xy & M, xy >> 256
-            if flip:
-                y2 = P - y2
-            Z1Z1 = (Z * Z) % P
-            H = (x2 * Z1Z1 - X) % P
-            if not H:
-                X, Y, Z = _jac_madd((X, Y, Z), (x2, y2))
-                continue
-            R = (y2 * Z * Z1Z1) % P - Y
-            HH = (H * H) % P
-            HHH = (H * HH) % P
-            V = (X * HH) % P
-            X = (R * R - HHH - 2 * V) % P
-            Y = (R * (V - X) - Y * HHH) % P
-            Z = (Z * H) % P
-        if phi:
-            X = (_BETA * X) % P  # φ: k2·B becomes k2·λ·B
+            y = xy >> 256
+            steps.append((0, xy & M, P - y if flip else y))
+        X, Y, Z = _accumulate(((_BETA * X) % P, Y, Z), steps)
     return _jac_to_affine((X, Y, Z))
 
 
@@ -592,18 +615,6 @@ def _wnaf5(e: int) -> list:
         e = (e - d) >> 5  # e - d ≡ 0 mod 32: the next four digits are 0
         bit += 5
     return pairs
-
-
-def _wnaf5_table(odd, negate: bool) -> list:
-    """Lookup by signed wNAF digit: ``table[d]`` is d·P, or −d·P when
-    ``negate``, for odd d in [-15, 15] (a negative d indexes from the
-    end), given the affine odd multiples ``odd`` = P, 3P, ..., 15P."""
-    table = [None] * 32
-    for i, (x, y) in enumerate(odd):
-        d = -(2 * i + 1) if negate else 2 * i + 1
-        table[d] = (x, y)
-        table[-d] = (x, _P - y)
-    return table
 
 
 def _glv_odd_multiples(base) -> tuple[list, int]:
@@ -648,53 +659,28 @@ def _glv_odd_multiples(base) -> tuple[list, int]:
 
 def _exp_glv(base, e: int):
     """base^e for any non-identity base: split e into two ≈128-bit halves
-    k1 + k2·λ, then ≈128 doublings with one mixed addition per nonzero
-    wNAF digit of either half, against tables of the odd multiples of
-    base and of φ(base), both on the curve of ``_glv_odd_multiples``.
-    One inversion, for the result.
-
-    The loop runs on local X, Y, Z with ``_jac_double`` and ``_jac_madd``
-    written out; an addition that would double or cancel, or that starts
-    from the identity, goes to ``_jac_madd``.
+    k1 + k2·λ, then one ``_accumulate`` run of ≈128 doublings with one
+    mixed addition per nonzero wNAF digit of either half, against the odd
+    multiples of base and of φ(base), both on the curve of
+    ``_glv_odd_multiples``.  One inversion, for the result.
     """
-    P = _P  # a local: the loop reads it over 1,000 times
+    P = _P
     k1, k2 = _glv_split(e)
     odd, u = _glv_odd_multiples(base)
-    t1 = _wnaf5_table(odd, k1 < 0)
-    t2 = _wnaf5_table([((_BETA * x) % P, y) for x, y in odd], k2 < 0)
-    # (bit, table point) per nonzero digit of either half, top bit first,
-    # then a stop at bit 0 that adds nothing
-    adds = [(i, t1[d]) for i, d in _wnaf5(abs(k1))]
-    adds += [(i, t2[d]) for i, d in _wnaf5(abs(k2))]
+    # (bit, x, y) per nonzero digit of either half, top bit first, then a
+    # stop at bit 0 that adds nothing; a digit d reads |d|'s odd multiple,
+    # negated when d and its half differ in sign
+    adds = []
+    for k, pts in ((k1, odd), (k2, [((_BETA * x) % P, y) for x, y in odd])):
+        neg = k < 0
+        for i, d in _wnaf5(abs(k)):
+            x, y = pts[abs(d) >> 1]
+            adds.append((i, x, P - y if (d < 0) != neg else y))
     adds.sort(key=itemgetter(0), reverse=True)
-    adds.append((0, None))
-    X, Y, Z = _JAC_ID
-    top = adds[0][0]
-    for i, pt in adds:
-        for _ in range(top - i):
-            A = (Y * Y) % P
-            B = (4 * X * A) % P
-            D = (3 * (X * X)) % P
-            Z = (2 * Y * Z) % P
-            X = (D * D - 2 * B) % P
-            Y = (D * (B - X) - 8 * (A * A)) % P
-        top = i
-        if pt is None:
-            break
-        x2, y2 = pt
-        Z1Z1 = (Z * Z) % P
-        U2 = (x2 * Z1Z1) % P
-        if U2 == X or Z == 0:
-            X, Y, Z = _jac_madd((X, Y, Z), pt)
-            continue
-        H = U2 - X
-        R = (y2 * Z * Z1Z1) % P - Y
-        HH = (H * H) % P
-        HHH = (H * HH) % P
-        V = (X * HH) % P
-        X = (R * R - HHH - 2 * V) % P
-        Y = (R * (V - X) - Y * HHH) % P
-        Z = (Z * H) % P
+    adds.append((0, None, None))
+    steps = [(top - i, x, y)
+             for (top, _, _), (i, x, y) in zip([adds[0], *adds], adds)]
+    X, Y, Z = _accumulate(_JAC_ID, steps)
     return _jac_to_affine((X, Y, (Z * u) % P))
 
 
@@ -761,17 +747,20 @@ class Secp256k1Group(Group):
 
     def fixed_base(self, point):
         """``point``'s comb table, which ``exp`` takes as a base: ≈22 ms to
-        build, then ≈0.63 ms saved a call over GLV."""
-        return None if point is None else _build_comb(point)
+        build, then ≈0.63 ms saved a call over GLV.  g1's is built once,
+        on first use, and shared by every group; ``exp`` reaches it here."""
+        global _g1_comb_table
+        if point != _G1:
+            return None if point is None else _build_comb(point)
+        if _g1_comb_table is None:
+            _g1_comb_table = _build_comb(_G1)
+        return _g1_comb_table
 
     def _exp(self, base, e: int):
-        global _g1_comb_table
         if base is None or e == 0:
             return None
         if base == _G1:
-            if _g1_comb_table is None:
-                _g1_comb_table = _build_comb(_G1)
-            base = _g1_comb_table
+            base = self.fixed_base(base)
         if type(base) is list:
             return _exp_comb(base, e)
         return _exp_glv(base, e)

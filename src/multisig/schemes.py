@@ -450,13 +450,15 @@ def agms_offline(par: Group, tree: Tree, keys, *, seed) -> OfflineRun:
 def agms_online(par: Group, offline: OfflineRun, m: bytes) -> SignRun:
     """Announce m and aggregate responses: zero group operations anywhere.
 
-    Spent or foreign sessions are refused before m is announced, so a
-    refused call leaves every session as it was.
+    Spent, foreign or unchallenged sessions are refused before m is
+    announced, so a refused call leaves every session as it was.
     """
     sessions = offline.sessions
     for sess in sessions:
         if sess.scheme != "agms":
             raise MixedSessions(f"node {sess.node} holds a {sess.scheme} session")
+        if sess.c is None:
+            raise MixedSessions(f"node {sess.node} missing challenge state")
     _refuse_spent(sessions)
     messages = announce(offline.tree, sessions, m)
     S, msgs = respond(par, offline.tree, sessions)

@@ -12,6 +12,7 @@ from multisig.group import (
     ToyGroup,
     _JAC_ID,
     _P,
+    _accumulate,
     _decompress,
     _exp_comb,
     _exp_glv,
@@ -841,6 +842,68 @@ def test_jac_madd_handles_identity_and_equal_points(curve):
     assert _jac_madd(lifted, (x, p - y)) == group_mod._JAC_ID       # P + (-P)
     assert _jac_to_affine(_jac_madd(lifted, (x, y))) == curve.exp(curve.g1,
                                                                   24690)
+
+
+def test_accumulate_exceptional_steps_match_the_ladder(curve):
+    """Each step ``_accumulate`` cannot take with its written-out formulas,
+    and the doubling-only steps, against the ladder: a start from the
+    identity, adding the accumulator's own point (a doubling through
+    ``_jac_madd``), adding its negation and then going on, doubling the
+    identity, and a tail that only doubles.  The accumulator ``a``·g1
+    starts at a random Z."""
+    n = curve.q
+    rng = random.Random(1998)
+
+    def run(acc, steps):
+        return _jac_to_affine(_accumulate(acc, steps))
+
+    def ref(k):
+        return _exp_ladder(curve.g1, k % n)
+
+    for _ in range(5):
+        a, b = rng.randrange(1, n), rng.randrange(1, n)
+        (x, y), B = ref(a), ref(b)
+        ny = _P - y  # -(a·g1) is (x, ny)
+        z = rng.randrange(1, _P)
+        acc = ((x * z * z) % _P, (y * z * z * z) % _P, z)
+        assert run(_JAC_ID, [(0, *B)]) == B
+        assert run(_JAC_ID, [(0, *B), (0, x, y)]) == ref(a + b)
+        assert run(acc, [(0, x, y)]) == ref(2 * a)
+        assert run(acc, [(0, x, y), (1, *B)]) == ref(4 * a + b)
+        assert run(acc, [(0, x, ny)]) is None
+        assert run(acc, [(0, x, ny), (0, *B), (2, x, y)]) == ref(4 * b + a)
+        assert run(acc, [(0, x, ny), (3, *B)]) == B
+        assert run(_JAC_ID, [(3, None, None)]) is None
+        assert run(_JAC_ID, [(4, *B), (1, x, y)]) == ref(2 * b + a)
+        assert run(acc, [(5, None, None)]) == ref(32 * a)
+        assert run(acc, [(0, *B), (3, None, None)]) == ref(8 * (a + b))
+        assert run(acc, [(1, None, None), (0, *B)]) == ref(2 * a)  # stops
+
+
+def test_fixed_base_g1_is_the_shared_table(monkeypatch):
+    """``fixed_base(g1)`` hands back the table ``exp`` raises g1 with, and
+    the table is built once, whichever of the two asks first."""
+    builds = []
+    real_build = group_mod._build_comb
+
+    def counting_build(base):
+        builds.append(base)
+        return real_build(base)
+
+    monkeypatch.setattr(group_mod, "_build_comb", counting_build)
+    for fixed_first in (True, False):
+        builds.clear()
+        monkeypatch.setattr(group_mod, "_g1_comb_table", None)
+        a, b = curve_group(), curve_group()
+        if fixed_first:
+            table = a.fixed_base(a.g1)
+            assert b.exp(b.g1, 3) == _exp_ladder(a.g1, 3)
+        else:
+            assert b.exp(b.g1, 3) == _exp_ladder(a.g1, 3)
+            table = a.fixed_base(a.g1)
+        assert table is group_mod._g1_comb_table is b.fixed_base(b.g1)
+        assert a.exp(table, 5) == _exp_ladder(a.g1, 5)
+        assert builds == [a.g1]
 
 
 # ── OpenSSL as a second secp256k1 ────────────────────────────────────────────

@@ -25,9 +25,12 @@ hash is a nonzero scalar, so a challenge never forces fresh nonces.
 ``challenge_hash`` is the one definition of c that signers, verifiers and
 the attack demos share.  A session's scheme decides what each step does:
 whether commit also aggregates keys (AGMS), whether challenge is checked
-against H0(V~, m) (baseline), and the response shape.  Steps run over ``tree.run_phase`` so every byte on every
-edge lands in a transcript, and carry only protocol state: a step is
-metered from outside, with ``Group.span()``.
+against H0(V~, m) (baseline), and the response shape.  Steps run over
+``tree.run_phase`` so every byte on every edge lands in a transcript, and
+carry only protocol state: a step is metered from outside, with
+``Group.span()``.  Each session hears one message and one challenge and
+answers once, so a run in which a node refused the challenge its parent
+relayed cannot be finished: the caller opens new sessions.
 """
 
 from __future__ import annotations
@@ -216,7 +219,7 @@ class SigningSession:
     key: KeyPair
     v: int
     c: int | None = None
-    vc: int | None = None       # v*c, fixed on receiving c (GMS/AGMS)
+    vc: int | None = None       # v*c, fixed with c (CoSi's response ignores it)
     m: bytes | None = None
     responded: bool = False
 
@@ -239,8 +242,24 @@ def open_sessions(par: Group, scheme: str, tree: Tree, keys,
             for i, (key, v) in enumerate(zip(keys, vs))]
 
 
+def _check_sessions(sessions, writes: str) -> None:
+    """Before a step that writes ``writes`` runs any node: a spent session
+    is ``NonceReuse``; one that holds that field, or would respond without
+    m or c, is ``MixedSessions``."""
+    for sess in sessions:
+        if sess.responded:
+            raise NonceReuse(f"node {sess.node} already released its response")
+        if writes == "responded":
+            if sess.m is None or sess.c is None:
+                raise MixedSessions(f"node {sess.node} missing announce/challenge state")
+        elif getattr(sess, writes) is not None:
+            raise MixedSessions(f"node {sess.node} already holds {writes}")
+
+
 def announce(tree: Tree, sessions, m: bytes) -> list:
-    """Top-down: every node learns the message."""
+    """Top-down: every node learns the message, once."""
+    _check_sessions(sessions, "m")
+
     def handler(node, payload):
         sessions[node].m = payload
         return payload
@@ -305,23 +324,20 @@ def challenge_hash(par: Group, scheme: str, V_agg, X, m: bytes | None) -> int:
 
 
 def challenge(par: Group, tree: Tree, sessions, c: int, V_ann) -> list:
-    """Top-down challenge distribution.
+    """Top-down challenge distribution, once per session.
 
-    Baseline nodes receive (c, V_ann) and refuse to continue unless
-    c == H0(V_ann, m): the challenge must be a genuine hash of the
-    aggregate the leader announces.  GMS/AGMS nodes receive c alone and fix
-    v*c on arrival — their response shape is what the scheme's security
-    leans on, not a per-node recomputation.  Every node refuses c = 0, which
-    no hash yields: under it a GMS/AGMS response is -e*sk_i, the key itself.
-    A payload of any other length than ``scalar_len`` (plus ``wire_len``
-    for the baseline), one that does not decode, a c of 0 and a baseline
-    c that is not H0(V_ann, m) are each a ``BadPayload`` naming the
-    parent that sent it (``None`` at the root, whose input is the caller's).
+    Every node reads c from the payload's first ``scalar_len`` bytes and
+    fixes c and v*c (the baseline's response ignores v*c).  Baseline nodes
+    also read V_ann after c and refuse to continue unless c == H0(V_ann, m):
+    the challenge must hash the aggregate the leader announces.  Every node
+    refuses c = 0, which no hash yields: under it a GMS/AGMS response is
+    -e*sk_i, the key itself.  A payload of another length than the root's,
+    one that does not decode, a c of 0 and a baseline c that is not
+    H0(V_ann, m) are each a ``BadPayload`` naming the parent that sent it
+    (``None`` at the root, whose input is the caller's).
     """
-    sl, q, decode_scalar = par.scalar_len, par.q, par.decode_scalar
-    baseline = sessions[0].scheme == "cosi"
-    size = sl + par.wire_len
-    parent = tree.parent
+    _check_sessions(sessions, "c")
+    sl, q, baseline = par.scalar_len, par.q, sessions[0].scheme == "cosi"
     payload = par.encode_scalar(c)
     if baseline:
         payload += par.encode_wire(V_ann)
@@ -329,32 +345,21 @@ def challenge(par: Group, tree: Tree, sessions, c: int, V_ann) -> list:
     def handler(node, data):
         sess = sessions[node]
         try:
-            if not baseline:
-                c = decode_scalar(data)
-            elif len(data) != size:
-                raise BadLength(f"challenge payload must be {size} bytes, "
-                                f"got {len(data)}")
-            else:
-                c, V = decode_scalar(data[:sl]), par.decode_element(data[sl:])
+            if len(data) != len(payload):
+                raise BadLength(f"challenge payload must be {len(payload)} "
+                                f"bytes, got {len(data)}")
+            c = par.decode_scalar(data[:sl])
             if c == 0:
                 raise ValueError("challenge is 0")
-            if baseline and c != challenge_hash(par, "cosi", V, None, sess.m):
+            if baseline and c != challenge_hash(
+                    par, "cosi", par.decode_element(data[sl:]), None, sess.m):
                 raise ValueError("challenge does not match announced aggregate")
         except (MultisigError, ValueError) as exc:
-            raise BadPayload(parent[node], exc) from exc
-        if not baseline:
-            sess.vc = sess.v * c % q
-        sess.c = c
+            raise BadPayload(tree.parent[node], exc) from exc
+        sess.c, sess.vc = c, sess.v * c % q
         return data
 
     return run_phase(tree, Phase.CHALLENGE, handler, root_input=payload).messages
-
-
-def _refuse_spent(sessions) -> None:
-    """Raise NonceReuse if any session has already released its response."""
-    for sess in sessions:
-        if sess.responded:
-            raise NonceReuse(f"node {sess.node} already released its response")
 
 
 def respond(par: Group, tree: Tree, sessions):
@@ -362,15 +367,12 @@ def respond(par: Group, tree: Tree, sessions):
 
     GMS/AGMS nodes respond v*c - e*sk with e = H3(m); baseline nodes
     respond v + c*sk.  Returns (S~, messages).  The one place a session is
-    spent: no session may have responded and every session must hold m
-    and c, or nothing runs and no session is spent.  ``run_phase`` decodes
+    spent: a spent session, or one without m or c, is refused before any
+    node answers, and then no session is spent.  ``run_phase`` decodes
     each child's payload, so one that does not decode is a ``BadPayload``
     naming that child.
     """
-    _refuse_spent(sessions)
-    for sess in sessions:
-        if sess.m is None or sess.c is None:
-            raise MixedSessions(f"node {sess.node} missing announce/challenge state")
+    _check_sessions(sessions, "responded")
     baseline = sessions[0].scheme == "cosi"
     encode_scalar = par.encode_scalar
 
@@ -449,17 +451,15 @@ def agms_offline(par: Group, tree: Tree, keys, *, seed) -> OfflineRun:
 
 def agms_online(par: Group, offline: OfflineRun, m: bytes) -> SignRun:
     """Announce m and aggregate responses: zero group operations anywhere.
-
-    Spent, foreign or unchallenged sessions are refused before m is
-    announced, so a refused call leaves every session as it was.
-    """
+    Sessions that are not AGMS or lack ``offline.c``, and those ``announce``
+    refuses (spent or announced), are refused before m is sent, so a
+    refused call leaves every session as it was."""
     sessions = offline.sessions
     for sess in sessions:
         if sess.scheme != "agms":
             raise MixedSessions(f"node {sess.node} holds a {sess.scheme} session")
-        if sess.c is None:
-            raise MixedSessions(f"node {sess.node} missing challenge state")
-    _refuse_spent(sessions)
+        if sess.c != offline.c:
+            raise MixedSessions(f"node {sess.node} lacks the offline challenge")
     messages = announce(offline.tree, sessions, m)
     S, msgs = respond(par, offline.tree, sessions)
     return SignRun(Signature(offline.c, S), offline.agg_key, sessions,

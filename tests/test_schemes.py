@@ -1,6 +1,6 @@
 import json
 import random
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import pytest
 
@@ -423,7 +423,8 @@ def test_offline_state_is_single_use(toy):
 
 
 def test_refused_online_call_announces_nothing(toy):
-    # the spent check runs before announce, so no session takes the new m
+    # announce checks for spent sessions before any node hears m, so no
+    # session takes the new m
     tree = build_tree(7, 2, 3)
     off = agms_offline(toy, tree, derive_keys(toy, 7, 21), seed=21)
     first = agms_online(toy, off, M)
@@ -463,6 +464,40 @@ def test_respond_before_announce_spends_no_session(toy):
     announce(tree, off.sessions, M)
     S, _ = respond(toy, tree, off.sessions)
     assert verify(toy, off.agg_key, M, Signature(off.c, S))
+
+
+def test_a_second_challenge_is_refused_and_online_still_signs(toy16):
+    # a second c used to overwrite every session's c and v*c, and
+    # agms_online then spent every nonce on a signature verify rejects
+    tree = build_tree(7, 2, 3)
+    off = agms_offline(toy16, tree, derive_keys(toy16, 7, 70), seed=70)
+    before = [astuple(sess) for sess in off.sessions]
+    with pytest.raises(MixedSessions, match="already holds c"):
+        challenge(toy16, tree, off.sessions, off.c + 1, toy16.g1)
+    assert [astuple(sess) for sess in off.sessions] == before
+    run = agms_online(toy16, off, M)
+    assert verify(toy16, run.agg_key, M, run.signature)
+
+
+def test_spent_sessions_keep_the_pair_they_answered(toy16):
+    # announce and challenge used to rewrite (c, m) of spent sessions
+    tree = build_tree(7, 2, 3)
+    run = gms_sign(toy16, tree, derive_keys(toy16, 7, 71), b"m1", seed=71)
+    c = run.signature.c
+    with pytest.raises(NonceReuse):
+        announce(tree, run.sessions, b"other")
+    with pytest.raises(NonceReuse):
+        challenge(toy16, tree, run.sessions, 5, toy16.g1)
+    assert [(sess.c, sess.m) for sess in run.sessions] == [(c, b"m1")] * 7
+
+
+def test_online_refuses_a_run_whose_challenge_its_sessions_do_not_hold(toy16):
+    tree = build_tree(7, 2, 3)
+    off = agms_offline(toy16, tree, derive_keys(toy16, 7, 72), seed=72)
+    other = replace(off, c=off.c % (toy16.q - 1) + 1)
+    with pytest.raises(MixedSessions, match="offline challenge"):
+        agms_online(toy16, other, M)
+    assert all(sess.m is None and not sess.responded for sess in off.sessions)
 
 
 def test_keys_must_match_tree(toy):

@@ -3,10 +3,12 @@
 Hypothesis calls ``open_sessions``, ``announce``, ``commit``,
 ``challenge``, ``respond`` and ``agms_online`` in any order, with repeats,
 on session sets of every scheme over one 7-node tree of the toy group
-q = 65521, and checks two invariants after every step:
+q = 65521, and checks three invariants after every step:
 
 * no nonce answers two different (c, e) pairs, e = H3(m);
-* a refused call leaves every session's fields as they were.
+* a refused call leaves every session's fields as they were;
+* a session's m, c and v*c never change once set, and a spent session
+  stays spent.
 
 Every session set is opened with a fresh seed, so a nonce is named by its
 set and its node.  Derandomized with a fixed example budget, so the run is
@@ -51,6 +53,7 @@ class StepMachine(stateful.RuleBasedStateMachine):
         super().__init__()
         self.opened: list[SessionSet] = []
         self.answers: dict = {}     # (set, node) -> {(c, e)}
+        self.seen: dict = {}        # (set, node) -> (m, c, vc, responded)
 
     def _snapshot(self) -> list:
         return [dataclasses.astuple(sess)
@@ -137,6 +140,16 @@ class StepMachine(stateful.RuleBasedStateMachine):
         for nonce, pairs in self.answers.items():
             assert len(pairs) <= 1, (nonce, pairs)
 
+    @stateful.invariant()
+    def fields_are_set_once(self):
+        for i, ss in enumerate(self.opened):
+            for sess in ss.sessions:
+                now = (sess.m, sess.c, sess.vc, sess.responded)
+                for was, value in zip(self.seen.get((i, sess.node), now), now):
+                    assert was is None or was is False or was == value, \
+                        ((i, sess.node), was, value)
+                self.seen[i, sess.node] = now
+
 
 def test_step_api_state_machine():
     CALLS.clear()
@@ -144,7 +157,7 @@ def test_step_api_state_machine():
                                  deadline=None, max_examples=40,
                                  stateful_step_count=25)
     stateful.run_state_machine_as_test(StepMachine, settings=budget)
-    for name in ("challenge", "respond", "agms_online"):
+    for name in ("announce", "challenge", "respond", "agms_online"):
         assert CALLS.get((name, "ran")) and CALLS.get((name, "refused")), \
             (name, CALLS)
 

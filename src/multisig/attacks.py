@@ -319,15 +319,13 @@ def ksum_forgery_attack(par: Group, *, target: str = "cosi", k: int = 4,
     for t in range(retries):
         attempts += 1
         # open ell concurrent sessions; honest nodes commit first
-        session_states = []
-        v_sess = []
+        runs = []
         for j in range(ell):
-            sessions = open_sessions(par, target, htree, hkeys,
-                                     f"{seed}|t{t}|s{j}")
-            announce(htree, sessions, message)
-            v_agg, _, _ = commit(par, htree, sessions)
-            session_states.append(sessions)
-            v_sess.append(v_agg)
+            run = open_sessions(par, target, htree, hkeys, f"{seed}|t{t}|s{j}")
+            announce(run, message)
+            commit(run)
+            runs.append(run)
+        v_sess = [run.V for run in runs]
         v_bar = v_sess[0]
         for v in v_sess[1:]:
             v_bar = par.mul(v_bar, v)
@@ -348,11 +346,10 @@ def ksum_forgery_attack(par: Group, *, target: str = "cosi", k: int = 4,
 
         # close each session with the solver's challenge; collect responses
         s_total = 0
-        for j in range(ell):
-            challenge(par, htree, session_states[j], lists[j][idx[j]],
-                      announced[j][idx[j]])
-            s_j, _ = respond(par, htree, session_states[j])
-            s_total = (s_total + s_j) % par.q
+        for j, run in enumerate(runs):
+            challenge(run, lists[j][idx[j]], announced[j][idx[j]])
+            respond(run)
+            s_total = (s_total + run.signature.s) % par.q
 
         u_k = idx[-1]
         m_star = msgs[u_k]

@@ -222,16 +222,14 @@ def _sign_and_verify(par, scheme, tree, keys, m, nonce_seed):
             off = agms_offline(par, tree, keys, seed=nonce_seed)
         with par.span() as spans["sign_online"]:
             run = agms_online(par, off, m)
-        messages = off.messages + run.messages
     else:
         sign = cosi_sign if scheme == "cosi" else gms_sign
         with par.span() as spans["sign_online"]:
             run = sign(par, tree, keys, m, seed=nonce_seed)
-        messages = run.messages
     check = cosi_verify if scheme == "cosi" else verify
     with par.span() as spans["verify"]:
         ok = check(par, run.agg_key, m, run.signature)
-    return run.signature, ok, messages, spans
+    return run.signature, ok, run.messages, spans
 
 
 def cmd_simulate(args) -> int:

@@ -83,8 +83,9 @@ def chaincode_stub(proposal: bytes) -> bytes:
     return hashlib.sha256(b"rwset|" + proposal).digest()
 
 
-def _payload_bytes(messages) -> int:
-    return sum(len(m.payload) for m in messages)
+def _payload_bytes(run, *phases) -> int:
+    """Bytes the run's tree carried in the named phases."""
+    return sum(len(m.payload) for m in run.messages if m.phase in phases)
 
 
 def _execute(n_endorsers: int, proposal: bytes, failing_endorsers) -> None:
@@ -139,24 +140,23 @@ def run_revised_flow(par: Group, n_endorsers: int, proposal: bytes, *, seed,
     # The nonce seed names n: endorser i keeps its key at every n, and the
     # same nonce under a different c would give the key away.
     with par.span() as sp:
-        offline = agms_offline(par, tree, endorser_keys,
-                               seed=f"{seed}|n{n_endorsers}")
+        run = agms_offline(par, tree, endorser_keys, seed=f"{seed}|n{n_endorsers}")
     rec.steps.append(StepMetrics(1, "synchronize", sp.wall_ns, sp.exponentiations,
-                                 0, _payload_bytes(offline.messages)))
+                                 0, _payload_bytes(run, "commit", "challenge")))
 
     # Step 2 — proposal: client -> leader -> every endorser.
     with par.span() as sp:
-        msgs = announce(tree, offline.sessions, proposal)
+        announce(run, proposal)
     rec.steps.append(StepMetrics(2, "proposal", sp.wall_ns, sp.exponentiations,
-                                 0, len(proposal) + _payload_bytes(msgs)))
+                                 0, len(proposal) + _payload_bytes(run, "announce")))
 
     # Step 3 — endorse: run chaincode, release responses.
     with par.span() as sp:
         _execute(n_endorsers, proposal, failing_endorsers)
-        s_value, msgs = respond(par, tree, offline.sessions)
+        respond(run)
     rec.steps.append(StepMetrics(3, "endorse", sp.wall_ns, sp.exponentiations,
-                                 0, _payload_bytes(msgs)))
-    signature = gamma.Signature(offline.c, s_value)
+                                 0, _payload_bytes(run, "respond")))
+    signature = run.signature
     sig_bytes = signature.to_bytes(par)
     rec.signature_hex = sig_bytes.hex()
 
@@ -165,7 +165,7 @@ def run_revised_flow(par: Group, n_endorsers: int, proposal: bytes, *, seed,
 
     # Step 5 — client verifies once, then submits the transaction.
     with par.span() as sp:
-        ok = verify(par, offline.agg_key, proposal, signature)
+        ok = verify(par, run.agg_key, proposal, signature)
     if not ok:
         raise PolicyUnsatisfied("joint endorsement failed client-side check")
     rec.steps.append(StepMetrics(5, "submit", sp.wall_ns, sp.exponentiations,
@@ -173,7 +173,7 @@ def run_revised_flow(par: Group, n_endorsers: int, proposal: bytes, *, seed,
 
     # Steps 6–7 — validation: one verification regardless of endorser count.
     def validate(m, sig):
-        return verify(par, offline.agg_key, m, gamma.Signature.from_bytes(par, sig))
+        return verify(par, run.agg_key, m, gamma.Signature.from_bytes(par, sig))
 
     return _order_and_validate(par, rec, proposal, sig_bytes, tamper_block,
                                validate, 1)

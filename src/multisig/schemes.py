@@ -18,16 +18,18 @@ offline; announcing the message and aggregating responses run online with
 zero group operations per node.  Given the same per-node nonces both
 schemes emit byte-identical signatures, which the tests pin.
 
-All three, named once in ``SCHEMES``, run the same four tree rounds
-through one public step API — ``open_sessions``, ``announce``,
-``commit``, ``challenge`` and ``respond`` — in one straight line: every
-hash is a nonzero scalar, so a challenge never forces fresh nonces.
-``challenge_hash`` is the one definition of c that signers, verifiers and
-the attack demos share.  A session's scheme decides what each step does:
-whether commit also aggregates keys (AGMS), whether challenge is checked
-against H0(V~, m) (baseline), and the response shape.  Steps run over
-``tree.run_phase`` so every byte on every edge lands in a transcript, and
-carry only protocol state: a step is metered from outside, with
+All three, named once in ``SCHEMES``, run the same four tree rounds in
+one straight line: every hash is a nonzero scalar, so a challenge never
+forces fresh nonces.  One signing is one ``Run``, which ``open_sessions``
+returns and ``gms_sign``, ``cosi_sign``, ``agms_offline`` and
+``agms_online`` return filled in.  The steps ``announce``, ``commit``,
+``challenge`` and ``respond`` each take the run, write their result to it
+and append their phase's messages, every byte on every edge, to its one
+transcript.  The run's scheme decides what each step does: whether
+commit also aggregates keys (AGMS), whether challenge is checked against
+H0(V~, m) (baseline), and the response shape.  ``challenge_hash`` is the
+one definition of c that signers, verifiers and the attack demos share.
+Steps carry only protocol state: a step is metered from outside, with
 ``Group.span()``.  Each session hears one message and one challenge and
 answers once, so a run in which a node refused the challenge its parent
 relayed cannot be finished: the caller opens new sessions.
@@ -63,8 +65,7 @@ __all__ = [
     "AggregateKey",
     "Signature",
     "SigningSession",
-    "SignRun",
-    "OfflineRun",
+    "Run",
     "open_sessions",
     "announce",
     "commit",
@@ -208,13 +209,12 @@ def derive_keys(par: Group, n: int, seed) -> list[KeyPair]:
     return [keygen(par, derive_rng(seed, "key", i)) for i in range(n)]
 
 
-# ── signing sessions and phase steps ────────────────────────────────────────
+# ── runs and phase steps ─────────────────────────────────────────────────────
 
 @dataclass(slots=True)
 class SigningSession:
     """Per-node state for one signature; nonces are strictly one-time."""
 
-    scheme: str                 # one of SCHEMES
     node: int
     key: KeyPair
     v: int
@@ -224,9 +224,26 @@ class SigningSession:
     responded: bool = False
 
 
-def open_sessions(par: Group, scheme: str, tree: Tree, keys,
-                  seed) -> list[SigningSession]:
-    """One session per node, each with a fresh nonce bound to its secret key.
+@dataclass
+class Run:
+    """One signing: group, tree, scheme, per-node sessions and the one
+    transcript each step appends its phase to.  ``commit`` fills in V~ and
+    X~, ``challenge`` c once every node took it, ``respond`` the signature."""
+
+    par: Group
+    tree: Tree
+    scheme: str                 # one of SCHEMES
+    sessions: list
+    messages: list = field(default_factory=list)
+    V: object = None
+    agg_key: AggregateKey | None = None
+    c: int | None = None
+    signature: Signature | None = None
+    attempts: ClassVar[int] = 1  # nothing restarts; perfbench/ reads it
+
+
+def open_sessions(par: Group, scheme: str, tree: Tree, keys, seed) -> Run:
+    """A run of one session per node, each nonce bound to its secret key.
 
     Node i's nonce is ``derive_nonces`` over (seed, i, sk_i), so the
     seed alone cannot unwind a signature into the aggregate secret key.  One
@@ -238,15 +255,16 @@ def open_sessions(par: Group, scheme: str, tree: Tree, keys,
     if len(keys) != tree.n:
         raise MixedSessions(f"{len(keys)} keys for a {tree.n}-node tree")
     vs = derive_nonces(par, _NONCE_TAG, seed, [k.sk for k in keys])
-    return [SigningSession(scheme, i, key, v)
-            for i, (key, v) in enumerate(zip(keys, vs))]
+    return Run(par, tree, scheme, [SigningSession(i, key, v)
+                                   for i, (key, v) in enumerate(zip(keys, vs))])
 
 
-def _check_sessions(sessions, writes: str) -> None:
+def _check_sessions(run: Run, writes: str) -> None:
     """Before a step that writes ``writes`` runs any node: a spent session
-    is ``NonceReuse``; one that holds that field, or would respond without
-    m or c, is ``MixedSessions``."""
-    for sess in sessions:
+    is ``NonceReuse``; one that holds that field, would respond without
+    m or c, or would check a CoSi c without m, is ``MixedSessions``."""
+    needs_m = writes == "c" and run.scheme == "cosi"
+    for sess in run.sessions:
         if sess.responded:
             raise NonceReuse(f"node {sess.node} already released its response")
         if writes == "responded":
@@ -254,34 +272,45 @@ def _check_sessions(sessions, writes: str) -> None:
                 raise MixedSessions(f"node {sess.node} missing announce/challenge state")
         elif getattr(sess, writes) is not None:
             raise MixedSessions(f"node {sess.node} already holds {writes}")
+        elif needs_m and sess.m is None:
+            raise MixedSessions(f"node {sess.node} has no m to check c against")
 
 
-def announce(tree: Tree, sessions, m: bytes) -> list:
+def _phase(run: Run, phase: Phase, handler, **kw):
+    """One phase over the run's tree, recorded; returns the root's output."""
+    res = run_phase(run.tree, phase, handler, **kw)
+    run.messages += res.messages
+    return res.root_output
+
+
+def announce(run: Run, m: bytes) -> None:
     """Top-down: every node learns the message, once."""
-    _check_sessions(sessions, "m")
+    _check_sessions(run, "m")
+    sessions = run.sessions
 
     def handler(node, payload):
         sessions[node].m = payload
         return payload
 
-    return run_phase(tree, Phase.ANNOUNCE, handler, root_input=m).messages
+    _phase(run, Phase.ANNOUNCE, handler, root_input=m)
 
 
-def commit(par: Group, tree: Tree, sessions):
+def commit(run: Run) -> None:
     """Bottom-up commitment aggregation; one exponentiation per node.
 
-    AGMS payloads carry (V_agg, X_agg), so the key aggregate is computed by
-    the same tree pass that aggregates commitments — no separate
-    key-collection round.  A payload is ``encode_wire(V_agg)``, then for
-    AGMS ``encode_wire(X_agg)``: ``wire_len`` bytes each, 65 on the curve
+    Sets ``run.V`` to V~ and ``run.agg_key`` to X~.  AGMS payloads carry
+    (V_agg, X_agg), so the same tree pass aggregates the keys — no
+    separate key-collection round; GMS and CoSi multiply the sessions'
+    keys after it.  A payload is ``encode_wire(V_agg)``, then for AGMS
+    ``encode_wire(X_agg)``: ``wire_len`` bytes each, 65 on the curve
     (uncompressed, no square root to decode).  ``run_phase`` reads each
     child's payload with ``read``, so a payload of any other length, or
-    one that does not decode, is a ``BadPayload`` naming the child that
-    sent it.  Returns (V~, X~ or None, messages).
+    one that does not decode, is a ``BadPayload`` naming its sender.
     """
+    par, sessions = run.par, run.sessions
     wl, g1 = par.wire_len, par.g1
     exp, mul, decode, encode = par.exp, par.mul, par.decode_element, par.encode_wire
-    aggregate_keys = sessions[0].scheme == "agms"
+    aggregate_keys = run.scheme == "agms"
     size = 2 * wl if aggregate_keys else wl
     V_agg = X_agg = None
 
@@ -307,9 +336,11 @@ def commit(par: Group, tree: Tree, sessions):
             out += encode(X_agg)
         return out
 
-    messages = run_phase(tree, Phase.COMMIT, handler, read=read).messages
+    _phase(run, Phase.COMMIT, handler, read=read)
     # the root's handler runs last, so its aggregates are what is left
-    return V_agg, X_agg if aggregate_keys else None, messages
+    run.V = V_agg
+    run.agg_key = (AggregateKey(X_agg) if aggregate_keys
+                   else key_aggregate(par, [sess.key for sess in sessions]))
 
 
 def challenge_hash(par: Group, scheme: str, V_agg, X, m: bytes | None) -> int:
@@ -323,8 +354,8 @@ def challenge_hash(par: Group, scheme: str, V_agg, X, m: bytes | None) -> int:
                                     par.encode_element(X)])
 
 
-def challenge(par: Group, tree: Tree, sessions, c: int, V_ann) -> list:
-    """Top-down challenge distribution, once per session.
+def challenge(run: Run, c: int, V_ann) -> None:
+    """Top-down challenge distribution; ``run.c`` is set once all took c.
 
     Every node reads c from the payload's first ``scalar_len`` bytes and
     fixes c and v*c (the baseline's response ignores v*c).  Baseline nodes
@@ -336,8 +367,9 @@ def challenge(par: Group, tree: Tree, sessions, c: int, V_ann) -> list:
     H0(V_ann, m) are each a ``BadPayload`` naming the parent that sent it
     (``None`` at the root, whose input is the caller's).
     """
-    _check_sessions(sessions, "c")
-    sl, q, baseline = par.scalar_len, par.q, sessions[0].scheme == "cosi"
+    _check_sessions(run, "c")
+    par, sessions = run.par, run.sessions
+    sl, q, baseline = par.scalar_len, par.q, run.scheme == "cosi"
     payload = par.encode_scalar(c)
     if baseline:
         payload += par.encode_wire(V_ann)
@@ -355,25 +387,26 @@ def challenge(par: Group, tree: Tree, sessions, c: int, V_ann) -> list:
                     par, "cosi", par.decode_element(data[sl:]), None, sess.m):
                 raise ValueError("challenge does not match announced aggregate")
         except (MultisigError, ValueError) as exc:
-            raise BadPayload(tree.parent[node], exc) from exc
+            raise BadPayload(run.tree.parent[node], exc) from exc
         sess.c, sess.vc = c, sess.v * c % q
         return data
 
-    return run_phase(tree, Phase.CHALLENGE, handler, root_input=payload).messages
+    _phase(run, Phase.CHALLENGE, handler, root_input=payload)
+    run.c = c
 
 
-def respond(par: Group, tree: Tree, sessions):
-    """Bottom-up response aggregation: S~ = own response + children's.
+def respond(run: Run) -> None:
+    """Bottom-up response aggregation: S~ = own response + children's, and
+    ``run.signature`` = (``run.c``, S~).
 
     GMS/AGMS nodes respond v*c - e*sk with e = H3(m); baseline nodes
-    respond v + c*sk.  Returns (S~, messages).  The one place a session is
-    spent: a spent session, or one without m or c, is refused before any
-    node answers, and then no session is spent.  ``run_phase`` decodes
-    each child's payload, so one that does not decode is a ``BadPayload``
-    naming that child.
+    respond v + c*sk.  The one place a session is spent: a spent session,
+    or one without m or c, is refused before any node answers, and then no
+    session is spent.  ``run_phase`` decodes each child's payload, so one
+    that does not decode is a ``BadPayload`` naming that child.
     """
-    _check_sessions(sessions, "responded")
-    baseline = sessions[0].scheme == "cosi"
+    _check_sessions(run, "responded")
+    par, sessions, baseline = run.par, run.sessions, run.scheme == "cosi"
     encode_scalar = par.encode_scalar
 
     def handler(node, child_sums):
@@ -387,88 +420,54 @@ def respond(par: Group, tree: Tree, sessions):
             s += child_s
         return encode_scalar(s)     # reduces the sum mod q
 
-    res = run_phase(tree, Phase.RESPOND, handler, read=par.decode_scalar)
-    return par.decode_scalar(res.root_output), res.messages
+    S = _phase(run, Phase.RESPOND, handler, read=par.decode_scalar)
+    run.signature = Signature(run.c, par.decode_scalar(S))
 
 
-# ── runs ─────────────────────────────────────────────────────────────────────
-
-@dataclass
-class SignRun:
-    signature: Signature
-    agg_key: AggregateKey
-    sessions: list
-    messages: list = field(default_factory=list)
-
-
-@dataclass
-class OfflineRun:
-    """Everything before the responses: the AGMS precomputation output."""
-
-    tree: Tree
-    sessions: list
-    agg_key: AggregateKey
-    c: int
-    messages: list = field(default_factory=list)
-    attempts: ClassVar[int] = 1  # nothing restarts; perfbench/ reads it
+def _run(par: Group, scheme: str, tree: Tree, keys, m: bytes | None,
+         seed) -> Run:
+    """Open sessions, announce m (AGMS offline has no m yet), commit, hash
+    the challenge and distribute it, and respond once m is known.  Nothing
+    restarts: no challenge is 0."""
+    run = open_sessions(par, scheme, tree, keys, seed)
+    if m is not None:
+        announce(run, m)
+    commit(run)
+    challenge(run, challenge_hash(par, scheme, run.V, run.agg_key.X, m), run.V)
+    if m is not None:
+        respond(run)
+    return run
 
 
-def _rounds_before_respond(par: Group, scheme: str, tree: Tree, keys,
-                           m: bytes | None, seed) -> OfflineRun:
-    """Open sessions, announce m (AGMS offline has no m yet), commit (AGMS's
-    also aggregates the keys), hash the challenge and distribute it.
-    Nothing restarts: no challenge is 0."""
-    sessions = open_sessions(par, scheme, tree, keys, seed)
-    messages = announce(tree, sessions, m) if m is not None else []
-    V_agg, X_agg, msgs = commit(par, tree, sessions)
-    messages += msgs
-    agg = AggregateKey(X_agg) if scheme == "agms" else key_aggregate(par, keys)
-    c = challenge_hash(par, scheme, V_agg, agg.X, m)
-    messages += challenge(par, tree, sessions, c, V_agg)
-    return OfflineRun(tree, sessions, agg, c, messages)
-
-
-def _sign(par: Group, scheme: str, tree: Tree, keys, m: bytes, seed) -> SignRun:
-    """The rounds before responding, message first, then the responses."""
-    run = _rounds_before_respond(par, scheme, tree, keys, m, seed)
-    S, msgs = respond(par, tree, run.sessions)
-    return SignRun(Signature(run.c, S), run.agg_key, run.sessions,
-                   run.messages + msgs)
-
-
-def gms_sign(par: Group, tree: Tree, keys, m: bytes, *, seed) -> SignRun:
+def gms_sign(par: Group, tree: Tree, keys, m: bytes, *, seed) -> Run:
     """Four rounds, message first; the whole run is online."""
-    return _sign(par, "gms", tree, keys, m, seed)
+    return _run(par, "gms", tree, keys, m, seed)
 
 
-def agms_offline(par: Group, tree: Tree, keys, *, seed) -> OfflineRun:
+def agms_offline(par: Group, tree: Tree, keys, *, seed) -> Run:
     """Commitment + key aggregation and challenge distribution, no message.
 
     One exponentiation per signer; each node ends up holding c and v*c.
     """
-    return _rounds_before_respond(par, "agms", tree, keys, None, seed)
+    return _run(par, "agms", tree, keys, None, seed)
 
 
-def agms_online(par: Group, offline: OfflineRun, m: bytes) -> SignRun:
-    """Announce m and aggregate responses: zero group operations anywhere.
-    Sessions that are not AGMS or lack ``offline.c``, and those ``announce``
-    refuses (spent or announced), are refused before m is sent, so a
-    refused call leaves every session as it was."""
-    sessions = offline.sessions
-    for sess in sessions:
-        if sess.scheme != "agms":
-            raise MixedSessions(f"node {sess.node} holds a {sess.scheme} session")
-        if sess.c != offline.c:
+def agms_online(par: Group, run: Run, m: bytes) -> Run:
+    """Announce m and aggregate responses with zero group operations, and
+    return ``run`` (``par`` is unused: the run holds its group).  A run
+    whose sessions do not all hold ``run.c``, or that ``announce`` refuses
+    (spent or announced), is refused before m is sent and left as is."""
+    for sess in run.sessions:
+        if run.c is None or sess.c != run.c:
             raise MixedSessions(f"node {sess.node} lacks the offline challenge")
-    messages = announce(offline.tree, sessions, m)
-    S, msgs = respond(par, offline.tree, sessions)
-    return SignRun(Signature(offline.c, S), offline.agg_key, sessions,
-                   messages + msgs)
+    announce(run, m)
+    respond(run)
+    return run
 
 
-def cosi_sign(par: Group, tree: Tree, keys, m: bytes, *, seed) -> SignRun:
+def cosi_sign(par: Group, tree: Tree, keys, m: bytes, *, seed) -> Run:
     """Baseline: c = H0(V~, m), additive responses, naive key aggregation."""
-    return _sign(par, "cosi", tree, keys, m, seed)
+    return _run(par, "cosi", tree, keys, m, seed)
 
 
 # ── verification ─────────────────────────────────────────────────────────────

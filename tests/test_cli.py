@@ -584,9 +584,9 @@ def test_attack_ksum_signs_the_given_message(capsys, monkeypatch):
 
     seen = []
 
-    def spy(tree, sessions, m):
+    def spy(run, m):
         seen.append(m)
-        return real(tree, sessions, m)
+        return real(run, m)
 
     real = attacks.announce
     monkeypatch.setattr(attacks, "announce", spy)

@@ -146,9 +146,9 @@ def test_revised_flow_never_reuses_a_nonce_across_endorser_counts(toy16,
     real = schemes.open_sessions
 
     def spy(*args, **kwargs):
-        sessions = real(*args, **kwargs)
-        opened.extend((s.key.sk, s.v) for s in sessions)
-        return sessions
+        run = real(*args, **kwargs)
+        opened.extend((s.key.sk, s.v) for s in run.sessions)
+        return run
 
     monkeypatch.setattr(schemes, "open_sessions", spy)
     for n in (2, 4):

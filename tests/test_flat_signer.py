@@ -50,14 +50,11 @@ def _subtrees(n: int, b: int) -> list:
 
 
 def _sign(par, scheme, tree, keys, seed):
-    """(the run, its whole transcript)."""
+    """The run, which holds its whole transcript."""
     if scheme == "agms":
-        off = agms_offline(par, tree, keys, seed=seed)
-        run = agms_online(par, off, M)
-        return run, off.messages + run.messages
+        return agms_online(par, agms_offline(par, tree, keys, seed=seed), M)
     sign = gms_sign if scheme == "gms" else cosi_sign
-    run = sign(par, tree, keys, M, seed=seed)
-    return run, run.messages
+    return sign(par, tree, keys, M, seed=seed)
 
 
 def _expected(par, scheme, n, b, vs, sks) -> tuple:
@@ -96,7 +93,8 @@ def test_every_payload_matches_the_flat_reference(request, backend, scheme,
         sks = [k.sk for k in keys]
         plain = build_tree(n, b, depth)
         for tree in (plain, shuffled_levels(plain, n)):
-            run, messages = _sign(par, scheme, tree, keys, f"flat|{n}|{b}")
+            run = _sign(par, scheme, tree, keys, f"flat|{n}|{b}")
+            messages = run.messages
             vs = [sess.v for sess in run.sessions]
             payloads, sig, X = _expected(par, scheme, n, b, vs, sks)
             assert len(messages) == 4 * (n - 1)

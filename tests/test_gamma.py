@@ -201,7 +201,7 @@ def test_gamma_and_tree_nonces_are_tag_separated(curve):
     kp = derive_keys(curve, 1, 11)[0]
     tree = build_tree(1, 2, 1)
     for seed in (11, "11|x"):
-        [session] = open_sessions(curve, "agms", tree, [kp], seed)
+        [session] = open_sessions(curve, "agms", tree, [kp], seed).sessions
         assert gamma.precompute(curve, kp, seed).v != session.v
 
 

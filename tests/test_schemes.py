@@ -259,9 +259,11 @@ def test_message_counts(toy):
         assert [msg.phase for msg in run.messages] == phases(
             "announce", "commit", "challenge", "respond")
         off = agms_offline(toy, tree, keys, seed=0)
-        on = agms_online(toy, off, M)
         assert [msg.phase for msg in off.messages] == phases("commit", "challenge")
-        assert [msg.phase for msg in on.messages] == phases("announce", "respond")
+        on = agms_online(toy, off, M)
+        assert on is off       # one run, one transcript
+        assert [msg.phase for msg in on.messages] == phases(
+            "commit", "challenge", "announce", "respond")
 
 
 def _edge_bytes(messages, phase):
@@ -439,8 +441,7 @@ def test_sessions_must_come_from_offline_run(toy):
     keys = derive_keys(toy, 3, 15)
     gms_run = gms_sign(toy, tree, keys, M, seed=15)
     off = agms_offline(toy, tree, keys, seed=15)
-    fake = type(off)(tree=off.tree, sessions=gms_run.sessions,
-                     agg_key=off.agg_key, c=off.c)
+    fake = replace(off, sessions=gms_run.sessions)
     with pytest.raises((MixedSessions, NonceReuse)):
         agms_online(toy, fake, M)
 
@@ -449,21 +450,23 @@ def test_a_second_respond_is_a_bare_nonce_reuse(toy):
     # the revised endorsement flow calls announce and respond itself
     tree = build_tree(3, 2, 3)
     off = agms_offline(toy, tree, derive_keys(toy, 3, 18), seed=18)
-    announce(tree, off.sessions, M)
-    respond(toy, tree, off.sessions)
+    announce(off, M)
+    respond(off)
     with pytest.raises(NonceReuse):
-        respond(toy, tree, off.sessions)
+        respond(off)
 
 
 def test_respond_before_announce_spends_no_session(toy):
     tree = build_tree(3, 2, 3)
     off = agms_offline(toy, tree, derive_keys(toy, 3, 19), seed=19)
     with pytest.raises(MixedSessions):
-        respond(toy, tree, off.sessions)
+        respond(off)
     assert not any(sess.responded for sess in off.sessions)
-    announce(tree, off.sessions, M)
-    S, _ = respond(toy, tree, off.sessions)
-    assert verify(toy, off.agg_key, M, Signature(off.c, S))
+    assert off.signature is None
+    announce(off, M)
+    respond(off)
+    assert off.signature.c == off.c
+    assert verify(toy, off.agg_key, M, off.signature)
 
 
 def test_a_second_challenge_is_refused_and_online_still_signs(toy16):
@@ -471,10 +474,11 @@ def test_a_second_challenge_is_refused_and_online_still_signs(toy16):
     # agms_online then spent every nonce on a signature verify rejects
     tree = build_tree(7, 2, 3)
     off = agms_offline(toy16, tree, derive_keys(toy16, 7, 70), seed=70)
-    before = [astuple(sess) for sess in off.sessions]
+    before = [astuple(sess) for sess in off.sessions], off.c, len(off.messages)
     with pytest.raises(MixedSessions, match="already holds c"):
-        challenge(toy16, tree, off.sessions, off.c + 1, toy16.g1)
-    assert [astuple(sess) for sess in off.sessions] == before
+        challenge(off, off.c + 1, toy16.g1)
+    assert ([astuple(sess) for sess in off.sessions], off.c,
+            len(off.messages)) == before
     run = agms_online(toy16, off, M)
     assert verify(toy16, run.agg_key, M, run.signature)
 
@@ -485,9 +489,9 @@ def test_spent_sessions_keep_the_pair_they_answered(toy16):
     run = gms_sign(toy16, tree, derive_keys(toy16, 7, 71), b"m1", seed=71)
     c = run.signature.c
     with pytest.raises(NonceReuse):
-        announce(tree, run.sessions, b"other")
+        announce(run, b"other")
     with pytest.raises(NonceReuse):
-        challenge(toy16, tree, run.sessions, 5, toy16.g1)
+        challenge(run, 5, toy16.g1)
     assert [(sess.c, sess.m) for sess in run.sessions] == [(c, b"m1")] * 7
 
 
@@ -530,11 +534,28 @@ def test_baseline_nodes_check_the_challenge(toy16):
     # a leader that lies about the aggregate gets refused by honest nodes
     tree = build_tree(3, 2, 3)
     keys = [bare_keygen(toy16, derive_rng(17, "key", i)) for i in range(3)]
-    sessions = open_sessions(toy16, "cosi", tree, keys, 17)
-    announce(tree, sessions, M)
-    V_agg, _, _ = commit(toy16, tree, sessions)
+    run = open_sessions(toy16, "cosi", tree, keys, 17)
+    announce(run, M)
+    commit(run)
     with pytest.raises(HandlerFailure):
-        challenge(toy16, tree, sessions, 5, V_agg)
+        challenge(run, 5, run.V)
+
+
+def test_a_cosi_challenge_before_m_is_refused_untouched(toy16):
+    # a CoSi node checks c against H0(V_ann, m): one that had heard no m
+    # used to fail inside the hash, a TypeError wrapped at node 0
+    run = open_sessions(toy16, "cosi", build_tree(7, 2, 3),
+                        derive_keys(toy16, 7, 73), 73)
+    commit(run)
+    before = [astuple(sess) for sess in run.sessions], len(run.messages)
+    with pytest.raises(MixedSessions, match="node 0 has no m"):
+        challenge(run, 5, toy16.g1)
+    assert ([astuple(sess) for sess in run.sessions], len(run.messages)) == before
+    assert run.c is None
+    announce(run, M)
+    challenge(run, challenge_hash(toy16, "cosi", run.V, None, M), run.V)
+    respond(run)
+    assert cosi_verify(toy16, run.agg_key, M, run.signature)
 
 
 @pytest.mark.parametrize("backend", ["toy", "curve"])
@@ -548,20 +569,21 @@ def test_nodes_refuse_a_zero_challenge(backend, scheme, curve):
     for n in (7, 1):
         tree = build_tree(n, 2, 3)
         keys = derive_keys(par, n, 50)
-        sessions = open_sessions(par, scheme, tree, keys, 50)
-        announce(tree, sessions, M)
-        V_agg, _, _ = commit(par, tree, sessions)
+        run = open_sessions(par, scheme, tree, keys, 50)
+        announce(run, M)
+        commit(run)
         try:
-            challenge(par, tree, sessions, 0, V_agg)
+            challenge(run, 0, run.V)
         except HandlerFailure as exc:
             assert exc.node == 0
             assert isinstance(exc.cause, BadPayload)
             assert exc.cause.src is None
             assert str(exc.cause.cause) == "challenge is 0"
             with pytest.raises(MixedSessions, match="challenge state"):
-                respond(par, tree, sessions)
+                respond(run)
             continue
-        S, _ = respond(par, tree, sessions)
+        respond(run)
+        S = run.signature.s
         e = hash_to_scalar(par, H3, [M])
         leaked = -S * par.s_inv(e) % par.q
         assert leaked == sum(k.sk for k in keys) % par.q
@@ -596,15 +618,14 @@ _BAD_PAYLOADS = pytest.mark.parametrize("rewrite, cause", [
 
 
 def _committed(par, scheme):
-    """(tree, sessions, V~, c) for a 7-node binary tree (node 3's parent is
-    1, node 5's is 2) whose sessions have heard the message and committed."""
-    tree = build_tree(7, 2, 3)
+    """(run, c) for a 7-node binary tree (node 3's parent is 1, node 5's
+    is 2) whose sessions have heard the message and committed."""
     keys = derive_keys(par, 7, 60)
-    sessions = open_sessions(par, scheme, tree, keys, 60)
-    announce(tree, sessions, M)
-    V_agg, X_agg, _ = commit(par, tree, sessions)
-    X = X_agg if scheme == "agms" else key_aggregate(par, keys).X
-    return tree, sessions, V_agg, challenge_hash(par, scheme, V_agg, X, M)
+    run = open_sessions(par, scheme, build_tree(7, 2, 3), keys, 60)
+    announce(run, M)
+    commit(run)
+    assert run.agg_key == key_aggregate(par, keys)
+    return run, challenge_hash(par, scheme, run.V, run.agg_key.X, M)
 
 
 def _raised(exc_info, node, src, cause):
@@ -622,11 +643,11 @@ def _raised(exc_info, node, src, cause):
 def test_a_bad_commit_is_refused_naming_the_sender(
         backend, scheme, rewrite, cause, toy16, curve, monkeypatch):
     par = curve if backend == "curve" else toy16
-    tree = build_tree(7, 2, 3)
-    sessions = open_sessions(par, scheme, tree, derive_keys(par, 7, 60), 60)
+    run = open_sessions(par, scheme, build_tree(7, 2, 3),
+                        derive_keys(par, 7, 60), 60)
     _tamper(monkeypatch, Phase.COMMIT, 3, rewrite)
     with pytest.raises(HandlerFailure) as exc:
-        commit(par, tree, sessions)
+        commit(run)
     _raised(exc, 1, 3, cause)
 
 
@@ -634,21 +655,21 @@ def test_a_bad_commit_is_refused_naming_the_sender(
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_a_bad_challenge_is_refused_naming_the_sender(
         scheme, rewrite, cause, toy16, monkeypatch):
-    tree, sessions, V_agg, c = _committed(toy16, scheme)
+    run, c = _committed(toy16, scheme)
     _tamper(monkeypatch, Phase.CHALLENGE, 1, rewrite)
     with pytest.raises(HandlerFailure) as exc:
-        challenge(toy16, tree, sessions, c, V_agg)
+        challenge(run, c, run.V)
     _raised(exc, 3, 1, cause)
 
 
 @_BAD_PAYLOADS
 def test_a_bad_response_is_refused_naming_the_sender(
         rewrite, cause, toy16, monkeypatch):
-    tree, sessions, V_agg, c = _committed(toy16, "gms")
-    challenge(toy16, tree, sessions, c, V_agg)
+    run, c = _committed(toy16, "gms")
+    challenge(run, c, run.V)
     _tamper(monkeypatch, Phase.RESPOND, 5, rewrite)
     with pytest.raises(HandlerFailure) as exc:
-        respond(toy16, tree, sessions)
+        respond(run)
     _raised(exc, 2, 5, cause)
 
 
@@ -663,13 +684,14 @@ def test_a_refused_relayed_challenge_names_the_sender(
     # a challenge that decodes but is refused names its sender too: node 1
     # relays it, so its child 3 names 1
     par = curve if backend == "curve" else toy16
-    tree, sessions, V_agg, c = _committed(par, scheme)
+    run, c = _committed(par, scheme)
     sl = par.scalar_len
     _tamper(monkeypatch, Phase.CHALLENGE, 1,
             lambda p: par.encode_scalar(relayed(c)) + p[sl:])
     with pytest.raises(HandlerFailure) as exc:
-        challenge(par, tree, sessions, c, V_agg)
+        challenge(run, c, run.V)
     _raised(exc, 3, 1, ValueError)
+    assert run.c is None      # set only once every node took c
     assert str(exc.value.cause.cause) == message
 
 
@@ -679,7 +701,7 @@ TREE_TAG = b"multisig/nonce"
 
 
 def nonces(par, tree, keys, seed):
-    return [s.v for s in open_sessions(par, "agms", tree, keys, seed)]
+    return [s.v for s in open_sessions(par, "agms", tree, keys, seed).sessions]
 
 
 def test_session_nonces_cover_exactly_one_to_q_minus_one(toy):

@@ -2,17 +2,21 @@
 
 Hypothesis calls ``open_sessions``, ``announce``, ``commit``,
 ``challenge``, ``respond`` and ``agms_online`` in any order, with repeats,
-on session sets of every scheme over one 7-node tree of the toy group
-q = 65521, and checks three invariants after every step:
+on runs of every scheme over one 7-node tree of the toy group q = 65521,
+and checks after every step:
 
 * no nonce answers two different (c, e) pairs, e = H3(m);
-* a refused call leaves every session's fields as they were;
-* a session's m, c and v*c never change once set, and a spent session
-  stays spent.
+* a refused call leaves every session's fields, and the run's V~, X~, c,
+  signature and transcript length, as they were;
+* a refusal that names a node wraps a ``MultisigError``, never a bare
+  Python error;
+* a session's m, c and v*c never change once set, a spent session stays
+  spent, a run's c and signature never change once set, and its
+  transcript only grows.
 
-Every session set is opened with a fresh seed, so a nonce is named by its
-set and its node.  Derandomized with a fixed example budget, so the run is
-the same every time.  Skips where ``hypothesis`` is missing.
+Every run is opened with a fresh seed, so a nonce is named by its run and
+its node.  Derandomized with a fixed example budget, so the run is the
+same every time.  Skips where ``hypothesis`` is missing.
 """
 
 import dataclasses
@@ -20,7 +24,7 @@ import dataclasses
 import pytest
 
 from multisig import schemes
-from multisig.errors import MixedSessions, MultisigError
+from multisig.errors import HandlerFailure, MixedSessions, MultisigError
 from multisig.group import toy_group_for_order
 from multisig.hashing import H3, hash_to_scalar
 from multisig.tree import build_tree
@@ -39,100 +43,86 @@ MESSAGES = (b"m0", b"m1")
 CALLS: dict = {}
 
 
-@dataclasses.dataclass
-class SessionSet:
-    sessions: list
-    V: object = None    # the last commit's V~, X~
-    X: object = None
-
-
 class StepMachine(stateful.RuleBasedStateMachine):
-    sets = stateful.Bundle("sets")
+    runs = stateful.Bundle("runs")
 
     def __init__(self):
         super().__init__()
-        self.opened: list[SessionSet] = []
-        self.answers: dict = {}     # (set, node) -> {(c, e)}
-        self.seen: dict = {}        # (set, node) -> (m, c, vc, responded)
+        self.opened: list[schemes.Run] = []
+        self.answers: dict = {}     # (run, node) -> {(c, e)}
+        self.seen: dict = {}        # (run, node) -> (m, c, vc, responded),
+                                    # run -> (c, signature), (run, "sent") -> len
 
     def _snapshot(self) -> list:
-        return [dataclasses.astuple(sess)
-                for ss in self.opened for sess in ss.sessions]
+        return [([dataclasses.astuple(sess) for sess in run.sessions],
+                 run.V, run.agg_key, run.c, run.signature, len(run.messages))
+                for run in self.opened]
 
-    def _call(self, name, step, *args):
-        """``step(*args)``, or None if refused, when no field of any
-        session may have moved."""
+    def _call(self, name, step, *args) -> bool:
+        """Whether ``step(*args)`` ran; if it was refused, nothing in any
+        run may have moved."""
         before = self._snapshot()
         try:
-            out = step(*args)
-        except MultisigError:
+            step(*args)
+        except MultisigError as exc:
+            if isinstance(exc, HandlerFailure):
+                assert isinstance(exc.cause, MultisigError), (name, exc)
             CALLS[name, "refused"] = CALLS.get((name, "refused"), 0) + 1
             assert self._snapshot() == before, name
-            return None
+            return False
         CALLS[name, "ran"] = CALLS.get((name, "ran"), 0) + 1
-        return out
+        return True
 
     def _answered(self, i: int) -> None:
-        """Each session of set i answered its (c, e)."""
+        """Each session of run i answered its (c, e)."""
         for sess in self.opened[i].sessions:
             e = hash_to_scalar(PAR, H3, [sess.m])
             self.answers.setdefault((i, sess.node), set()).add((sess.c, e))
 
-    # at most three sets, so the other steps reach far into each one
+    # at most three runs, so the other steps reach far into each one
     @stateful.precondition(lambda self: len(self.opened) < 3)
-    @stateful.rule(target=sets, scheme=st.sampled_from(schemes.SCHEMES))
+    @stateful.rule(target=runs, scheme=st.sampled_from(schemes.SCHEMES))
     def open(self, scheme):
-        self.opened.append(SessionSet(schemes.open_sessions(
-            PAR, scheme, TREE, KEYS, f"set {len(self.opened)}")))
+        self.opened.append(schemes.open_sessions(
+            PAR, scheme, TREE, KEYS, f"set {len(self.opened)}"))
         return len(self.opened) - 1
 
-    @stateful.rule(i=sets, m=st.sampled_from(MESSAGES))
+    @stateful.rule(i=runs, m=st.sampled_from(MESSAGES))
     def announce(self, i, m):
-        self._call("announce", schemes.announce, TREE,
-                   self.opened[i].sessions, m)
+        self._call("announce", schemes.announce, self.opened[i], m)
 
-    @stateful.rule(i=sets)
+    @stateful.rule(i=runs)
     def commit(self, i):
-        ss = self.opened[i]
-        out = self._call("commit", schemes.commit, PAR, TREE, ss.sessions)
-        if out is not None:
-            ss.V, ss.X = out[0], out[1] or schemes.key_aggregate(PAR, KEYS).X
+        self._call("commit", schemes.commit, self.opened[i])
 
-    @stateful.rule(i=sets, how=st.sampled_from(("hash", "zero", "other")),
+    @stateful.rule(i=runs, how=st.sampled_from(("hash", "zero", "other")),
                    other=st.integers(1, PAR.q - 1))
     def challenge(self, i, how, other):
         """The honest H0 once committed (and, for CoSi, announced), or a
         c of 0 or of any scalar; V_ann is the committed V~, or g1 before
         any commit."""
-        ss = self.opened[i]
-        scheme, m = ss.sessions[0].scheme, ss.sessions[0].m
-        V = PAR.g1 if ss.V is None else ss.V
+        run = self.opened[i]
+        m = run.sessions[0].m
+        V = PAR.g1 if run.V is None else run.V
         if how == "zero":
             c = 0
-        elif how == "hash" and ss.V is not None and (
-                m is not None or scheme != "cosi"):
-            c = schemes.challenge_hash(PAR, scheme, ss.V, ss.X, m)
+        elif how == "hash" and run.V is not None and (
+                m is not None or run.scheme != "cosi"):
+            c = schemes.challenge_hash(PAR, run.scheme, run.V, run.agg_key.X, m)
         else:
             c = other
-        self._call("challenge", schemes.challenge, PAR, TREE, ss.sessions,
-                   c, V)
+        self._call("challenge", schemes.challenge, run, c, V)
 
-    @stateful.rule(i=sets)
+    @stateful.rule(i=runs)
     def respond(self, i):
-        if self._call("respond", schemes.respond, PAR, TREE,
-                      self.opened[i].sessions) is not None:
+        if self._call("respond", schemes.respond, self.opened[i]):
             self._answered(i)
 
-    @stateful.rule(i=sets, m=st.sampled_from(MESSAGES))
+    @stateful.rule(i=runs, m=st.sampled_from(MESSAGES))
     def agms_online(self, i, m):
-        """Online over whatever state set i holds; ``OfflineRun`` is public,
-        so a caller can hand in sessions that never saw a challenge."""
-        ss = self.opened[i]
-        c = ss.sessions[0].c or 1
-        X = ss.X if ss.X is not None else PAR.g1
-        off = schemes.OfflineRun(TREE, ss.sessions, schemes.AggregateKey(X), c)
-        if self._call("agms_online", schemes.agms_online, PAR, off,
-                      m) is not None:
+        """Online over whatever state run i holds, of any scheme."""
+        if self._call("agms_online", schemes.agms_online, PAR,
+                      self.opened[i], m):
             self._answered(i)
 
     @stateful.invariant()
@@ -142,13 +132,17 @@ class StepMachine(stateful.RuleBasedStateMachine):
 
     @stateful.invariant()
     def fields_are_set_once(self):
-        for i, ss in enumerate(self.opened):
-            for sess in ss.sessions:
-                now = (sess.m, sess.c, sess.vc, sess.responded)
-                for was, value in zip(self.seen.get((i, sess.node), now), now):
+        for i, run in enumerate(self.opened):
+            fields = {(i, sess.node): (sess.m, sess.c, sess.vc, sess.responded)
+                      for sess in run.sessions}
+            fields[i] = (run.c, run.signature)
+            for key, now in fields.items():
+                for was, value in zip(self.seen.get(key, now), now):
                     assert was is None or was is False or was == value, \
-                        ((i, sess.node), was, value)
-                self.seen[i, sess.node] = now
+                        (key, was, value)
+                self.seen[key] = now
+            assert len(run.messages) >= self.seen.get((i, "sent"), 0), i
+            self.seen[i, "sent"] = len(run.messages)
 
 
 def test_step_api_state_machine():
@@ -165,8 +159,9 @@ def test_step_api_state_machine():
 def test_agms_online_refuses_unchallenged_sessions_untouched():
     """The case the machine found: online over sessions that hold no c
     announced m before ``respond`` refused them."""
-    sessions = schemes.open_sessions(PAR, "agms", TREE, KEYS, "unchallenged")
-    off = schemes.OfflineRun(TREE, sessions, schemes.AggregateKey(PAR.g1), 1)
-    with pytest.raises(MixedSessions, match="challenge"):
-        schemes.agms_online(PAR, off, b"m0")
-    assert all(sess.m is None for sess in sessions)
+    run = schemes.open_sessions(PAR, "agms", TREE, KEYS, "unchallenged")
+    for claimed in (run, dataclasses.replace(run, c=1)):
+        with pytest.raises(MixedSessions, match="challenge"):
+            schemes.agms_online(PAR, claimed, b"m0")
+    assert all(sess.m is None for sess in run.sessions)
+    assert run.messages == []

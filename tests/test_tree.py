@@ -203,7 +203,8 @@ def test_agms_transcript_at_scale_is_pinned():
     keys = schemes.derive_keys(par, 511, 9)
     off = schemes.agms_offline(par, tree, keys, seed=9)
     run = schemes.agms_online(par, off, b"pin the engine at scale")
-    messages = off.messages + run.messages
+    assert run is off
+    messages = run.messages
     assert len(messages) == 4 * 510
     assert (run.signature.c, run.signature.s) == (324062, 679561)
     digest = hashlib.sha256(transcript_to_jsonl(messages).encode()).hexdigest()

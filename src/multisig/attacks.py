@@ -326,9 +326,7 @@ def ksum_forgery_attack(par: Group, *, target: str = "cosi", k: int = 4,
             commit(run)
             runs.append(run)
         v_sess = [run.V for run in runs]
-        v_bar = v_sess[0]
-        for v in v_sess[1:]:
-            v_bar = par.mul(v_bar, v)
+        v_bar = par.product(v_sess[0], v_sess[1:])
 
         grind_rng = derive_rng(seed, "grind", t)
         ground = [_grind(s_l, _session_candidates(

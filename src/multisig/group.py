@@ -38,6 +38,15 @@ Group elements are opaque to callers: ints for the toy backend, affine
 ``(x, y)`` tuples (or ``None`` for the identity) on the curve.  Scalars
 are plain ints in ``[0, q)`` everywhere.
 
+An affine curve multiplication makes one field inversion: ≈9.2 µs a
+call, against ≈2.6 µs for a mixed Jacobian addition (best of 5 × 20,000
+calls; Python 3.11.7, 2-vCPU VM).  So a running product goes through
+``Group.product(first, rest)``.  Each of its steps is still one
+``mul`` call; on the curve ``first`` opens a Jacobian accumulator, which
+``mul`` takes as its first argument and adds to with one mixed addition,
+and the product is made affine once.  A warm N = 64 ``agms_offline``
+makes 96 inversions this way, against 190 with one per multiplication.
+
 Every exponentiation and element multiplication bumps ``Group.ops_total``.
 ``Group.span()`` is the one way to meter a block of code: wall time,
 exponentiations and multiplications, as deltas of the shared totals, so
@@ -133,6 +142,18 @@ class Group:
         if ops is not None:
             ops.multiplications += 1
         return self._mul(a, b)
+
+    def product(self, first, rest):
+        """``first`` times each element of the sequence ``rest``, left to
+        right.  Each step is one ``self.mul`` call, so ``span()``,
+        ``ops_total`` and any ``mul`` set on the instance (perfbench's
+        tracer sets one) count ``len(rest)`` multiplications.  An empty
+        ``rest`` returns ``first`` itself.  Here the plain loop; the curve
+        keeps a Jacobian accumulator between the calls."""
+        mul = self.mul
+        for x in rest:
+            first = mul(first, x)
+        return first
 
     @contextmanager
     def span(self):
@@ -765,11 +786,28 @@ class Secp256k1Group(Group):
             return _exp_comb(base, e)
         return _exp_glv(base, e)
 
+    def product(self, first, rest):
+        """``Group.product`` with one inversion: ``first`` opens a Jacobian
+        accumulator (X, Y, 1), or ``_JAC_ID`` for the identity, and each
+        step is ``mul(acc, x)``, which takes the accumulator as its first
+        argument and adds the affine ``x`` with one mixed addition.  The
+        result is made affine once.  The accumulator never leaves here, and
+        ``is_element`` refuses it."""
+        if not rest:
+            return first
+        acc = _JAC_ID if first is None else (*first, 1)
+        mul = self.mul
+        for x in rest:
+            acc = mul(acc, x)
+        return _jac_to_affine(acc)
+
     def _mul(self, a, b):
-        if a is None:
-            return b
         if b is None:
             return a
+        if a is None:
+            return b
+        if len(a) == 3:  # product's accumulator: one mixed addition
+            return _accumulate(a, ((0, *b),))
         x1, y1 = a
         x2, y2 = b
         if x1 == x2:

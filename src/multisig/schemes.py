@@ -198,10 +198,7 @@ def key_aggregate(par: Group, keys) -> AggregateKey:
     ys = [k.y for k in keys]
     if not ys:
         raise EmptySet("cannot aggregate zero keys")
-    X = ys[0]
-    for y in ys[1:]:
-        X = par.mul(X, y)
-    return AggregateKey(X)
+    return AggregateKey(par.product(ys[0], ys[1:]))
 
 
 def derive_keys(par: Group, n: int, seed) -> list[KeyPair]:
@@ -301,15 +298,19 @@ def commit(run: Run) -> None:
     Sets ``run.V`` to V~ and ``run.agg_key`` to X~.  AGMS payloads carry
     (V_agg, X_agg), so the same tree pass aggregates the keys — no
     separate key-collection round; GMS and CoSi multiply the sessions'
-    keys after it.  A payload is ``encode_wire(V_agg)``, then for AGMS
-    ``encode_wire(X_agg)``: ``wire_len`` bytes each, 65 on the curve
-    (uncompressed, no square root to decode).  ``run_phase`` reads each
-    child's payload with ``read``, so a payload of any other length, or
-    one that does not decode, is a ``BadPayload`` naming its sender.
+    keys after it.  A node with children folds their aggregates into its
+    own with one ``Group.product`` each: on the curve one inversion per
+    product, however many children.  A payload is ``encode_wire(V_agg)``,
+    then for AGMS ``encode_wire(X_agg)``: ``wire_len`` bytes each, 65 on
+    the curve (uncompressed, no square root to decode).  ``run_phase``
+    reads each child's payload with ``read``, so a payload of any other
+    length, or one that does not decode, is a ``BadPayload`` naming its
+    sender.
     """
     par, sessions = run.par, run.sessions
     wl, g1 = par.wire_len, par.g1
-    exp, mul, decode, encode = par.exp, par.mul, par.decode_element, par.encode_wire
+    exp, product = par.exp, par.product
+    decode, encode = par.decode_element, par.encode_wire
     aggregate_keys = run.scheme == "agms"
     size = 2 * wl if aggregate_keys else wl
     V_agg = X_agg = None
@@ -327,10 +328,11 @@ def commit(run: Run) -> None:
         sess = sessions[node]
         V_agg = exp(g1, sess.v)
         X_agg = sess.key.public.y
-        for V, X in child_aggregates:
-            V_agg = mul(V_agg, V)
+        if child_aggregates:  # a leaf builds no lists
+            Vs, Xs = zip(*child_aggregates)
+            V_agg = product(V_agg, Vs)
             if aggregate_keys:
-                X_agg = mul(X_agg, X)
+                X_agg = product(X_agg, Xs)
         out = encode(V_agg)
         if aggregate_keys:
             out += encode(X_agg)

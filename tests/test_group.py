@@ -630,14 +630,9 @@ def test_comb12_digits_reconstruct_the_scalar(curve):
                             _comb12_edge_scalars(), _comb12_digits, 12, 11)
 
 
-def _count_additions(monkeypatch, table, base, scalars) -> list:
-    """One table read per nonzero digit of either half, each read one
-    mixed addition, and no other group operation; the one inversion
-    converts the result to affine.  The additions are written out in the
-    loop, so the rows count the reads.  Returns each scalar's reads."""
-    reads, inversions = [], []
-    logged = _logged(table, reads)
-    refs = [_exp_ladder(base, e) for e in scalars]
+def _counting_inversions(monkeypatch) -> list:
+    """The moduli of every field inversion ``group`` makes from here on."""
+    inversions = []
 
     def counting_pow(x, y, mod=None):
         if y == -1:
@@ -645,6 +640,18 @@ def _count_additions(monkeypatch, table, base, scalars) -> list:
         return pow(x, y, mod)
 
     monkeypatch.setattr(group_mod, "pow", counting_pow, raising=False)
+    return inversions
+
+
+def _count_additions(monkeypatch, table, base, scalars) -> list:
+    """One table read per nonzero digit of either half, each read one
+    mixed addition, and no other group operation; the one inversion
+    converts the result to affine.  The additions are written out in the
+    loop, so the rows count the reads.  Returns each scalar's reads."""
+    reads = []
+    logged = _logged(table, reads)
+    refs = [_exp_ladder(base, e) for e in scalars]
+    inversions = _counting_inversions(monkeypatch)
     counts = []
     for e, ref in zip(scalars, refs):
         reads.clear()
@@ -800,14 +807,7 @@ def test_glv_exp_makes_one_inversion(curve, monkeypatch):
     cases = [(_exp_ladder(curve.g1, rng.randrange(1, curve.q)),
               rng.randrange(1, curve.q)) for _ in range(5)]
     refs = [_exp_ladder(base, e) for base, e in cases]
-    inversions = []
-
-    def counting_pow(x, y, mod=None):
-        if y == -1:
-            inversions.append(mod)
-        return pow(x, y, mod)
-
-    monkeypatch.setattr(group_mod, "pow", counting_pow, raising=False)
+    inversions = _counting_inversions(monkeypatch)
     for (base, e), ref in zip(cases, refs):
         inversions.clear()
         assert _exp_glv(base, e) == ref
@@ -972,6 +972,19 @@ def test_sec1_decodes_match_openssl(curve, ec):
             openssl_decode(data)
 
 
+def test_product_matches_openssl(curve, ec):
+    """Chains of OpenSSL points, one with k·G and (n − k)·G next to each
+    other, against OpenSSL's point for the sum of their scalars."""
+    n = curve.q
+    rng = random.Random(3773)
+    chains = [[rng.randrange(1, n) for _ in range(k)] for k in (2, 5, 17)]
+    k = rng.randrange(1, n)
+    chains.append([rng.randrange(1, n), k, n - k, rng.randrange(1, n)])
+    for ks in chains:
+        pts = [_openssl_point(ec, k) for k in ks]
+        assert curve.product(pts[0], pts[1:]) == _openssl_point(ec, sum(ks) % n)
+
+
 # ── per-group caches ─────────────────────────────────────────────────────────
 
 def _toy16():
@@ -1052,6 +1065,88 @@ def test_two_groups_share_no_cache_state():
     fixed = a.fixed_base(base)
     assert b.exp(fixed, 3) == b.exp(base, 3) == _exp_ladder(base, 3)
     assert _group_state(a) == _group_state(b) == before
+
+
+# ── products ─────────────────────────────────────────────────────────────────
+
+def _left_to_right(par, first, rest):
+    """The slow path ``product`` stands for: one affine ``mul`` per element."""
+    for x in rest:
+        first = par.mul(first, x)
+    return first
+
+
+def _product_cases(par, rng) -> list:
+    """(first, rest) chains: random ones of 1 to 17 elements, then each
+    special case of a mixed addition at the start, middle and end."""
+    def pick():
+        return par.exp(par.g1, rng.randrange(1, par.q))
+
+    P, Q, R = pick(), pick(), pick()
+    one, QP = par.identity, par.mul(Q, P)
+    cases = [(pick(), [pick() for _ in range(k)]) for k in (1, 2, 3, 5, 8, 17)]
+    return cases + [
+        (one, [P, Q]),                        # first is the identity
+        (one, [one]),
+        (P, [one, Q, one]),                   # the identity inside rest
+        (P, [par.exp(P, par.q - 1), Q, R]),   # P·P⁻¹, then on
+        (Q, [P, par.exp(QP, par.q - 1), R]),  # back to the identity mid-chain
+        (P, [par.exp(P, par.q - 1)]),         # ends at the identity
+        (P, [P]),                             # P·P, a doubling
+        (Q, [P, QP, R]),                      # a doubling mid-chain
+    ]
+
+
+@_BACKENDS
+def test_product_matches_left_to_right_mul(make):
+    par = make()
+    for first, rest in _product_cases(par, random.Random(37)):
+        want = _left_to_right(par, first, rest)
+        with par.span() as sp:
+            assert par.product(first, rest) == want, (first, rest)
+        assert (sp.exponentiations, sp.multiplications) == (0, len(rest))
+
+
+@_BACKENDS
+def test_product_of_nothing_is_first_itself(make):
+    par = make()
+    for first in (par.exp(par.g1, 5), par.identity):
+        with par.span() as sp:
+            assert par.product(first, []) is first
+            assert par.product(first, ()) is first
+        assert sp.multiplications == 0
+
+
+@_BACKENDS
+def test_product_multiplies_through_an_instance_mul(make):
+    """A ``mul`` set on the instance, as perfbench's tracer sets one, sees
+    every step: ``product`` bypasses no multiplication."""
+    par = make()
+    rest = [par.exp(par.g1, k) for k in (3, 5, 7)]
+    seen = []
+    real = par.mul
+    par.mul = lambda a, b, ops=None: seen.append(b) or real(a, b, ops)
+    assert par.product(par.g1, rest) == par.exp(par.g1, 16)
+    assert seen == rest
+
+
+def test_curve_product_makes_one_inversion(curve, monkeypatch):
+    """The Jacobian accumulator is made affine once, whatever the chain
+    meets on the way; an empty ``rest``, or a chain that ends at the
+    identity, makes no inversion.  The accumulator never leaves
+    ``product``, and ``is_element`` refuses one."""
+    cases = _product_cases(curve, random.Random(1998))
+    wants = [_left_to_right(curve, first, rest) for first, rest in cases]
+    inversions = _counting_inversions(monkeypatch)
+    for (first, rest), want in zip(cases, wants):
+        inversions.clear()
+        assert curve.product(first, rest) == want
+        assert inversions == ([] if want is None else [_P]), (first, rest)
+    inversions.clear()
+    assert curve.product(curve.g1, []) == curve.g1 and inversions == []
+    x, y = curve.g1
+    assert not curve.is_element((x, y, 1))
+    assert not curve.is_element(_JAC_ID)
 
 
 # ── toy g1 table ─────────────────────────────────────────────────────────────

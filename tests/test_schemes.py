@@ -405,6 +405,68 @@ def test_verifier_cost_independent_of_signer_count(toy):
     assert counts[1] == counts[16384] == (3, 1)
 
 
+@pytest.fixture(scope="module")
+def curve64():
+    """secp256k1, 64 keys and the depth-3 tree of fan-out 4: the shape of
+    perfbench's sign-curve-64, with the g1 table already built."""
+    par = curve_group()
+    keys = derive_keys(par, 64, "curve64")
+    return par, keys, build_tree(64, 4, 3)
+
+
+def test_curve_signing_counts_under_instance_wrappers(curve64):
+    """perfbench's tracer counts by replacing ``exp``, ``mul`` and
+    ``decode_element`` on the group instance.  One N = 64 ``agms_offline``,
+    ``agms_online`` and ``verify`` through such wrappers: N + 1 g1 and 2
+    variable-base exponentiations, 2(N − 1) decodes, 2N − 1
+    multiplications, as ``expected_group_ops`` pins them.  A product that
+    skipped ``mul`` would read fewer."""
+    _, keys, tree = curve64
+    par = curve_group()     # a group of its own, for the instance attributes
+    agg = key_aggregate(par, keys)
+    counts = dict.fromkeys(("exp_g1", "exp_var", "decode", "mul"), 0)
+    exp, mul, decode = par.exp, par.mul, par.decode_element
+
+    def traced_exp(base, e, ops=None):
+        counts["exp_g1" if base == par.g1 else "exp_var"] += 1
+        return exp(base, e, ops)
+
+    def traced_mul(a, b, ops=None):
+        counts["mul"] += 1
+        return mul(a, b, ops)
+
+    def traced_decode(data):
+        counts["decode"] += 1
+        return decode(data)
+
+    par.exp, par.mul, par.decode_element = traced_exp, traced_mul, traced_decode
+    run = agms_online(par, agms_offline(par, tree, keys, seed="traced"), M)
+    assert run.agg_key.X == agg.X
+    assert verify(par, agg, M, run.signature)
+    assert counts == {"exp_g1": 65, "exp_var": 2, "decode": 126, "mul": 127}
+
+
+def test_curve_offline_makes_one_inversion_per_product(curve64, monkeypatch):
+    """A warm N = 64 ``agms_offline`` inverts once per comb exponentiation
+    and once per product: 64 + 2 for each of the 16 nodes with children,
+    where one affine inversion per multiplication made 64 + 126."""
+    par, keys, tree = curve64
+    agms_offline(par, tree, keys, seed="warm")
+    inversions = []
+
+    def counting_pow(x, y, mod=None):
+        if y == -1:
+            inversions.append(mod)
+        return pow(x, y, mod)
+
+    monkeypatch.setattr(group_mod, "pow", counting_pow, raising=False)
+    with par.span() as sp:
+        agms_offline(par, tree, keys, seed="cold")
+    assert sum(1 for kids in tree.children if kids) == 16
+    assert (sp.exponentiations, sp.multiplications) == (64, 126)
+    assert len(inversions) == 64 + 2 * 16
+
+
 def test_verify_accepts_raw_element_or_aggregate(toy):
     tree = build_tree(3, 2, 3)
     keys = derive_keys(toy, 3, 13)

@@ -29,13 +29,16 @@ def test_the_reader_parses_every_bench_file():
     assert len(files) >= 21
     assert [f.name for f in files[:3]] == ["BENCH_2.json", "BENCH_3.json",
                                           "BENCH_4.json"]
+    claims = {}
     for path in files:
-        data = trajectory.read(path)
-        assert set(data) - {None} == set(WORKLOADS), path.name
+        table, claims[path.stem] = trajectory.read(path)
+        assert set(table) == set(WORKLOADS), path.name
         for workload in WORKLOADS:
-            assert set(data[workload]) == set(BETTER), (path.name, workload)
-            for parent, change, _won in data[workload].values():
+            assert set(table[workload]) == set(BETTER), (path.name, workload)
+            for parent, change, _won in table[workload].values():
                 assert parent > 0 and change > 0, (path.name, workload)
+    assert claims["BENCH_2"] is None
+    assert claims["BENCH_33"] == ("sign-curve-64", "offline_ms.p50")
 
 
 def test_the_trajectory_reads_each_schema():
@@ -84,6 +87,9 @@ def test_the_claim_rule():
     assert not pairs.claim_met(pairs.summarize(parent[:9], faster[:9], "lower", 0.15))
     close = [p - 0.01 for p in parent]
     assert not pairs.claim_met(pairs.summarize(parent, close, "lower", 0.15))
+    flat = pairs.summarize([20.0] * 10, faster, "lower", 0.15)
+    assert flat["median_gap_over_parent_iqr"] is None
+    assert not pairs.claim_met(flat)
     # higher is better for a throughput: slower runs are worse, not better
     s = pairs.summarize(parent, faster, "higher", 0.15)
     assert s["change_better_pairs"] == "0/10" and s["worse_by"] > 0

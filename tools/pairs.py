@@ -63,7 +63,7 @@ def summarize(parent_runs: list, change_runs: list, better: str,
     p_q = quartiles(parent_runs)
     wins = sum(sign * (c - p) < 0 for p, c in zip(parent_runs, change_runs))
     iqr = p_q[1] - p_q[0]
-    gap = abs(c_med - p_med) / iqr if iqr else float("inf")
+    gap = round(abs(c_med - p_med) / iqr, 1) if iqr else None  # JSON has no inf
     return {
         "bound": bound,
         "parent_median": round(p_med, 4),
@@ -72,7 +72,7 @@ def summarize(parent_runs: list, change_runs: list, better: str,
         "change_q1_q3": quartiles(change_runs),
         "worse_by": round(sign * (c_med - p_med) / p_med, 4),
         "change_better_pairs": f"{wins}/{len(parent_runs)}",
-        "median_gap_over_parent_iqr": round(gap, 1),
+        "median_gap_over_parent_iqr": gap,
         "parent_runs": parent_runs,
         "change_runs": change_runs,
     }
@@ -80,11 +80,12 @@ def summarize(parent_runs: list, change_runs: list, better: str,
 
 def claim_met(summary: dict) -> bool:
     """At least 10 pairs, the change better in 9 of every 10, better in the
-    median, and by more than the parent's quartile distance."""
+    median, and by more than the parent's quartile distance (none, when
+    the parent's runs have no spread)."""
     wins, pairs = map(int, summary["change_better_pairs"].split("/"))
+    gap = summary["median_gap_over_parent_iqr"]
     return (pairs >= 10 and 10 * wins >= 9 * pairs
-            and summary["worse_by"] < 0
-            and summary["median_gap_over_parent_iqr"] > 1)
+            and summary["worse_by"] < 0 and gap is not None and gap > 1)
 
 
 # ── running ──────────────────────────────────────────────────────────────────
@@ -207,6 +208,12 @@ def main(argv=None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = args.workload or [w["name"] for w in spec["workloads"]]
     seconds = args.seconds or spec["run_seconds"]
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    if args.claim:  # checked before the runs, which take minutes
+        claim_workload, _, claim_metric = args.claim.partition(":")
+        if claim_workload not in workloads or claim_metric not in better:
+            ap.error("--claim needs a workload this run measures and an "
+                     "end-to-end metric, as WORKLOAD:METRIC")
 
     def log(line: str) -> None:
         print(line, file=sys.stderr, flush=True)
@@ -240,10 +247,9 @@ def main(argv=None) -> int:
             doc["tier1"] = time_tier1(sides, args.tier1)
 
     if args.claim:
-        workload, metric = args.claim.split(":")
-        better = {m["name"]: m["better"] for m in spec["end_to_end"]}[metric]
-        summary = doc["workloads"][workload]["summary"][metric]
-        doc["claim"] = {"workload": workload, "metric": metric, "better": better,
+        summary = doc["workloads"][claim_workload]["summary"][claim_metric]
+        doc["claim"] = {"workload": claim_workload, "metric": claim_metric,
+                        "better": better[claim_metric],
                         "met": claim_met(summary)}
     doc["worse_than_bound"] = [
         f"{w}: {name} {s['worse_by']:+.1%} against {s['bound']:.0%}"

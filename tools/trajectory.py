@@ -42,28 +42,28 @@ def _row(entry: dict) -> tuple:
             entry.get("change_better_pairs"))
 
 
-def read(path: Path) -> dict:
-    """{workload: {metric: (parent median, change median, pairs won)}} and,
-    under key None, the file's claim as (workload, metric) or None."""
+def read(path: Path) -> tuple:
+    """({workload: {metric: (parent median, change median, pairs won)}},
+    the file's claim as (workload, metric), or None if it made none)."""
     doc = json.loads(path.read_text())
-    out: dict = {}
+    rows = {}
     for workload, body in doc["workloads"].items():
         table = body.get("summary", body.get("metrics"))
-        out[workload] = {metric: _row(entry) for metric, entry in table.items()}
+        rows[workload] = {metric: _row(entry) for metric, entry in table.items()}
     claim = doc.get("claim")
-    out[None] = ((claim["workload"], claim["metric"])
-                 if isinstance(claim, dict) else None)
-    return out
+    if isinstance(claim, dict):
+        return rows, (claim["workload"], claim["metric"])
+    return rows, None
 
 
 def trajectory(files: list, workload: str, metric: str) -> list:
     """(file name, parent, change, pairs won, claimed) per file that has it."""
     rows = []
     for path in files:
-        data = read(path)
-        row = data.get(workload, {}).get(metric)
+        table, claim = read(path)
+        row = table.get(workload, {}).get(metric)
         if row is not None:
-            rows.append((path.stem, *row, data[None] == (workload, metric)))
+            rows.append((path.stem, *row, claim == (workload, metric)))
     return rows
 
 

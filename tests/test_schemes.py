@@ -461,7 +461,7 @@ def test_curve_offline_makes_one_inversion_per_product(curve64, monkeypatch):
 
     monkeypatch.setattr(group_mod, "pow", counting_pow, raising=False)
     with par.span() as sp:
-        agms_offline(par, tree, keys, seed="cold")
+        agms_offline(par, tree, keys, seed="counted")
     assert sum(1 for kids in tree.children if kids) == 16
     assert (sp.exponentiations, sp.multiplications) == (64, 126)
     assert len(inversions) == 64 + 2 * 16

@@ -300,12 +300,14 @@ def commit(run: Run) -> None:
     separate key-collection round; GMS and CoSi multiply the sessions'
     keys after it.  A node with children folds their aggregates into its
     own with one ``Group.product`` each: on the curve one inversion per
-    product, however many children.  A payload is ``encode_wire(V_agg)``,
-    then for AGMS ``encode_wire(X_agg)``: ``wire_len`` bytes each, 65 on
-    the curve (uncompressed, no square root to decode).  ``run_phase``
-    reads each child's payload with ``read``, so a payload of any other
-    length, or one that does not decode, is a ``BadPayload`` naming its
-    sender.
+    product, however many children.  On the toy group ``product`` is the
+    plain loop of ``mul`` calls, so an inner node pays only the extra
+    calls (``sign-toy-511`` offline +2% in ``BENCH_37.json``, against a
+    15% bound).  A payload is ``encode_wire(V_agg)``, then for AGMS
+    ``encode_wire(X_agg)``: ``wire_len`` bytes each, 65 on the curve
+    (uncompressed, no square root to decode).  ``run_phase`` reads each
+    child's payload with ``read``, so a payload of any other length, or
+    one that does not decode, is a ``BadPayload`` naming its sender.
     """
     par, sessions = run.par, run.sessions
     wl, g1 = par.wire_len, par.g1
@@ -321,18 +323,20 @@ def commit(run: Run) -> None:
                             f"got {len(payload)}")
         if aggregate_keys:
             return decode(payload[:wl]), decode(payload[wl:])
-        return decode(payload), None
+        return decode(payload)
 
     def handler(node, child_aggregates):
         nonlocal V_agg, X_agg
         sess = sessions[node]
         V_agg = exp(g1, sess.v)
         X_agg = sess.key.public.y
-        if child_aggregates:  # a leaf builds no lists
+        # a leaf calls no product; GMS and CoSi children send V_agg alone
+        if child_aggregates and aggregate_keys:
             Vs, Xs = zip(*child_aggregates)
             V_agg = product(V_agg, Vs)
-            if aggregate_keys:
-                X_agg = product(X_agg, Xs)
+            X_agg = product(X_agg, Xs)
+        elif child_aggregates:
+            V_agg = product(V_agg, child_aggregates)
         out = encode(V_agg)
         if aggregate_keys:
             out += encode(X_agg)

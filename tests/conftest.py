@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from multisig import gamma, schemes
+from multisig import gamma, group as group_mod, schemes
 from multisig.group import curve_group, toy_group, toy_group_for_order
 
 DATA = Path(__file__).parent / "data"
@@ -58,6 +58,25 @@ def node_spans(monkeypatch):
 
         monkeypatch.setattr(schemes, "run_phase", metered)
         return spans
+
+    return install
+
+
+@pytest.fixture
+def count_inversions(monkeypatch):
+    """``count_inversions()`` returns a list that, from then on, holds the
+    modulus of every field inversion ``multisig.group`` makes: each
+    ``pow(x, -1, m)`` call, seen by replacing the module's ``pow``."""
+    def install() -> list:
+        inversions = []
+
+        def counting_pow(x, y, mod=None):
+            if y == -1:
+                inversions.append(mod)
+            return pow(x, y, mod)
+
+        monkeypatch.setattr(group_mod, "pow", counting_pow, raising=False)
+        return inversions
 
     return install
 

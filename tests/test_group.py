@@ -630,20 +630,7 @@ def test_comb12_digits_reconstruct_the_scalar(curve):
                             _comb12_edge_scalars(), _comb12_digits, 12, 11)
 
 
-def _counting_inversions(monkeypatch) -> list:
-    """The moduli of every field inversion ``group`` makes from here on."""
-    inversions = []
-
-    def counting_pow(x, y, mod=None):
-        if y == -1:
-            inversions.append(mod)
-        return pow(x, y, mod)
-
-    monkeypatch.setattr(group_mod, "pow", counting_pow, raising=False)
-    return inversions
-
-
-def _count_additions(monkeypatch, table, base, scalars) -> list:
+def _count_additions(count_inversions, table, base, scalars) -> list:
     """One table read per nonzero digit of either half, each read one
     mixed addition, and no other group operation; the one inversion
     converts the result to affine.  The additions are written out in the
@@ -651,7 +638,7 @@ def _count_additions(monkeypatch, table, base, scalars) -> list:
     reads = []
     logged = _logged(table, reads)
     refs = [_exp_ladder(base, e) for e in scalars]
-    inversions = _counting_inversions(monkeypatch)
+    inversions = count_inversions()
     counts = []
     for e, ref in zip(scalars, refs):
         reads.clear()
@@ -663,24 +650,24 @@ def _count_additions(monkeypatch, table, base, scalars) -> list:
 
 
 def test_comb_exp_makes_at_most_26_mixed_additions_and_one_inversion(
-        curve, monkeypatch):
+        curve, count_inversions):
     """A ``fixed_base`` table's 10-bit digits: 13 rows a half."""
     rng = random.Random(1024)
     table = _key_table(curve)
     base = _exp_ladder(curve.g1, 0xC0FFEE)
     cases = _comb10_edge_scalars() + [rng.randrange(1, curve.q)
                                       for _ in range(20)]
-    counts = _count_additions(monkeypatch, table, base, cases)
+    counts = _count_additions(count_inversions, table, base, cases)
     assert counts[0] == max(counts) == 26
 
 
 def test_g1_comb_exp_makes_at_most_22_mixed_additions_and_one_inversion(
-        curve, monkeypatch):
+        curve, count_inversions):
     """g1's 12-bit digits: 11 rows a half."""
     rng = random.Random(4096)
     cases = _comb12_edge_scalars() + [rng.randrange(1, curve.q)
                                       for _ in range(20)]
-    counts = _count_additions(monkeypatch, _g1_table(curve), curve.g1, cases)
+    counts = _count_additions(count_inversions, _g1_table(curve), curve.g1, cases)
     assert counts[0] == max(counts) == 22
 
 
@@ -800,14 +787,14 @@ def test_glv_exp_matches_comb_and_reference_ladder(curve):
         assert _exp_glv(base, e) == _exp_ladder(base, e), (base, hex(e))
 
 
-def test_glv_exp_makes_one_inversion(curve, monkeypatch):
+def test_glv_exp_makes_one_inversion(curve, count_inversions):
     """The odd-multiples table is built without an inversion; the one
     inversion left converts the result to affine."""
     rng = random.Random(2001)
     cases = [(_exp_ladder(curve.g1, rng.randrange(1, curve.q)),
               rng.randrange(1, curve.q)) for _ in range(5)]
     refs = [_exp_ladder(base, e) for base, e in cases]
-    inversions = _counting_inversions(monkeypatch)
+    inversions = count_inversions()
     for (base, e), ref in zip(cases, refs):
         inversions.clear()
         assert _exp_glv(base, e) == ref
@@ -1130,14 +1117,14 @@ def test_product_multiplies_through_an_instance_mul(make):
     assert seen == rest
 
 
-def test_curve_product_makes_one_inversion(curve, monkeypatch):
+def test_curve_product_makes_one_inversion(curve, count_inversions):
     """The Jacobian accumulator is made affine once, whatever the chain
     meets on the way; an empty ``rest``, or a chain that ends at the
     identity, makes no inversion.  The accumulator never leaves
     ``product``, and ``is_element`` refuses one."""
     cases = _product_cases(curve, random.Random(1998))
     wants = [_left_to_right(curve, first, rest) for first, rest in cases]
-    inversions = _counting_inversions(monkeypatch)
+    inversions = count_inversions()
     for (first, rest), want in zip(cases, wants):
         inversions.clear()
         assert curve.product(first, rest) == want

@@ -446,20 +446,13 @@ def test_curve_signing_counts_under_instance_wrappers(curve64):
     assert counts == {"exp_g1": 65, "exp_var": 2, "decode": 126, "mul": 127}
 
 
-def test_curve_offline_makes_one_inversion_per_product(curve64, monkeypatch):
+def test_curve_offline_makes_one_inversion_per_product(curve64, count_inversions):
     """A warm N = 64 ``agms_offline`` inverts once per comb exponentiation
     and once per product: 64 + 2 for each of the 16 nodes with children,
     where one affine inversion per multiplication made 64 + 126."""
     par, keys, tree = curve64
     agms_offline(par, tree, keys, seed="warm")
-    inversions = []
-
-    def counting_pow(x, y, mod=None):
-        if y == -1:
-            inversions.append(mod)
-        return pow(x, y, mod)
-
-    monkeypatch.setattr(group_mod, "pow", counting_pow, raising=False)
+    inversions = count_inversions()
     with par.span() as sp:
         agms_offline(par, tree, keys, seed="counted")
     assert sum(1 for kids in tree.children if kids) == 16

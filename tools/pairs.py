@@ -6,9 +6,10 @@
 Run from the repository root.  The parent side runs from a ``git archive``
 of ``--parent`` in a temporary directory, the change side from the working
 tree.  Both run ``BENCHMARK.json``'s command, exactly as it is written
-there, with ``--workload W --seed S --seconds T --trace 0``.  Pair k runs
-the parent first when k is even and the change first when k is odd, and a
-workload's pairs run back to back.
+there, with ``--workload W --seed S --seconds T --trace 0``, T being
+``BENCHMARK.json``'s ``run_seconds``.  Pair k runs the parent first when
+k is even and the change first when k is odd, and a workload's pairs run
+back to back.
 
 The output is one ``BENCH_<n>.json`` in the schema of ``BENCH_31`` to
 ``BENCH_36``: every run, each side's median and quartiles, the pairs where
@@ -19,7 +20,8 @@ follows: at least 10 pairs, the change better in at least 9 of 10, and a
 median gap wider than the parent's quartile distance.  ``--trace-seconds``
 adds one traced run a side per sign workload, with its group operation
 counts, and ``--tier1 K`` times the Tier-1 suite K times a side,
-alternating.
+alternating.  Notes that read the figures are written into the output by
+hand, after the keys the runner writes.
 """
 
 from __future__ import annotations
@@ -193,13 +195,9 @@ def main(argv=None) -> int:
     ap.add_argument("--pairs", type=int, required=True)
     ap.add_argument("--workload", action="append",
                     help="repeat for several; default every workload")
-    ap.add_argument("--seconds", type=float,
-                    help="per run; default BENCHMARK.json's run_seconds")
     ap.add_argument("--claim", help="WORKLOAD:METRIC the change claims to improve")
     ap.add_argument("--trace-seconds", type=float, default=0)
     ap.add_argument("--tier1", type=int, default=0, metavar="K")
-    ap.add_argument("--note", action="append", default=[], metavar="KEY=TEXT",
-                    help="a top-level note to record, such as change_note=...")
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args(argv)
     if args.pairs < 2:
@@ -207,7 +205,7 @@ def main(argv=None) -> int:
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = args.workload or [w["name"] for w in spec["workloads"]]
-    seconds = args.seconds or spec["run_seconds"]
+    seconds = spec["run_seconds"]
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     if args.claim:  # checked before the runs, which take minutes
         claim_workload, _, claim_metric = args.claim.partition(":")
@@ -255,9 +253,6 @@ def main(argv=None) -> int:
         f"{w}: {name} {s['worse_by']:+.1%} against {s['bound']:.0%}"
         for w, entry in doc["workloads"].items()
         for name, s in entry["summary"].items() if s["worse_by"] > s["bound"]]
-    for note in args.note:
-        key, _, text = note.partition("=")
-        doc[key] = text
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
     return 0
 

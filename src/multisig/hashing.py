@@ -15,9 +15,11 @@ inverse the verifier needs, and no digest can cancel a key.  Four domains:
 The tag byte plus a 4-byte big-endian length prefix per item make the
 serialization injective over tuples of byte strings: (b"ab", b"c") and
 (b"a", b"bc") hash differently, as do same-bytes inputs under different
-tags.  Items must be ``bytes``: callers encode scalars and group elements
-first, since toy group elements are also ints and reducing one mod q
-would make distinct elements hash alike.
+tags.  ``serialize_items`` defines those bytes; ``hash_to_scalar`` streams
+exactly them into SHA-512, item by item, without building them.  Items
+must be ``bytes``: callers encode scalars and group elements first, since
+toy group elements are also ints and reducing one mod q would make
+distinct elements hash alike.
 """
 
 from __future__ import annotations
@@ -51,16 +53,23 @@ H2 = HashDomain.KEY_BLIND
 H3 = HashDomain.MESSAGE
 
 
+_TAG_BYTES = {tag: bytes([tag]) for tag in HashDomain}
+
+
+def _not_bytes(item) -> TypeError:
+    return TypeError(f"hash items must be bytes, got {type(item).__name__} "
+                     "(encode scalars and group elements with par.encode_* "
+                     "first)")
+
+
 # ── serialization ────────────────────────────────────────────────────────────
 
 def serialize_items(tag: HashDomain, items: Iterable) -> bytes:
+    """The bytes every protocol hash digests: tag ‖ (len₄(item) ‖ item)*."""
     out = [bytes([tag])]
     for item in items:
         if not isinstance(item, bytes):
-            raise TypeError(
-                f"hash items must be bytes, got {type(item).__name__} (encode"
-                " scalars and group elements with par.encode_* first)"
-            )
+            raise _not_bytes(item)
         out.append(len(item).to_bytes(4, "big"))
         out.append(item)
     return b"".join(out)
@@ -74,14 +83,23 @@ def hash_to_scalar(par, tag: HashDomain, items: Iterable) -> int:
     The result lies in [1, q).  A nonzero residue keeps its value, so 1
     comes out with probability 2/q and every other scalar with 1/q: a bias
     of 1/q, which is 2^-256 on the curve.
+
+    The digest is SHA-512 of exactly ``serialize_items(tag, items)``, fed
+    one item at a time, so no joined copy of the input is built.  Each
+    item is type-checked before it is fed.
     """
-    digest = hashlib.sha512(serialize_items(tag, items)).digest()
-    return int.from_bytes(digest, "big") % par.q or 1
+    h = hashlib.sha512(_TAG_BYTES[tag])
+    for item in items:
+        if not isinstance(item, bytes):
+            raise _not_bytes(item)
+        h.update(len(item).to_bytes(4, "big") + item)
+    return int.from_bytes(h.digest(), "big") % par.q or 1
 
 
 def derive_nonces(par, tag: bytes, seed: int | str, sks) -> list[int]:
     """Nonce i is 1 + (SHA-512(tag ‖ len-prefixed str(seed) ‖ 0000 ‖ i ‖
-    sk_i) mod (q-1)), 0000 being four zero bytes, in the spirit of RFC
+    sk_i) mod (q-1)), 0000 being four zero bytes, i four big-endian bytes
+    and sk_i ``par.encode_scalar(sk_i)``, in the spirit of RFC
     6979: without sk_i the seed reveals nothing about it, so a signature
     cannot be unwound into the key.  512 hash bits mod q-1 leave a bias
     below 2^-256 on the curve.  Equal inputs give equal nonces, so one seed

@@ -11,6 +11,7 @@ from multisig.hashing import (
     H2,
     H3,
     HashDomain,
+    derive_nonces,
     hash_to_scalar,
     serialize_items,
 )
@@ -72,10 +73,14 @@ def test_item_boundaries_matter(toy):
 def test_non_bytes_items_are_rejected(toy):
     # an int item used to be reduced mod q, so the toy elements 13 and 2
     # (13 = 2 mod 11) hashed alike; callers encode every item first
+    # hash_to_scalar streams its items, so a bad one after a good one is
+    # met after the good one was fed: it must still be refused
     for item in (5, 13, 3.14, (b"a",)):
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError, match="hash items must be bytes"):
             hash_to_scalar(toy, H0, [item])
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError, match="hash items must be bytes"):
+            hash_to_scalar(toy, H0, [b"ok", item])
+        with pytest.raises(TypeError, match="hash items must be bytes"):
             serialize_items(H0, [b"ok", item])
 
 
@@ -97,23 +102,53 @@ def _reference_payload(tag, items) -> bytes:
 
 
 def _random_items(rng) -> list:
-    return [rng.randbytes(rng.randrange(0, 70))
+    # up to 300 bytes an item, so one input can span several SHA-512 blocks
+    return [rng.randbytes(rng.randrange(0, 301))
             for _ in range(rng.randrange(0, 5))]
 
 
 @pytest.mark.parametrize("backend", ["toy", "curve"])
 def test_matches_reference_over_random_items(backend, request):
+    # hash_to_scalar streams its items into SHA-512 without building
+    # serialize_items' bytes, and must digest exactly those bytes; empty
+    # items and a one-shot generator included
     par = request.getfixturevalue(backend)
     rng = random.Random(2024)
+    empty = [[], [b""], [b"", b""], [b"", b"x", b""]]
     for tag in HashDomain:
-        for _ in range(50):
-            items = _random_items(rng)
+        for items in empty + [_random_items(rng) for _ in range(50)]:
             payload = _reference_payload(tag, items)
             want = int.from_bytes(hashlib.sha512(payload).digest(), "big") % par.q or 1
             assert serialize_items(tag, items) == payload
             assert hash_to_scalar(par, tag, items) == want
-            assert hash_to_scalar(par, tag, iter(items)) == want
+            assert hash_to_scalar(par, tag, (x for x in items)) == want
 
+
+def _reference_nonce(par, tag, seed, i, sk) -> int:
+    # 1 + SHA-512(tag ‖ len₄(seed) ‖ seed ‖ 0⁴ ‖ i₄ ‖ sk) mod (q−1), rebuilt
+    # from the README's rule with the scalar as a fixed-width big-endian int
+    seed_b = str(seed).encode()
+    data = (tag + len(seed_b).to_bytes(4, "big") + seed_b + bytes(4)
+            + i.to_bytes(4, "big") + sk.to_bytes(par.scalar_len, "big"))
+    return 1 + int.from_bytes(hashlib.sha512(data).digest(), "big") % (par.q - 1)
+
+
+@pytest.mark.parametrize("backend", ["toy", "curve"])
+def test_derive_nonces_matches_its_formula(backend, request):
+    par = request.getfixturevalue(backend)
+    rng = random.Random(6979)
+    sks = [rng.randrange(1, par.q) for _ in range(6)]
+    for tag in (b"multisig/nonce", b"multisig/gamma-nonce"):
+        for seed in (0, 1729, -5, "", "s", "run|revised|3"):
+            got = derive_nonces(par, tag, seed, sks)
+            assert got == [_reference_nonce(par, tag, seed, i, sk)
+                           for i, sk in enumerate(sks)], (tag, seed)
+            assert all(0 < v < par.q for v in got)
+    # the index is hashed: one key at two positions draws two nonces
+    a, b = derive_nonces(par, b"multisig/nonce", 1, [sks[0], sks[0]])
+    assert a != b
+    with pytest.raises(TypeError, match="nonce seed"):
+        derive_nonces(par, b"multisig/nonce", 1.5, sks)
 
 
 @pytest.mark.parametrize("check", ["verify", "gamma", "key_verify"])

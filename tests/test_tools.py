@@ -73,24 +73,58 @@ def test_the_runner_reproduces_bench_35():
     assert checked == 27
 
 
+def _entry(summary: dict, failed=(0, 0), tried=(5000, 5000),
+           correct=(True, True)) -> dict:
+    """One workload's ``run_pairs`` output around one metric's summary."""
+    return {"summary": {"online_ms.p50": summary},
+            "failed_attempted": {"parent": [failed[0], tried[0]],
+                                 "change": [failed[1], tried[1]]},
+            "all_correct": {"parent": correct[0], "change": correct[1]}}
+
+
+def _met(summary: dict, **runs) -> bool:
+    return pairs.claim_met(_entry(summary, **runs), "online_ms.p50")
+
+
 def test_the_claim_rule():
     parent = [20.0, 20.2, 19.9, 20.1, 20.0, 20.3, 19.8, 20.0, 20.1, 20.2]
     faster = [p - 1.5 for p in parent]
     s = pairs.summarize(parent, faster, "lower", 0.15)
     assert s["change_better_pairs"] == "10/10" and s["worse_by"] < 0
-    assert pairs.claim_met(s)
+    assert _met(s)
     one_loss = faster[:9] + [parent[9] + 1]
-    assert pairs.claim_met(pairs.summarize(parent, one_loss, "lower", 0.15))
+    assert _met(pairs.summarize(parent, one_loss, "lower", 0.15))
     two_losses = faster[:8] + [parent[8] + 1, parent[9] + 1]
-    assert not pairs.claim_met(pairs.summarize(parent, two_losses, "lower", 0.15))
+    assert not _met(pairs.summarize(parent, two_losses, "lower", 0.15))
     # nine pairs are too few, and a gap inside the parent's spread is no gain
-    assert not pairs.claim_met(pairs.summarize(parent[:9], faster[:9], "lower", 0.15))
+    assert not _met(pairs.summarize(parent[:9], faster[:9], "lower", 0.15))
     close = [p - 0.01 for p in parent]
-    assert not pairs.claim_met(pairs.summarize(parent, close, "lower", 0.15))
+    assert not _met(pairs.summarize(parent, close, "lower", 0.15))
     flat = pairs.summarize([20.0] * 10, faster, "lower", 0.15)
     assert flat["median_gap_over_parent_iqr"] is None
-    assert not pairs.claim_met(flat)
+    assert not _met(flat)
     # higher is better for a throughput: slower runs are worse, not better
     s = pairs.summarize(parent, faster, "higher", 0.15)
     assert s["change_better_pairs"] == "0/10" and s["worse_by"] > 0
-    assert not pairs.claim_met(s)
+    assert not _met(s)
+    # the gap is compared unrounded: the parent's quartiles are 19.975 and
+    # 20.2, 0.225 ms apart, so a median gap of 0.234 ms is 1.04 quartile
+    # distances, which reads 1.0 rounded, and 0.22 ms is inside them
+    nudged = [p - 0.234 for p in parent]
+    s = pairs.summarize(parent, nudged, "lower", 0.15)
+    assert pairs.median_gap(parent, nudged) == pytest.approx(1.04)
+    assert s["median_gap_over_parent_iqr"] == 1.0
+    assert _met(s)
+    assert not _met(pairs.summarize(parent, [p - 0.22 for p in parent],
+                                    "lower", 0.15))
+    # a faster change that fails a larger share of its operations gains
+    # nothing; shares, not counts, since the sides complete different numbers
+    s = pairs.summarize(parent, faster, "lower", 0.15)
+    assert _met(s, failed=(3, 3))
+    assert not _met(s, failed=(0, 1))
+    assert not _met(s, failed=(2, 3), tried=(5000, 5000))
+    assert _met(s, failed=(2, 3), tried=(4000, 6000))
+    assert not _met(s, failed=(2, 4), tried=(4000, 6000))
+    # a run that was not correct voids the claim, on either side
+    assert not _met(s, correct=(True, False))
+    assert not _met(s, correct=(False, True))

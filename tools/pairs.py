@@ -16,11 +16,12 @@ The output is one ``BENCH_<n>.json`` in the schema of ``BENCH_31`` to
 the change read better, how much worse its median is, and the gap between
 the medians over the parent's quartile distance.  ``--claim W:METRIC``
 adds the claim and its verdict under the rule every speed claim here
-follows: at least 10 pairs, the change better in at least 9 of 10, and a
-median gap wider than the parent's quartile distance.  ``--trace-seconds``
-adds one traced run a side per sign workload, with its group operation
-counts, and ``--tier1 K`` times the Tier-1 suite K times a side,
-alternating.  Notes that read the figures are written into the output by
+follows: every run correct, no larger share of failed operations on the
+change side, at least 10 pairs, the change better in at least 9 of 10,
+and a median gap wider than the parent's quartile distance.
+``--trace-seconds`` adds one traced run a side per sign workload, with
+its group operation and hash counts, and ``--tier1 K`` times the Tier-1
+suite K times a side, alternating.  Notes that read the figures are written into the output by
 hand, after the keys the runner writes.
 """
 
@@ -42,7 +43,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 QUARTILES = "statistics.quantiles(n=4, method='exclusive') over the runs of one side"
 TRACE_COUNTS = ("group.exp_g1.calls", "group.exp_var.calls",
-                "group.decode.calls", "group.mul.calls")
+                "group.decode.calls", "group.mul.calls", "hashing.calls")
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
          "--continue-on-collection-errors"]
 
@@ -52,6 +53,14 @@ TIER1 = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
 def quartiles(runs: list) -> list:
     q = statistics.quantiles(runs, n=4, method="exclusive")
     return [round(q[0], 4), round(q[2], 4)]
+
+
+def median_gap(parent_runs: list, change_runs: list) -> float | None:
+    """The distance between the medians over the parent's quartile
+    distance, unrounded; None when the parent's runs have no spread."""
+    q = statistics.quantiles(parent_runs, n=4, method="exclusive")
+    gap = abs(statistics.median(change_runs) - statistics.median(parent_runs))
+    return gap / (q[2] - q[0]) if q[2] > q[0] else None
 
 
 def summarize(parent_runs: list, change_runs: list, better: str,
@@ -64,8 +73,7 @@ def summarize(parent_runs: list, change_runs: list, better: str,
     c_med = statistics.median(change_runs)
     p_q = quartiles(parent_runs)
     wins = sum(sign * (c - p) < 0 for p, c in zip(parent_runs, change_runs))
-    iqr = p_q[1] - p_q[0]
-    gap = round(abs(c_med - p_med) / iqr, 1) if iqr else None  # JSON has no inf
+    gap = median_gap(parent_runs, change_runs)  # None, as JSON has no inf
     return {
         "bound": bound,
         "parent_median": round(p_med, 4),
@@ -74,18 +82,27 @@ def summarize(parent_runs: list, change_runs: list, better: str,
         "change_q1_q3": quartiles(change_runs),
         "worse_by": round(sign * (c_med - p_med) / p_med, 4),
         "change_better_pairs": f"{wins}/{len(parent_runs)}",
-        "median_gap_over_parent_iqr": gap,
+        "median_gap_over_parent_iqr": None if gap is None else round(gap, 1),
         "parent_runs": parent_runs,
         "change_runs": change_runs,
     }
 
 
-def claim_met(summary: dict) -> bool:
-    """At least 10 pairs, the change better in 9 of every 10, better in the
-    median, and by more than the parent's quartile distance (none, when
-    the parent's runs have no spread)."""
+def claim_met(entry: dict, metric: str) -> bool:
+    """The verdict on a claim that ``entry``, one workload's ``run_pairs``
+    output, improves ``metric``: every run correct, the change failing no
+    larger share of its attempted operations than the parent, at least 10
+    pairs, the change better in 9 of every 10, better in the median, and
+    by more than the parent's quartile distance (none, when the parent's
+    runs have no spread), that distance compared unrounded."""
+    failed_share = {side: failed / tried if tried else 0.0
+                    for side, (failed, tried) in entry["failed_attempted"].items()}
+    if (not all(entry["all_correct"].values())
+            or failed_share["change"] > failed_share["parent"]):
+        return False
+    summary = entry["summary"][metric]
     wins, pairs = map(int, summary["change_better_pairs"].split("/"))
-    gap = summary["median_gap_over_parent_iqr"]
+    gap = median_gap(summary["parent_runs"], summary["change_runs"])
     return (pairs >= 10 and 10 * wins >= 9 * pairs
             and summary["worse_by"] < 0 and gap is not None and gap > 1)
 
@@ -155,11 +172,12 @@ def run_pairs(sides: dict, spec: dict, workload: str, seed: int, pairs: int,
 
 def trace_counts(sides: dict, spec: dict, workloads: list,
                  seconds: float) -> dict:
-    """Group operation counts per operation from one traced run a side."""
+    """Group operation and hash counts per operation from one traced run a
+    side."""
     out = {"how": f"one traced run per side and workload, seed 1, "
                   f"{seconds:g} s, --trace 1; counts per operation (g1 "
                   "exponentiations / variable-base exponentiations / decodes "
-                  "/ multiplications)"}
+                  "/ multiplications / protocol hashes)"}
     for workload in workloads:
         if not workload.startswith("sign-"):
             continue
@@ -245,10 +263,10 @@ def main(argv=None) -> int:
             doc["tier1"] = time_tier1(sides, args.tier1)
 
     if args.claim:
-        summary = doc["workloads"][claim_workload]["summary"][claim_metric]
         doc["claim"] = {"workload": claim_workload, "metric": claim_metric,
                         "better": better[claim_metric],
-                        "met": claim_met(summary)}
+                        "met": claim_met(doc["workloads"][claim_workload],
+                                         claim_metric)}
     doc["worse_than_bound"] = [
         f"{w}: {name} {s['worse_by']:+.1%} against {s['bound']:.0%}"
         for w, entry in doc["workloads"].items()
